@@ -5,11 +5,12 @@ in-phase channel, high-pass quadrature channel, both with zero dc gain)
 feeding a synchronous-reference-frame phase loop.  The package provides:
 
 * declarative grid-voltage scenarios (``signal_model``),
+* the arithmetic policies, float64 and emulated fixed point (``arith``),
 * the filter pair, its discrete realization and settling analysis (``hgi``),
 * the phase loop and PI tuning (``srf``),
 * closed-form unit-vector THD prediction and measurement (``thd``),
 * worst-case constrained design procedures (``design``),
-* a float64 / fixed-point closed-loop simulator (``sim``),
+* the closed-loop simulator (``sim``),
 * a batch command-line front end (``cli``).
 """
 

@@ -6,10 +6,10 @@ and metrics.json), ``analyze`` (per-order analytical ripple breakdown),
 ``sweep`` (THD grid over frequency and input THD), ``compare``
 (analytical vs simulated THD table for one or both designs).
 
-Exit codes: 0 success, 2 infeasible design, 3 input schema error,
-4 numerical divergence.  The output directory defaults to the current
-directory and can be overridden by ``--out`` or the ``GRIDLOCK_OUT``
-environment variable.
+Exit codes: 0 success, 2 infeasible design, 3 input schema error or
+failed analysis, 4 numerical divergence.  The output directory defaults
+to the current directory and can be overridden by ``--out`` or the
+``GRIDLOCK_OUT`` environment variable.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -27,24 +26,20 @@ from .design import (
     DesignConstraints,
     InfeasibleDesignError,
     PllDesign,
+    build_design,
     load_design,
-    predicted_thd,
     save_design,
+    steady_spec,
+    write_thd_grid_csv,
 )
-from .hgi import HgiParams
-from .signal_model import (
-    GridSignalSpec,
-    ScenarioError,
-    harmonic_profile,
-    load_scenario,
-)
+from .hgi import HgiParams, settling_times
+from .signal_model import GridSignalSpec, ScenarioError, load_scenario
 from .sim import (
     ArithmeticMode,
     SimulationError,
     run as run_sim,
     transient_metrics,
 )
-from .srf import pi_from_bandwidth, srf_settling_time
 from .thd import AnalyticsError, harmonic_breakdown, total_unit_vector_thd
 
 EXIT_OK = 0
@@ -84,26 +79,23 @@ def _constraints(args) -> DesignConstraints:
         raise CliError(f"invalid constraints: {exc}", EXIT_SCHEMA)
 
 
+def _load_design_file(path) -> PllDesign:
+    try:
+        return load_design(path)
+    except (OSError, ValueError, KeyError) as exc:
+        raise CliError(f"invalid design file {path}: {exc}", EXIT_SCHEMA)
+
+
 def _load_design_arg(args) -> PllDesign:
     """Design from --design JSON, or inline --k/--f-bw parameters."""
     if args.design is not None:
-        try:
-            return load_design(args.design)
-        except (OSError, ValueError, KeyError) as exc:
-            raise CliError(f"invalid design file {args.design}: {exc}",
-                           EXIT_SCHEMA)
+        return _load_design_file(args.design)
     if args.k is None or args.f_bw is None:
         raise CliError("need --design FILE or both --k and --f-bw",
                        EXIT_SCHEMA)
     try:
-        pi = pi_from_bandwidth(args.f_bw)
-        t_s_hgi = design_mod.additive_settling(args.k, args.f_bw)
-        t_s_srf = srf_settling_time(2 * math.pi * args.f_bw)
-        return PllDesign(
-            k=args.k, f_bw=args.f_bw, pi=pi,
-            t_s_hgi=t_s_hgi - t_s_srf, t_s_srf=t_s_srf, t_sd=t_s_hgi,
-            method="inline",
-        )
+        t_s_hgi = settling_times(HgiParams(args.k))[2]
+        return build_design("inline", args.k, args.f_bw, t_s_hgi)
     except ValueError as exc:
         raise CliError(f"invalid parameters: {exc}", EXIT_SCHEMA)
 
@@ -117,14 +109,10 @@ def _load_scenario_arg(path) -> GridSignalSpec:
 
 def cmd_design(args) -> int:
     constraints = _constraints(args)
-    try:
-        if args.method == "mtsd":
-            design, report = design_mod.mtsd_design(constraints)
-        else:
-            design, report = design_mod.hc_mtsd_design(constraints)
-    except InfeasibleDesignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    if args.method == "mtsd":
+        design, report = design_mod.mtsd_design(constraints)
+    else:
+        design, report = design_mod.hc_mtsd_design(constraints)
     out = _out_dir(args)
     save_design(design, out / "design.json")
     report.write_sweep_csv(out / "sweep.csv")
@@ -138,11 +126,7 @@ def cmd_simulate(args) -> int:
     spec = _load_scenario_arg(args.scenario)
     design = _load_design_arg(args)
     mode = ArithmeticMode(args.mode)
-    try:
-        trace = run_sim(spec, design, args.duration, mode, args.topology)
-    except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
+    trace = run_sim(spec, design, args.duration, mode, args.topology)
     event_time = spec.events[0].time if spec.events else 0.0
     metrics = transient_metrics(
         trace, event_time=event_time,
@@ -171,12 +155,8 @@ def cmd_simulate(args) -> int:
 def cmd_analyze(args) -> int:
     spec = _load_scenario_arg(args.scenario)
     design = _load_design_arg(args)
-    try:
-        rows = harmonic_breakdown(spec.without_events(), design.hgi, design.pi)
-        thd = total_unit_vector_thd(spec.without_events(), design.hgi,
-                                    design.pi)
-    except AnalyticsError as exc:
-        raise CliError(f"analysis failed: {exc}", EXIT_SCHEMA)
+    rows = harmonic_breakdown(spec.without_events(), design.hgi, design.pi)
+    thd = total_unit_vector_thd(spec.without_events(), design.hgi, design.pi)
     out = _out_dir(args)
     with open(out / "breakdown.csv", "w", newline="") as fh:
         w = csv.writer(fh)
@@ -197,48 +177,32 @@ def cmd_sweep(args) -> int:
     thds = args.input_thds
     if not freqs or not thds:
         raise CliError("empty sweep", EXIT_SCHEMA)
-    constraints = DesignConstraints()
+    rows = [
+        (f, h, total_unit_vector_thd(steady_spec(f, h / 100.0), design.hgi,
+                                     design.pi))
+        for f in freqs for h in thds
+    ]
     out = _out_dir(args)
     path = out / "thd_grid.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["frequency_hz", "input_thd_pct", "unit_vector_thd_pct"])
-        for f in freqs:
-            for h in thds:
-                u = predicted_thd(design.k, design.f_bw, f, h / 100.0,
-                                  constraints)
-                w.writerow([f"{f:g}", f"{h:g}", f"{u:.4f}"])
+    write_thd_grid_csv(path, rows)
     print(f"wrote {path} ({len(freqs) * len(thds)} grid points)")
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    designs = []
-    for path in args.designs:
-        try:
-            designs.append(load_design(path))
-        except (OSError, ValueError, KeyError) as exc:
-            raise CliError(f"invalid design file {path}: {exc}", EXIT_SCHEMA)
+    designs = [_load_design_file(path) for path in args.designs]
     freqs = args.frequencies
     if not freqs:
         raise CliError("empty sweep", EXIT_SCHEMA)
-    input_thd = args.input_thd
-    constraints = DesignConstraints()
-    harmonics = tuple(harmonic_profile(input_thd)) if input_thd else ()
     out = _out_dir(args)
     path = out / "compare.csv"
     rows = []
     for d in designs:
         label = d.method or f"k={d.k:g},f_bw={d.f_bw:g}"
         for f in freqs:
-            analytical = predicted_thd(d.k, d.f_bw, f, input_thd, constraints)
-            spec = GridSignalSpec(fundamental_frequency=f,
-                                  harmonics=harmonics)
-            try:
-                trace = run_sim(spec, d, args.duration)
-            except SimulationError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_DIVERGENCE
+            spec = steady_spec(f, args.input_thd)
+            analytical = total_unit_vector_thd(spec, d.hgi, d.pi)
+            trace = run_sim(spec, d, args.duration)
             m = transient_metrics(trace, fundamental_hz=f)
             rows.append((label, f, analytical, m.steady_thd))
     with open(path, "w", newline="") as fh:
@@ -327,11 +291,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # one place maps each error a command reports to its exit code
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        message, code = exc, exc.code
+    except InfeasibleDesignError as exc:
+        message, code = exc, EXIT_INFEASIBLE
+    except AnalyticsError as exc:
+        message, code = f"analysis failed: {exc}", EXIT_SCHEMA
+    except SimulationError as exc:
+        message, code = exc, EXIT_DIVERGENCE
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -25,11 +25,11 @@ import numpy as np
 
 from . import hgi as hgi_mod
 from .hgi import HgiParams, k_grid, settling_times
-from .signal_model import GridSignalSpec, harmonic_profile, DEFAULT_HARMONIC_ORDERS
+from .signal_model import (DEFAULT_HARMONIC_ORDERS, NOMINAL_FREQ_HZ, TWO_PI,
+                           GridSignalSpec, harmonic_profile)
 from .srf import PiParams, pi_from_bandwidth, srf_settling_time
 from .thd import total_unit_vector_thd
 
-NOMINAL_FREQ_HZ = 50.0
 SCHEMA_VERSION = 1
 
 
@@ -77,10 +77,7 @@ class DesignConstraints:
         return sorted(freqs)
 
     def bandwidth_grid(self) -> np.ndarray:
-        lo, hi = self.f_bw_range
-        n = int(round((hi - lo) / self.f_bw_step))
-        grid = lo + self.f_bw_step * np.arange(n + 1)
-        return grid[grid <= hi + 1e-9]
+        return k_grid(*self.f_bw_range, self.f_bw_step)
 
     def thd_ok(self, thd_percent: float) -> bool:
         limit = 100.0 * self.uthd_limit
@@ -155,16 +152,25 @@ class DesignReport:
                 w.writerow([f"{f_bw:g}", f"{k:g}", f"{t_sd * 1e3:.4f}", int(ok)])
 
     def write_thd_grid_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["frequency_hz", "input_thd_pct", "unit_vector_thd_pct"])
-            for f, h, u in self.thd_grid:
-                w.writerow([f"{f:g}", f"{100 * h:g}", f"{u:.4f}"])
+        rows = ((f, 100 * h, u) for f, h, u in self.thd_grid)
+        write_thd_grid_csv(path, rows)
 
 
-def _steady_spec(
-    frequency_hz: float, input_thd: float, orders: tuple[int, ...]
+def write_thd_grid_csv(path, rows) -> None:
+    """Write (frequency Hz, input THD %, unit-vector THD %) rows."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["frequency_hz", "input_thd_pct", "unit_vector_thd_pct"])
+        for f, h_pct, u in rows:
+            w.writerow([f"{f:g}", f"{h_pct:g}", f"{u:.4f}"])
+
+
+def steady_spec(
+    frequency_hz: float, input_thd: float,
+    orders: tuple[int, ...] = DEFAULT_HARMONIC_ORDERS,
 ) -> GridSignalSpec:
+    """Event-free scenario: the fundamental plus the worst-case harmonic
+    profile of the given input THD (fraction)."""
     harmonics = tuple(harmonic_profile(input_thd, orders)) if input_thd else ()
     return GridSignalSpec(
         fundamental_frequency=frequency_hz, harmonics=harmonics
@@ -180,7 +186,7 @@ def predicted_thd(
 ) -> float:
     """Analytical unit-vector THD (percent) at one grid point."""
     pi = pi_from_bandwidth(f_bw, constraints.v_m, constraints.sample_period)
-    spec = _steady_spec(frequency_hz, input_thd, constraints.harmonic_orders)
+    spec = steady_spec(frequency_hz, input_thd, constraints.harmonic_orders)
     return total_unit_vector_thd(spec, HgiParams(k), pi)
 
 
@@ -198,7 +204,22 @@ def additive_settling(k: float, f_bw: float) -> float:
     """Worst-case additive settling time: HGI settling + 4/loop-bandwidth."""
     if k <= 0 or f_bw <= 0:
         raise ValueError("k and f_bw must be > 0")
-    return settling_times(HgiParams(k))[2] + srf_settling_time(2 * math.pi * f_bw)
+    return settling_times(HgiParams(k))[2] + srf_settling_time(TWO_PI * f_bw)
+
+
+def build_design(
+    method: str, k: float, f_bw: float, t_s_hgi: float,
+    constraints: DesignConstraints = DesignConstraints(),
+) -> PllDesign:
+    """Design at (k, f_bw): PI gains from the bandwidth, settling times
+    from the given HGI settling time and the loop bandwidth."""
+    pi = pi_from_bandwidth(f_bw, constraints.v_m, constraints.sample_period)
+    t_s_srf = srf_settling_time(TWO_PI * f_bw)
+    return PllDesign(
+        k=k, f_bw=f_bw, pi=pi,
+        t_s_hgi=t_s_hgi, t_s_srf=t_s_srf, t_sd=t_s_hgi + t_s_srf,
+        method=method,
+    )
 
 
 def _finish(
@@ -209,13 +230,7 @@ def _finish(
     constraints: DesignConstraints,
     report: DesignReport,
 ) -> tuple[PllDesign, DesignReport]:
-    pi = pi_from_bandwidth(f_bw, constraints.v_m, constraints.sample_period)
-    t_s_srf = srf_settling_time(2 * math.pi * f_bw)
-    design = PllDesign(
-        k=k, f_bw=f_bw, pi=pi,
-        t_s_hgi=t_s_hgi, t_s_srf=t_s_srf, t_sd=t_s_hgi + t_s_srf,
-        method=method,
-    )
+    design = build_design(method, k, f_bw, t_s_hgi, constraints)
     report.design = design
     for f in constraints.sweep_frequencies():
         for frac in (0.0, constraints.input_thd / 2, constraints.input_thd):
@@ -236,7 +251,7 @@ def mtsd_design(
         constraints.k_range, constraints.k_step
     )
     freqs = constraints.sweep_frequencies()
-    t_s = lambda f_bw: t_s_hgi + srf_settling_time(2 * math.pi * f_bw)
+    t_s = lambda f_bw: t_s_hgi + srf_settling_time(TWO_PI * f_bw)
     chosen = None
     # downward scan: the THD constraint tightens with bandwidth
     for f_bw in constraints.bandwidth_grid()[::-1]:
@@ -276,7 +291,7 @@ def hc_mtsd_design(
             continue
         report.feasible_count += len(feasible_ks)
         k_i = min(feasible_ks, key=lambda k: (ts_hgi[k], k))
-        t_sd_i = ts_hgi[k_i] + srf_settling_time(2 * math.pi * f_bw)
+        t_sd_i = ts_hgi[k_i] + srf_settling_time(TWO_PI * f_bw)
         report.swept.append((f_bw, k_i, t_sd_i, True))
         # strict < keeps ties at the lower bandwidth
         if best is None or t_sd_i < best[2]:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-NOMINAL_OMEGA0 = 2 * math.pi * 50.0
+from .arith import EXACT
+from .signal_model import NOMINAL_OMEGA0
 
 #: Per-sample arithmetic budget of the forward-Euler HGI update.
 HGI_MULS_PER_STEP = 4
@@ -38,21 +39,6 @@ SETTLING_DT = 1e-6
 
 #: Horizon after which an unsettled response is reported as unstable.
 SETTLING_HORIZON = 1.0
-
-
-class _ExactArithmetic:
-    """No-op arithmetic model: exact float64 coefficients and signals."""
-
-    @staticmethod
-    def coeff(x):
-        return x
-
-    @staticmethod
-    def signal(x):
-        return x
-
-
-_EXACT = _ExactArithmetic()
 
 
 @dataclass(frozen=True)
@@ -84,13 +70,13 @@ def freq_response(params: HgiParams, omega) -> tuple[complex, complex]:
     return g_alpha, g_beta
 
 
-class HgiFilter:
-    """Forward-Euler discrete realization of the HGI pair.
+class QuadratureFilter:
+    """Forward-Euler discrete realization shared by the filter pairs.
 
-    State x1 is the band-pass output v_alpha; x2 is the second integrator
-    state, scaled so that the update needs 4 multiplications and 6
-    additions (the input summer feeds the alpha update and the beta output
-    path separately, as in the counted hardware dataflow).
+    State x1 is the band-pass output v_alpha, x2 the second integrator
+    state.  ``arith`` is an arithmetic policy (see ``hgipll.arith``);
+    by default the filter runs in exact float64.  Subclasses define only
+    ``step``, which returns (v_alpha, v_beta).
     """
 
     def __init__(self, params: HgiParams, sample_period: float, arith=None):
@@ -100,7 +86,7 @@ class HgiFilter:
             raise ValueError("sample rate too low for Euler stability")
         self.params = params
         self.sample_period = sample_period
-        self._q = arith if arith is not None else _EXACT
+        self._q = arith if arith is not None else EXACT
         self._k = self._q.coeff(params.k)
         self._c1 = self._q.coeff(params.k * params.omega0 * sample_period)
         self._c2 = self._q.coeff(params.omega0 * sample_period)
@@ -115,6 +101,15 @@ class HgiFilter:
         self._x1 = x1
         self._x2 = x2
 
+
+class HgiFilter(QuadratureFilter):
+    """The HGI pair: band-pass alpha channel, high-pass beta channel.
+
+    x2 is scaled so that the update needs 4 multiplications and 6
+    additions (the input summer feeds the alpha update and the beta output
+    path separately, as in the counted hardware dataflow).
+    """
+
     def step(self, v_g):
         """Advance one sample; returns (v_alpha, v_beta)."""
         q = self._q.signal
@@ -127,30 +122,13 @@ class HgiFilter:
         return x1, v_beta
 
 
-class BasicSogiFilter:
+class BasicSogiFilter(QuadratureFilter):
     """Basic SOGI: same band-pass channel, low-pass quadrature channel.
 
     G_beta,basic(s) = k*w0^2 / (s^2 + k*w0*s + w0^2).  It does not block
     dc, which is exactly the weakness the HGI removes; kept as the
-    comparison baseline.
+    comparison baseline.  3 multiplications and 4 additions per sample.
     """
-
-    def __init__(self, params: HgiParams, sample_period: float, arith=None):
-        if sample_period <= 0:
-            raise ValueError("sample_period must be > 0")
-        if params.omega0 * sample_period >= EULER_GUARD:
-            raise ValueError("sample rate too low for Euler stability")
-        self.params = params
-        self.sample_period = sample_period
-        self._q = arith if arith is not None else _EXACT
-        self._c1 = self._q.coeff(params.k * params.omega0 * sample_period)
-        self._c2 = self._q.coeff(params.omega0 * sample_period)
-        self._x1 = 0.0
-        self._x2 = 0.0
-
-    def reset(self, x1=0.0, x2=0.0) -> None:
-        self._x1 = x1
-        self._x2 = x2
 
     def step(self, v_g):
         q = self._q.signal
@@ -248,6 +226,7 @@ def k_opt_search(
 
 
 def k_grid(k_min: float, k_max: float, resolution: float) -> np.ndarray:
+    """Uniform grid from k_min to k_max inclusive, for gains and bandwidths."""
     n = int(round((k_max - k_min) / resolution))
     grid = k_min + resolution * np.arange(n + 1)
     return grid[grid <= k_max + 1e-12]

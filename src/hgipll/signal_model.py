@@ -16,6 +16,12 @@ import numpy as np
 
 SCHEMA_VERSION = 1
 
+TWO_PI = 2 * math.pi
+
+#: Nominal grid frequency, in Hz and in rad/s.
+NOMINAL_FREQ_HZ = 50.0
+NOMINAL_OMEGA0 = TWO_PI * NOMINAL_FREQ_HZ
+
 #: Low-order odd harmonics used by default when building a harmonic profile.
 DEFAULT_HARMONIC_ORDERS = (3, 5, 7, 9)
 
@@ -66,7 +72,7 @@ class GridSignalSpec:
     """Full description of the test grid voltage."""
 
     fundamental_amplitude: float = 1.0
-    fundamental_frequency: float = 50.0
+    fundamental_frequency: float = NOMINAL_FREQ_HZ
     fundamental_phase: float = 0.0
     harmonics: tuple[HarmonicComponent, ...] = ()
     dc_offset: float = 0.0
@@ -146,7 +152,7 @@ def synthesize(
             dc[on] = ev.value
 
     # trapezoidal phase integration keeps theta continuous at freq steps
-    omega = 2 * np.pi * freq
+    omega = TWO_PI * freq
     theta = np.empty(n)
     theta[0] = 0.0
     np.cumsum(0.5 * (omega[1:] + omega[:-1]) * sample_period, out=theta[1:])

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the arithmetic names stay importable from here as well
+from .arith import FIXED16, FLOAT64, ArithmeticMode, Fixed16Arithmetic
 from .hgi import BasicSogiFilter, HgiFilter
-from .signal_model import GridSignalSpec, synthesize
+from .signal_model import TWO_PI, GridSignalSpec, synthesize
 from .srf import SrfPll
 from .thd import measured_thd, spectral_line
-
-TWO_PI = 2 * math.pi
 
 TRACE_CHANNELS = (
     "v_g", "v_alpha", "v_beta", "v_d", "v_q",
@@ -32,99 +32,6 @@ STARTUP_EXCLUDE_S = 0.2
 
 class SimulationError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class ArithmeticMode:
-    """float64, or 16-bit fixed point with the given signal Q-format."""
-
-    mode: str = "float64"
-    fraction_bits: int = 14
-
-    def __post_init__(self):
-        if self.mode not in ("float64", "fixed16"):
-            raise ValueError("mode must be 'float64' or 'fixed16'")
-        if self.mode == "fixed16" and not 8 <= self.fraction_bits <= 15:
-            raise ValueError("fixed16 fraction bits must be in [8, 15]")
-
-
-FLOAT64 = ArithmeticMode("float64")
-FIXED16 = ArithmeticMode("fixed16")
-
-
-class Fixed16Arithmetic:
-    """Emulated 16-bit fixed-point arithmetic with saturation.
-
-    Signals use the configured Q-format (Q2.14 by default).  The phase
-    and PI-integrator accumulators use wider 32-bit words (Q4.28 and
-    Q2.30): with 16-bit resolution the per-sample phase correction and
-    the integral increments would quantize to zero and the loop would
-    limit-cycle.  Coefficients are rounded to a 16-bit mantissa at a
-    per-coefficient binary scale, as a DSP implementation would store
-    them.  Saturations are counted.
-    """
-
-    PHASE_FRACTION_BITS = 28
-    ACCUMULATOR_BITS = 32
-
-    def __init__(self, fraction_bits: int = 14, lut_size: int = 1024):
-        self.fraction_bits = fraction_bits
-        self.lut_size = lut_size
-        self.saturations = 0
-        self._sig_scale = float(1 << fraction_bits)
-        self._sig_max = (2 ** 15 - 1) / self._sig_scale
-        self._sig_min = -(2 ** 15) / self._sig_scale
-        self._ph_scale = float(1 << self.PHASE_FRACTION_BITS)
-        self._acc_scale = float(1 << (self.ACCUMULATOR_BITS - 2))
-        self._acc_max = (2 ** 31 - 1) / self._acc_scale
-        self._acc_min = -(2 ** 31) / self._acc_scale
-        idx = (np.arange(lut_size) * (TWO_PI / lut_size))
-        self._sin_lut = np.round(np.sin(idx) * self._sig_scale) / self._sig_scale
-        self._cos_lut = np.round(np.cos(idx) * self._sig_scale) / self._sig_scale
-
-    def signal(self, x: float) -> float:
-        q = round(x * self._sig_scale) / self._sig_scale
-        if q > self._sig_max:
-            self.saturations += 1
-            return self._sig_max
-        if q < self._sig_min:
-            self.saturations += 1
-            return self._sig_min
-        return q
-
-    def accumulator(self, x: float) -> float:
-        q = round(x * self._acc_scale) / self._acc_scale
-        if q > self._acc_max:
-            self.saturations += 1
-            return self._acc_max
-        if q < self._acc_min:
-            self.saturations += 1
-            return self._acc_min
-        return q
-
-    def phase(self, x: float) -> float:
-        return round(x * self._ph_scale) / self._ph_scale
-
-    @staticmethod
-    def coeff(x: float) -> float:
-        """Round to a 16-bit mantissa at the value's own binary scale."""
-        if x == 0:
-            return 0.0
-        exp = math.ceil(math.log2(abs(x) / (2 ** 15 - 0.5)))
-        scale = 2.0 ** -exp
-        return round(x * scale) / scale
-
-    def trig(self, theta: float) -> tuple[float, float]:
-        """Table lookup with linear interpolation, as DSP firmware does;
-        a raw 1024-entry staircase would put ~0.3 Hz of phase-detector
-        noise on the frequency estimate."""
-        pos = (theta * (self.lut_size / TWO_PI)) % self.lut_size
-        i = int(pos)
-        frac = pos - i
-        j = (i + 1) % self.lut_size
-        s = self._sin_lut[i] + frac * (self._sin_lut[j] - self._sin_lut[i])
-        c = self._cos_lut[i] + frac * (self._cos_lut[j] - self._cos_lut[i])
-        return self.signal(s), self.signal(c)
 
 
 @dataclass
@@ -222,14 +129,8 @@ def run(
     v_g = synthesize(spec, ts, duration)
     n = len(v_g)
 
-    if mode.mode == "fixed16":
-        arith = Fixed16Arithmetic(mode.fraction_bits)
-        v_g = np.clip(
-            np.round(v_g * arith._sig_scale) / arith._sig_scale,
-            arith._sig_min, arith._sig_max,
-        )
-    else:
-        arith = None
+    arith = mode.policy()
+    v_g = arith.quantize_input(v_g)
     filt_cls = HgiFilter if topology == "hgi" else BasicSogiFilter
     filt = filt_cls(design.hgi, ts, arith=arith)
     pll = SrfPll(design.pi, design.hgi.omega0, arith=arith)
@@ -259,7 +160,7 @@ def run(
         raise SimulationError("numerical divergence")
     return SimTrace(
         sample_period=ts,
-        saturations=arith.saturations if arith else 0,
+        saturations=arith.saturations,
         **out,
     )
 

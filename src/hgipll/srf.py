@@ -10,13 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-NOMINAL_OMEGA0 = 2 * math.pi * 50.0
+from .arith import EXACT
+from .signal_model import NOMINAL_OMEGA0, TWO_PI
 
 #: Per-sample arithmetic budget of the loop update, trig lookups excluded.
 SRF_MULS_PER_STEP = 7
 SRF_ADDS_PER_STEP = 6
-
-TWO_PI = 2 * math.pi
 
 
 @dataclass(frozen=True)
@@ -76,22 +75,6 @@ def park(v_alpha, v_beta, theta_e):
     return v_alpha * c + v_beta * s, -v_alpha * s + v_beta * c
 
 
-def _float_trig(theta):
-    return math.sin(theta), math.cos(theta)
-
-
-class _ExactArithmetic:
-    """No-op arithmetic model: exact float64 everywhere."""
-
-    coeff = staticmethod(lambda x: x)
-    signal = staticmethod(lambda x: x)
-    accumulator = staticmethod(lambda x: x)
-    phase = staticmethod(lambda x: x)
-
-
-_EXACT = _ExactArithmetic()
-
-
 class SrfPll:
     """Discrete SRF-PLL loop: Park transform, PI, phase integrator.
 
@@ -99,19 +82,17 @@ class SrfPll:
     the relative frequency deviation, added to the feedforward 1.0 pu.
     Per-sample cost is 7 multiplications and 6 additions, trig excluded.
 
-    ``trig`` maps theta to (sin, cos); the default evaluates directly,
-    the fixed-point simulator passes a lookup table.
+    ``arith`` is an arithmetic policy (see ``hgipll.arith``), exact
+    float64 by default; its ``trig`` maps theta to (sin, cos), and a
+    policy without one gets the exact sin/cos.
     """
 
     def __init__(self, pi: PiParams, omega0: float = NOMINAL_OMEGA0,
-                 trig=None, arith=None):
+                 arith=None):
         self.pi = pi
         self.omega0 = omega0
-        self._q = arith if arith is not None else _EXACT
-        if trig is not None:
-            self._trig = trig
-        else:
-            self._trig = getattr(self._q, "trig", _float_trig)
+        self._q = arith if arith is not None else EXACT
+        self._trig = getattr(self._q, "trig", EXACT.trig)
         ts = pi.sample_period
         self._kp_pu = self._q.coeff(pi.kp / omega0)
         self._ki_pu = self._q.coeff(pi.ki * ts / omega0)
@@ -150,8 +131,3 @@ class SrfPll:
         self.deviation = dev
         self.theta = theta
         return s, c
-
-
-def srf_step(pll: SrfPll, v_alpha, v_beta):
-    """Functional wrapper over ``SrfPll.step``."""
-    return pll.step(v_alpha, v_beta)

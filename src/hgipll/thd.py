@@ -25,10 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hgi import HgiParams, freq_response
-from .signal_model import GridSignalSpec
+from .signal_model import NOMINAL_OMEGA0, TWO_PI, GridSignalSpec
 from .srf import PiParams
-
-NOMINAL_OMEGA0 = 2 * math.pi * 50.0
 
 
 class AnalyticsError(ValueError):
@@ -162,7 +160,7 @@ def freq_dev_ripple(
     if a < 0:
         # THD needs |a|; absorb the sign into the phase
         a, phi = -a, phi + math.pi
-    phi = math.remainder(phi, 2 * math.pi)
+    phi = math.remainder(phi, TWO_PI)
     return RippleTerm(a, phi, 3), a / 2
 
 
@@ -214,7 +212,7 @@ def harmonic_ripple(
     )
     if a_h < 0:
         a_h, phi_h = -a_h, phi_h + math.pi
-    phi_h = math.remainder(phi_h, 2 * math.pi)
+    phi_h = math.remainder(phi_h, TWO_PI)
     return [RippleTerm(a_h, phi_h, o) for o in orders]
 
 
@@ -232,7 +230,7 @@ def unit_vector_ripple_terms(
     """
     if spec.events:
         raise AnalyticsError("steady-state analysis requires an event-free spec")
-    omega = 2 * math.pi * spec.fundamental_frequency
+    omega = TWO_PI * spec.fundamental_frequency
     terms: list[RippleTerm] = []
 
     g_alpha, g_beta = freq_response(hgi, omega)
@@ -329,7 +327,7 @@ def measured_thd(
     n = min(n, len(trace))
     window = trace[-n:]
     t = np.arange(n) * sample_period
-    wt = 2 * np.pi * fundamental_hz * t
+    wt = TWO_PI * fundamental_hz * t
     basis = np.empty((n, 2 * max_order + 1))
     for h in range(1, max_order + 1):
         basis[:, 2 * h - 2] = np.sin(h * wt)

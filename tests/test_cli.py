@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from hgipll import DesignConstraints, HgiParams, save_design, settling_times
 from hgipll.cli import main
+from hgipll.design import build_design
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "hgipll" / "scenarios"
 
@@ -74,6 +76,19 @@ def test_simulate_bad_scenario_exit_code(tmp_path):
     assert code == 3
 
 
+def test_simulate_failed_analysis_exit_code(tmp_path, capsys):
+    # 0.65 s leaves too few cycles after the jump for the THD window
+    code = main([
+        "simulate", "--scenario", str(SCENARIOS / "phase_jump_90deg.json"),
+        "--k", "1.56", "--f-bw", "29.5", "--duration", "0.65",
+        "--out", str(tmp_path),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "error: analysis failed: leakage window" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_missing_design_exit_code(tmp_path):
     code = main([
         "simulate", "--scenario", str(SCENARIOS / "clean_50hz.json"),
@@ -106,6 +121,25 @@ def test_sweep_grid_spot_value(tmp_path):
     assert rows[0] == "frequency_hz,input_thd_pct,unit_vector_thd_pct"
     cell = {tuple(r.split(",")[:2]): float(r.split(",")[2]) for r in rows[1:]}
     assert cell[("46", "5")] == pytest.approx(1.7, abs=0.2)
+
+
+def test_sweep_and_compare_analyse_the_design_file_gains(tmp_path):
+    # gains for Ts = 100 us; rebuilding them at the default 50 us would
+    # put 1.7770 % in the analytical column instead
+    design = build_design("ts100us", 1.56, 55.0,
+                          settling_times(HgiParams(1.56))[2],
+                          DesignConstraints(sample_period=1e-4))
+    path = tmp_path / "design.json"
+    save_design(design, path)
+    common = ["--frequencies", "46", "--out", str(tmp_path)]
+    assert main(["sweep", "--design", str(path), "--input-thds", "5",
+                 *common]) == 0
+    rows = (tmp_path / "thd_grid.csv").read_text().splitlines()
+    assert rows[1] == "46,5,1.7698"
+    assert main(["compare", "--designs", str(path), "--input-thd", "0.05",
+                 "--duration", "0.8", *common]) == 0
+    rows = (tmp_path / "compare.csv").read_text().splitlines()
+    assert rows[1].split(",")[:3] == ["ts100us", "46", "1.7698"]
 
 
 def test_sweep_empty_grid(tmp_path, capsys):

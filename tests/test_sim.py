@@ -144,6 +144,17 @@ def test_fixed16_quantization_and_saturation():
     assert arith.saturations == 2
 
 
+def test_fixed16_quantize_input_matches_signal_and_clips():
+    arith = Fixed16Arithmetic()
+    v = np.sin(np.linspace(0.0, 6.0, 257)) * 1.3 + 0.01
+    q = arith.quantize_input(v)
+    assert np.array_equal(q, [arith.signal(x) for x in v])
+    lim = (2**15 - 1) / 2**14, -(2**15) / 2**14
+    assert list(arith.quantize_input(np.array([5.0, -5.0]))) == list(lim)
+    # input clipping is the ADC's, not a counted arithmetic saturation
+    assert arith.saturations == 0
+
+
 def test_fixed16_coeff_keeps_16_bit_mantissa():
     c = Fixed16Arithmetic.coeff(0.0157079)
     assert c == pytest.approx(0.0157079, rel=2**-15)
