@@ -21,6 +21,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import design as design_mod
 from .design import (
     DesignConstraints,
@@ -30,6 +32,7 @@ from .design import (
     load_design,
     save_design,
     steady_spec,
+    steady_thd,
     write_thd_grid_csv,
 )
 from .hgi import HgiParams, settling_times
@@ -118,6 +121,12 @@ def cmd_design(args) -> int:
     report.write_sweep_csv(out / "sweep.csv")
     print(f"method={design.method} k={design.k:.2f} f_bw={design.f_bw:g} Hz "
           f"t_sd={design.t_sd * 1e3:.2f} ms")
+    # the margin is to the largest THD the rounded limit check accepts
+    accepted = constraints.thd_threshold()
+    print(f"binding f={report.binding_hz:g} Hz: worst THD "
+          f"{report.worst_thd:.3f} % against the "
+          f"{100 * constraints.uthd_limit:g} % limit (accepted up to "
+          f"{accepted:.4g} %), margin {accepted - report.worst_thd:.3f} pp")
     print(f"wrote {out / 'design.json'} and {out / 'sweep.csv'}")
     return EXIT_OK
 
@@ -177,11 +186,10 @@ def cmd_sweep(args) -> int:
     thds = args.input_thds
     if not freqs or not thds:
         raise CliError("empty sweep", EXIT_SCHEMA)
-    rows = [
-        (f, h, total_unit_vector_thd(steady_spec(f, h / 100.0), design.hgi,
-                                     design.pi))
-        for f in freqs for h in thds
-    ]
+    grid = steady_thd(design.k, design.pi.kp, design.pi.ki,
+                      np.array(freqs)[:, None], np.array(thds) / 100.0)
+    rows = [(f, h, float(grid[i, j]))
+            for i, f in enumerate(freqs) for j, h in enumerate(thds)]
     out = _out_dir(args)
     path = out / "thd_grid.csv"
     write_thd_grid_csv(path, rows)
@@ -199,12 +207,11 @@ def cmd_compare(args) -> int:
     rows = []
     for d in designs:
         label = d.method or f"k={d.k:g},f_bw={d.f_bw:g}"
-        for f in freqs:
-            spec = steady_spec(f, args.input_thd)
-            analytical = total_unit_vector_thd(spec, d.hgi, d.pi)
-            trace = run_sim(spec, d, args.duration)
+        analytical = steady_thd(d.k, d.pi.kp, d.pi.ki, freqs, args.input_thd)
+        for f, a in zip(freqs, analytical):
+            trace = run_sim(steady_spec(f, args.input_thd), d, args.duration)
             m = transient_metrics(trace, fundamental_hz=f)
-            rows.append((label, f, analytical, m.steady_thd))
+            rows.append((label, f, float(a), m.steady_thd))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["design", "frequency_hz", "analytical_thd_pct",

@@ -11,7 +11,9 @@ Two sweeps produce a complete parameter set (k, loop bandwidth, PI gains):
 
 THD feasibility is checked at the resolution the limit is stated in
 (one decimal of a percent by default), matching how the published design
-points were read off their constraint curves.
+points were read off their constraint curves.  Both procedures evaluate
+the whole (bandwidth x k x frequency) THD grid with the array-native
+kernel and reduce it to a feasibility mask plus an argmin.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hgi as hgi_mod
-from .hgi import HgiParams, k_grid, settling_times
-from .signal_model import (DEFAULT_HARMONIC_ORDERS, NOMINAL_FREQ_HZ, TWO_PI,
-                           GridSignalSpec, harmonic_profile)
+from .hgi import HgiParams, k_grid, settling_sweep, settling_times
+from .signal_model import (DEFAULT_HARMONIC_ORDERS, NOMINAL_FREQ_HZ,
+                           NOMINAL_OMEGA0, TWO_PI, GridSignalSpec,
+                           harmonic_profile)
 from .srf import PiParams, pi_from_bandwidth, srf_settling_time
-from .thd import total_unit_vector_thd
+from .thd import unit_vector_thd
 
 SCHEMA_VERSION = 1
 
@@ -84,6 +87,27 @@ class DesignConstraints:
         if self.thd_compare_decimals is None:
             return thd_percent <= limit + 1e-12
         return round(thd_percent, self.thd_compare_decimals) <= limit + 1e-12
+
+    def thd_threshold(self) -> float:
+        """The largest THD (percent) that ``thd_ok`` accepts.
+
+        Python's ``round`` is correctly rounded and monotone, so
+        ``thd_ok(x) == (x <= thd_threshold())`` for every float x; a whole
+        grid is tested with one comparison and no ``np.round``, which
+        scales by 10**decimals and can differ at an x.x5 boundary.
+        """
+        limit = 100.0 * self.uthd_limit + 1e-12
+        if self.thd_compare_decimals is None:
+            return limit
+        scale = 10.0 ** self.thd_compare_decimals
+        # start at the rounding boundary above the limit, then settle on
+        # the exact float where thd_ok flips
+        t = (math.floor(limit * scale) + 0.5) / scale
+        while not self.thd_ok(t):
+            t = math.nextafter(t, -math.inf)
+        while self.thd_ok(math.nextafter(t, math.inf)):
+            t = math.nextafter(t, math.inf)
+        return t
 
 
 @dataclass(frozen=True)
@@ -143,6 +167,10 @@ class DesignReport:
     feasible_count: int = 0
     design: PllDesign | None = None
     thd_grid: list[tuple[float, float, float]] = field(default_factory=list)
+    # the chosen point's worst unit-vector THD over the deviation band
+    # (percent) and the frequency where it occurs
+    worst_thd: float = math.nan
+    binding_hz: float = math.nan
 
     def write_sweep_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -177,6 +205,24 @@ def steady_spec(
     )
 
 
+def steady_thd(
+    k, kp, ki, frequency_hz, input_thd,
+    orders: tuple[int, ...] = DEFAULT_HARMONIC_ORDERS,
+    omega0: float = NOMINAL_OMEGA0,
+) -> np.ndarray:
+    """Analytical unit-vector THD (percent) of the scenarios ``steady_spec``
+    describes, over a whole grid: the HGI gain ``k``, the PI gains, the
+    frequencies (Hz) and the input THDs (fractions) broadcast."""
+    thds = np.asarray(input_thd, dtype=float)
+    # each input THD's harmonic profile; the profile's phases are all zero
+    amps = np.array([[c.amplitude for c in harmonic_profile(float(h), orders)]
+                     for h in thds.ravel()])
+    harmonics = [(o, amps[:, i].reshape(thds.shape), 0.0)
+                 for i, o in enumerate(orders)]
+    omega = TWO_PI * np.asarray(frequency_hz, dtype=float)
+    return unit_vector_thd(k, kp, ki, omega, harmonics, omega0=omega0)
+
+
 def predicted_thd(
     k: float,
     f_bw: float,
@@ -186,18 +232,31 @@ def predicted_thd(
 ) -> float:
     """Analytical unit-vector THD (percent) at one grid point."""
     pi = pi_from_bandwidth(f_bw, constraints.v_m, constraints.sample_period)
-    spec = steady_spec(frequency_hz, input_thd, constraints.harmonic_orders)
-    return total_unit_vector_thd(spec, HgiParams(k), pi)
+    hgi = HgiParams(k)
+    return float(steady_thd(hgi.k, pi.kp, pi.ki, frequency_hz, input_thd,
+                            constraints.harmonic_orders, hgi.omega0))
 
 
-def _feasible(
-    k: float, f_bw: float, input_thd: float,
-    freqs: list[float], constraints: DesignConstraints,
-) -> bool:
-    return all(
-        constraints.thd_ok(predicted_thd(k, f_bw, f, input_thd, constraints))
-        for f in freqs
-    )
+def band_worst_thd(
+    ks: np.ndarray, f_bws: np.ndarray, constraints: DesignConstraints,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Worst THD (percent) over the deviation band at the constraints'
+    input THD, and the frequency (Hz) where it occurs, for every
+    (bandwidth, k): two (f_bw x k) arrays.
+
+    The (bandwidth x k x frequency) cube is evaluated one bandwidth row at
+    a time, so memory stays at one (k x frequency) slab.
+    """
+    freqs = np.array(constraints.sweep_frequencies())
+    worst = np.empty((len(f_bws), len(ks)))
+    binding = np.empty((len(f_bws), len(ks)), dtype=int)
+    for i, f_bw in enumerate(f_bws):
+        pi = pi_from_bandwidth(f_bw, constraints.v_m, constraints.sample_period)
+        thd = steady_thd(ks[:, None], pi.kp, pi.ki, freqs,
+                         constraints.input_thd, constraints.harmonic_orders)
+        worst[i] = thd.max(axis=1)
+        binding[i] = thd.argmax(axis=1)
+    return worst, freqs[binding]
 
 
 def additive_settling(k: float, f_bw: float) -> float:
@@ -232,11 +291,14 @@ def _finish(
 ) -> tuple[PllDesign, DesignReport]:
     design = build_design(method, k, f_bw, t_s_hgi, constraints)
     report.design = design
-    for f in constraints.sweep_frequencies():
-        for frac in (0.0, constraints.input_thd / 2, constraints.input_thd):
-            report.thd_grid.append(
-                (f, frac, predicted_thd(k, f_bw, f, frac, constraints))
-            )
+    freqs = constraints.sweep_frequencies()
+    fracs = (0.0, constraints.input_thd / 2, constraints.input_thd)
+    thd = steady_thd(k, design.pi.kp, design.pi.ki, np.array(freqs)[:, None],
+                     np.array(fracs), constraints.harmonic_orders)
+    report.thd_grid = [
+        (f, frac, float(thd[i, j]))
+        for i, f in enumerate(freqs) for j, frac in enumerate(fracs)
+    ]
     return design, report
 
 
@@ -250,23 +312,22 @@ def mtsd_design(
     k_opt, t_s_hgi = hgi_mod.k_opt_search(
         constraints.k_range, constraints.k_step
     )
-    freqs = constraints.sweep_frequencies()
-    t_s = lambda f_bw: t_s_hgi + srf_settling_time(TWO_PI * f_bw)
-    chosen = None
-    # downward scan: the THD constraint tightens with bandwidth
-    for f_bw in constraints.bandwidth_grid()[::-1]:
-        ok = _feasible(k_opt, f_bw, 0.0, freqs, constraints)
-        report.swept.append((float(f_bw), k_opt, t_s(f_bw), ok))
-        if ok:
-            report.feasible_count += 1
-            if chosen is None:
-                chosen = float(f_bw)
-    if chosen is None:
+    f_bws = constraints.bandwidth_grid()
+    worst, binding = band_worst_thd(np.array([k_opt]), f_bws, constraints)
+    ok = worst[:, 0] <= constraints.thd_threshold()
+    report.swept = [
+        (float(f_bw), k_opt, t_s_hgi + srf_settling_time(TWO_PI * f_bw), bool(o))
+        for f_bw, o in zip(f_bws, ok)
+    ]
+    report.feasible_count = int(ok.sum())
+    if not ok.any():
         raise InfeasibleDesignError(
             "constraints infeasible: no bandwidth meets the THD limit"
         )
-    report.swept.reverse()
-    return _finish("mtsd", k_opt, chosen, t_s_hgi, constraints, report)
+    # the THD constraint tightens with bandwidth: take the highest feasible
+    i = np.flatnonzero(ok)[-1]
+    report.worst_thd, report.binding_hz = worst[i, 0], binding[i, 0]
+    return _finish("mtsd", k_opt, float(f_bws[i]), t_s_hgi, constraints, report)
 
 
 def hc_mtsd_design(
@@ -274,34 +335,33 @@ def hc_mtsd_design(
 ) -> tuple[PllDesign, DesignReport]:
     """Fastest design under joint deviation and input-harmonic constraints."""
     report = DesignReport(method="hc-mtsd")
-    freqs = constraints.sweep_frequencies()
     ks = k_grid(*constraints.k_range, constraints.k_step)
-    ts_hgi = {
-        float(k): settling_times(HgiParams(float(k)), dt=2e-6)[2] for k in ks
-    }
-    best = None
-    for f_bw in constraints.bandwidth_grid():
-        f_bw = float(f_bw)
-        feasible_ks = [
-            float(k) for k in ks
-            if _feasible(float(k), f_bw, constraints.input_thd, freqs, constraints)
-        ]
-        if not feasible_ks:
-            report.swept.append((f_bw, math.nan, math.inf, False))
+    ts_hgi = settling_sweep(ks, dt=2e-6)[:, 2]
+    f_bws = constraints.bandwidth_grid()
+    worst, binding = band_worst_thd(ks, f_bws, constraints)
+    feasible = worst <= constraints.thd_threshold()
+    report.feasible_count = int(feasible.sum())
+    # per bandwidth the fastest feasible k; argmin returns the first
+    # minimum, so equal settling times go to the smaller k
+    best_k = np.argmin(np.where(feasible, ts_hgi, np.inf), axis=1)
+    t_sd = np.full(len(f_bws), np.inf)
+    for i, f_bw in enumerate(f_bws):
+        if not feasible[i].any():
+            report.swept.append((float(f_bw), math.nan, math.inf, False))
             continue
-        report.feasible_count += len(feasible_ks)
-        k_i = min(feasible_ks, key=lambda k: (ts_hgi[k], k))
-        t_sd_i = ts_hgi[k_i] + srf_settling_time(TWO_PI * f_bw)
-        report.swept.append((f_bw, k_i, t_sd_i, True))
-        # strict < keeps ties at the lower bandwidth
-        if best is None or t_sd_i < best[2]:
-            best = (f_bw, k_i, t_sd_i)
-    if best is None:
+        t_sd[i] = ts_hgi[best_k[i]] + srf_settling_time(TWO_PI * f_bw)
+        report.swept.append(
+            (float(f_bw), float(ks[best_k[i]]), float(t_sd[i]), True))
+    if not feasible.any():
         raise InfeasibleDesignError(
             "constraints infeasible: no (bandwidth, k) meets the THD limit"
         )
-    f_bw, k_i, _ = best
-    return _finish("hc-mtsd", k_i, f_bw, ts_hgi[k_i], constraints, report)
+    # the first minimum keeps ties at the lower bandwidth
+    i = int(np.argmin(t_sd))
+    j = best_k[i]
+    report.worst_thd, report.binding_hz = worst[i, j], binding[i, j]
+    return _finish("hc-mtsd", float(ks[j]), float(f_bws[i]), float(ts_hgi[j]),
+                   constraints, report)
 
 
 def save_design(design: PllDesign, path) -> None:

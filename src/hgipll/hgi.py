@@ -8,8 +8,9 @@ in-phase channel and a high-pass quadrature channel,
 
 Both have zero dc gain, which is what rejects input dc offsets.  This
 module provides the continuous-domain frequency response, a forward-Euler
-discrete realization, closed-form step-response settling times and the
-search for the gain k with the fastest settling.
+discrete realization, closed-form step-response settling times (one
+sweep over a grid of gains) and the search for the gain k with the
+fastest settling.
 """
 
 from __future__ import annotations
@@ -55,16 +56,20 @@ class HgiParams:
             raise ValueError("omega0 must be > 0")
 
 
+def quadrature_gains(k, omega0, omega):
+    """Complex gains (G_alpha, G_beta) for gains ``k`` at angular
+    frequencies ``omega`` (rad/s); all arguments broadcast."""
+    s = 1j * np.asarray(omega, dtype=float)
+    den = s * s + k * omega0 * s + omega0 * omega0
+    return k * s * omega0 / den, -k * s * s / den
+
+
 def freq_response(params: HgiParams, omega) -> tuple[complex, complex]:
     """Complex gains (G_alpha, G_beta) at angular frequency ``omega``.
 
     Accepts a scalar or an array of frequencies in rad/s.
     """
-    s = 1j * np.asarray(omega, dtype=float)
-    w0, k = params.omega0, params.k
-    den = s * s + k * w0 * s + w0 * w0
-    g_alpha = k * s * w0 / den
-    g_beta = -k * s * s / den
+    g_alpha, g_beta = quadrature_gains(params.k, params.omega0, omega)
     if np.isscalar(omega):
         return complex(g_alpha), complex(g_beta)
     return g_alpha, g_beta
@@ -142,32 +147,38 @@ class BasicSogiFilter(QuadratureFilter):
 def step_responses(params: HgiParams, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form unit-step responses of G_alpha and G_beta at times t.
 
-    Built from the impulse response of 1/(s^2 + k*w0*s + w0^2): the alpha
-    step response is k*w0 times it and the beta step response is -k times
-    its derivative.  Valid for any damping (complex, real or repeated
-    roots).
+    Built from the impulse response h2 of 1/(s^2 + k*w0*s + w0^2): the
+    alpha step response is k*w0*h2 and the beta step response is -k*h2'.
+    Everything is real-valued: a complex pole pair -sigma +/- j*wd gives
+    e^(-sigma*t) times sin/cos, two real poles two exponentials, and a
+    repeated root t*e^(-sigma*t).
     """
     w0, k = params.omega0, params.k
-    disc = complex((k * w0) ** 2 - 4 * w0 * w0)
-    root = np.sqrt(disc)
-    r1 = (-k * w0 + root) / 2
-    r2 = (-k * w0 - root) / 2
-    if abs(r1 - r2) < 1e-9 * w0:
-        e = np.exp(r1 * t)
+    disc = (k * w0) ** 2 - 4 * w0 * w0
+    root = math.sqrt(abs(disc))
+    sigma = k * w0 / 2
+    if root < 1e-9 * w0:
+        e = np.exp(-sigma * t)
         h2 = t * e
-        h2p = e * (1 + r1 * t)
+        h2p = e * (1 - sigma * t)
+    elif disc < 0:
+        wd = root / 2
+        e = np.exp(-sigma * t)
+        sin, cos = np.sin(wd * t), np.cos(wd * t)
+        h2 = e * sin / wd
+        h2p = e * (cos - sigma / wd * sin)
     else:
-        e1 = np.exp(r1 * t)
-        e2 = np.exp(r2 * t)
+        r1, r2 = -sigma + root / 2, -sigma - root / 2
+        e1, e2 = np.exp(r1 * t), np.exp(r2 * t)
         h2 = (e1 - e2) / (r1 - r2)
         h2p = (r1 * e1 - r2 * e2) / (r1 - r2)
-    return (k * w0 * h2).real, (-k * h2p).real
+    return k * w0 * h2, -k * h2p
 
 
 def _settle_time(y: np.ndarray, t: np.ndarray, tolerance: float) -> float:
     """Last time |y| leaves the band, referenced to the response peak."""
-    band = tolerance * np.abs(y).max()
-    outside = np.abs(y) > band
+    mag = np.abs(y)
+    outside = mag > tolerance * mag.max()
     if not outside.any():
         return 0.0
     i = np.nonzero(outside)[0][-1]
@@ -176,29 +187,46 @@ def _settle_time(y: np.ndarray, t: np.ndarray, tolerance: float) -> float:
     return float(t[i + 1])
 
 
-def settling_times(
-    params: HgiParams, tolerance: float = 0.02, dt: float = SETTLING_DT
-) -> tuple[float, float, float]:
-    """Step-response settling times (t_s_alpha, t_s_beta, max of both).
+def settling_sweep(
+    ks, omega0: float = NOMINAL_OMEGA0, tolerance: float = 0.02,
+    dt: float = SETTLING_DT,
+) -> np.ndarray:
+    """Step-response settling times for every gain in ``ks``: one row
+    (t_s_alpha, t_s_beta, max of both) per gain.
 
     Settling is measured on the dense closed-form response: the last time
     the output leaves the +/-tolerance band around its final value (zero,
     both channels have no dc gain), with the band referenced to the peak
-    response magnitude.
+    response magnitude.  All gains share one time grid, each evaluated up
+    to its own horizon.
     """
     if not 0 < tolerance <= 0.2:
         raise ValueError("tolerance must be in (0, 0.2]")
-    k = params.k
+    ks = np.asarray(ks, dtype=float)
     # slowest pole decay rate: zeta*w0 when underdamped, the slow real
     # pole when overdamped; 12 time constants comfortably brackets any
     # 2% settling instant
-    rate = 0.5 * (k - math.sqrt(max(k * k - 4.0, 0.0))) * params.omega0
-    horizon = min(SETTLING_HORIZON, 12 / rate + 0.005)
-    t = np.arange(0.0, horizon, dt)
-    y_alpha, y_beta = step_responses(params, t)
-    ts_a = _settle_time(y_alpha, t, tolerance)
-    ts_b = _settle_time(y_beta, t, tolerance)
-    return ts_a, ts_b, max(ts_a, ts_b)
+    rate = 0.5 * (ks - np.sqrt(np.maximum(ks * ks - 4.0, 0.0))) * omega0
+    horizons = np.minimum(SETTLING_HORIZON, 12 / rate + 0.005)
+    t = np.arange(0.0, horizons.max(), dt)
+    out = np.empty((len(ks), 3))
+    for i, (k, horizon) in enumerate(zip(ks, horizons)):
+        # the first samples of t are np.arange(0.0, horizon, dt)
+        t_k = t[:math.ceil(horizon / dt)]
+        y_alpha, y_beta = step_responses(HgiParams(float(k), omega0), t_k)
+        ts_a = _settle_time(y_alpha, t_k, tolerance)
+        ts_b = _settle_time(y_beta, t_k, tolerance)
+        out[i] = ts_a, ts_b, max(ts_a, ts_b)
+    return out
+
+
+def settling_times(
+    params: HgiParams, tolerance: float = 0.02, dt: float = SETTLING_DT
+) -> tuple[float, float, float]:
+    """Step-response settling times (t_s_alpha, t_s_beta, max of both);
+    see ``settling_sweep``."""
+    row = settling_sweep([params.k], params.omega0, tolerance, dt)[0]
+    return tuple(float(t) for t in row)
 
 
 def k_opt_search(
@@ -217,12 +245,11 @@ def k_opt_search(
         raise ValueError("need 0 < k_min <= k_max")
     if resolution <= 0:
         raise ValueError("resolution must be > 0")
-    best_k, best_ts = None, None
-    for k in k_grid(k_min, k_max, resolution):
-        ts = settling_times(HgiParams(k, omega0), tolerance, dt)[2]
-        if best_ts is None or ts < best_ts:
-            best_k, best_ts = k, ts
-    return best_k, best_ts
+    ks = k_grid(k_min, k_max, resolution)
+    ts = settling_sweep(ks, omega0, tolerance, dt)[:, 2]
+    # argmin returns the first minimum: ties go to the smaller k
+    i = int(np.argmin(ts))
+    return ks[i], float(ts[i])
 
 
 def k_grid(k_min: float, k_max: float, resolution: float) -> np.ndarray:

@@ -19,7 +19,7 @@ from .arith import FIXED16, FLOAT64, ArithmeticMode, Fixed16Arithmetic
 from .hgi import BasicSogiFilter, HgiFilter
 from .signal_model import TWO_PI, GridSignalSpec, synthesize
 from .srf import SrfPll
-from .thd import measured_thd, spectral_line
+from .thd import AnalyticsError, measured_thd, spectral_line
 
 TRACE_CHANNELS = (
     "v_g", "v_alpha", "v_beta", "v_d", "v_q",
@@ -183,7 +183,7 @@ def transient_metrics(
     ts = trace.sample_period
     i0 = int(round(event_time / ts))
     if len(trace) - i0 < int(0.1 / ts):
-        raise ValueError("trace must extend at least 0.1 s past the event")
+        raise AnalyticsError("trace must extend at least 0.1 s past the event")
     f_e = trace.f_e[i0:]
     final = f_e[-1]
     err = np.abs(f_e - final)

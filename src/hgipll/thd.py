@@ -11,9 +11,13 @@ Two distortion mechanisms are modelled:
   creates unit-vector harmonics at orders h-2 and h, a negative-sequence
   one at h and h+2 (``harmonic_ripple``).
 
-``total_unit_vector_thd`` runs the whole pipeline and phasor-sums ripple
-terms that land on the same output order.  ``measured_thd`` is the
-independent check on simulated traces.
+``ripple_terms`` runs the whole pipeline array-native: every argument
+broadcasts, so one call evaluates a whole grid of gains, frequencies and
+harmonic profiles; ``unit_vector_thd`` phasor-sums the terms that land on
+the same output order.  The scalar functions (``freq_dev_ripple``,
+``harmonic_ripple``, ``total_unit_vector_thd``, ``harmonic_breakdown``)
+are thin calls into the same code.  ``measured_thd`` is the independent
+check on simulated traces.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hgi import HgiParams, freq_response
+from .hgi import HgiParams, quadrature_gains
 from .signal_model import NOMINAL_OMEGA0, TWO_PI, GridSignalSpec
 from .srf import PiParams
 
@@ -80,6 +84,16 @@ class LoopGain:
             raise AnalyticsError("loop gain magnitude must be > 0")
 
 
+def _loop_gain(kp, ki, omega):
+    """Magnitude and phase of -(kp + ki/s)/s at s = j*omega.
+
+    That gain is ki/omega^2 + j*kp/omega; array-native.
+    """
+    re = ki / (omega * omega)
+    im = kp / omega
+    return np.hypot(re, im), np.arctan2(im, re)
+
+
 def loop_gain_at(pi: PiParams, omega_eval: float) -> LoopGain:
     """Gain of -(kp + ki/s)/s at s = j*omega_eval.
 
@@ -88,9 +102,30 @@ def loop_gain_at(pi: PiParams, omega_eval: float) -> LoopGain:
     """
     if omega_eval <= 0:
         raise AnalyticsError("omega_eval must be > 0")
-    s = 1j * omega_eval
-    g = -(pi.kp + pi.ki / s) / s
-    return LoopGain(m=abs(g), x=cmath.phase(g))
+    m, x = _loop_gain(pi.kp, pi.ki, omega_eval)
+    return LoopGain(m=float(m), x=float(x))
+
+
+def _sequences(v_alpha, v_beta):
+    """Positive- and negative-sequence alpha phasors of an alpha/beta pair."""
+    return (v_alpha + 1j * v_beta) / 2, (v_alpha - 1j * v_beta) / 2
+
+
+def _beat(h: int, sequence: str) -> tuple[int, tuple[int, int]]:
+    """Loop-gain multiple n and the two output orders of a sequence harmonic."""
+    if sequence == "positive":
+        return h - 1, (h - 2, h)
+    if sequence == "negative":
+        return h + 1, (h, h + 2)
+    raise AnalyticsError("sequence must be 'positive' or 'negative'")
+
+
+def _fold_sign(a, phi):
+    """|a|, with a negative sign folded into the phase as +pi and the phase
+    reduced to [-pi, pi] as math.remainder(phi, 2*pi) does."""
+    r = np.fmod(np.where(a < 0, phi + math.pi, phi), TWO_PI)
+    r = np.where(r > math.pi, r - TWO_PI, np.where(r < -math.pi, r + TWO_PI, r))
+    return np.abs(a), r
 
 
 def sequence_decompose(
@@ -106,10 +141,7 @@ def sequence_decompose(
     if v_halpha.order != v_hbeta.order:
         raise AnalyticsError("phasor orders must match")
     h = v_halpha.order
-    va = v_halpha.complex
-    vb = v_hbeta.complex
-    vap = (va + 1j * vb) / 2
-    van = (va - 1j * vb) / 2
+    vap, van = _sequences(v_halpha.complex, v_hbeta.complex)
 
     def mk(z: complex, seq: str) -> Phasor:
         return Phasor(abs(z), cmath.phase(z), h, seq)
@@ -117,6 +149,38 @@ def sequence_decompose(
     positive = (mk(vap, "positive"), mk(-1j * vap, "positive"))
     negative = (mk(van, "negative"), mk(1j * van, "negative"))
     return positive, negative
+
+
+def _freq_dev(k, omega0, kp, ki, omega):
+    """Deviation ripple a*sin(2wt + phi), array-native.
+
+    Returns (a, phi, indeterminate); a and phi are 0 where the quadrature
+    pair is balanced (no negative sequence, no ripple).
+    """
+    g_alpha, g_beta = quadrature_gains(k, omega0, omega)
+    # v1, v2 are the halved quadrature amplitudes V1/2, V2/2
+    v1, p1 = np.abs(g_alpha) / 2, np.angle(g_alpha)
+    v2, p2 = np.abs(g_beta) / 2, np.angle(g_beta)
+    m, x = _loop_gain(kp, ki, 2 * omega)
+
+    num = v1 * np.cos(p1 + x) + v2 * np.sin(p2 + x)
+    den = v1 * np.sin(p1 + x) - v2 * np.cos(p2 + x)
+    balanced = np.abs(num) < 1e-12
+    alpha = np.cos(x) + (v1 * np.cos(p1) - v2 * np.sin(p2)) * m
+    beta = np.sin(x)
+    # arctan of (alpha + beta*nu)/(alpha*nu - beta) with nu = num/den,
+    # cleared of the division so den = 0 stays finite; the branch only
+    # flips the sign of a, which is folded into the phase
+    y = alpha * den + beta * num
+    xq = alpha * num - beta * den
+    indeterminate = ~balanced & (np.abs(y) < 1e-12) & (np.abs(xq) < 1e-12)
+    phi = np.arctan2(y, xq) - x
+    a = m * num / (
+        np.cos(phi) - m * np.cos(phi + x) * (-np.cos(p1) * v1 + np.sin(p2) * v2)
+    )
+    a, phi = _fold_sign(a, phi)
+    a, phi = np.where(balanced, 0.0, a), np.where(balanced, 0.0, phi)
+    return a, phi, indeterminate
 
 
 def freq_dev_ripple(
@@ -132,36 +196,28 @@ def freq_dev_ripple(
     """
     if not 0.5 * hgi.omega0 < omega_in < 1.5 * hgi.omega0:
         raise AnalyticsError("omega_in outside supported deviation range")
-    g_alpha, g_beta = freq_response(hgi, omega_in)
-    v1, p1 = abs(g_alpha), cmath.phase(g_alpha)
-    v2, p2 = abs(g_beta), cmath.phase(g_beta)
-    lg = loop_gain_at(pi, 2 * omega_in)
-    m, x = lg.m, lg.x
-
-    num = (v1 / 2) * math.cos(p1 + x) + (v2 / 2) * math.sin(p2 + x)
-    den = (v1 / 2) * math.sin(p1 + x) - (v2 / 2) * math.cos(p2 + x)
-    if abs(num) < 1e-12:
-        # balanced quadrature: no negative sequence, no ripple
-        return RippleTerm(0.0, 0.0, 3), 0.0
-    alpha = math.cos(x) + ((v1 / 2) * math.cos(p1) - (v2 / 2) * math.sin(p2)) * m
-    beta = math.sin(x)
-    # arctan of (alpha + beta*nu)/(alpha*nu - beta) with nu = num/den,
-    # cleared of the division so den = 0 stays finite; the branch only
-    # flips the sign of a, which is folded into the phase below
-    y = alpha * den + beta * num
-    xq = alpha * num - beta * den
-    if abs(y) < 1e-12 and abs(xq) < 1e-12:
+    a, phi, indeterminate = _freq_dev(hgi.k, hgi.omega0, pi.kp, pi.ki, omega_in)
+    if indeterminate:
         raise AnalyticsError("ripple phase indeterminate")
-    phi = math.atan2(y, xq) - x
-    a = m * num / (
-        math.cos(phi)
-        - m * math.cos(phi + x) * (-math.cos(p1) * v1 / 2 + math.sin(p2) * v2 / 2)
-    )
-    if a < 0:
-        # THD needs |a|; absorb the sign into the phase
-        a, phi = -a, phi + math.pi
-    phi = math.remainder(phi, TWO_PI)
-    return RippleTerm(a, phi, 3), a / 2
+    return RippleTerm(float(a), float(phi), 3), float(a) / 2
+
+
+def _harmonic(n, v_h, gamma, v_1plus, delta, kp, ki, omega):
+    """Amplitude and phase of the ripple a sequence harmonic (amplitude
+    v_h, phase gamma) makes through the loop gain at n*omega, against the
+    fundamental reference (v_1plus, delta); array-native."""
+    m, x = _loop_gain(kp, ki, n * omega)
+    a_h_coef = m * v_1plus * np.cos(delta)
+    alpha_h = 1 + a_h_coef * np.cos(x)
+    beta_h = a_h_coef * np.sin(x)
+    c = x + gamma
+    sin_c, cos_c = np.sin(c), np.cos(c)
+    # cot(c) reformulated through atan2 to stay finite at c = n*pi
+    phi_h = np.arctan2(alpha_h * sin_c - beta_h * cos_c,
+                       beta_h * sin_c + alpha_h * cos_c)
+    a_h = (0.5 * v_h * m * cos_c) / (
+        np.cos(phi_h) + a_h_coef * np.cos(phi_h + x))
+    return _fold_sign(a_h, phi_h)
 
 
 def harmonic_ripple(
@@ -187,116 +243,139 @@ def harmonic_ripple(
         raise AnalyticsError("harmonic amplitude must be >= 0")
     if v_1plus <= 0:
         raise AnalyticsError("no fundamental reference")
-    if sequence == "positive":
-        n, orders = h - 1, (h - 2, h)
-    elif sequence == "negative":
-        n, orders = h + 1, (h, h + 2)
-    else:
-        raise AnalyticsError("sequence must be 'positive' or 'negative'")
+    n, orders = _beat(h, sequence)
     if v_h == 0:
         return []
+    a, phi = _harmonic(n, v_h, gamma, v_1plus, delta, pi.kp, pi.ki, omega)
+    return [RippleTerm(float(a), float(phi), o) for o in orders]
 
-    lg = loop_gain_at(pi, n * omega)
-    m, x = lg.m, lg.x
-    a_h_coef = m * v_1plus * math.cos(delta)
-    alpha_h = 1 + a_h_coef * math.cos(x)
-    beta_h = a_h_coef * math.sin(x)
-    c = x + gamma
-    # cot(c) reformulated through atan2 to stay finite at c = n*pi
-    phi_h = math.atan2(
-        alpha_h * math.sin(c) - beta_h * math.cos(c),
-        beta_h * math.sin(c) + alpha_h * math.cos(c),
-    )
-    a_h = (0.5 * v_h * m * math.cos(c)) / (
-        math.cos(phi_h) + a_h_coef * math.cos(phi_h + x)
-    )
-    if a_h < 0:
-        a_h, phi_h = -a_h, phi_h + math.pi
-    phi_h = math.remainder(phi_h, TWO_PI)
-    return [RippleTerm(a_h, phi_h, o) for o in orders]
+
+def ripple_terms(
+    k, kp, ki, omega, harmonics=(), amplitude=1.0, phase=0.0,
+    omega0: float = NOMINAL_OMEGA0,
+) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """All unit-vector ripple terms of steady-state scenarios, array-native.
+
+    ``k`` (HGI gain), ``kp``/``ki`` (PI gains), ``omega`` (fundamental,
+    rad/s), ``amplitude``/``phase`` (fundamental) and the amplitudes and
+    phases of ``harmonics``, a sequence of (order, amplitude, phase), all
+    broadcast against each other, so one call covers a whole grid.
+
+    Pipeline: push each input harmonic through the HGI gains, split into
+    sequence components, evaluate the sequence-harmonic ripple for each;
+    add the frequency-deviation third-harmonic term when the fundamental
+    is off nominal.  The fundamental reference for the harmonic terms is
+    the positive-sequence part of the filtered fundamental (its negative-
+    sequence part is exactly what the deviation term accounts for).
+
+    Returns (output order, amplitude, phase, present) per term: the
+    deviation term first, then for each harmonic its positive- and
+    negative-sequence pairs.  Where a term does not arise (nominal
+    frequency, balanced quadrature, a sequence component below 1e-15)
+    ``present`` is False and its amplitude and phase are 0.
+    """
+    omega = np.asarray(omega, dtype=float)
+    terms = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g_alpha, g_beta = quadrature_gains(k, omega0, omega)
+        rot = np.exp(1j * phase)
+        v1p, _ = _sequences(amplitude * g_alpha * rot, amplitude * g_beta * rot)
+        v_1plus, delta = np.abs(v1p), np.angle(v1p)
+
+        off_nominal = np.abs(omega - omega0) > 1e-9
+        in_range = (0.5 * omega0 < omega) & (omega < 1.5 * omega0)
+        if np.any(off_nominal & ~in_range):
+            raise AnalyticsError("omega_in outside supported deviation range")
+        a, phi, indeterminate = _freq_dev(k, omega0, kp, ki, omega)
+        if np.any(off_nominal & indeterminate):
+            raise AnalyticsError("ripple phase indeterminate")
+        # the phase ripple a*sin(2wt+phi) puts amplitude a/2 on the third
+        # harmonic of the unit vector
+        u3 = a / 2
+        present = off_nominal & (u3 > 0)
+        terms.append((3, np.where(present, u3, 0.0), np.where(present, phi, 0.0),
+                      present))
+
+        for order, v_h, gamma in harmonics:
+            if order < 2:
+                raise AnalyticsError("harmonic order must be >= 2")
+            gah, gbh = quadrature_gains(k, omega0, order * omega)
+            rot = np.exp(1j * gamma)
+            pos, neg = _sequences(v_h * gah * rot, v_h * gbh * rot)
+            for z, sequence in ((pos, "positive"), (neg, "negative")):
+                n, orders = _beat(order, sequence)
+                present = np.abs(z) >= 1e-15
+                if np.any(present & (v_1plus <= 0)):
+                    raise AnalyticsError("no fundamental reference")
+                a, phi = _harmonic(n, np.abs(z), np.angle(z), v_1plus, delta,
+                                   kp, ki, omega)
+                a, phi = np.where(present, a, 0.0), np.where(present, phi, 0.0)
+                terms.extend((o, a, phi, present) for o in orders)
+    return terms
+
+
+def _by_order(terms) -> dict[int, np.ndarray]:
+    """Phasor sum a*exp(j*phi) of the ripple terms per output order."""
+    by_order: dict[int, np.ndarray] = {}
+    for order, a, phi, _ in terms:
+        by_order[order] = by_order.get(order, 0) + a * np.exp(1j * phi)
+    return by_order
+
+
+def unit_vector_thd(
+    k, kp, ki, omega, harmonics=(), amplitude=1.0, phase=0.0,
+    omega0: float = NOMINAL_OMEGA0,
+) -> np.ndarray:
+    """Predicted THD of the sine unit vector, in percent, over a whole grid
+    (arguments as in ``ripple_terms``).
+
+    Ripple at orders below 2 perturbs the fundamental amplitude and is
+    excluded; the fundamental itself is unit amplitude by construction.
+    """
+    by_order = _by_order(
+        ripple_terms(k, kp, ki, omega, harmonics, amplitude, phase, omega0))
+    power = sum(np.abs(z) ** 2 for o, z in by_order.items() if o >= 2)
+    return 100.0 * np.sqrt(power)
+
+
+def _steady_args(spec: GridSignalSpec, hgi: HgiParams, pi: PiParams) -> tuple:
+    """``ripple_terms`` arguments for one event-free scenario."""
+    if spec.events:
+        raise AnalyticsError("steady-state analysis requires an event-free spec")
+    harmonics = [(c.order, c.amplitude, c.phase) for c in spec.harmonics]
+    return (hgi.k, pi.kp, pi.ki, TWO_PI * spec.fundamental_frequency,
+            harmonics, spec.fundamental_amplitude, spec.fundamental_phase,
+            hgi.omega0)
 
 
 def unit_vector_ripple_terms(
     spec: GridSignalSpec, hgi: HgiParams, pi: PiParams
 ) -> list[RippleTerm]:
-    """All unit-vector ripple terms for a steady-state scenario.
-
-    Pipeline: push each input harmonic through the HGI gains, split into
-    sequence components, evaluate ``harmonic_ripple`` for each; add the
-    frequency-deviation third-harmonic term when the fundamental is off
-    nominal.  The fundamental reference for the harmonic terms is the
-    positive-sequence part of the filtered fundamental (its negative-
-    sequence part is exactly what the deviation term accounts for).
-    """
-    if spec.events:
-        raise AnalyticsError("steady-state analysis requires an event-free spec")
-    omega = TWO_PI * spec.fundamental_frequency
-    terms: list[RippleTerm] = []
-
-    g_alpha, g_beta = freq_response(hgi, omega)
-    v1 = spec.fundamental_amplitude * g_alpha * cmath.exp(1j * spec.fundamental_phase)
-    v1b = spec.fundamental_amplitude * g_beta * cmath.exp(1j * spec.fundamental_phase)
-    v1p = (v1 + 1j * v1b) / 2
-    v_1plus, delta = abs(v1p), cmath.phase(v1p)
-
-    if abs(omega - hgi.omega0) > 1e-9:
-        term, u3 = freq_dev_ripple(hgi, pi, omega)
-        if u3 > 0:
-            # the phase ripple a*sin(2wt+phi) puts amplitude a/2 = u3 on
-            # the third harmonic of the unit vector
-            terms.append(RippleTerm(u3, term.phi, 3))
-
-    for comp in spec.harmonics:
-        gah, gbh = freq_response(hgi, comp.order * omega)
-        ph = cmath.exp(1j * comp.phase)
-        vha = comp.amplitude * gah * ph
-        vhb = comp.amplitude * gbh * ph
-        (pos_a, _), (neg_a, _) = sequence_decompose(
-            Phasor(abs(vha), cmath.phase(vha), comp.order),
-            Phasor(abs(vhb), cmath.phase(vhb), comp.order),
-        )
-        for seq_phasor, seq in ((pos_a, "positive"), (neg_a, "negative")):
-            if seq_phasor.amplitude < 1e-15:
-                continue
-            terms.extend(
-                harmonic_ripple(
-                    comp.order, seq, seq_phasor.amplitude, seq_phasor.phase,
-                    v_1plus, delta, pi, omega,
-                )
-            )
-    return terms
-
-
-def combine_ripple_terms(terms: list[RippleTerm]) -> dict[int, complex]:
-    """Phasor-sum ripple terms per output order."""
-    by_order: dict[int, complex] = {}
-    for t in terms:
-        by_order[t.output_order] = by_order.get(t.output_order, 0j) + (
-            t.a * cmath.exp(1j * t.phi)
-        )
-    return by_order
+    """All unit-vector ripple terms for a steady-state scenario."""
+    return [
+        RippleTerm(float(a), float(phi), o)
+        for o, a, phi, present in ripple_terms(*_steady_args(spec, hgi, pi))
+        if present
+    ]
 
 
 def total_unit_vector_thd(
     spec: GridSignalSpec, hgi: HgiParams, pi: PiParams
 ) -> float:
-    """Predicted THD of the sine unit vector, in percent.
-
-    Order-1 ripple terms perturb the fundamental amplitude and are
-    excluded; the fundamental itself is unit amplitude by construction.
-    """
-    by_order = combine_ripple_terms(unit_vector_ripple_terms(spec, hgi, pi))
-    power = sum(abs(z) ** 2 for o, z in by_order.items() if o >= 2)
-    return 100.0 * math.sqrt(power)
+    """Predicted THD of the sine unit vector, in percent."""
+    return float(unit_vector_thd(*_steady_args(spec, hgi, pi)))
 
 
 def harmonic_breakdown(
     spec: GridSignalSpec, hgi: HgiParams, pi: PiParams
 ) -> list[tuple[int, float, float]]:
-    """Per-order (order, amplitude, phase) table of unit-vector ripple."""
-    by_order = combine_ripple_terms(unit_vector_ripple_terms(spec, hgi, pi))
+    """Per-order (order, amplitude, phase) table of unit-vector ripple,
+    over the orders that receive at least one ripple term."""
+    terms = ripple_terms(*_steady_args(spec, hgi, pi))
+    present = {o for o, _, _, p in terms if p}
     return [
-        (o, abs(z), cmath.phase(z)) for o, z in sorted(by_order.items())
+        (o, float(abs(z)), float(np.angle(z)))
+        for o, z in sorted(_by_order(terms).items()) if o in present
     ]
 
 

@@ -29,6 +29,16 @@ def test_design_outputs(design_dir):
     assert len(sweep) > 10
 
 
+def test_design_reports_binding_point(tmp_path, capsys):
+    code = main(["design", "--method", "mtsd", "--out", str(tmp_path)])
+    assert code == 0
+    line = capsys.readouterr().out.splitlines()[1]
+    # 1.029 % rounds to 1.0 %, so it meets the 1 % limit checked at one
+    # decimal; the margin is to 1.05 %, where the rounding flips
+    assert line == ("binding f=46 Hz: worst THD 1.029 % against the 1 % "
+                    "limit (accepted up to 1.05 %), margin 0.021 pp")
+
+
 def test_design_infeasible_exit_code(tmp_path, capsys):
     code = main([
         "design", "--method", "mtsd", "--uthd-limit", "0.001",
@@ -86,6 +96,20 @@ def test_simulate_failed_analysis_exit_code(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "error: analysis failed: leakage window" in err
+    assert "Traceback" not in err
+
+
+def test_simulate_short_trace_after_event_exit_code(tmp_path, capsys):
+    # 0.55 s leaves less than 0.1 s after the 0.5 s jump
+    code = main([
+        "simulate", "--scenario", str(SCENARIOS / "phase_jump_90deg.json"),
+        "--k", "1.56", "--f-bw", "29.5", "--duration", "0.55",
+        "--out", str(tmp_path),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert ("error: analysis failed: trace must extend at least 0.1 s past "
+            "the event") in err
     assert "Traceback" not in err
 
 
