@@ -33,7 +33,6 @@ from .hgi import (
     NOMINAL_OMEGA0,
     freq_response,
     k_opt_search,
-    settling_sweep,
     settling_times,
     step_responses,
 )
@@ -73,7 +72,6 @@ from .thd import (
     spectral_line,
     total_unit_vector_thd,
     unit_vector_ripple_terms,
-    unit_vector_thd,
 )
 
 __version__ = "0.1.0"
@@ -89,8 +87,7 @@ __all__ = [
     "harmonic_profile", "harmonic_ripple", "hc_mtsd_design", "k_opt_search",
     "load_design", "load_scenario", "loop_gain_at", "measured_thd",
     "mtsd_design", "park", "pi_from_bandwidth", "predicted_thd", "run",
-    "save_design", "save_scenario", "sequence_decompose", "settling_sweep",
-    "settling_times", "spectral_line", "srf_settling_time", "step_responses",
-    "synthesize", "total_unit_vector_thd", "transient_metrics",
-    "unit_vector_ripple_terms", "unit_vector_thd",
+    "save_design", "save_scenario", "sequence_decompose", "settling_times",
+    "spectral_line", "srf_settling_time", "step_responses", "synthesize",
+    "total_unit_vector_thd", "transient_metrics", "unit_vector_ripple_terms",
 ]

@@ -26,10 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hgi as hgi_mod
-from .hgi import HgiParams, k_grid, settling_sweep, settling_times
-from .signal_model import (DEFAULT_HARMONIC_ORDERS, NOMINAL_FREQ_HZ,
-                           NOMINAL_OMEGA0, TWO_PI, GridSignalSpec,
-                           harmonic_profile)
+from .hgi import HgiParams, k_grid, settling_times
+from .signal_model import (DEFAULT_HARMONIC_ORDERS, NOMINAL_FREQ_HZ, TWO_PI,
+                           GridSignalSpec, harmonic_profile)
 from .srf import PiParams, pi_from_bandwidth, srf_settling_time
 from .thd import unit_vector_thd
 
@@ -208,7 +207,6 @@ def steady_spec(
 def steady_thd(
     k, kp, ki, frequency_hz, input_thd,
     orders: tuple[int, ...] = DEFAULT_HARMONIC_ORDERS,
-    omega0: float = NOMINAL_OMEGA0,
 ) -> np.ndarray:
     """Analytical unit-vector THD (percent) of the scenarios ``steady_spec``
     describes, over a whole grid: the HGI gain ``k``, the PI gains, the
@@ -220,7 +218,7 @@ def steady_thd(
     harmonics = [(o, amps[:, i].reshape(thds.shape), 0.0)
                  for i, o in enumerate(orders)]
     omega = TWO_PI * np.asarray(frequency_hz, dtype=float)
-    return unit_vector_thd(k, kp, ki, omega, harmonics, omega0=omega0)
+    return unit_vector_thd(k, kp, ki, omega, harmonics)
 
 
 def predicted_thd(
@@ -232,9 +230,9 @@ def predicted_thd(
 ) -> float:
     """Analytical unit-vector THD (percent) at one grid point."""
     pi = pi_from_bandwidth(f_bw, constraints.v_m, constraints.sample_period)
-    hgi = HgiParams(k)
-    return float(steady_thd(hgi.k, pi.kp, pi.ki, frequency_hz, input_thd,
-                            constraints.harmonic_orders, hgi.omega0))
+    HgiParams(k)  # validates k
+    return float(steady_thd(k, pi.kp, pi.ki, frequency_hz, input_thd,
+                            constraints.harmonic_orders))
 
 
 def band_worst_thd(
@@ -336,7 +334,7 @@ def hc_mtsd_design(
     """Fastest design under joint deviation and input-harmonic constraints."""
     report = DesignReport(method="hc-mtsd")
     ks = k_grid(*constraints.k_range, constraints.k_step)
-    ts_hgi = settling_sweep(ks, dt=2e-6)[:, 2]
+    ts_hgi = np.array([settling_times(HgiParams(k), dt=2e-6)[2] for k in ks])
     f_bws = constraints.bandwidth_grid()
     worst, binding = band_worst_thd(ks, f_bws, constraints)
     feasible = worst <= constraints.thd_threshold()

@@ -8,9 +8,8 @@ in-phase channel and a high-pass quadrature channel,
 
 Both have zero dc gain, which is what rejects input dc offsets.  This
 module provides the continuous-domain frequency response, a forward-Euler
-discrete realization, closed-form step-response settling times (one
-sweep over a grid of gains) and the search for the gain k with the
-fastest settling.
+discrete realization, closed-form step-response settling times and the
+search for the gain k with the fastest settling.
 """
 
 from __future__ import annotations
@@ -187,46 +186,29 @@ def _settle_time(y: np.ndarray, t: np.ndarray, tolerance: float) -> float:
     return float(t[i + 1])
 
 
-def settling_sweep(
-    ks, omega0: float = NOMINAL_OMEGA0, tolerance: float = 0.02,
-    dt: float = SETTLING_DT,
-) -> np.ndarray:
-    """Step-response settling times for every gain in ``ks``: one row
-    (t_s_alpha, t_s_beta, max of both) per gain.
+def settling_times(
+    params: HgiParams, tolerance: float = 0.02, dt: float = SETTLING_DT
+) -> tuple[float, float, float]:
+    """Step-response settling times (t_s_alpha, t_s_beta, max of both).
 
     Settling is measured on the dense closed-form response: the last time
     the output leaves the +/-tolerance band around its final value (zero,
     both channels have no dc gain), with the band referenced to the peak
-    response magnitude.  All gains share one time grid, each evaluated up
-    to its own horizon.
+    response magnitude.
     """
     if not 0 < tolerance <= 0.2:
         raise ValueError("tolerance must be in (0, 0.2]")
-    ks = np.asarray(ks, dtype=float)
+    k = params.k
     # slowest pole decay rate: zeta*w0 when underdamped, the slow real
     # pole when overdamped; 12 time constants comfortably brackets any
     # 2% settling instant
-    rate = 0.5 * (ks - np.sqrt(np.maximum(ks * ks - 4.0, 0.0))) * omega0
-    horizons = np.minimum(SETTLING_HORIZON, 12 / rate + 0.005)
-    t = np.arange(0.0, horizons.max(), dt)
-    out = np.empty((len(ks), 3))
-    for i, (k, horizon) in enumerate(zip(ks, horizons)):
-        # the first samples of t are np.arange(0.0, horizon, dt)
-        t_k = t[:math.ceil(horizon / dt)]
-        y_alpha, y_beta = step_responses(HgiParams(float(k), omega0), t_k)
-        ts_a = _settle_time(y_alpha, t_k, tolerance)
-        ts_b = _settle_time(y_beta, t_k, tolerance)
-        out[i] = ts_a, ts_b, max(ts_a, ts_b)
-    return out
-
-
-def settling_times(
-    params: HgiParams, tolerance: float = 0.02, dt: float = SETTLING_DT
-) -> tuple[float, float, float]:
-    """Step-response settling times (t_s_alpha, t_s_beta, max of both);
-    see ``settling_sweep``."""
-    row = settling_sweep([params.k], params.omega0, tolerance, dt)[0]
-    return tuple(float(t) for t in row)
+    rate = 0.5 * (k - math.sqrt(max(k * k - 4.0, 0.0))) * params.omega0
+    horizon = min(SETTLING_HORIZON, 12 / rate + 0.005)
+    t = np.arange(0.0, horizon, dt)
+    y_alpha, y_beta = step_responses(params, t)
+    ts_a = _settle_time(y_alpha, t, tolerance)
+    ts_b = _settle_time(y_beta, t, tolerance)
+    return ts_a, ts_b, max(ts_a, ts_b)
 
 
 def k_opt_search(
@@ -246,7 +228,8 @@ def k_opt_search(
     if resolution <= 0:
         raise ValueError("resolution must be > 0")
     ks = k_grid(k_min, k_max, resolution)
-    ts = settling_sweep(ks, omega0, tolerance, dt)[:, 2]
+    ts = np.array([settling_times(HgiParams(k, omega0), tolerance, dt)[2]
+                   for k in ks])
     # argmin returns the first minimum: ties go to the smaller k
     i = int(np.argmin(ts))
     return ks[i], float(ts[i])
