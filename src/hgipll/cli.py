@@ -307,6 +307,8 @@ def main(argv=None) -> int:
         message, code = exc, EXIT_INFEASIBLE
     except AnalyticsError as exc:
         message, code = f"analysis failed: {exc}", EXIT_SCHEMA
+    except ScenarioError as exc:
+        message, code = f"invalid scenario: {exc}", EXIT_SCHEMA
     except SimulationError as exc:
         message, code = exc, EXIT_DIVERGENCE
     print(f"error: {message}", file=sys.stderr)

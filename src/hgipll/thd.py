@@ -379,6 +379,15 @@ def harmonic_breakdown(
     ]
 
 
+def _whole_cycle_window(trace: np.ndarray, frequency_hz: float,
+                        sample_period: float) -> tuple[int, int]:
+    """Whole cycles of ``frequency_hz`` in the trace, and the sample count
+    of that many cycles (rounded, at most the trace length)."""
+    n_cycles = int(len(trace) * sample_period * frequency_hz)
+    n = int(round(n_cycles / (frequency_hz * sample_period)))
+    return n_cycles, min(n, len(trace))
+
+
 def measured_thd(
     trace: np.ndarray,
     fundamental_hz: float,
@@ -393,27 +402,50 @@ def measured_thd(
     the tail of the trace; the integer-cycle window keeps the fundamental
     orthogonal to the harmonics even when a cycle is not a whole number
     of samples.
+
+    The fit is solved by its normal equations without forming the basis:
+    with z = exp(j*w*Ts*i), one running product z**d gives the power sums
+    E[d] = sum(z**d) for d = 0..2H and the projections P[h] = sum(y*z**h)
+    for h = 0..H, and the product-to-sum identities turn E into the Gram
+    matrix.  The Gram matrix is solved by ``lstsq``, so orders that alias
+    at or past Nyquist get the minimum-norm split of the sample-space fit.
+    The normal equations square the basis' condition number: within about
+    1e-7 cycles per sample of Nyquist (max_order * f * Ts -> 0.5) the top
+    order's sine column nearly vanishes, the fit amplifies noise without
+    bound and the two solutions part.
     """
     trace = np.asarray(trace, dtype=float)
     if fundamental_hz <= 0:
         raise AnalyticsError("fundamental_hz must be > 0")
     if max_order < 2:
         raise AnalyticsError("max_order must be >= 2")
-    n_cycles = int(len(trace) * sample_period * fundamental_hz)
+    n_cycles, n = _whole_cycle_window(trace, fundamental_hz, sample_period)
     if n_cycles < min_cycles:
         raise AnalyticsError("leakage window")
-    n = int(round(n_cycles / (fundamental_hz * sample_period)))
-    n = min(n, len(trace))
     window = trace[-n:]
-    t = np.arange(n) * sample_period
-    wt = TWO_PI * fundamental_hz * t
-    basis = np.empty((n, 2 * max_order + 1))
-    for h in range(1, max_order + 1):
-        basis[:, 2 * h - 2] = np.sin(h * wt)
-        basis[:, 2 * h - 1] = np.cos(h * wt)
-    basis[:, -1] = 1.0
-    coef, *_ = np.linalg.lstsq(basis, window, rcond=None)
-    amps = np.hypot(coef[0:-1:2], coef[1:-1:2])
+    z = np.exp(1j * (TWO_PI * fundamental_hz * (np.arange(n) * sample_period)))
+    power = np.empty(2 * max_order + 1, dtype=complex)
+    proj = np.empty(max_order + 1, dtype=complex)
+    zd = np.ones(n, dtype=complex)
+    zd_parts = zd.view(float).reshape(n, 2)  # (real, imag) columns of zd
+    for d in range(2 * max_order + 1):
+        power[d] = zd.sum()
+        if d <= max_order:
+            proj[d] = complex(*(window @ zd_parts))
+        zd *= z
+    # E[d] for d = -2H..2H (E[-d] = conj(E[d])), indexed from 0
+    sums = np.concatenate((power[:0:-1].conj(), power))
+    h = np.arange(max_order + 1)
+    e_dif = sums[2 * max_order + h[:, None] - h]
+    e_add = sums[2 * max_order + h[:, None] + h]
+    # columns: cos(h*wt) for h = 0..H (h = 0 is the dc), then sin for 1..H
+    cos_cos = (e_dif + e_add).real / 2
+    sin_sin = (e_dif - e_add).real[1:, 1:] / 2
+    sin_cos = (e_add + e_dif).imag[1:, :] / 2
+    gram = np.block([[cos_cos, sin_cos.T], [sin_cos, sin_sin]])
+    rhs = np.concatenate((proj.real, proj.imag[1:]))
+    coef, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
+    amps = np.hypot(coef[1:max_order + 1], coef[max_order + 1:])
     if amps[0] == 0:
         raise AnalyticsError("no fundamental component in trace")
     return float(100.0 * math.sqrt(np.sum(amps[1:] ** 2)) / amps[0])
@@ -424,10 +456,9 @@ def spectral_line(
 ) -> float:
     """Amplitude of one spectral line via projection over integer cycles."""
     trace = np.asarray(trace, dtype=float)
-    n_cycles = int(len(trace) * sample_period * frequency_hz)
+    n_cycles, n = _whole_cycle_window(trace, frequency_hz, sample_period)
     if n_cycles < 1:
         raise AnalyticsError("trace shorter than one cycle")
-    n = min(int(round(n_cycles / (frequency_hz * sample_period))), len(trace))
     window = trace[-n:] - np.mean(trace[-n:])
     t = np.arange(n) * sample_period
     z = np.sum(window * np.exp(-2j * np.pi * frequency_hz * t))

@@ -4,7 +4,8 @@ These are the point-by-point forms of the analytical unit-vector THD
 pipeline and of the HGI step-response settling times, written with
 Python complex scalars and the complex-exponential step response.  The
 package evaluates the same closed forms array-native; the tests compare
-the two.
+the two.  ``measured_thd`` is the least-squares fit on the explicit
+sin/cos/dc sample basis, which the package solves by normal equations.
 """
 
 from __future__ import annotations
@@ -365,3 +366,32 @@ def hc_mtsd_sweep(constraints):
         if best is None or t_sd < best[0]:
             best = (t_sd, (k_i, f_bw, ts[k_i]))
     return swept, count, best and best[1]
+
+
+def measured_thd(trace, fundamental_hz, sample_period, max_order=50,
+                 min_cycles=5) -> float:
+    """THD (percent) by a least-squares fit on the explicit n x (2H+1)
+    sin/cos/dc basis over the whole-cycle tail window."""
+    trace = np.asarray(trace, dtype=float)
+    if fundamental_hz <= 0:
+        raise AnalyticsError("fundamental_hz must be > 0")
+    if max_order < 2:
+        raise AnalyticsError("max_order must be >= 2")
+    n_cycles = int(len(trace) * sample_period * fundamental_hz)
+    if n_cycles < min_cycles:
+        raise AnalyticsError("leakage window")
+    n = int(round(n_cycles / (fundamental_hz * sample_period)))
+    n = min(n, len(trace))
+    window = trace[-n:]
+    t = np.arange(n) * sample_period
+    wt = TWO_PI * fundamental_hz * t
+    basis = np.empty((n, 2 * max_order + 1))
+    for h in range(1, max_order + 1):
+        basis[:, 2 * h - 2] = np.sin(h * wt)
+        basis[:, 2 * h - 1] = np.cos(h * wt)
+    basis[:, -1] = 1.0
+    coef, *_ = np.linalg.lstsq(basis, window, rcond=None)
+    amps = np.hypot(coef[0:-1:2], coef[1:-1:2])
+    if amps[0] == 0:
+        raise AnalyticsError("no fundamental component in trace")
+    return float(100.0 * math.sqrt(np.sum(amps[1:] ** 2)) / amps[0])

@@ -166,6 +166,31 @@ def test_sweep_and_compare_analyse_the_design_file_gains(tmp_path):
     assert rows[1].split(",")[:3] == ["ts100us", "46", "1.7698"]
 
 
+def test_sweep_invalid_input_thd_exit_code(tmp_path, capsys):
+    code = main([
+        "sweep", "--k", "1.56", "--f-bw", "55", "--frequencies", "46",
+        "--input-thds", "-1", "--out", str(tmp_path),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "error: invalid scenario: input_thd must be >= 0" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "thd_grid.csv").exists()
+
+
+def test_compare_invalid_input_thd_exit_code(design_dir, tmp_path, capsys):
+    code = main([
+        "compare", "--designs", str(design_dir / "design.json"),
+        "--frequencies", "46", "--input-thd", "-0.01",
+        "--out", str(tmp_path),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "error: invalid scenario: input_thd must be >= 0" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "compare.csv").exists()
+
+
 def test_sweep_empty_grid(tmp_path, capsys):
     code = main([
         "sweep", "--k", "1.56", "--f-bw", "55", "--frequencies",

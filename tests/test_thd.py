@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracle
 from hgipll import (
     AnalyticsError,
     GridSignalSpec,
@@ -23,6 +25,8 @@ from hgipll import (
     total_unit_vector_thd,
     transient_metrics,
 )
+from hgipll.hgi import EULER_GUARD
+from hgipll.signal_model import NOMINAL_OMEGA0
 
 TS = 50e-6
 W0 = 2 * math.pi * 50.0
@@ -187,6 +191,67 @@ def test_measured_thd_short_trace_rejected():
     t = np.arange(0, 0.05, TS)
     with pytest.raises(AnalyticsError, match="leakage window"):
         measured_thd(np.sin(2 * np.pi * 50 * t), 50.0, TS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    f=st.floats(40.0, 70.0),
+    ts_frac=st.floats(0.0, 1.0),
+    cycles=st.floats(5.01, 40.99),
+    fundamental=st.tuples(st.floats(0.2, 2.0), st.floats(-math.pi, math.pi)),
+    dc=st.floats(-0.5, 0.5),
+    harmonics=st.lists(st.tuples(st.integers(2, 50), st.floats(0.0, 0.1),
+                                 st.floats(-math.pi, math.pi)), max_size=6),
+    noise=st.floats(0.0, 0.01),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_measured_thd_matches_basis_fit(f, ts_frac, cycles, fundamental, dc,
+                                        harmonics, noise, seed):
+    # Ts from 50 us up to the lower of the Euler guard and the highest
+    # fitted order staying below Nyquist by 1e-5 cycles per sample
+    # (max_order * f * Ts <= 0.5 - 1e-5).  Within about 1e-7 of Nyquist
+    # that order's sine column nearly vanishes and the fit is ill-posed:
+    # the basis fit turns 1 % noise into 100-500,000 % THD there, and the
+    # normal equations, which square the basis' condition number, no
+    # longer agree with it.
+    ts_max = min(EULER_GUARD / NOMINAL_OMEGA0, (0.5 - 1e-5) / (50 * f))
+    ts = 50e-6 + ts_frac * (ts_max - 50e-6)
+    # the trace holds a non-whole number of cycles, and a cycle is in
+    # general not a whole number of samples
+    wt = 2 * np.pi * f * ts * np.arange(int(cycles / (f * ts)))
+    u = dc + fundamental[0] * np.sin(wt + fundamental[1])
+    for order, amp, phase in harmonics:
+        u += amp * np.sin(order * wt + phase)
+    u += noise * np.random.default_rng(seed).standard_normal(len(wt))
+    assert measured_thd(u, f, ts) == pytest.approx(
+        oracle.measured_thd(u, f, ts), abs=1e-9)
+
+
+@pytest.mark.parametrize("ts", [200e-6, 250e-6])
+def test_measured_thd_aliased_orders_minimum_norm(ts):
+    # 50 Hz at 200 us puts order 50 on Nyquist; at 250 us orders 41-50
+    # alias onto 39-30.  The aliased columns are dependent, and the fit
+    # takes the minimum-norm split as the basis fit does.
+    wt = 2 * np.pi * 50.0 * ts * np.arange(int(0.8 / ts))
+    u = np.sin(wt) + 0.03 * np.sin(3 * wt) + 0.02 * np.sin(5 * wt + 0.3)
+    expected = oracle.measured_thd(u, 50.0, ts)
+    assert measured_thd(u, 50.0, ts) == pytest.approx(expected, abs=1e-9)
+    assert expected == pytest.approx(100 * math.sqrt(0.03**2 + 0.02**2),
+                                     abs=1e-9)
+
+
+@pytest.mark.parametrize("trace, f, kwargs", [
+    (np.ones(20000), 0.0, {}),
+    (np.ones(20000), 50.0, {"max_order": 1}),
+    (np.ones(1900), 50.0, {}),  # 4.75 cycles
+    (np.zeros(20000), 50.0, {}),
+])
+def test_measured_thd_errors_match_basis_fit(trace, f, kwargs):
+    with pytest.raises(AnalyticsError) as expected:
+        oracle.measured_thd(trace, f, TS, **kwargs)
+    with pytest.raises(AnalyticsError) as got:
+        measured_thd(trace, f, TS, **kwargs)
+    assert str(got.value) == str(expected.value)
 
 
 def test_spectral_line_amplitude():
