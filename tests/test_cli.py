@@ -166,29 +166,21 @@ def test_sweep_and_compare_analyse_the_design_file_gains(tmp_path):
     assert rows[1].split(",")[:3] == ["ts100us", "46", "1.7698"]
 
 
-def test_sweep_invalid_input_thd_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("command, design_flag, thd_flag, thd, output", [
+    ("sweep", "--design", "--input-thds", "-1", "thd_grid.csv"),
+    ("compare", "--designs", "--input-thd", "-0.01", "compare.csv"),
+])
+def test_invalid_input_thd_exit_code(design_dir, tmp_path, capsys, command,
+                                     design_flag, thd_flag, thd, output):
     code = main([
-        "sweep", "--k", "1.56", "--f-bw", "55", "--frequencies", "46",
-        "--input-thds", "-1", "--out", str(tmp_path),
+        command, design_flag, str(design_dir / "design.json"), thd_flag, thd,
+        "--frequencies", "46", "--out", str(tmp_path),
     ])
     assert code == 3
     err = capsys.readouterr().err
     assert "error: invalid scenario: input_thd must be >= 0" in err
     assert "Traceback" not in err
-    assert not (tmp_path / "thd_grid.csv").exists()
-
-
-def test_compare_invalid_input_thd_exit_code(design_dir, tmp_path, capsys):
-    code = main([
-        "compare", "--designs", str(design_dir / "design.json"),
-        "--frequencies", "46", "--input-thd", "-0.01",
-        "--out", str(tmp_path),
-    ])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert "error: invalid scenario: input_thd must be >= 0" in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "compare.csv").exists()
+    assert not (tmp_path / output).exists()
 
 
 def test_sweep_empty_grid(tmp_path, capsys):
