@@ -67,8 +67,11 @@ class Fixed16Arithmetic:
         self._acc_max = (2 ** 31 - 1) / self._acc_scale
         self._acc_min = -(2 ** 31) / self._acc_scale
         idx = (np.arange(lut_size) * (TWO_PI / lut_size))
-        self._sin_lut = np.round(np.sin(idx) * self._sig_scale) / self._sig_scale
-        self._cos_lut = np.round(np.cos(idx) * self._sig_scale) / self._sig_scale
+        # lists, so that a lookup yields a Python float, not a numpy scalar
+        self._sin_lut = (np.round(np.sin(idx) * self._sig_scale)
+                         / self._sig_scale).tolist()
+        self._cos_lut = (np.round(np.cos(idx) * self._sig_scale)
+                         / self._sig_scale).tolist()
 
     def signal(self, x: float) -> float:
         q = round(x * self._sig_scale) / self._sig_scale
@@ -84,10 +87,11 @@ class Fixed16Arithmetic:
         """The signal quantizer over a whole input array, as the ADC
         front end applies it; clipped input samples are not counted as
         saturations."""
-        return np.clip(
-            np.round(v * self._sig_scale) / self._sig_scale,
-            self._sig_min, self._sig_max,
-        )
+        # clipping first keeps out-of-range input from overflowing the
+        # scaling; the rails are exact multiples of the LSB
+        return np.round(
+            np.clip(v, self._sig_min, self._sig_max) * self._sig_scale
+        ) / self._sig_scale
 
     def accumulator(self, x: float) -> float:
         q = round(x * self._acc_scale) / self._acc_scale

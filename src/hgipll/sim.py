@@ -29,6 +29,9 @@ TRACE_CHANNELS = (
 #: Samples discarded before steady-state metrics.
 STARTUP_EXCLUDE_S = 0.2
 
+#: Rows formatted per write in ``SimTrace.write_csv``.
+CSV_BLOCK_ROWS = 1024
+
 
 class SimulationError(RuntimeError):
     pass
@@ -69,15 +72,18 @@ class SimTrace:
         return slice(int(round(exclude / self.sample_period)), None)
 
     def write_csv(self, path) -> None:
-        header = "time_s," + ",".join(TRACE_CHANNELS)
-        units = "s,pu,pu,pu,pu,pu,rad_per_s,rad,pu,pu"
-        data = np.column_stack(
-            [self.time] + [self.channel(c) for c in TRACE_CHANNELS]
-        )
-        np.savetxt(
-            path, data, delimiter=",", fmt="%.10g",
-            header=header + "\n" + units, comments="",
-        )
+        """Header, units row, then one ``%.10g`` row per sample: the bytes
+        ``np.savetxt(..., delimiter=",", fmt="%.10g")`` writes."""
+        columns = [self.time] + [self.channel(c) for c in TRACE_CHANNELS]
+        row = ",".join(["%.10g"] * len(columns)) + "\n"
+        with open(path, "w") as fh:
+            fh.write("time_s," + ",".join(TRACE_CHANNELS) + "\n"
+                     "s,pu,pu,pu,pu,pu,rad_per_s,rad,pu,pu\n")
+            # one % per block of rows keeps the formatting in C
+            for start in range(0, len(self), CSV_BLOCK_ROWS):
+                block = np.column_stack(
+                    [col[start:start + CSV_BLOCK_ROWS] for col in columns])
+                fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
     def write_binary(self, path) -> None:
         """Channel-major little-endian float64, preceded by a small header:
@@ -135,34 +141,45 @@ def run(
     filt = filt_cls(design.hgi, ts, arith=arith)
     pll = SrfPll(design.pi, design.hgi.omega0, arith=arith)
 
-    out = {c: np.empty(n) for c in TRACE_CHANNELS}
-    w0 = pll.omega0
-    try:
-        # float overflow marks divergence below; don't warn about it
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(n):
-                v = v_g[i]
-                va, vb = filt.step(v)
-                s, c = pll.step(va, vb)
-                out["v_alpha"][i] = va
-                out["v_beta"][i] = vb
-                out["v_d"][i] = pll.v_d
-                out["v_q"][i] = pll.v_q
-                out["omega_e"][i] = w0 * (1.0 + pll.deviation)
-                out["theta_e"][i] = pll.theta
-                out["sin_theta"][i] = s
-                out["cos_theta"][i] = c
-    except (ValueError, OverflowError) as exc:
-        # trig of a non-finite phase, or float overflow in a state update
-        raise SimulationError("numerical divergence") from exc
-    out["v_g"] = v_g
-    if not np.isfinite(out["omega_e"]).all():
-        raise SimulationError("numerical divergence")
+    out = {c: np.empty(n) for c in TRACE_CHANNELS[1:]}
+    # omega_e holds the pu deviation until the loop ends
+    va_, vb_, vd_, vq_, dev_, th_, sin_, cos_ = map(memoryview, out.values())
+    filt_step, pll_step = filt.step, pll.step
+    # float overflow marks divergence below; don't warn about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            # a memoryview yields Python floats, which keep numpy-scalar
+            # overhead out of every filter and loop operation
+            for i, v in enumerate(memoryview(v_g)):
+                va, vb = filt_step(v)
+                s, c = pll_step(va, vb)
+                va_[i] = va
+                vb_[i] = vb
+                vd_[i] = pll.v_d
+                vq_[i] = pll.v_q
+                dev_[i] = pll.deviation
+                th_[i] = pll.theta
+                sin_[i] = s
+                cos_[i] = c
+        except (ValueError, OverflowError) as exc:
+            # trig of a non-finite phase, or float overflow in a quantizer
+            raise SimulationError(_divergence(i, ts)) from exc
+        omega_e = out["omega_e"]
+        omega_e += 1.0
+        omega_e *= pll.omega0
+    finite = np.isfinite(omega_e)
+    if not finite.all():
+        raise SimulationError(_divergence(int(np.argmin(finite)), ts))
     return SimTrace(
         sample_period=ts,
+        v_g=v_g,
         saturations=arith.saturations,
         **out,
     )
+
+
+def _divergence(i: int, ts: float) -> str:
+    return f"numerical divergence at sample {i} (t = {i * ts:.6g} s)"
 
 
 def transient_metrics(

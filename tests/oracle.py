@@ -6,6 +6,10 @@ Python complex scalars and the complex-exponential step response.  The
 package evaluates the same closed forms array-native; the tests compare
 the two.  ``measured_thd`` is the least-squares fit on the explicit
 sin/cos/dc sample basis, which the package solves by normal equations.
+``run`` is the closed loop stepped on numpy scalars and recorded by
+per-sample array indexing, and ``write_trace_csv`` the ``np.savetxt``
+form of ``SimTrace.write_csv``; the package steps and writes on Python
+floats.
 """
 
 from __future__ import annotations
@@ -15,9 +19,14 @@ import math
 
 import numpy as np
 
-from hgipll.hgi import HgiParams, SETTLING_DT, SETTLING_HORIZON, freq_response
-from hgipll.signal_model import NOMINAL_OMEGA0, TWO_PI, GridSignalSpec
-from hgipll.srf import PiParams
+from hgipll.arith import FLOAT64, ArithmeticMode, Fixed16Arithmetic
+from hgipll.hgi import (
+    BasicSogiFilter, HgiFilter, HgiParams, SETTLING_DT, SETTLING_HORIZON,
+    freq_response,
+)
+from hgipll.signal_model import NOMINAL_OMEGA0, TWO_PI, GridSignalSpec, synthesize
+from hgipll.sim import TRACE_CHANNELS, SimTrace, SimulationError
+from hgipll.srf import PiParams, SrfPll
 from hgipll.thd import AnalyticsError, LoopGain, Phasor, RippleTerm
 
 
@@ -395,3 +404,57 @@ def measured_thd(trace, fundamental_hz, sample_period, max_order=50,
     if amps[0] == 0:
         raise AnalyticsError("no fundamental component in trace")
     return float(100.0 * math.sqrt(np.sum(amps[1:] ** 2)) / amps[0])
+
+
+def run(spec: GridSignalSpec, design, duration: float,
+        mode: ArithmeticMode = FLOAT64, topology: str = "hgi") -> SimTrace:
+    """The closed loop driven one ``np.float64`` input sample at a time,
+    each quantity stored by array indexing, omega_e formed per sample."""
+    ts = design.pi.sample_period
+    v_g = synthesize(spec, ts, duration)
+    n = len(v_g)
+    arith = mode.policy()
+    if isinstance(arith, Fixed16Arithmetic):
+        # table lookups yield numpy scalars, as the arrays did
+        arith._sin_lut = np.asarray(arith._sin_lut)
+        arith._cos_lut = np.asarray(arith._cos_lut)
+    v_g = arith.quantize_input(v_g)
+    filt_cls = HgiFilter if topology == "hgi" else BasicSogiFilter
+    filt = filt_cls(design.hgi, ts, arith=arith)
+    pll = SrfPll(design.pi, design.hgi.omega0, arith=arith)
+
+    out = {c: np.empty(n) for c in TRACE_CHANNELS}
+    w0 = pll.omega0
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(n):
+                v = v_g[i]
+                va, vb = filt.step(v)
+                s, c = pll.step(va, vb)
+                out["v_alpha"][i] = va
+                out["v_beta"][i] = vb
+                out["v_d"][i] = pll.v_d
+                out["v_q"][i] = pll.v_q
+                out["omega_e"][i] = w0 * (1.0 + pll.deviation)
+                out["theta_e"][i] = pll.theta
+                out["sin_theta"][i] = s
+                out["cos_theta"][i] = c
+    except (ValueError, OverflowError) as exc:
+        raise SimulationError("numerical divergence") from exc
+    out["v_g"] = v_g
+    if not np.isfinite(out["omega_e"]).all():
+        raise SimulationError("numerical divergence")
+    return SimTrace(sample_period=ts, saturations=arith.saturations, **out)
+
+
+def write_trace_csv(trace: SimTrace, path) -> None:
+    """The trace as ``np.savetxt`` writes it."""
+    header = "time_s," + ",".join(TRACE_CHANNELS)
+    units = "s,pu,pu,pu,pu,pu,rad_per_s,rad,pu,pu"
+    data = np.column_stack(
+        [trace.time] + [trace.channel(c) for c in TRACE_CHANNELS]
+    )
+    np.savetxt(
+        path, data, delimiter=",", fmt="%.10g",
+        header=header + "\n" + units, comments="",
+    )

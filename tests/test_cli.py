@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,26 @@ def test_simulate_short_trace_after_event_exit_code(tmp_path, capsys):
     assert ("error: analysis failed: trace must extend at least 0.1 s past "
             "the event") in err
     assert "Traceback" not in err
+
+
+def test_simulate_divergence_exit_code(tmp_path, capsys):
+    # an absurd input amplitude overflows the loop states
+    scenario = json.loads((SCENARIOS / "clean_50hz.json").read_text())
+    scenario["fundamental"]["amplitude"] = 1e308
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([
+            "simulate", "--scenario", str(path), "--k", "1.56",
+            "--f-bw", "29.5", "--duration", "0.2", "--out", str(out),
+        ])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical divergence at sample ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (out / "metrics.json").exists()
 
 
 def test_simulate_missing_design_exit_code(tmp_path):

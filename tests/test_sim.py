@@ -1,23 +1,34 @@
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracle
 from hgipll import (
     ArithmeticMode,
     FIXED16,
+    FLOAT64,
     Fixed16Arithmetic,
     GridSignalSpec,
     TimedEvent,
     fixed_vs_float_drift,
     harmonic_profile,
+    load_scenario,
     run,
     spectral_line,
     transient_metrics,
 )
-from hgipll.sim import TRACE_CHANNELS, SimulationError
+from hgipll.arith import ExactArithmetic
+from hgipll.sim import TRACE_CHANNELS, SimTrace, SimulationError
 
 TS = 50e-6
+SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "hgipll" / "scenarios"
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_clean_lock_tracks_nominal(mtsd_like):
@@ -102,6 +113,45 @@ def test_trace_csv_export(tmp_path, mtsd_like):
     assert len(lines) == len(trace) + 2
 
 
+@pytest.mark.parametrize("rows", [1, 1023, 1024, 1025])
+def test_trace_csv_matches_savetxt(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    shape = (len(TRACE_CHANNELS), rows)
+    data = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    special = [-0.0, math.nan, math.inf, -math.inf, 1e-300, 1e300, 0.0]
+    flat = data.reshape(-1)
+    flat[:len(special)] = special  # first rows (or channels of row 0)
+    flat[-len(special):] = special  # last rows of the last block
+    trace = SimTrace(sample_period=TS, **dict(zip(TRACE_CHANNELS, data)))
+    trace.write_csv(tmp_path / "fast.csv")
+    oracle.write_trace_csv(trace, tmp_path / "savetxt.csv")
+    assert ((tmp_path / "fast.csv").read_bytes()
+            == (tmp_path / "savetxt.csv").read_bytes())
+
+
+@pytest.mark.parametrize("topology", ["hgi", "basic_sogi"])
+@pytest.mark.parametrize("mode", [FLOAT64, FIXED16], ids=["float64", "fixed16"])
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.json")))
+def test_run_matches_oracle_loop(hc_like, name, mode, topology):
+    spec = load_scenario(SCENARIOS / f"{name}.json")
+    duration = 0.6 if spec.events else 0.3  # past the 0.5 s event
+    want = oracle.run(spec, hc_like, duration, mode, topology)
+    got = run(spec, hc_like, duration, mode, topology)
+    for c in TRACE_CHANNELS:
+        assert _same_bits(got.channel(c), want.channel(c)), c
+    assert got.saturations == want.saturations
+
+
+def test_run_matches_oracle_loop_with_saturations(hc_like):
+    # the clipped input drives the fixed16 states into their rails
+    spec = GridSignalSpec(fundamental_amplitude=1e308)
+    want = oracle.run(spec, hc_like, 0.1, FIXED16)
+    got = run(spec, hc_like, 0.1, FIXED16)
+    for c in TRACE_CHANNELS:
+        assert _same_bits(got.channel(c), want.channel(c)), c
+    assert got.saturations == want.saturations > 0
+
+
 def test_trace_binary_export(tmp_path, mtsd_like):
     trace = run(GridSignalSpec(), mtsd_like, 0.3)
     path = tmp_path / "trace.bin"
@@ -126,6 +176,37 @@ def test_divergence_reported(mtsd_like):
     spec = GridSignalSpec(fundamental_amplitude=1e308)
     with pytest.raises(SimulationError, match="divergence"):
         run(spec, mtsd_like, 0.2)
+
+
+def test_divergence_names_the_first_non_finite_sample(mtsd_like):
+    spec = GridSignalSpec(fundamental_amplitude=1e308)
+    # samples 0 and 1 are still finite
+    assert np.isfinite(run(spec, mtsd_like, 2 * TS).omega_e).all()
+    with pytest.raises(SimulationError,
+                       match=r"^numerical divergence at sample 2 "
+                             r"\(t = 0\.0001 s\)$"):
+        run(spec, mtsd_like, 0.2)
+
+
+def test_divergence_names_the_sample_whose_step_raised(mtsd_like,
+                                                        monkeypatch):
+    class RaisingTrig(ExactArithmetic):
+        """Exact arithmetic whose 8th trig call meets a non-finite phase."""
+
+        calls = 0
+
+        def trig(self, theta):
+            self.calls += 1
+            if self.calls == 8:
+                return math.sin(math.inf), 0.0
+            return math.sin(theta), math.cos(theta)
+
+    monkeypatch.setattr(ArithmeticMode, "policy", lambda self: RaisingTrig())
+    with pytest.raises(SimulationError,
+                       match=r"^numerical divergence at sample 7 "
+                             r"\(t = 0\.00035 s\)$") as info:
+        run(GridSignalSpec(), mtsd_like, 0.1)
+    assert isinstance(info.value.__cause__, ValueError)
 
 
 def test_arithmetic_mode_validation():
@@ -153,6 +234,35 @@ def test_fixed16_quantize_input_matches_signal_and_clips():
     assert list(arith.quantize_input(np.array([5.0, -5.0]))) == list(lim)
     # input clipping is the ADC's, not a counted arithmetic saturation
     assert arith.saturations == 0
+
+
+@pytest.mark.parametrize("fraction_bits", [8, 14, 15])
+def test_fixed16_quantize_input_clips_before_scaling(fraction_bits):
+    arith = Fixed16Arithmetic(fraction_bits)
+    lsb = 2.0 ** -fraction_bits
+    hi, lo = (2**15 - 1) * lsb, -(2**15) * lsb
+    rails = [r + d * lsb for r in (hi, lo) for d in (-0.5, 0.0, 0.5)]
+    rng = np.random.default_rng(fraction_bits)
+    v = np.concatenate([
+        rails, [0.0, -0.0, math.nan, math.inf, -math.inf, 1e300, -1e300,
+                1e308, -1e308],
+        rng.uniform(2 * lo, 2 * hi, 2000),
+    ])
+    with np.errstate(over="ignore"):
+        scaled_first = np.clip(
+            np.round(v * arith._sig_scale) / arith._sig_scale, lo, hi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = arith.quantize_input(v)
+    assert _same_bits(got, scaled_first)
+
+
+def test_fixed16_clipped_input_runs_without_warnings(mtsd_like):
+    spec = GridSignalSpec(fundamental_amplitude=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run(spec, mtsd_like, 0.2, FIXED16)
+    assert np.abs(trace.v_g).max() == 2.0
 
 
 def test_fixed16_coeff_keeps_16_bit_mantissa():
