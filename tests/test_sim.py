@@ -31,6 +31,16 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def _assert_run_matches_oracle(spec, design, duration, mode, topology="hgi"):
+    """Every channel bit for bit and the saturation count; returns it."""
+    want = oracle.run(spec, design, duration, mode, topology)
+    got = run(spec, design, duration, mode, topology)
+    for c in TRACE_CHANNELS:
+        assert _same_bits(got.channel(c), want.channel(c)), c
+    assert got.saturations == want.saturations
+    return got.saturations
+
+
 def test_clean_lock_tracks_nominal(mtsd_like):
     trace = run(GridSignalSpec(), mtsd_like, 1.0)
     tail = trace.f_e[trace.steady_slice()]
@@ -135,21 +145,13 @@ def test_trace_csv_matches_savetxt(tmp_path, rows):
 def test_run_matches_oracle_loop(hc_like, name, mode, topology):
     spec = load_scenario(SCENARIOS / f"{name}.json")
     duration = 0.6 if spec.events else 0.3  # past the 0.5 s event
-    want = oracle.run(spec, hc_like, duration, mode, topology)
-    got = run(spec, hc_like, duration, mode, topology)
-    for c in TRACE_CHANNELS:
-        assert _same_bits(got.channel(c), want.channel(c)), c
-    assert got.saturations == want.saturations
+    _assert_run_matches_oracle(spec, hc_like, duration, mode, topology)
 
 
 def test_run_matches_oracle_loop_with_saturations(hc_like):
     # the clipped input drives the fixed16 states into their rails
     spec = GridSignalSpec(fundamental_amplitude=1e308)
-    want = oracle.run(spec, hc_like, 0.1, FIXED16)
-    got = run(spec, hc_like, 0.1, FIXED16)
-    for c in TRACE_CHANNELS:
-        assert _same_bits(got.channel(c), want.channel(c)), c
-    assert got.saturations == want.saturations > 0
+    assert _assert_run_matches_oracle(spec, hc_like, 0.1, FIXED16) > 0
 
 
 def test_trace_binary_export(tmp_path, mtsd_like):
@@ -239,7 +241,8 @@ def test_fixed16_quantize_input_matches_signal_and_clips():
 @pytest.mark.parametrize("fraction_bits", [8, 14, 15])
 def test_fixed16_quantize_input_clips_before_scaling(fraction_bits):
     arith = Fixed16Arithmetic(fraction_bits)
-    lsb = 2.0 ** -fraction_bits
+    scale = 2.0 ** fraction_bits
+    lsb = 1 / scale
     hi, lo = (2**15 - 1) * lsb, -(2**15) * lsb
     rails = [r + d * lsb for r in (hi, lo) for d in (-0.5, 0.0, 0.5)]
     rng = np.random.default_rng(fraction_bits)
@@ -250,7 +253,7 @@ def test_fixed16_quantize_input_clips_before_scaling(fraction_bits):
     ])
     with np.errstate(over="ignore"):
         scaled_first = np.clip(
-            np.round(v * arith._sig_scale) / arith._sig_scale, lo, hi)
+            np.round(v * scale) / scale, lo, hi)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = arith.quantize_input(v)
