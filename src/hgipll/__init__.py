@@ -14,12 +14,12 @@ feeding a synchronous-reference-frame phase loop.  The package provides:
 * a batch command-line front end (``cli``).
 """
 
+from .arith import FIXED16, FLOAT64, ArithmeticMode, Fixed16Arithmetic
 from .design import (
     DesignConstraints,
     DesignReport,
     InfeasibleDesignError,
     PllDesign,
-    additive_settling,
     hc_mtsd_design,
     load_design,
     mtsd_design,
@@ -47,10 +47,6 @@ from .signal_model import (
     synthesize,
 )
 from .sim import (
-    ArithmeticMode,
-    FIXED16,
-    FLOAT64,
-    Fixed16Arithmetic,
     SimTrace,
     SimulationError,
     TransientMetrics,
@@ -58,36 +54,30 @@ from .sim import (
     run,
     transient_metrics,
 )
-from .srf import PiParams, SrfPll, park, pi_from_bandwidth, srf_settling_time
+from .srf import PiParams, SrfPll, pi_from_bandwidth, srf_settling_time
 from .thd import (
     AnalyticsError,
     Phasor,
-    RippleTerm,
-    freq_dev_ripple,
     harmonic_breakdown,
-    harmonic_ripple,
-    loop_gain_at,
     measured_thd,
     sequence_decompose,
     spectral_line,
     total_unit_vector_thd,
-    unit_vector_ripple_terms,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArithmeticMode", "AnalyticsError", "BasicSogiFilter", "DesignConstraints",
-    "DesignReport", "FIXED16", "FLOAT64", "Fixed16Arithmetic", "GridSignalSpec",
-    "HarmonicComponent", "HgiFilter", "HgiParams", "InfeasibleDesignError",
-    "NOMINAL_OMEGA0", "Phasor", "PiParams", "PllDesign", "RippleTerm",
-    "ScenarioError", "SimTrace", "SimulationError", "SrfPll", "TimedEvent",
-    "TransientMetrics", "additive_settling", "fixed_vs_float_drift",
-    "freq_dev_ripple", "freq_response", "harmonic_breakdown",
-    "harmonic_profile", "harmonic_ripple", "hc_mtsd_design", "k_opt_search",
-    "load_design", "load_scenario", "loop_gain_at", "measured_thd",
-    "mtsd_design", "park", "pi_from_bandwidth", "predicted_thd", "run",
-    "save_design", "save_scenario", "sequence_decompose", "settling_times",
-    "spectral_line", "srf_settling_time", "step_responses", "synthesize",
-    "total_unit_vector_thd", "transient_metrics", "unit_vector_ripple_terms",
+    "DesignReport", "FIXED16", "FLOAT64", "Fixed16Arithmetic",
+    "GridSignalSpec", "HarmonicComponent", "HgiFilter", "HgiParams",
+    "InfeasibleDesignError", "NOMINAL_OMEGA0", "Phasor", "PiParams",
+    "PllDesign", "ScenarioError", "SimTrace", "SimulationError", "SrfPll",
+    "TimedEvent", "TransientMetrics", "fixed_vs_float_drift", "freq_response",
+    "harmonic_breakdown", "harmonic_profile", "hc_mtsd_design", "k_opt_search",
+    "load_design", "load_scenario", "measured_thd", "mtsd_design",
+    "pi_from_bandwidth", "predicted_thd", "run", "save_design",
+    "save_scenario", "sequence_decompose", "settling_times", "spectral_line",
+    "srf_settling_time", "step_responses", "synthesize",
+    "total_unit_vector_thd", "transient_metrics",
 ]

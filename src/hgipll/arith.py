@@ -54,10 +54,10 @@ class Fixed16Arithmetic:
 
     PHASE_FRACTION_BITS = 28
     ACCUMULATOR_BITS = 32
+    LUT_SIZE = 1024
 
-    def __init__(self, fraction_bits: int = 14, lut_size: int = 1024):
+    def __init__(self, fraction_bits: int = 14):
         self.fraction_bits = fraction_bits
-        self.lut_size = lut_size
         self.saturations = 0
         self._sig_scale = float(1 << fraction_bits)
         self._sig_max = (2 ** 15 - 1) / self._sig_scale
@@ -66,7 +66,7 @@ class Fixed16Arithmetic:
         self._acc_scale = float(1 << (self.ACCUMULATOR_BITS - 2))
         self._acc_max = (2 ** 31 - 1) / self._acc_scale
         self._acc_min = -(2 ** 31) / self._acc_scale
-        idx = (np.arange(lut_size) * (TWO_PI / lut_size))
+        idx = np.arange(self.LUT_SIZE) * (TWO_PI / self.LUT_SIZE)
         # lists, so that a lookup yields a Python float, not a numpy scalar
         self._sin_lut = (np.round(np.sin(idx) * self._sig_scale)
                          / self._sig_scale).tolist()
@@ -119,10 +119,10 @@ class Fixed16Arithmetic:
         """Table lookup with linear interpolation, as DSP firmware does;
         a raw 1024-entry staircase would put ~0.3 Hz of phase-detector
         noise on the frequency estimate."""
-        pos = (theta * (self.lut_size / TWO_PI)) % self.lut_size
+        pos = (theta * (self.LUT_SIZE / TWO_PI)) % self.LUT_SIZE
         i = int(pos)
         frac = pos - i
-        j = (i + 1) % self.lut_size
+        j = (i + 1) % self.LUT_SIZE
         s = self._sin_lut[i] + frac * (self._sin_lut[j] - self._sin_lut[i])
         c = self._cos_lut[i] + frac * (self._cos_lut[j] - self._cos_lut[i])
         return self.signal(s), self.signal(c)

@@ -112,10 +112,16 @@ def _load_scenario_arg(path) -> GridSignalSpec:
 
 def cmd_design(args) -> int:
     constraints = _constraints(args)
-    if args.method == "mtsd":
-        design, report = design_mod.mtsd_design(constraints)
-    else:
-        design, report = design_mod.hc_mtsd_design(constraints)
+    try:
+        if args.method == "mtsd":
+            design, report = design_mod.mtsd_design(constraints)
+        else:
+            design, report = design_mod.hc_mtsd_design(constraints)
+    except InfeasibleDesignError:
+        raise
+    except ValueError as exc:
+        # a k range with a gain that never settles, or mtsd with input THD
+        raise CliError(f"invalid constraints: {exc}", EXIT_SCHEMA)
     out = _out_dir(args)
     save_design(design, out / "design.json")
     report.write_sweep_csv(out / "sweep.csv")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hgi as hgi_mod
-from .hgi import HgiParams, k_grid, settling_times
+from .hgi import DESIGN_SETTLING_DT, HgiParams, k_grid, settling_times
 from .signal_model import (DEFAULT_HARMONIC_ORDERS, NOMINAL_FREQ_HZ, TWO_PI,
                            GridSignalSpec, harmonic_profile)
 from .srf import PiParams, pi_from_bandwidth, srf_settling_time
@@ -165,7 +165,6 @@ class DesignReport:
     swept: list[tuple[float, float, float, bool]] = field(default_factory=list)
     feasible_count: int = 0
     design: PllDesign | None = None
-    thd_grid: list[tuple[float, float, float]] = field(default_factory=list)
     # the chosen point's worst unit-vector THD over the deviation band
     # (percent) and the frequency where it occurs
     worst_thd: float = math.nan
@@ -177,10 +176,6 @@ class DesignReport:
             w.writerow(["f_bw_hz", "k", "t_sd_ms", "feasible"])
             for f_bw, k, t_sd, ok in self.swept:
                 w.writerow([f"{f_bw:g}", f"{k:g}", f"{t_sd * 1e3:.4f}", int(ok)])
-
-    def write_thd_grid_csv(self, path) -> None:
-        rows = ((f, 100 * h, u) for f, h, u in self.thd_grid)
-        write_thd_grid_csv(path, rows)
 
 
 def write_thd_grid_csv(path, rows) -> None:
@@ -257,13 +252,6 @@ def band_worst_thd(
     return worst, freqs[binding]
 
 
-def additive_settling(k: float, f_bw: float) -> float:
-    """Worst-case additive settling time: HGI settling + 4/loop-bandwidth."""
-    if k <= 0 or f_bw <= 0:
-        raise ValueError("k and f_bw must be > 0")
-    return settling_times(HgiParams(k))[2] + srf_settling_time(TWO_PI * f_bw)
-
-
 def build_design(
     method: str, k: float, f_bw: float, t_s_hgi: float,
     constraints: DesignConstraints = DesignConstraints(),
@@ -277,27 +265,6 @@ def build_design(
         t_s_hgi=t_s_hgi, t_s_srf=t_s_srf, t_sd=t_s_hgi + t_s_srf,
         method=method,
     )
-
-
-def _finish(
-    method: str,
-    k: float,
-    f_bw: float,
-    t_s_hgi: float,
-    constraints: DesignConstraints,
-    report: DesignReport,
-) -> tuple[PllDesign, DesignReport]:
-    design = build_design(method, k, f_bw, t_s_hgi, constraints)
-    report.design = design
-    freqs = constraints.sweep_frequencies()
-    fracs = (0.0, constraints.input_thd / 2, constraints.input_thd)
-    thd = steady_thd(k, design.pi.kp, design.pi.ki, np.array(freqs)[:, None],
-                     np.array(fracs), constraints.harmonic_orders)
-    report.thd_grid = [
-        (f, frac, float(thd[i, j]))
-        for i, f in enumerate(freqs) for j, frac in enumerate(fracs)
-    ]
-    return design, report
 
 
 def mtsd_design(
@@ -325,7 +292,9 @@ def mtsd_design(
     # the THD constraint tightens with bandwidth: take the highest feasible
     i = np.flatnonzero(ok)[-1]
     report.worst_thd, report.binding_hz = worst[i, 0], binding[i, 0]
-    return _finish("mtsd", k_opt, float(f_bws[i]), t_s_hgi, constraints, report)
+    report.design = build_design("mtsd", k_opt, float(f_bws[i]), t_s_hgi,
+                                 constraints)
+    return report.design, report
 
 
 def hc_mtsd_design(
@@ -334,7 +303,8 @@ def hc_mtsd_design(
     """Fastest design under joint deviation and input-harmonic constraints."""
     report = DesignReport(method="hc-mtsd")
     ks = k_grid(*constraints.k_range, constraints.k_step)
-    ts_hgi = np.array([settling_times(HgiParams(k), dt=2e-6)[2] for k in ks])
+    ts_hgi = np.array([settling_times(HgiParams(k), dt=DESIGN_SETTLING_DT)[2]
+                       for k in ks])
     f_bws = constraints.bandwidth_grid()
     worst, binding = band_worst_thd(ks, f_bws, constraints)
     feasible = worst <= constraints.thd_threshold()
@@ -358,8 +328,9 @@ def hc_mtsd_design(
     i = int(np.argmin(t_sd))
     j = best_k[i]
     report.worst_thd, report.binding_hz = worst[i, j], binding[i, j]
-    return _finish("hc-mtsd", float(ks[j]), float(f_bws[i]), float(ts_hgi[j]),
-                   constraints, report)
+    report.design = build_design("hc-mtsd", float(ks[j]), float(f_bws[i]),
+                                 float(ts_hgi[j]), constraints)
+    return report.design, report
 
 
 def save_design(design: PllDesign, path) -> None:

@@ -40,6 +40,10 @@ SETTLING_DT = 1e-6
 #: Horizon after which an unsettled response is reported as unstable.
 SETTLING_HORIZON = 1.0
 
+#: Settling-time step of both design procedures: ``k_opt_search`` and
+#: ``hc_mtsd_design`` must rank k on the same grid.
+DESIGN_SETTLING_DT = 2e-6
+
 
 @dataclass(frozen=True)
 class HgiParams:
@@ -175,14 +179,15 @@ def step_responses(params: HgiParams, t: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _settle_time(y: np.ndarray, t: np.ndarray, tolerance: float) -> float:
-    """Last time |y| leaves the band, referenced to the response peak."""
+    """Last time |y| leaves the band, referenced to the response peak;
+    inf when it is still outside at the end of t."""
     mag = np.abs(y)
     outside = mag > tolerance * mag.max()
     if not outside.any():
         return 0.0
     i = np.nonzero(outside)[0][-1]
     if i + 1 >= len(t):
-        raise RuntimeError("unstable or unsettled")
+        return math.inf
     return float(t[i + 1])
 
 
@@ -208,17 +213,18 @@ def settling_times(
     y_alpha, y_beta = step_responses(params, t)
     ts_a = _settle_time(y_alpha, t, tolerance)
     ts_b = _settle_time(y_beta, t, tolerance)
+    if math.isinf(max(ts_a, ts_b)):
+        raise ValueError(f"the HGI step response at k = {k:g} does not "
+                         f"settle within {horizon:g} s")
     return ts_a, ts_b, max(ts_a, ts_b)
 
 
 def k_opt_search(
     k_range: tuple[float, float] = (0.1, 4.0),
     resolution: float = 0.01,
-    omega0: float = NOMINAL_OMEGA0,
-    tolerance: float = 0.02,
-    dt: float = 2e-6,
 ) -> tuple[float, float]:
-    """Grid search for the gain with the fastest combined settling time.
+    """Grid search for the gain with the fastest combined settling time,
+    measured at the design step ``DESIGN_SETTLING_DT``.
 
     Returns (k_opt, minimum t_s_hgi); ties break toward smaller k.
     """
@@ -228,7 +234,7 @@ def k_opt_search(
     if resolution <= 0:
         raise ValueError("resolution must be > 0")
     ks = k_grid(k_min, k_max, resolution)
-    ts = np.array([settling_times(HgiParams(k, omega0), tolerance, dt)[2]
+    ts = np.array([settling_times(HgiParams(k), dt=DESIGN_SETTLING_DT)[2]
                    for k in ks])
     # argmin returns the first minimum: ties go to the smaller k
     i = int(np.argmin(ts))

@@ -134,6 +134,8 @@ def synthesize(
     if duration <= 0:
         raise ScenarioError("duration must be > 0")
     n = int(round(duration / sample_period))
+    if n < 1:
+        raise ScenarioError("duration must span at least one sample")
     t = np.arange(n) * sample_period
 
     freq = np.full(n, spec.fundamental_frequency)

@@ -9,13 +9,11 @@ metrics from the recorded trace.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-# the arithmetic names stay importable from here as well
-from .arith import FIXED16, FLOAT64, ArithmeticMode, Fixed16Arithmetic
+from .arith import FIXED16, FLOAT64, ArithmeticMode
 from .hgi import BasicSogiFilter, HgiFilter
 from .signal_model import TWO_PI, GridSignalSpec, synthesize
 from .srf import SrfPll
@@ -84,17 +82,6 @@ class SimTrace:
                 block = np.column_stack(
                     [col[start:start + CSV_BLOCK_ROWS] for col in columns])
                 fh.write(row * len(block) % tuple(block.ravel().tolist()))
-
-    def write_binary(self, path) -> None:
-        """Channel-major little-endian float64, preceded by a small header:
-        magic 'HGITRACE', u32 channel count, u64 sample count, f64 Ts."""
-        with open(path, "wb") as fh:
-            fh.write(b"HGITRACE")
-            fh.write(struct.pack("<IQd", len(TRACE_CHANNELS) + 1,
-                                 len(self), self.sample_period))
-            self.time.astype("<f8").tofile(fh)
-            for c in TRACE_CHANNELS:
-                self.channel(c).astype("<f8").tofile(fh)
 
 
 @dataclass

@@ -7,7 +7,6 @@ frequency and phase estimates and the unit vectors sin/cos(theta_e).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .arith import EXACT
@@ -63,18 +62,6 @@ def srf_settling_time(omega_bw: float) -> float:
     return 4.0 / omega_bw
 
 
-def park(v_alpha, v_beta, theta_e):
-    """Rotate the stationary-frame pair into the dq frame.
-
-    v_d = v_alpha*cos + v_beta*sin, v_q = -v_alpha*sin + v_beta*cos.
-    With the locked convention v_alpha = sin(theta), v_beta = -cos(theta)
-    the d axis carries the phase error.
-    """
-    c = math.cos(theta_e)
-    s = math.sin(theta_e)
-    return v_alpha * c + v_beta * s, -v_alpha * s + v_beta * c
-
-
 class SrfPll:
     """Discrete SRF-PLL loop: Park transform, PI, phase integrator.
 
@@ -116,6 +103,8 @@ class SrfPll:
         """Advance one sample; returns the unit vectors (sin, cos) used."""
         q = self._q
         s, c = self._trig(self.theta)
+        # Park transform; with v_alpha = sin(theta), v_beta = -cos(theta)
+        # the d axis carries the phase error
         v_d = q.signal(v_alpha * c + v_beta * s)
         v_q = q.signal(v_beta * c - v_alpha * s)
         acc = q.accumulator(self.accumulator + self._ki_pu * v_d)

@@ -5,19 +5,18 @@ Two distortion mechanisms are modelled:
 * A frequency deviation unbalances the HGI quadrature pair, injecting a
   negative-sequence fundamental into the phase loop.  The resulting
   double-frequency phase ripple puts a third harmonic of amplitude a/2
-  on the unit vectors (``freq_dev_ripple``).
+  on the unit vectors.
 * Each input voltage harmonic reaches the loop as a positive and a
   negative sequence component; a positive-sequence harmonic of order h
   creates unit-vector harmonics at orders h-2 and h, a negative-sequence
-  one at h and h+2 (``harmonic_ripple``).
+  one at h and h+2.
 
 ``ripple_terms`` runs the whole pipeline array-native: every argument
 broadcasts, so one call evaluates a whole grid of gains, frequencies and
 harmonic profiles; ``unit_vector_thd`` phasor-sums the terms that land on
-the same output order.  The scalar functions (``freq_dev_ripple``,
-``harmonic_ripple``, ``total_unit_vector_thd``, ``harmonic_breakdown``)
-are thin calls into the same code.  ``measured_thd`` is the independent
-check on simulated traces.
+the same output order.  ``total_unit_vector_thd`` and
+``harmonic_breakdown`` evaluate one scenario through the same code.
+``measured_thd`` is the independent check on simulated traces.
 """
 
 from __future__ import annotations
@@ -59,31 +58,6 @@ class Phasor:
         return self.amplitude * cmath.exp(1j * self.phase)
 
 
-@dataclass(frozen=True)
-class RippleTerm:
-    """One unit-vector harmonic: a*sin(output_order*w*t + phi)."""
-
-    a: float
-    phi: float
-    output_order: int
-
-    def __post_init__(self):
-        if self.a < 0:
-            raise AnalyticsError("ripple amplitude must be >= 0")
-
-
-@dataclass(frozen=True)
-class LoopGain:
-    """Magnitude and phase of the loop path behind the phase detector."""
-
-    m: float
-    x: float
-
-    def __post_init__(self):
-        if self.m <= 0:
-            raise AnalyticsError("loop gain magnitude must be > 0")
-
-
 def _loop_gain(kp, ki, omega):
     """Magnitude and phase of -(kp + ki/s)/s at s = j*omega.
 
@@ -92,18 +66,6 @@ def _loop_gain(kp, ki, omega):
     re = ki / (omega * omega)
     im = kp / omega
     return np.hypot(re, im), np.arctan2(im, re)
-
-
-def loop_gain_at(pi: PiParams, omega_eval: float) -> LoopGain:
-    """Gain of -(kp + ki/s)/s at s = j*omega_eval.
-
-    This is the path from the phase-detector output back to the estimated
-    phase (summer sign included), evaluated at the ripple frequency.
-    """
-    if omega_eval <= 0:
-        raise AnalyticsError("omega_eval must be > 0")
-    m, x = _loop_gain(pi.kp, pi.ki, omega_eval)
-    return LoopGain(m=float(m), x=float(x))
 
 
 def _sequences(v_alpha, v_beta):
@@ -115,9 +77,7 @@ def _beat(h: int, sequence: str) -> tuple[int, tuple[int, int]]:
     """Loop-gain multiple n and the two output orders of a sequence harmonic."""
     if sequence == "positive":
         return h - 1, (h - 2, h)
-    if sequence == "negative":
-        return h + 1, (h, h + 2)
-    raise AnalyticsError("sequence must be 'positive' or 'negative'")
+    return h + 1, (h, h + 2)
 
 
 def _fold_sign(a, phi):
@@ -183,25 +143,6 @@ def _freq_dev(k, omega0, kp, ki, omega):
     return a, phi, indeterminate
 
 
-def freq_dev_ripple(
-    hgi: HgiParams, pi: PiParams, omega_in: float
-) -> tuple[RippleTerm, float]:
-    """Third-harmonic unit-vector ripple caused by a frequency deviation.
-
-    The HGI gains at the deviated frequency give the unequal quadrature
-    amplitudes V1, V2 (phases phi1, phi2); the loop gain at twice the
-    input frequency then determines the phase ripple a*sin(2wt + phi),
-    and the sine unit vector picks up a third harmonic u3 = a/2.
-    Returns (RippleTerm at order 3, u3).
-    """
-    if not 0.5 * hgi.omega0 < omega_in < 1.5 * hgi.omega0:
-        raise AnalyticsError("omega_in outside supported deviation range")
-    a, phi, indeterminate = _freq_dev(hgi.k, hgi.omega0, pi.kp, pi.ki, omega_in)
-    if indeterminate:
-        raise AnalyticsError("ripple phase indeterminate")
-    return RippleTerm(float(a), float(phi), 3), float(a) / 2
-
-
 def _harmonic(n, v_h, gamma, v_1plus, delta, kp, ki, omega):
     """Amplitude and phase of the ripple a sequence harmonic (amplitude
     v_h, phase gamma) makes through the loop gain at n*omega, against the
@@ -218,36 +159,6 @@ def _harmonic(n, v_h, gamma, v_1plus, delta, kp, ki, omega):
     a_h = (0.5 * v_h * m * cos_c) / (
         np.cos(phi_h) + a_h_coef * np.cos(phi_h + x))
     return _fold_sign(a_h, phi_h)
-
-
-def harmonic_ripple(
-    h: int,
-    sequence: str,
-    v_h: float,
-    gamma: float,
-    v_1plus: float,
-    delta: float,
-    pi: PiParams,
-    omega: float = NOMINAL_OMEGA0,
-) -> list[RippleTerm]:
-    """Unit-vector harmonics created by one sequence harmonic at the loop.
-
-    A positive-sequence harmonic of order h beats against the fundamental
-    through the loop gain at (h-1)*w and lands on output orders h-2 and h;
-    a negative-sequence one uses the gain at (h+1)*w and lands on h and
-    h+2.  Both output terms share the amplitude a_h and phase phi_h.
-    """
-    if h < 2:
-        raise AnalyticsError("harmonic order must be >= 2")
-    if v_h < 0:
-        raise AnalyticsError("harmonic amplitude must be >= 0")
-    if v_1plus <= 0:
-        raise AnalyticsError("no fundamental reference")
-    n, orders = _beat(h, sequence)
-    if v_h == 0:
-        return []
-    a, phi = _harmonic(n, v_h, gamma, v_1plus, delta, pi.kp, pi.ki, omega)
-    return [RippleTerm(float(a), float(phi), o) for o in orders]
 
 
 def ripple_terms(
@@ -346,17 +257,6 @@ def _steady_args(spec: GridSignalSpec, hgi: HgiParams, pi: PiParams) -> tuple:
     return (hgi.k, pi.kp, pi.ki, TWO_PI * spec.fundamental_frequency,
             harmonics, spec.fundamental_amplitude, spec.fundamental_phase,
             hgi.omega0)
-
-
-def unit_vector_ripple_terms(
-    spec: GridSignalSpec, hgi: HgiParams, pi: PiParams
-) -> list[RippleTerm]:
-    """All unit-vector ripple terms for a steady-state scenario."""
-    return [
-        RippleTerm(float(a), float(phi), o)
-        for o, a, phi, present in ripple_terms(*_steady_args(spec, hgi, pi))
-        if present
-    ]
 
 
 def total_unit_vector_thd(

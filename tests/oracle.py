@@ -16,18 +16,36 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from hgipll.arith import FLOAT64, ArithmeticMode, Fixed16Arithmetic
 from hgipll.hgi import (
-    BasicSogiFilter, HgiFilter, HgiParams, SETTLING_DT, SETTLING_HORIZON,
-    freq_response,
+    DESIGN_SETTLING_DT, BasicSogiFilter, HgiFilter, HgiParams, SETTLING_DT,
+    SETTLING_HORIZON, freq_response,
 )
 from hgipll.signal_model import NOMINAL_OMEGA0, TWO_PI, GridSignalSpec, synthesize
 from hgipll.sim import TRACE_CHANNELS, SimTrace, SimulationError
 from hgipll.srf import PiParams, SrfPll
-from hgipll.thd import AnalyticsError, LoopGain, Phasor, RippleTerm
+from hgipll.thd import AnalyticsError, Phasor
+
+
+@dataclass(frozen=True)
+class RippleTerm:
+    """One unit-vector harmonic: a*sin(output_order*w*t + phi)."""
+
+    a: float
+    phi: float
+    output_order: int
+
+
+@dataclass(frozen=True)
+class LoopGain:
+    """Magnitude and phase of the loop path behind the phase detector."""
+
+    m: float
+    x: float
 
 
 def loop_gain_at(pi: PiParams, omega_eval: float) -> LoopGain:
@@ -336,7 +354,7 @@ def mtsd_sweep(constraints):
     from hgipll.srf import srf_settling_time
 
     ks = k_grid(*constraints.k_range, constraints.k_step)
-    ts = [settling_times(HgiParams(float(k)), dt=2e-6)[2] for k in ks]
+    ts = [settling_times(HgiParams(float(k)), dt=DESIGN_SETTLING_DT)[2] for k in ks]
     best = min(range(len(ks)), key=lambda i: (ts[i], i))
     k_opt, t_s_hgi = float(ks[best]), ts[best]
     swept, chosen = [], None
@@ -358,7 +376,7 @@ def hc_mtsd_sweep(constraints):
 
     freqs = constraints.sweep_frequencies()
     ks = [float(k) for k in k_grid(*constraints.k_range, constraints.k_step)]
-    ts = {k: settling_times(HgiParams(k), dt=2e-6)[2] for k in ks}
+    ts = {k: settling_times(HgiParams(k), dt=DESIGN_SETTLING_DT)[2] for k in ks}
     swept, count, best = [], 0, None
     for f_bw in constraints.bandwidth_grid():
         f_bw = float(f_bw)

@@ -142,6 +142,28 @@ def test_simulate_missing_design_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--scenario", str(SCENARIOS / "clean_50hz.json"),
+      "--k", "0.01", "--f-bw", "30", "--duration", "0.3"],
+     "invalid parameters: the HGI step response at k = 0.01 does not "
+     "settle within 1 s"),
+    (["design", "--k-range", "0.01", "0.02"],
+     "invalid constraints: the HGI step response at k = 0.01 does not "
+     "settle within 1 s"),
+    (["design", "--method", "mtsd", "--input-thd", "0.05"],
+     "invalid constraints: the deviation-only design requires input_thd = 0"),
+    (["simulate", "--scenario", str(SCENARIOS / "clean_50hz.json"),
+      "--k", "1.56", "--f-bw", "30", "--duration", "1e-9"],
+     "invalid scenario: duration must span at least one sample"),
+], ids=["simulate-unsettled-k", "design-unsettled-k", "design-mtsd-input-thd",
+        "simulate-no-sample"])
+def test_rejected_input_exit_code(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_analyze_breakdown(tmp_path, capsys):
     code = main([
         "analyze", "--scenario", str(SCENARIOS / "freq_46hz_thd_5pct.json"),

@@ -4,15 +4,17 @@ import pytest
 
 from hgipll import (
     DesignConstraints,
+    HgiParams,
     InfeasibleDesignError,
     PllDesign,
-    additive_settling,
     hc_mtsd_design,
     load_design,
     mtsd_design,
     predicted_thd,
     save_design,
+    settling_times,
 )
+from hgipll.design import build_design
 
 
 def test_constraint_validation():
@@ -39,7 +41,8 @@ def test_sweep_frequencies_zero_deviation():
 
 
 def test_additive_settling_composition():
-    t = additive_settling(1.56, 55.0)
+    t = build_design("inline", 1.56, 55.0,
+                     settling_times(HgiParams(1.56))[2]).t_sd
     assert t == pytest.approx(15.97e-3 + 4 / (2 * math.pi * 55), abs=0.3e-3)
 
 
@@ -107,15 +110,10 @@ def test_design_json_round_trip(tmp_path):
 def test_report_csv_outputs(tmp_path):
     design, report = mtsd_design(DesignConstraints())
     sweep = tmp_path / "sweep.csv"
-    grid = tmp_path / "grid.csv"
     report.write_sweep_csv(sweep)
-    report.write_thd_grid_csv(grid)
     lines = sweep.read_text().splitlines()
     assert lines[0] == "f_bw_hz,k,t_sd_ms,feasible"
     assert len(lines) > 10
-    assert grid.read_text().splitlines()[0] == (
-        "frequency_hz,input_thd_pct,unit_vector_thd_pct"
-    )
 
 
 def test_determinism():

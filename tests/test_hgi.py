@@ -150,6 +150,13 @@ def test_k_opt_search_matches_published_value():
     assert ts == pytest.approx(16e-3, abs=0.3e-3)
 
 
+def test_unsettled_gain_names_k():
+    # k = 0.01 decays with a 0.64 s time constant: still outside the 2 %
+    # band at the 1 s horizon
+    with pytest.raises(ValueError, match=r"k = 0\.01 does not settle within 1 s"):
+        settling_times(HgiParams(0.01))
+
+
 def test_k_grid_includes_endpoints():
     g = k_grid(0.1, 4.0, 0.01)
     assert g[0] == pytest.approx(0.1)

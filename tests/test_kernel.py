@@ -2,6 +2,7 @@
 oracles in ``oracle.py``, and the design procedures' feasibility masks
 against ``DesignConstraints.thd_ok``."""
 
+import cmath
 import math
 from pathlib import Path
 
@@ -15,20 +16,19 @@ from hgipll import (
     GridSignalSpec,
     HarmonicComponent,
     HgiParams,
-    freq_dev_ripple,
+    Phasor,
+    freq_response,
     harmonic_breakdown,
-    harmonic_ripple,
     hc_mtsd_design,
     load_scenario,
-    loop_gain_at,
     mtsd_design,
     pi_from_bandwidth,
     predicted_thd,
     total_unit_vector_thd,
-    unit_vector_ripple_terms,
 )
 from hgipll.design import band_worst_thd, steady_thd
 from hgipll.hgi import k_grid, settling_times
+from hgipll.thd import ripple_terms
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "hgipll" / "scenarios"
 W0 = 2 * math.pi * 50.0
@@ -66,12 +66,16 @@ def test_kernel_matches_scalar_oracle(k, f_bw, rel_freq, amplitude, phase,
 def test_terms_and_breakdown_match_oracle(name, k, f_bw):
     spec = load_scenario(SCENARIOS / f"{name}.json").without_events()
     hgi, pi = HgiParams(k), pi_from_bandwidth(f_bw)
-    got = unit_vector_ripple_terms(spec, hgi, pi)
+    terms = ripple_terms(
+        k, pi.kp, pi.ki, 2 * math.pi * spec.fundamental_frequency,
+        [(c.order, c.amplitude, c.phase) for c in spec.harmonics],
+        spec.fundamental_amplitude, spec.fundamental_phase)
+    got = [(o, a, phi) for o, a, phi, present in terms if present]
     want = oracle.unit_vector_ripple_terms(spec, hgi, pi)
-    assert [t.output_order for t in got] == [t.output_order for t in want]
-    for g, w in zip(got, want):
-        assert g.a == pytest.approx(w.a, rel=1e-12, abs=1e-15)
-        assert math.remainder(g.phi - w.phi, 2 * math.pi) == pytest.approx(
+    assert [o for o, _, _ in got] == [t.output_order for t in want]
+    for (_, a, phi), w in zip(got, want):
+        assert a == pytest.approx(w.a, rel=1e-12, abs=1e-15)
+        assert math.remainder(phi - w.phi, 2 * math.pi) == pytest.approx(
             0.0, abs=1e-9)
     rows = harmonic_breakdown(spec, hgi, pi)
     ref = oracle.harmonic_breakdown(spec, hgi, pi)
@@ -83,26 +87,42 @@ def test_terms_and_breakdown_match_oracle(name, k, f_bw):
                 0.0, abs=1e-9)
 
 
+def _sequence_pair(hgi, order, amplitude, phase, omega):
+    """Positive- and negative-sequence alpha phasors of one input
+    component after the HGI, formed as the scalar oracle forms them."""
+    gains = [amplitude * g * cmath.exp(1j * phase)
+             for g in freq_response(hgi, order * omega)]
+    (pos, _), (neg, _) = oracle.sequence_decompose(
+        *(Phasor(abs(z), cmath.phase(z), order) for z in gains))
+    return pos, neg
+
+
 def test_scalar_ripple_functions_match_oracle():
+    # ripple_terms term by term against the scalar oracle functions
+    hgi = HgiParams(1.56)
     for f_bw in (29.5, 55.0):
         pi = pi_from_bandwidth(f_bw)
-        for omega in (100.0, W0, 2000.0):
-            lg, ref = loop_gain_at(pi, omega), oracle.loop_gain_at(pi, omega)
-            assert lg.m == pytest.approx(ref.m, rel=1e-14)
-            assert lg.x == pytest.approx(ref.x, abs=1e-14)
         for f in (26.0, 46.0, 50.0, 54.0, 74.0):
-            (term, u3), (rterm, ru3) = (
-                fn(HgiParams(1.56), pi, 2 * math.pi * f)
-                for fn in (freq_dev_ripple, oracle.freq_dev_ripple))
-            assert (term.a, term.phi, u3) == pytest.approx(
-                (rterm.a, rterm.phi, ru3), rel=1e-12, abs=1e-15)
-        for seq in ("positive", "negative"):
-            for h in (2, 3, 7):
-                args = (h, seq, 0.01, 0.4, 0.98, -0.2, pi, 2 * math.pi * 47)
-                got, want = harmonic_ripple(*args), oracle.harmonic_ripple(*args)
-                assert [(t.output_order, t.a, t.phi) for t in got] == [
-                    pytest.approx((t.output_order, t.a, t.phi), rel=1e-12)
-                    for t in want]
+            omega = 2 * math.pi * f
+            [(order, u3, phi, _)] = ripple_terms(hgi.k, pi.kp, pi.ki, omega)
+            rterm, ru3 = oracle.freq_dev_ripple(hgi, pi, omega)
+            assert order == rterm.output_order
+            assert (float(u3), float(phi)) == pytest.approx(
+                (ru3, rterm.phi), rel=1e-12, abs=1e-15)
+        omega = 2 * math.pi * 47
+        v_1plus, _ = _sequence_pair(hgi, 1, 0.98, -0.2, omega)
+        for h in (2, 3, 7):
+            terms = ripple_terms(hgi.k, pi.kp, pi.ki, omega, [(h, 0.01, 0.4)],
+                                 0.98, -0.2)
+            sequences = zip(("positive", "negative"),
+                            _sequence_pair(hgi, h, 0.01, 0.4, omega))
+            want = [t for seq, p in sequences
+                    for t in oracle.harmonic_ripple(
+                        h, seq, p.amplitude, p.phase, v_1plus.amplitude,
+                        v_1plus.phase, pi, omega)]
+            assert [(o, float(a), float(phi)) for o, a, phi, _ in terms[1:]] == [
+                pytest.approx((t.output_order, t.a, t.phi), rel=1e-12)
+                for t in want]
 
 
 def test_grid_evaluation_matches_single_points():

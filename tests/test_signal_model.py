@@ -31,6 +31,13 @@ def test_sample_count():
     assert len(v) == 2000
 
 
+def test_duration_under_half_a_sample_rejected():
+    with pytest.raises(ScenarioError, match="at least one sample"):
+        synthesize(GridSignalSpec(), TS, 0.4 * TS)
+    # from half a sample on, the duration rounds to one sample
+    assert len(synthesize(GridSignalSpec(), TS, 0.6 * TS)) == 1
+
+
 def test_dc_offset_shifts_mean():
     v = synthesize(GridSignalSpec(dc_offset=0.1), TS, 1.0)
     assert np.mean(v) == pytest.approx(0.1, abs=1e-3)

@@ -154,16 +154,6 @@ def test_run_matches_oracle_loop_with_saturations(hc_like):
     assert _assert_run_matches_oracle(spec, hc_like, 0.1, FIXED16) > 0
 
 
-def test_trace_binary_export(tmp_path, mtsd_like):
-    trace = run(GridSignalSpec(), mtsd_like, 0.3)
-    path = tmp_path / "trace.bin"
-    trace.write_binary(path)
-    raw = path.read_bytes()
-    assert raw[:8] == b"HGITRACE"
-    n_channels = len(TRACE_CHANNELS) + 1
-    assert len(raw) == 8 + 20 + 8 * n_channels * len(trace)
-
-
 def test_rerun_bit_identical(mtsd_like):
     spec = GridSignalSpec(fundamental_frequency=46.0,
                           harmonics=tuple(harmonic_profile(0.05)))

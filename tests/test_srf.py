@@ -6,7 +6,6 @@ import pytest
 from hgipll import (
     PiParams,
     SrfPll,
-    park,
     pi_from_bandwidth,
     srf_settling_time,
 )
@@ -46,12 +45,15 @@ def test_invalid_params():
 def test_park_detects_phase_error():
     # locked convention: v_alpha = sin(theta), v_beta = -cos(theta)
     theta = 0.7
-    v_d, v_q = park(math.sin(theta), -math.cos(theta), theta)
-    assert v_d == pytest.approx(0.0, abs=1e-12)
-    assert v_q == pytest.approx(-1.0, abs=1e-12)
+    pll = SrfPll(pi_from_bandwidth(55.0))
+    pll.reset(theta=theta)
+    pll.step(math.sin(theta), -math.cos(theta))
+    assert pll.v_d == pytest.approx(0.0, abs=1e-12)
+    assert pll.v_q == pytest.approx(-1.0, abs=1e-12)
     # small phase lead shows up on the d axis
-    v_d, _ = park(math.sin(theta + 0.01), -math.cos(theta + 0.01), theta)
-    assert v_d == pytest.approx(0.01, abs=1e-4)
+    pll.reset(theta=theta)
+    pll.step(math.sin(theta + 0.01), -math.cos(theta + 0.01))
+    assert pll.v_d == pytest.approx(0.01, abs=1e-4)
 
 
 def test_equilibrium_at_lock():

@@ -12,11 +12,8 @@ from hgipll import (
     HgiParams,
     Phasor,
     TimedEvent,
-    freq_dev_ripple,
     harmonic_breakdown,
     harmonic_profile,
-    harmonic_ripple,
-    loop_gain_at,
     measured_thd,
     pi_from_bandwidth,
     run,
@@ -27,32 +24,10 @@ from hgipll import (
 )
 from hgipll.hgi import EULER_GUARD
 from hgipll.signal_model import NOMINAL_OMEGA0
+from hgipll.thd import ripple_terms
 
 TS = 50e-6
 W0 = 2 * math.pi * 50.0
-
-
-def test_loop_gain_integrator_only_limit():
-    # ki -> 0: gain tends to kp / omega with -180 degree phase
-    pi = pi_from_bandwidth(55.0)
-    tiny = type(pi)(kp=pi.kp, ki=1e-9, sample_period=TS)
-    lg = loop_gain_at(tiny, 500.0)
-    assert lg.m == pytest.approx(pi.kp / 500.0, rel=1e-6)
-    # -kp/s at s = j*omega is +j*kp/omega: +90 degrees
-    assert lg.x == pytest.approx(math.pi / 2, abs=1e-3)
-
-
-def test_loop_gain_inverse_frequency_scaling():
-    pi = pi_from_bandwidth(55.0)
-    tiny = type(pi)(kp=pi.kp, ki=1e-9, sample_period=TS)
-    assert loop_gain_at(tiny, 400.0).m == pytest.approx(
-        2 * loop_gain_at(tiny, 800.0).m, rel=1e-6
-    )
-
-
-def test_loop_gain_rejects_nonpositive_frequency():
-    with pytest.raises(AnalyticsError):
-        loop_gain_at(pi_from_bandwidth(55.0), 0.0)
 
 
 def test_sequence_decomposition_round_trip_exact():
@@ -80,57 +55,65 @@ def test_sequence_order_mismatch_rejected():
         sequence_decompose(Phasor(1, 0, 3), Phasor(1, 0, 5))
 
 
+def deviation_ripple(f_bw, omega):
+    """The order-3 deviation term of ``ripple_terms`` at k = 1.56:
+    (unit-vector amplitude u3, present)."""
+    pi = pi_from_bandwidth(f_bw)
+    [(order, u3, _, present)] = ripple_terms(1.56, pi.kp, pi.ki, omega)
+    assert order == 3
+    return float(u3), bool(present)
+
+
 def test_freq_dev_ripple_zero_at_nominal():
-    term, u3 = freq_dev_ripple(HgiParams(1.56), pi_from_bandwidth(55.0), W0)
-    assert term.a == 0.0
-    assert u3 == 0.0
+    assert deviation_ripple(55.0, W0) == (0.0, False)
 
 
 def test_freq_dev_ripple_known_band_edge():
     # the deviation-only design sits right at the 1% THD limit at 46 Hz
-    _, u3 = freq_dev_ripple(
-        HgiParams(1.56), pi_from_bandwidth(55.0), 2 * math.pi * 46
-    )
+    u3, present = deviation_ripple(55.0, 2 * math.pi * 46)
+    assert present
     assert 100 * u3 == pytest.approx(1.0, abs=0.15)
 
 
 def test_freq_dev_ripple_low_bandwidth_attenuates():
-    _, u3 = freq_dev_ripple(
-        HgiParams(1.56), pi_from_bandwidth(29.0), 2 * math.pi * 46
-    )
+    u3, _ = deviation_ripple(29.0, 2 * math.pi * 46)
     assert 100 * u3 == pytest.approx(0.6, abs=0.15)
 
 
 def test_freq_dev_ripple_symmetric_band_similar():
-    pi = pi_from_bandwidth(55.0)
-    _, lo = freq_dev_ripple(HgiParams(1.56), pi, 2 * math.pi * 46)
-    _, hi = freq_dev_ripple(HgiParams(1.56), pi, 2 * math.pi * 54)
+    lo, _ = deviation_ripple(55.0, 2 * math.pi * 46)
+    hi, _ = deviation_ripple(55.0, 2 * math.pi * 54)
     assert lo > 0 and hi > 0
     assert lo == pytest.approx(hi, rel=0.35)
 
 
-def test_harmonic_ripple_zero_amplitude_empty():
+def harmonic_terms(order, amplitude, fundamental=1.0):
+    """``ripple_terms`` at 50 Hz with one input harmonic (phase 0.2): the
+    positive- and the negative-sequence pair, as (order, a, present)."""
     pi = pi_from_bandwidth(55.0)
-    assert harmonic_ripple(3, "positive", 0.0, 0.0, 1.0, 0.0, pi) == []
+    terms = ripple_terms(1.56, pi.kp, pi.ki, W0, [(order, amplitude, 0.2)],
+                         fundamental)
+    rows = [(o, float(a), bool(p)) for o, a, _, p in terms[1:]]
+    return rows[:2], rows[2:]
+
+
+def test_harmonic_ripple_zero_amplitude_empty():
+    pos, neg = harmonic_terms(3, 0.0)
+    assert [(a, p) for _, a, p in pos + neg] == [(0.0, False)] * 4
 
 
 def test_harmonic_ripple_output_orders():
-    pi = pi_from_bandwidth(55.0)
-    pos = harmonic_ripple(3, "positive", 0.01, 0.2, 1.0, 0.0, pi)
-    neg = harmonic_ripple(3, "negative", 0.01, 0.2, 1.0, 0.0, pi)
-    assert [t.output_order for t in pos] == [1, 3]
-    assert [t.output_order for t in neg] == [3, 5]
-    assert all(t.a >= 0 for t in pos + neg)
+    pos, neg = harmonic_terms(3, 0.01)
+    assert [o for o, _, _ in pos] == [1, 3]
+    assert [o for o, _, _ in neg] == [3, 5]
+    assert all(a >= 0 and p for _, a, p in pos + neg)
 
 
 def test_harmonic_ripple_rejects_bad_input():
-    pi = pi_from_bandwidth(55.0)
-    with pytest.raises(AnalyticsError):
-        harmonic_ripple(1, "positive", 0.01, 0.0, 1.0, 0.0, pi)
-    with pytest.raises(AnalyticsError):
-        harmonic_ripple(3, "zero", 0.01, 0.0, 1.0, 0.0, pi)
-    with pytest.raises(AnalyticsError):
-        harmonic_ripple(3, "positive", 0.01, 0.0, 0.0, 0.0, pi)
+    with pytest.raises(AnalyticsError, match="harmonic order must be >= 2"):
+        harmonic_terms(1, 0.01)
+    with pytest.raises(AnalyticsError, match="no fundamental reference"):
+        harmonic_terms(3, 0.01, fundamental=0.0)
 
 
 def test_total_thd_zero_for_clean_nominal():
