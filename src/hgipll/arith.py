@@ -119,10 +119,11 @@ class Fixed16Arithmetic:
         """Table lookup with linear interpolation, as DSP firmware does;
         a raw 1024-entry staircase would put ~0.3 Hz of phase-detector
         noise on the frequency estimate."""
-        pos = (theta * (self.LUT_SIZE / TWO_PI)) % self.LUT_SIZE
+        n = self.LUT_SIZE
+        pos = (theta * (n / TWO_PI)) % n
         i = int(pos)
         frac = pos - i
-        j = (i + 1) % self.LUT_SIZE
+        j = (i + 1) % n
         s = self._sin_lut[i] + frac * (self._sin_lut[j] - self._sin_lut[i])
         c = self._cos_lut[i] + frac * (self._cos_lut[j] - self._cos_lut[i])
         return self.signal(s), self.signal(c)

@@ -129,10 +129,11 @@ def synthesize(
     frequency, so it is continuous across frequency steps; phase jumps are
     applied as explicit offsets.
     """
-    if sample_period <= 0:
+    # written so that NaN fails them too
+    if not sample_period > 0:
         raise ScenarioError("sample_period must be > 0")
-    if duration <= 0:
-        raise ScenarioError("duration must be > 0")
+    if not 0 < duration < math.inf:
+        raise ScenarioError("duration must be finite and > 0")
     n = int(round(duration / sample_period))
     if n < 1:
         raise ScenarioError("duration must span at least one sample")

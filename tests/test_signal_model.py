@@ -38,6 +38,14 @@ def test_duration_under_half_a_sample_rejected():
     assert len(synthesize(GridSignalSpec(), TS, 0.6 * TS)) == 1
 
 
+@pytest.mark.parametrize("sample_period, duration", [
+    (TS, math.nan), (TS, math.inf), (TS, 0.0), (math.nan, 1.0), (0.0, 1.0),
+])
+def test_non_finite_or_empty_timing_rejected(sample_period, duration):
+    with pytest.raises(ScenarioError):
+        synthesize(GridSignalSpec(), sample_period, duration)
+
+
 def test_dc_offset_shifts_mean():
     v = synthesize(GridSignalSpec(dc_offset=0.1), TS, 1.0)
     assert np.mean(v) == pytest.approx(0.1, abs=1e-3)
