@@ -50,6 +50,9 @@ EXIT_INFEASIBLE = 2
 EXIT_SCHEMA = 3
 EXIT_DIVERGENCE = 4
 
+#: ``sweep`` and ``compare`` default frequencies (Hz): the published table's.
+DEFAULT_FREQUENCIES_HZ = (46.0, 48.0, 50.0, 52.0, 54.0)
+
 
 class CliError(Exception):
     def __init__(self, message: str, code: int):
@@ -208,8 +211,6 @@ def cmd_compare(args) -> int:
     freqs = args.frequencies
     if not freqs:
         raise CliError("empty sweep", EXIT_SCHEMA)
-    out = _out_dir(args)
-    path = out / "compare.csv"
     rows = []
     for d in designs:
         label = d.method or f"k={d.k:g},f_bw={d.f_bw:g}"
@@ -218,6 +219,7 @@ def cmd_compare(args) -> int:
             trace = run_sim(steady_spec(f, args.input_thd), d, args.duration)
             m = transient_metrics(trace, fundamental_hz=f)
             rows.append((label, f, float(a), m.steady_thd))
+    path = _out_dir(args) / "compare.csv"
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["design", "frequency_hz", "analytical_thd_pct",
@@ -281,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="analytical THD grid")
     _add_design_source(p)
     p.add_argument("--frequencies", type=float, nargs="*",
-                   default=[46.0, 48.0, 50.0, 52.0, 54.0], metavar="HZ")
+                   default=DEFAULT_FREQUENCIES_HZ, metavar="HZ")
     p.add_argument("--input-thds", type=float, nargs="*",
                    default=[0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
                    metavar="PCT", help="input THD values in percent")
@@ -292,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--designs", nargs="+", required=True,
                    metavar="DESIGN_JSON")
     p.add_argument("--frequencies", type=float, nargs="*",
-                   default=[46.0, 48.0, 50.0, 52.0, 54.0], metavar="HZ")
+                   default=DEFAULT_FREQUENCIES_HZ, metavar="HZ")
     p.add_argument("--input-thd", type=float, default=0.05,
                    help="input THD fraction used for both columns")
     p.add_argument("--duration", type=float, default=1.0)

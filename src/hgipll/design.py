@@ -10,7 +10,7 @@ Two sweeps produce a complete parameter set (k, loop bandwidth, PI gains):
   time subject to the same THD limit.
 
 THD feasibility is checked at the resolution the limit is stated in
-(one decimal of a percent by default), matching how the published design
+(one decimal of a percent), matching how the published design
 points were read off their constraint curves.  Both procedures evaluate
 the whole (bandwidth x k x frequency) THD grid with the array-native
 kernel and reduce it to a feasibility mask plus an argmin.
@@ -26,13 +26,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hgi as hgi_mod
-from .hgi import DESIGN_SETTLING_DT, HgiParams, k_grid, settling_times
+from .hgi import HgiParams, design_settling_times, k_grid
 from .signal_model import (DEFAULT_HARMONIC_ORDERS, NOMINAL_FREQ_HZ, TWO_PI,
                            GridSignalSpec, harmonic_profile)
-from .srf import PiParams, pi_from_bandwidth, srf_settling_time
+from .srf import SAMPLE_PERIOD, PiParams, pi_from_bandwidth, srf_settling_time
 from .thd import unit_vector_thd
 
 SCHEMA_VERSION = 1
+
+#: Spacing (Hz) of the frequency grid over the deviation band.
+BAND_FREQ_STEP_HZ = 2.0
+
+#: Decimals of a percent at which THD is compared against the limit.
+THD_COMPARE_DECIMALS = 1
 
 
 class InfeasibleDesignError(ValueError):
@@ -50,29 +56,26 @@ class DesignConstraints:
     k_range: tuple[float, float] = (0.1, 4.0)
     f_bw_step: float = 0.5
     k_step: float = 0.01
-    freq_step_hz: float = 2.0        # grid over the deviation band
-    harmonic_orders: tuple[int, ...] = DEFAULT_HARMONIC_ORDERS
-    sample_period: float = 50e-6
-    v_m: float = 1.0
-    # THD values are compared against the limit at this many decimals of
-    # a percent; None compares exactly.
-    thd_compare_decimals: int | None = 1
+    sample_period: float = SAMPLE_PERIOD
 
     def __post_init__(self):
+        # written so that NaN fails them too
         if not 0 < self.uthd_limit < 1:
             raise ValueError("uthd_limit must be in (0, 1)")
-        if self.delta_f < 0 or self.delta_f >= 0.5:
+        if not 0 <= self.delta_f < 0.5:
             raise ValueError("delta_f must be in [0, 0.5)")
-        if self.f_bw_range[0] > self.f_bw_range[1] or self.f_bw_range[0] <= 0:
+        if not 0 <= self.input_thd < math.inf:
+            raise ValueError("input_thd must be >= 0 and finite")
+        if not 0 < self.f_bw_range[0] <= self.f_bw_range[1] < math.inf:
             raise ValueError("invalid f_bw_range")
-        if self.k_range[0] > self.k_range[1] or self.k_range[0] <= 0:
+        if not 0 < self.k_range[0] <= self.k_range[1] < math.inf:
             raise ValueError("invalid k_range")
 
     def sweep_frequencies(self) -> list[float]:
         """Deviation-band frequency grid, band edges and nominal included."""
         lo = NOMINAL_FREQ_HZ * (1 - self.delta_f)
         hi = NOMINAL_FREQ_HZ * (1 + self.delta_f)
-        freqs = list(np.arange(lo, hi + 1e-9, self.freq_step_hz))
+        freqs = list(np.arange(lo, hi + 1e-9, BAND_FREQ_STEP_HZ))
         for f in (NOMINAL_FREQ_HZ, hi):
             if not any(abs(f - g) < 1e-9 for g in freqs):
                 freqs.append(f)
@@ -83,9 +86,7 @@ class DesignConstraints:
 
     def thd_ok(self, thd_percent: float) -> bool:
         limit = 100.0 * self.uthd_limit
-        if self.thd_compare_decimals is None:
-            return thd_percent <= limit + 1e-12
-        return round(thd_percent, self.thd_compare_decimals) <= limit + 1e-12
+        return round(thd_percent, THD_COMPARE_DECIMALS) <= limit + 1e-12
 
     def thd_threshold(self) -> float:
         """The largest THD (percent) that ``thd_ok`` accepts.
@@ -96,9 +97,7 @@ class DesignConstraints:
         scales by 10**decimals and can differ at an x.x5 boundary.
         """
         limit = 100.0 * self.uthd_limit + 1e-12
-        if self.thd_compare_decimals is None:
-            return limit
-        scale = 10.0 ** self.thd_compare_decimals
+        scale = 10.0 ** THD_COMPARE_DECIMALS
         # start at the rounding boundary above the limit, then settle on
         # the exact float where thd_ok flips
         t = (math.floor(limit * scale) + 0.5) / scale
@@ -147,7 +146,7 @@ class PllDesign:
             sample_period=float(data["sample_period_s"]),
         )
         return cls(
-            k=float(data["k"]),
+            k=HgiParams(float(data["k"])).k,  # validates k
             f_bw=float(data["f_bw_hz"]),
             pi=pi,
             t_s_hgi=float(data["t_s_hgi_s"]),
@@ -164,7 +163,6 @@ class DesignReport:
     method: str
     swept: list[tuple[float, float, float, bool]] = field(default_factory=list)
     feasible_count: int = 0
-    design: PllDesign | None = None
     # the chosen point's worst unit-vector THD over the deviation band
     # (percent) and the frequency where it occurs
     worst_thd: float = math.nan
@@ -187,31 +185,25 @@ def write_thd_grid_csv(path, rows) -> None:
             w.writerow([f"{f:g}", f"{h_pct:g}", f"{u:.4f}"])
 
 
-def steady_spec(
-    frequency_hz: float, input_thd: float,
-    orders: tuple[int, ...] = DEFAULT_HARMONIC_ORDERS,
-) -> GridSignalSpec:
+def steady_spec(frequency_hz: float, input_thd: float) -> GridSignalSpec:
     """Event-free scenario: the fundamental plus the worst-case harmonic
     profile of the given input THD (fraction)."""
-    harmonics = tuple(harmonic_profile(input_thd, orders)) if input_thd else ()
+    harmonics = tuple(harmonic_profile(input_thd)) if input_thd else ()
     return GridSignalSpec(
         fundamental_frequency=frequency_hz, harmonics=harmonics
     )
 
 
-def steady_thd(
-    k, kp, ki, frequency_hz, input_thd,
-    orders: tuple[int, ...] = DEFAULT_HARMONIC_ORDERS,
-) -> np.ndarray:
+def steady_thd(k, kp, ki, frequency_hz, input_thd) -> np.ndarray:
     """Analytical unit-vector THD (percent) of the scenarios ``steady_spec``
     describes, over a whole grid: the HGI gain ``k``, the PI gains, the
     frequencies (Hz) and the input THDs (fractions) broadcast."""
     thds = np.asarray(input_thd, dtype=float)
     # each input THD's harmonic profile; the profile's phases are all zero
-    amps = np.array([[c.amplitude for c in harmonic_profile(float(h), orders)]
+    amps = np.array([[c.amplitude for c in harmonic_profile(float(h))]
                      for h in thds.ravel()])
     harmonics = [(o, amps[:, i].reshape(thds.shape), 0.0)
-                 for i, o in enumerate(orders)]
+                 for i, o in enumerate(DEFAULT_HARMONIC_ORDERS)]
     omega = TWO_PI * np.asarray(frequency_hz, dtype=float)
     return unit_vector_thd(k, kp, ki, omega, harmonics)
 
@@ -224,10 +216,9 @@ def predicted_thd(
     constraints: DesignConstraints,
 ) -> float:
     """Analytical unit-vector THD (percent) at one grid point."""
-    pi = pi_from_bandwidth(f_bw, constraints.v_m, constraints.sample_period)
+    pi = pi_from_bandwidth(f_bw, sample_period=constraints.sample_period)
     HgiParams(k)  # validates k
-    return float(steady_thd(k, pi.kp, pi.ki, frequency_hz, input_thd,
-                            constraints.harmonic_orders))
+    return float(steady_thd(k, pi.kp, pi.ki, frequency_hz, input_thd))
 
 
 def band_worst_thd(
@@ -244,9 +235,9 @@ def band_worst_thd(
     worst = np.empty((len(f_bws), len(ks)))
     binding = np.empty((len(f_bws), len(ks)), dtype=int)
     for i, f_bw in enumerate(f_bws):
-        pi = pi_from_bandwidth(f_bw, constraints.v_m, constraints.sample_period)
+        pi = pi_from_bandwidth(f_bw, sample_period=constraints.sample_period)
         thd = steady_thd(ks[:, None], pi.kp, pi.ki, freqs,
-                         constraints.input_thd, constraints.harmonic_orders)
+                         constraints.input_thd)
         worst[i] = thd.max(axis=1)
         binding[i] = thd.argmax(axis=1)
     return worst, freqs[binding]
@@ -258,7 +249,7 @@ def build_design(
 ) -> PllDesign:
     """Design at (k, f_bw): PI gains from the bandwidth, settling times
     from the given HGI settling time and the loop bandwidth."""
-    pi = pi_from_bandwidth(f_bw, constraints.v_m, constraints.sample_period)
+    pi = pi_from_bandwidth(f_bw, sample_period=constraints.sample_period)
     t_s_srf = srf_settling_time(TWO_PI * f_bw)
     return PllDesign(
         k=k, f_bw=f_bw, pi=pi,
@@ -292,9 +283,8 @@ def mtsd_design(
     # the THD constraint tightens with bandwidth: take the highest feasible
     i = np.flatnonzero(ok)[-1]
     report.worst_thd, report.binding_hz = worst[i, 0], binding[i, 0]
-    report.design = build_design("mtsd", k_opt, float(f_bws[i]), t_s_hgi,
-                                 constraints)
-    return report.design, report
+    design = build_design("mtsd", k_opt, float(f_bws[i]), t_s_hgi, constraints)
+    return design, report
 
 
 def hc_mtsd_design(
@@ -303,8 +293,7 @@ def hc_mtsd_design(
     """Fastest design under joint deviation and input-harmonic constraints."""
     report = DesignReport(method="hc-mtsd")
     ks = k_grid(*constraints.k_range, constraints.k_step)
-    ts_hgi = np.array([settling_times(HgiParams(k), dt=DESIGN_SETTLING_DT)[2]
-                       for k in ks])
+    ts_hgi = design_settling_times(ks)
     f_bws = constraints.bandwidth_grid()
     worst, binding = band_worst_thd(ks, f_bws, constraints)
     feasible = worst <= constraints.thd_threshold()
@@ -328,9 +317,9 @@ def hc_mtsd_design(
     i = int(np.argmin(t_sd))
     j = best_k[i]
     report.worst_thd, report.binding_hz = worst[i, j], binding[i, j]
-    report.design = build_design("hc-mtsd", float(ks[j]), float(f_bws[i]),
-                                 float(ts_hgi[j]), constraints)
-    return report.design, report
+    design = build_design("hc-mtsd", float(ks[j]), float(f_bws[i]),
+                          float(ts_hgi[j]), constraints)
+    return design, report
 
 
 def save_design(design: PllDesign, path) -> None:

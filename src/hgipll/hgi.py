@@ -40,8 +40,11 @@ SETTLING_DT = 1e-6
 #: Horizon after which an unsettled response is reported as unstable.
 SETTLING_HORIZON = 1.0
 
-#: Settling-time step of both design procedures: ``k_opt_search`` and
-#: ``hc_mtsd_design`` must rank k on the same grid.
+#: Settling band, relative to the peak step response.
+SETTLING_TOLERANCE = 0.02
+
+#: Settling-time step of ``design_settling_times``, the one table both
+#: design procedures rank k on.
 DESIGN_SETTLING_DT = 2e-6
 
 
@@ -53,10 +56,10 @@ class HgiParams:
     omega0: float = NOMINAL_OMEGA0
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("k must be > 0")
-        if self.omega0 <= 0:
-            raise ValueError("omega0 must be > 0")
+        if not 0 < self.k < math.inf:
+            raise ValueError("k must be finite and > 0")
+        if not 0 < self.omega0 < math.inf:
+            raise ValueError("omega0 must be finite and > 0")
 
 
 def quadrature_gains(k, omega0, omega):
@@ -88,7 +91,7 @@ class QuadratureFilter:
     """
 
     def __init__(self, params: HgiParams, sample_period: float, arith=None):
-        if sample_period <= 0:
+        if not sample_period > 0:
             raise ValueError("sample_period must be > 0")
         if params.omega0 * sample_period >= EULER_GUARD:
             raise ValueError("sample rate too low for Euler stability")
@@ -178,11 +181,11 @@ def step_responses(params: HgiParams, t: np.ndarray) -> tuple[np.ndarray, np.nda
     return k * w0 * h2, -k * h2p
 
 
-def _settle_time(y: np.ndarray, t: np.ndarray, tolerance: float) -> float:
+def _settle_time(y: np.ndarray, t: np.ndarray) -> float:
     """Last time |y| leaves the band, referenced to the response peak;
     inf when it is still outside at the end of t."""
     mag = np.abs(y)
-    outside = mag > tolerance * mag.max()
+    outside = mag > SETTLING_TOLERANCE * mag.max()
     if not outside.any():
         return 0.0
     i = np.nonzero(outside)[0][-1]
@@ -192,17 +195,15 @@ def _settle_time(y: np.ndarray, t: np.ndarray, tolerance: float) -> float:
 
 
 def settling_times(
-    params: HgiParams, tolerance: float = 0.02, dt: float = SETTLING_DT
+    params: HgiParams, dt: float = SETTLING_DT
 ) -> tuple[float, float, float]:
     """Step-response settling times (t_s_alpha, t_s_beta, max of both).
 
     Settling is measured on the dense closed-form response: the last time
-    the output leaves the +/-tolerance band around its final value (zero,
-    both channels have no dc gain), with the band referenced to the peak
+    the output leaves the +/-2 % band around its final value (zero, both
+    channels have no dc gain), with the band referenced to the peak
     response magnitude.
     """
-    if not 0 < tolerance <= 0.2:
-        raise ValueError("tolerance must be in (0, 0.2]")
     k = params.k
     # slowest pole decay rate: zeta*w0 when underdamped, the slow real
     # pole when overdamped; 12 time constants comfortably brackets any
@@ -211,8 +212,8 @@ def settling_times(
     horizon = min(SETTLING_HORIZON, 12 / rate + 0.005)
     t = np.arange(0.0, horizon, dt)
     y_alpha, y_beta = step_responses(params, t)
-    ts_a = _settle_time(y_alpha, t, tolerance)
-    ts_b = _settle_time(y_beta, t, tolerance)
+    ts_a = _settle_time(y_alpha, t)
+    ts_b = _settle_time(y_beta, t)
     if math.isinf(max(ts_a, ts_b)):
         raise ValueError(f"the HGI step response at k = {k:g} does not "
                          f"settle within {horizon:g} s")
@@ -231,14 +232,20 @@ def k_opt_search(
     k_min, k_max = k_range
     if not 0 < k_min <= k_max:
         raise ValueError("need 0 < k_min <= k_max")
-    if resolution <= 0:
+    if not resolution > 0:
         raise ValueError("resolution must be > 0")
     ks = k_grid(k_min, k_max, resolution)
-    ts = np.array([settling_times(HgiParams(k), dt=DESIGN_SETTLING_DT)[2]
-                   for k in ks])
+    ts = design_settling_times(ks)
     # argmin returns the first minimum: ties go to the smaller k
     i = int(np.argmin(ts))
     return ks[i], float(ts[i])
+
+
+def design_settling_times(ks) -> np.ndarray:
+    """Combined settling time of every gain in ``ks`` at the design step
+    ``DESIGN_SETTLING_DT``: the table both design procedures rank k on."""
+    return np.array([settling_times(HgiParams(k), dt=DESIGN_SETTLING_DT)[2]
+                     for k in ks])
 
 
 def k_grid(k_min: float, k_max: float, resolution: float) -> np.ndarray:

@@ -43,8 +43,11 @@ class HarmonicComponent:
     def __post_init__(self):
         if self.order < 2:
             raise ScenarioError(f"harmonic order must be >= 2, got {self.order}")
-        if self.amplitude < 0:
-            raise ScenarioError("harmonic amplitude must be >= 0")
+        # written so that NaN fails them too
+        if not 0 <= self.amplitude < math.inf:
+            raise ScenarioError("harmonic amplitude must be finite and >= 0")
+        if not math.isfinite(self.phase):
+            raise ScenarioError("harmonic phase must be finite")
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,7 @@ class TimedEvent:
     value: float
 
     def __post_init__(self):
-        if self.time < 0:
+        if not self.time >= 0:
             raise ScenarioError("event time must be >= 0")
         if self.kind not in EVENT_KINDS:
             raise ScenarioError(f"unknown event kind {self.kind!r}")
@@ -79,8 +82,13 @@ class GridSignalSpec:
     events: tuple[TimedEvent, ...] = ()
 
     def __post_init__(self):
-        if self.fundamental_frequency <= 0:
-            raise ScenarioError("fundamental frequency must be > 0")
+        if not 0 < self.fundamental_frequency < math.inf:
+            raise ScenarioError("fundamental frequency must be finite and > 0")
+        values = (self.fundamental_amplitude, self.fundamental_phase,
+                  self.dc_offset)
+        if not all(map(math.isfinite, values)):
+            raise ScenarioError("fundamental amplitude, phase and dc offset "
+                                "must be finite")
         object.__setattr__(self, "harmonics", tuple(self.harmonics))
         events = tuple(sorted(self.events, key=lambda e: e.time))
         object.__setattr__(self, "events", events)
@@ -107,8 +115,8 @@ def harmonic_profile(
     equals ``input_thd`` (per-unit of a 1 pu fundamental).  Phases are
     zero; callers can replace individual components for other phases.
     """
-    if input_thd < 0:
-        raise ScenarioError("input_thd must be >= 0")
+    if not 0 <= input_thd < math.inf:
+        raise ScenarioError("input_thd must be >= 0 and finite")
     orders = tuple(orders)
     if not orders:
         raise ScenarioError("no harmonic orders")

@@ -7,6 +7,7 @@ frequency and phase estimates and the unit vectors sin/cos(theta_e).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .arith import EXACT
@@ -15,6 +16,9 @@ from .signal_model import NOMINAL_OMEGA0, TWO_PI
 #: Per-sample arithmetic budget of the loop update, trig lookups excluded.
 SRF_MULS_PER_STEP = 7
 SRF_ADDS_PER_STEP = 6
+
+#: Sample period of the published designs (20 kHz).
+SAMPLE_PERIOD = 50e-6
 
 
 @dataclass(frozen=True)
@@ -32,23 +36,23 @@ class PiParams:
     sample_period: float
 
     def __post_init__(self):
-        if self.kp <= 0 or self.ki <= 0:
-            raise ValueError("kp and ki must be > 0")
-        if self.sample_period <= 0:
-            raise ValueError("sample_period must be > 0")
+        if not (0 < self.kp < math.inf and 0 < self.ki < math.inf):
+            raise ValueError("kp and ki must be finite and > 0")
+        if not 0 < self.sample_period < math.inf:
+            raise ValueError("sample_period must be finite and > 0")
 
 
 def pi_from_bandwidth(f_bw: float, v_m: float = 1.0,
-                      sample_period: float = 50e-6) -> PiParams:
+                      sample_period: float = SAMPLE_PERIOD) -> PiParams:
     """PI gains for a target loop bandwidth.
 
     kp = w_bw / V_m and ki = kp * Ts * w_bw^2, which places the PI zero
     low enough that the closed loop settles in about 4 / w_bw.
     """
-    if f_bw <= 0:
-        raise ValueError("f_bw must be > 0")
-    if v_m <= 0:
-        raise ValueError("v_m must be > 0")
+    if not 0 < f_bw < math.inf:
+        raise ValueError("f_bw must be finite and > 0")
+    if not 0 < v_m < math.inf:
+        raise ValueError("v_m must be finite and > 0")
     w_bw = TWO_PI * f_bw
     kp = w_bw / v_m
     ki = kp * sample_period * w_bw**2
@@ -57,7 +61,7 @@ def pi_from_bandwidth(f_bw: float, v_m: float = 1.0,
 
 def srf_settling_time(omega_bw: float) -> float:
     """Settling time of the phase loop, 4 / bandwidth."""
-    if omega_bw <= 0:
+    if not omega_bw > 0:
         raise ValueError("omega_bw must be > 0")
     return 4.0 / omega_bw
 

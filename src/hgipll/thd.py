@@ -1,15 +1,14 @@
 """Closed-form unit-vector THD prediction and DFT-based measurement.
 
-Two distortion mechanisms are modelled:
-
-* A frequency deviation unbalances the HGI quadrature pair, injecting a
-  negative-sequence fundamental into the phase loop.  The resulting
-  double-frequency phase ripple puts a third harmonic of amplitude a/2
-  on the unit vectors.
-* Each input voltage harmonic reaches the loop as a positive and a
-  negative sequence component; a positive-sequence harmonic of order h
-  creates unit-vector harmonics at orders h-2 and h, a negative-sequence
-  one at h and h+2.
+One mechanism covers every distortion source.  A sequence component of
+order h beats against the positive-sequence fundamental through the loop
+gain at n*w; the phase ripple puts unit-vector harmonics on two orders:
+n = h-1 and orders h-2, h for positive sequence, n = h+1 and orders h,
+h+2 for negative sequence.  Each input voltage harmonic reaches the loop
+as both sequences.  A frequency deviation unbalances the HGI quadrature
+pair, leaving a negative-sequence fundamental (h = 1, orders 1 and 3);
+its order-1 term perturbs the fundamental amplitude and only the third
+harmonic counts.
 
 ``ripple_terms`` runs the whole pipeline array-native: every argument
 broadcasts, so one call evaluates a whole grid of gains, frequencies and
@@ -46,7 +45,7 @@ class Phasor:
     sequence: str = "positive"
 
     def __post_init__(self):
-        if self.amplitude < 0:
+        if not self.amplitude >= 0:
             raise AnalyticsError("amplitude must be >= 0")
         if self.order < 1:
             raise AnalyticsError("order must be >= 1")
@@ -111,38 +110,6 @@ def sequence_decompose(
     return positive, negative
 
 
-def _freq_dev(k, omega0, kp, ki, omega):
-    """Deviation ripple a*sin(2wt + phi), array-native.
-
-    Returns (a, phi, indeterminate); a and phi are 0 where the quadrature
-    pair is balanced (no negative sequence, no ripple).
-    """
-    g_alpha, g_beta = quadrature_gains(k, omega0, omega)
-    # v1, v2 are the halved quadrature amplitudes V1/2, V2/2
-    v1, p1 = np.abs(g_alpha) / 2, np.angle(g_alpha)
-    v2, p2 = np.abs(g_beta) / 2, np.angle(g_beta)
-    m, x = _loop_gain(kp, ki, 2 * omega)
-
-    num = v1 * np.cos(p1 + x) + v2 * np.sin(p2 + x)
-    den = v1 * np.sin(p1 + x) - v2 * np.cos(p2 + x)
-    balanced = np.abs(num) < 1e-12
-    alpha = np.cos(x) + (v1 * np.cos(p1) - v2 * np.sin(p2)) * m
-    beta = np.sin(x)
-    # arctan of (alpha + beta*nu)/(alpha*nu - beta) with nu = num/den,
-    # cleared of the division so den = 0 stays finite; the branch only
-    # flips the sign of a, which is folded into the phase
-    y = alpha * den + beta * num
-    xq = alpha * num - beta * den
-    indeterminate = ~balanced & (np.abs(y) < 1e-12) & (np.abs(xq) < 1e-12)
-    phi = np.arctan2(y, xq) - x
-    a = m * num / (
-        np.cos(phi) - m * np.cos(phi + x) * (-np.cos(p1) * v1 + np.sin(p2) * v2)
-    )
-    a, phi = _fold_sign(a, phi)
-    a, phi = np.where(balanced, 0.0, a), np.where(balanced, 0.0, phi)
-    return a, phi, indeterminate
-
-
 def _harmonic(n, v_h, gamma, v_1plus, delta, kp, ki, omega):
     """Amplitude and phase of the ripple a sequence harmonic (amplitude
     v_h, phase gamma) makes through the loop gain at n*omega, against the
@@ -172,20 +139,23 @@ def ripple_terms(
     phases of ``harmonics``, a sequence of (order, amplitude, phase), all
     broadcast against each other, so one call covers a whole grid.
 
-    Pipeline: push each input harmonic through the HGI gains, split into
-    sequence components, evaluate the sequence-harmonic ripple for each;
-    add the frequency-deviation third-harmonic term when the fundamental
-    is off nominal.  The fundamental reference for the harmonic terms is
-    the positive-sequence part of the filtered fundamental (its negative-
-    sequence part is exactly what the deviation term accounts for).
+    Pipeline: push the fundamental and each input harmonic through the
+    HGI gains, split each into sequence components and evaluate the ripple
+    of every component through ``_harmonic``.  The fundamental reference
+    is the positive-sequence part of the filtered fundamental.  The
+    deviation term is the negative-sequence part of the filtered unit
+    fundamental (amplitude 1, phase 0), with that unit fundamental's
+    positive-sequence part as its reference.
 
     Returns (output order, amplitude, phase, present) per term: the
     deviation term first, then for each harmonic its positive- and
     negative-sequence pairs.  Where a term does not arise (nominal
-    frequency, balanced quadrature, a sequence component below 1e-15)
-    ``present`` is False and its amplitude and phase are 0.
+    frequency, a sequence component below 1e-15) ``present`` is False and
+    its amplitude and phase are 0.
     """
     omega = np.asarray(omega, dtype=float)
+    if not np.isfinite(omega).all():
+        raise AnalyticsError("omega must be finite")
     terms = []
     with np.errstate(divide="ignore", invalid="ignore"):
         g_alpha, g_beta = quadrature_gains(k, omega0, omega)
@@ -197,19 +167,20 @@ def ripple_terms(
         in_range = (0.5 * omega0 < omega) & (omega < 1.5 * omega0)
         if np.any(off_nominal & ~in_range):
             raise AnalyticsError("omega_in outside supported deviation range")
-        a, phi, indeterminate = _freq_dev(k, omega0, kp, ki, omega)
-        if np.any(off_nominal & indeterminate):
-            raise AnalyticsError("ripple phase indeterminate")
-        # the phase ripple a*sin(2wt+phi) puts amplitude a/2 on the third
-        # harmonic of the unit vector
-        u3 = a / 2
-        present = off_nominal & (u3 > 0)
-        terms.append((3, np.where(present, u3, 0.0), np.where(present, phi, 0.0),
-                      present))
+        unit_p, unit_n = _sequences(g_alpha, g_beta)
+        # deviation term: of its output orders 1 and 3 only 3 is distortion
+        n, (_, order) = _beat(1, "negative")
+        a, phi = _harmonic(n, np.abs(unit_n), np.angle(unit_n), np.abs(unit_p),
+                           np.angle(unit_p), kp, ki, omega)
+        present = off_nominal & (a > 0)
+        terms.append((order, np.where(present, a, 0.0),
+                      np.where(present, phi, 0.0), present))
 
         for order, v_h, gamma in harmonics:
             if order < 2:
                 raise AnalyticsError("harmonic order must be >= 2")
+            if not np.isfinite(v_h).all():
+                raise AnalyticsError("harmonic amplitude must be finite")
             gah, gbh = quadrature_gains(k, omega0, order * omega)
             rot = np.exp(1j * gamma)
             pos, neg = _sequences(v_h * gah * rot, v_h * gbh * rot)
@@ -293,15 +264,14 @@ def measured_thd(
     fundamental_hz: float,
     sample_period: float,
     max_order: int = 50,
-    min_cycles: int = 5,
 ) -> float:
     """THD of a sampled waveform, in percent.
 
     Harmonic amplitudes come from a least-squares projection onto the
-    harmonic basis over the largest whole number of fundamental cycles at
-    the tail of the trace; the integer-cycle window keeps the fundamental
-    orthogonal to the harmonics even when a cycle is not a whole number
-    of samples.
+    harmonic basis over the largest whole number of fundamental cycles (at
+    least five) at the tail of the trace; the integer-cycle window keeps
+    the fundamental orthogonal to the harmonics even when a cycle is not a
+    whole number of samples.
 
     The fit is solved by its normal equations without forming the basis:
     with z = exp(j*w*Ts*i), one running product z**d gives the power sums
@@ -315,12 +285,12 @@ def measured_thd(
     bound and the two solutions part.
     """
     trace = np.asarray(trace, dtype=float)
-    if fundamental_hz <= 0:
+    if not fundamental_hz > 0:
         raise AnalyticsError("fundamental_hz must be > 0")
     if max_order < 2:
         raise AnalyticsError("max_order must be >= 2")
     n_cycles, n = _whole_cycle_window(trace, fundamental_hz, sample_period)
-    if n_cycles < min_cycles:
+    if n_cycles < 5:
         raise AnalyticsError("leakage window")
     window = trace[-n:]
     z = np.exp(1j * (TWO_PI * fundamental_hz * (np.arange(n) * sample_period)))

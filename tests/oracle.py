@@ -335,8 +335,8 @@ def predicted_thd(k, f_bw, frequency_hz, input_thd, constraints) -> float:
     from hgipll.design import steady_spec
     from hgipll.srf import pi_from_bandwidth
 
-    pi = pi_from_bandwidth(f_bw, constraints.v_m, constraints.sample_period)
-    spec = steady_spec(frequency_hz, input_thd, constraints.harmonic_orders)
+    pi = pi_from_bandwidth(f_bw, sample_period=constraints.sample_period)
+    spec = steady_spec(frequency_hz, input_thd)
     return total_unit_vector_thd(spec, HgiParams(k), pi)
 
 

@@ -142,9 +142,30 @@ def test_simulate_missing_design_exit_code(tmp_path):
     assert code == 3
 
 
+CLEAN = str(SCENARIOS / "clean_50hz.json")
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    """A valid design file, one with a NaN ``kp`` and a scenario with a
+    NaN fundamental frequency."""
+    tmp = tmp_path_factory.mktemp("inputs")
+    files = {name: tmp / f"{name}.json"
+             for name in ("design", "nan_design", "nan_scenario")}
+    design = build_design("inline", 1.56, 55.0,
+                          settling_times(HgiParams(1.56))[2])
+    save_design(design, files["design"])
+    files["nan_design"].write_text(
+        json.dumps({**design.to_dict(), "kp": float("nan")}))
+    scenario = json.loads((SCENARIOS / "clean_50hz.json").read_text())
+    scenario["fundamental"]["frequency_hz"] = float("nan")
+    files["nan_scenario"].write_text(json.dumps(scenario))
+    return files
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["simulate", "--scenario", str(SCENARIOS / "clean_50hz.json"),
-      "--k", "0.01", "--f-bw", "30", "--duration", "0.3"],
+    (["simulate", "--scenario", CLEAN, "--k", "0.01", "--f-bw", "30",
+      "--duration", "0.3"],
      "invalid parameters: the HGI step response at k = 0.01 does not "
      "settle within 1 s"),
     (["design", "--k-range", "0.01", "0.02"],
@@ -152,15 +173,52 @@ def test_simulate_missing_design_exit_code(tmp_path):
      "settle within 1 s"),
     (["design", "--method", "mtsd", "--input-thd", "0.05"],
      "invalid constraints: the deviation-only design requires input_thd = 0"),
-    (["simulate", "--scenario", str(SCENARIOS / "clean_50hz.json"),
-      "--k", "1.56", "--f-bw", "30", "--duration", "1e-9"],
+    (["simulate", "--scenario", CLEAN, "--k", "1.56", "--f-bw", "30",
+      "--duration", "1e-9"],
      "invalid scenario: duration must span at least one sample"),
+    # NaN and infinite values fail every range check
+    (["simulate", "--scenario", CLEAN, "--k", "nan", "--f-bw", "30"],
+     "invalid parameters: k must be finite and > 0"),
+    (["simulate", "--scenario", CLEAN, "--k", "inf", "--f-bw", "30"],
+     "invalid parameters: k must be finite and > 0"),
+    (["simulate", "--scenario", CLEAN, "--k", "1.56", "--f-bw", "nan"],
+     "invalid parameters: f_bw must be finite and > 0"),
+    (["simulate", "--scenario", CLEAN, "--k", "1.56", "--f-bw", "inf"],
+     "invalid parameters: f_bw must be finite and > 0"),
+    (["simulate", "--scenario", CLEAN, "--design", "{nan_design}"],
+     "invalid design file {nan_design}: kp and ki must be finite and > 0"),
+    (["simulate", "--scenario", "{nan_scenario}", "--design", "{design}"],
+     "invalid scenario {nan_scenario}: fundamental frequency must be finite "
+     "and > 0"),
+    (["analyze", "--scenario", "{nan_scenario}", "--design", "{design}"],
+     "invalid scenario {nan_scenario}: fundamental frequency must be finite "
+     "and > 0"),
+    (["design", "--method", "hc-mtsd", "--input-thd", "nan"],
+     "invalid constraints: input_thd must be >= 0 and finite"),
+    (["design", "--method", "hc-mtsd", "--input-thd", "inf"],
+     "invalid constraints: input_thd must be >= 0 and finite"),
+    (["sweep", "--design", "{design}", "--frequencies", "nan"],
+     "analysis failed: omega must be finite"),
+    (["sweep", "--design", "{design}", "--input-thds", "nan"],
+     "invalid scenario: input_thd must be >= 0 and finite"),
+    (["compare", "--designs", "{design}", "--frequencies", "nan"],
+     "analysis failed: omega must be finite"),
+    (["compare", "--designs", "{design}", "--input-thd", "nan"],
+     "invalid scenario: input_thd must be >= 0 and finite"),
 ], ids=["simulate-unsettled-k", "design-unsettled-k", "design-mtsd-input-thd",
-        "simulate-no-sample"])
-def test_rejected_input_exit_code(tmp_path, capsys, argv, message):
+        "simulate-no-sample", "simulate-k-nan", "simulate-k-inf",
+        "simulate-f-bw-nan", "simulate-f-bw-inf", "simulate-design-kp-nan",
+        "simulate-scenario-frequency-nan", "analyze-scenario-frequency-nan",
+        "design-input-thd-nan", "design-input-thd-inf",
+        "sweep-frequencies-nan", "sweep-input-thds-nan",
+        "compare-frequencies-nan", "compare-input-thd-nan"])
+def test_rejected_input_exit_code(tmp_path, capsys, input_files, argv,
+                                  message):
     out = tmp_path / "out"
+    argv = [a.format(**input_files) for a in argv]
     assert main([*argv, "--out", str(out)]) == 3
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message}\n".format(
+        **input_files)
     assert not out.exists()
 
 

@@ -59,6 +59,9 @@ def test_invalid_params():
         HgiParams(0.0)
     with pytest.raises(ValueError):
         HgiParams(1.0, -1.0)
+    for args in ((math.nan,), (math.inf,), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            HgiParams(*args)
 
 
 def test_discrete_filter_tracks_continuous_response():

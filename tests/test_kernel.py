@@ -26,7 +26,7 @@ from hgipll import (
     predicted_thd,
     total_unit_vector_thd,
 )
-from hgipll.design import band_worst_thd, steady_thd
+from hgipll.design import THD_COMPARE_DECIMALS, band_worst_thd, steady_thd
 from hgipll.hgi import k_grid, settling_times
 from hgipll.thd import ripple_terms
 
@@ -125,6 +125,25 @@ def test_scalar_ripple_functions_match_oracle():
                 for t in want]
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.floats(0.1, 4.0),
+    f_bw=st.floats(5.0, 100.0),
+    rel_freq=st.floats(0.5, 1.5, exclude_min=True, exclude_max=True),
+)
+def test_deviation_term_matches_oracle(k, f_bw, rel_freq):
+    # the order-3 deviation term alone, against the old closed form
+    pi = pi_from_bandwidth(f_bw)
+    omega = W0 * rel_freq
+    [(order, u3, phi, _)] = ripple_terms(k, pi.kp, pi.ki, omega)
+    rterm, ru3 = oracle.freq_dev_ripple(HgiParams(k), pi, omega)
+    assert order == rterm.output_order == 3
+    assert float(u3) == pytest.approx(ru3, rel=0, abs=1e-13)
+    if u3 > 1e-12:
+        assert math.remainder(float(phi) - rterm.phi, 2 * math.pi) == (
+            pytest.approx(0.0, abs=1e-9))
+
+
 def test_grid_evaluation_matches_single_points():
     c = DesignConstraints()
     pi = pi_from_bandwidth(55.0)
@@ -150,8 +169,6 @@ def test_settling_times_equal_complex_oracle(dt):
 
 @pytest.mark.parametrize("kwargs", [
     {}, {"uthd_limit": 0.015}, {"uthd_limit": 0.0123},
-    {"thd_compare_decimals": 2}, {"thd_compare_decimals": 0},
-    {"thd_compare_decimals": None},
 ])
 def test_thd_threshold_is_thd_ok(kwargs):
     c = DesignConstraints(**kwargs)
@@ -200,7 +217,7 @@ def test_feasibility_mask_matches_thd_ok_at_rounding_boundaries(constraints, ks)
     worst, _ = band_worst_thd(ks, f_bws, constraints)
     assert np.array_equal(worst, cube.max(axis=2))
     mask = cube <= constraints.thd_threshold()
-    picked = _rounding_sample(cube, constraints.thd_compare_decimals)
+    picked = _rounding_sample(cube, THD_COMPARE_DECIMALS)
     assert len(picked) >= min(cube.size, 200)
     for i, j, m in zip(*np.unravel_index(picked, cube.shape)):
         want = oracle.predicted_thd(float(ks[j]), f_bws[i], freqs[m],

@@ -124,6 +124,11 @@ def test_harmonic_profile_zero_thd():
 @pytest.mark.parametrize("bad", [
     dict(fundamental_frequency=0.0),
     dict(fundamental_frequency=-50.0),
+    dict(fundamental_frequency=math.nan),
+    dict(fundamental_frequency=math.inf),
+    dict(fundamental_amplitude=math.nan),
+    dict(fundamental_phase=math.inf),
+    dict(dc_offset=-math.inf),
 ])
 def test_invalid_spec_rejected(bad):
     with pytest.raises(ScenarioError):
@@ -135,6 +140,9 @@ def test_invalid_harmonic_rejected():
         HarmonicComponent(1, 0.1)
     with pytest.raises(ScenarioError):
         HarmonicComponent(3, -0.1)
+    for amplitude, phase in ((math.nan, 0.0), (math.inf, 0.0), (0.1, math.nan)):
+        with pytest.raises(ScenarioError, match="must be finite"):
+            HarmonicComponent(3, amplitude, phase)
 
 
 def test_invalid_event_rejected():

@@ -36,6 +36,10 @@ def test_settling_time_is_4_over_bandwidth():
 def test_invalid_params():
     with pytest.raises(ValueError):
         PiParams(0.0, 1.0, TS)
+    for kp, ki, ts in ((math.nan, 1.0, TS), (1.0, math.inf, TS),
+                       (1.0, 1.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            PiParams(kp, ki, ts)
     with pytest.raises(ValueError):
         pi_from_bandwidth(-1.0)
     with pytest.raises(ValueError):

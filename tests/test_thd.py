@@ -114,6 +114,8 @@ def test_harmonic_ripple_rejects_bad_input():
         harmonic_terms(1, 0.01)
     with pytest.raises(AnalyticsError, match="no fundamental reference"):
         harmonic_terms(3, 0.01, fundamental=0.0)
+    with pytest.raises(AnalyticsError, match="harmonic amplitude must be finite"):
+        harmonic_terms(3, math.nan)
 
 
 def test_total_thd_zero_for_clean_nominal():
