@@ -40,6 +40,10 @@ BAND_FREQ_STEP_HZ = 2.0
 #: Decimals of a percent at which THD is compared against the limit.
 THD_COMPARE_DECIMALS = 1
 
+#: Largest number of (bandwidth, k, frequency) points ``band_worst_thd``
+#: passes to the THD kernel in one call.
+THD_SLAB_POINTS = 2 ** 15
+
 
 class InfeasibleDesignError(ValueError):
     """No parameter combination satisfies the THD constraint."""
@@ -228,18 +232,24 @@ def band_worst_thd(
     input THD, and the frequency (Hz) where it occurs, for every
     (bandwidth, k): two (f_bw x k) arrays.
 
-    The (bandwidth x k x frequency) cube is evaluated one bandwidth row at
-    a time, so memory stays at one (k x frequency) slab.
+    The (bandwidth x k x frequency) cube is evaluated in slabs of whole
+    bandwidth rows, at most ``THD_SLAB_POINTS`` points each (at least one
+    row), so memory stays bounded whatever the grid.
     """
     freqs = np.array(constraints.sweep_frequencies())
+    pis = [pi_from_bandwidth(f_bw, sample_period=constraints.sample_period)
+           for f_bw in f_bws]
+    kp = np.array([pi.kp for pi in pis])[:, None, None]
+    ki = np.array([pi.ki for pi in pis])[:, None, None]
     worst = np.empty((len(f_bws), len(ks)))
     binding = np.empty((len(f_bws), len(ks)), dtype=int)
-    for i, f_bw in enumerate(f_bws):
-        pi = pi_from_bandwidth(f_bw, sample_period=constraints.sample_period)
-        thd = steady_thd(ks[:, None], pi.kp, pi.ki, freqs,
+    rows = max(1, THD_SLAB_POINTS // (len(ks) * len(freqs)))
+    for i in range(0, len(f_bws), rows):
+        slab = slice(i, i + rows)
+        thd = steady_thd(ks[:, None], kp[slab], ki[slab], freqs,
                          constraints.input_thd)
-        worst[i] = thd.max(axis=1)
-        binding[i] = thd.argmax(axis=1)
+        worst[slab] = thd.max(axis=2)
+        binding[slab] = thd.argmax(axis=2)
     return worst, freqs[binding]
 
 

@@ -10,6 +10,12 @@ Both have zero dc gain, which is what rejects input dc offsets.  This
 module provides the continuous-domain frequency response, a forward-Euler
 discrete realization, closed-form step-response settling times and the
 search for the gain k with the fastest settling.
+
+Settling is read off a dense grid of 12 slow-pole time constants, but the
+decaying exponential envelope of the step response bounds where the peak
+and the last exit from the settling band can lie: only the grid prefix up
+to that bracket (about 35-40 % of it) is evaluated, and the settle
+instants are the same grid points as on the whole grid.
 """
 
 from __future__ import annotations
@@ -181,9 +187,54 @@ def step_responses(params: HgiParams, t: np.ndarray) -> tuple[np.ndarray, np.nda
     return k * w0 * h2, -k * h2p
 
 
+def _bracket(params: HgiParams, t: np.ndarray, dt: float) -> int:
+    """Length of the prefix of the uniform grid ``t`` that holds the peak
+    and the last band exit of both step responses.
+
+    Both responses lie under an envelope C*e^(-rate*t): with the pole
+    pair -sigma +/- j*wd, |y_alpha| <= (k*w0/wd)*e^(-sigma*t) and
+    |y_beta| <= k*sqrt(1 + (sigma/wd)^2)*e^(-sigma*t); with real poles
+    r2 < r1 < 0, |y_alpha| <= k*w0/(r1 - r2)*e^(r1*t) and
+    |y_beta| <= k*(|r1| + |r2|)/(r1 - r2)*e^(r1*t).  Past the time where
+    C*e^(-rate*t) drops to the band around a lower bound P of the peak
+    (|y_beta(0)| = k; |y_alpha| at the grid point nearest its first
+    peak), every grid point is inside the band and below the peak, so
+    the prefix gives the same peak and the same last exit.  The repeated
+    root gets the whole grid.
+    """
+    w0, k = params.omega0, params.k
+    disc = (k * w0) ** 2 - 4 * w0 * w0
+    root = math.sqrt(abs(disc))
+    sigma = k * w0 / 2
+    if root < 1e-9 * w0:
+        return len(t)
+    if disc < 0:
+        wd = root / 2
+        rate = sigma
+        c_alpha, c_beta = k * w0 / wd, k * math.hypot(1.0, sigma / wd)
+        t_peak = math.atan2(wd, sigma) / wd
+    else:
+        r1, r2 = -sigma + root / 2, -sigma - root / 2
+        rate = -r1
+        c_alpha = k * w0 / (r1 - r2)
+        c_beta = k * (abs(r1) + abs(r2)) / (r1 - r2)
+        t_peak = math.log(r2 / r1) / (r1 - r2)
+    j = min(round(t_peak / dt), len(t) - 1)
+    peak_alpha = abs(float(step_responses(params, t[j:j + 1])[0][0]))
+    if not peak_alpha > 0:
+        # a grid too coarse to sample the alpha peak gives no lower bound
+        return len(t)
+    # the 1e-9 margin and two extra points absorb rounding in the
+    # evaluated responses, the envelope and the grid
+    ratio = max(c_alpha / peak_alpha, c_beta / k) * (1 + 1e-9)
+    n = math.ceil(math.log(ratio / SETTLING_TOLERANCE) / rate / dt) + 2
+    return min(n, len(t))
+
+
 def _settle_time(y: np.ndarray, t: np.ndarray) -> float:
     """Last time |y| leaves the band, referenced to the response peak;
-    inf when it is still outside at the end of t."""
+    ``y`` covers a prefix of ``t``.  inf when the last exit is at the end
+    of t."""
     mag = np.abs(y)
     outside = mag > SETTLING_TOLERANCE * mag.max()
     if not outside.any():
@@ -202,7 +253,12 @@ def settling_times(
     Settling is measured on the dense closed-form response: the last time
     the output leaves the +/-2 % band around its final value (zero, both
     channels have no dc gain), with the band referenced to the peak
-    response magnitude.
+    response magnitude.  The grid ``np.arange(0, horizon, dt)`` spans 12
+    slow-pole time constants (at most ``SETTLING_HORIZON``); the responses
+    are evaluated only on its prefix up to the envelope bracket of
+    ``_bracket``, which holds both peaks and both last band exits, so the
+    result equals that of the whole grid.  A response still outside the
+    band at the end of the whole grid raises ``ValueError``.
     """
     k = params.k
     # slowest pole decay rate: zeta*w0 when underdamped, the slow real
@@ -211,7 +267,7 @@ def settling_times(
     rate = 0.5 * (k - math.sqrt(max(k * k - 4.0, 0.0))) * params.omega0
     horizon = min(SETTLING_HORIZON, 12 / rate + 0.005)
     t = np.arange(0.0, horizon, dt)
-    y_alpha, y_beta = step_responses(params, t)
+    y_alpha, y_beta = step_responses(params, t[:_bracket(params, t, dt)])
     ts_a = _settle_time(y_alpha, t)
     ts_b = _settle_time(y_beta, t)
     if math.isinf(max(ts_a, ts_b)):

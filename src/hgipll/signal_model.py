@@ -68,6 +68,8 @@ class TimedEvent:
             raise ScenarioError("event time must be >= 0")
         if self.kind not in EVENT_KINDS:
             raise ScenarioError(f"unknown event kind {self.kind!r}")
+        if not math.isfinite(self.value):
+            raise ScenarioError("event value must be finite")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,10 @@ sin/cos/dc sample basis, which the package solves by normal equations.
 ``run`` is the closed loop stepped on numpy scalars and recorded by
 per-sample array indexing, and ``write_trace_csv`` the ``np.savetxt``
 form of ``SimTrace.write_csv``; the package steps and writes on Python
-floats.
+floats.  ``settling_times`` evaluates the whole 12-time-constant grid,
+which the package brackets by the step-response envelope, and
+``band_worst_thd`` evaluates the THD cube one bandwidth row at a time,
+where the package takes slabs of rows.
 """
 
 from __future__ import annotations
@@ -338,6 +341,24 @@ def predicted_thd(k, f_bw, frequency_hz, input_thd, constraints) -> float:
     pi = pi_from_bandwidth(f_bw, sample_period=constraints.sample_period)
     spec = steady_spec(frequency_hz, input_thd)
     return total_unit_vector_thd(spec, HgiParams(k), pi)
+
+
+def band_worst_thd(ks, f_bws, constraints):
+    """``design.band_worst_thd`` one bandwidth row at a time: the worst
+    band THD (percent) and its frequency (Hz) per (bandwidth, k)."""
+    from hgipll.design import steady_thd
+    from hgipll.srf import pi_from_bandwidth
+
+    freqs = np.array(constraints.sweep_frequencies())
+    worst = np.empty((len(f_bws), len(ks)))
+    binding = np.empty((len(f_bws), len(ks)), dtype=int)
+    for i, f_bw in enumerate(f_bws):
+        pi = pi_from_bandwidth(f_bw, sample_period=constraints.sample_period)
+        thd = steady_thd(ks[:, None], pi.kp, pi.ki, freqs,
+                         constraints.input_thd)
+        worst[i] = thd.max(axis=1)
+        binding[i] = thd.argmax(axis=1)
+    return worst, freqs[binding]
 
 
 def _feasible(k, f_bw, input_thd, freqs, constraints) -> bool:

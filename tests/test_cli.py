@@ -147,11 +147,12 @@ CLEAN = str(SCENARIOS / "clean_50hz.json")
 
 @pytest.fixture(scope="module")
 def input_files(tmp_path_factory):
-    """A valid design file, one with a NaN ``kp`` and a scenario with a
-    NaN fundamental frequency."""
+    """A valid design file, one with a NaN ``kp``, a scenario with a NaN
+    fundamental frequency and two with a NaN event value."""
     tmp = tmp_path_factory.mktemp("inputs")
     files = {name: tmp / f"{name}.json"
-             for name in ("design", "nan_design", "nan_scenario")}
+             for name in ("design", "nan_design", "nan_scenario",
+                          "nan_phase_jump", "nan_frequency_step")}
     design = build_design("inline", 1.56, 55.0,
                           settling_times(HgiParams(1.56))[2])
     save_design(design, files["design"])
@@ -160,6 +161,11 @@ def input_files(tmp_path_factory):
     scenario = json.loads((SCENARIOS / "clean_50hz.json").read_text())
     scenario["fundamental"]["frequency_hz"] = float("nan")
     files["nan_scenario"].write_text(json.dumps(scenario))
+    scenario = json.loads((SCENARIOS / "phase_jump_90deg.json").read_text())
+    for kind in ("phase_jump", "frequency_step"):
+        scenario["events"] = [{"time_s": 0.5, "kind": kind,
+                               "value": float("nan")}]
+        files[f"nan_{kind}"].write_text(json.dumps(scenario))
     return files
 
 
@@ -193,6 +199,12 @@ def input_files(tmp_path_factory):
     (["analyze", "--scenario", "{nan_scenario}", "--design", "{design}"],
      "invalid scenario {nan_scenario}: fundamental frequency must be finite "
      "and > 0"),
+    (["simulate", "--scenario", "{nan_phase_jump}", "--k", "1.56", "--f-bw",
+      "29.5", "--duration", "0.7"],
+     "invalid scenario {nan_phase_jump}: event value must be finite"),
+    (["simulate", "--scenario", "{nan_frequency_step}", "--k", "1.56",
+      "--f-bw", "29.5", "--duration", "0.7"],
+     "invalid scenario {nan_frequency_step}: event value must be finite"),
     (["design", "--method", "hc-mtsd", "--input-thd", "nan"],
      "invalid constraints: input_thd must be >= 0 and finite"),
     (["design", "--method", "hc-mtsd", "--input-thd", "inf"],
@@ -209,6 +221,7 @@ def input_files(tmp_path_factory):
         "simulate-no-sample", "simulate-k-nan", "simulate-k-inf",
         "simulate-f-bw-nan", "simulate-f-bw-inf", "simulate-design-kp-nan",
         "simulate-scenario-frequency-nan", "analyze-scenario-frequency-nan",
+        "simulate-phase-jump-nan", "simulate-frequency-step-nan",
         "design-input-thd-nan", "design-input-thd-inf",
         "sweep-frequencies-nan", "sweep-input-thds-nan",
         "compare-frequencies-nan", "compare-input-thd-nan"])

@@ -167,6 +167,28 @@ def test_settling_times_equal_complex_oracle(dt):
             params, dt=dt)
 
 
+def test_settling_times_equal_oracle_on_whole_grids():
+    # every k of the design grid at the design step, and a dense band
+    # around the repeated root (k = 2) at the finer default step
+    for k in k_grid(0.1, 4.0, 0.01):
+        params = HgiParams(float(k))
+        assert settling_times(params, dt=2e-6) == oracle.settling_times(
+            params, dt=2e-6), k
+    near_critical = np.concatenate([
+        np.linspace(1.95, 2.05, 101), 2.0 + np.array([-1e-6, -1e-9, 1e-9, 1e-6])])
+    for k in near_critical:
+        params = HgiParams(float(k))
+        assert settling_times(params, dt=1e-6) == oracle.settling_times(
+            params, dt=1e-6), k
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.floats(0.1, 4.0), dt=st.sampled_from([1e-6, 2e-6]))
+def test_settling_times_equal_oracle_property(k, dt):
+    params = HgiParams(k)
+    assert settling_times(params, dt=dt) == oracle.settling_times(params, dt=dt)
+
+
 @pytest.mark.parametrize("kwargs", [
     {}, {"uthd_limit": 0.015}, {"uthd_limit": 0.0123},
 ])
@@ -224,6 +246,20 @@ def test_feasibility_mask_matches_thd_ok_at_rounding_boundaries(constraints, ks)
                                     constraints.input_thd, constraints)
         assert mask[i, j, m] == constraints.thd_ok(want), (f_bws[i], ks[j],
                                                           freqs[m], want)
+
+
+@pytest.mark.parametrize("constraints,ks", [
+    (DesignConstraints(delta_f=0.08, uthd_limit=0.01), np.array([1.56])),
+    (DesignConstraints(delta_f=0.08, input_thd=0.05, uthd_limit=0.01),
+     k_grid(0.1, 4.0, 0.01)),
+], ids=["criterion2", "criterion3"])
+def test_band_worst_thd_slabs_equal_per_row_oracle(constraints, ks):
+    # criterion 2 fits one slab; criterion 3 takes several, the last partial
+    f_bws = constraints.bandwidth_grid()
+    worst, binding = band_worst_thd(ks, f_bws, constraints)
+    want_worst, want_binding = oracle.band_worst_thd(ks, f_bws, constraints)
+    assert np.array_equal(worst, want_worst)
+    assert np.array_equal(binding, want_binding)
 
 
 def _same_rows(got, want):
