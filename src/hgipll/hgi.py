@@ -14,8 +14,9 @@ search for the gain k with the fastest settling.
 Settling is read off a dense grid of 12 slow-pole time constants, but the
 decaying exponential envelope of the step response bounds where the peak
 and the last exit from the settling band can lie: only the grid prefix up
-to that bracket (about 35-40 % of it) is evaluated, and the settle
-instants are the same grid points as on the whole grid.
+to that bracket (about a third of it; all of it at the repeated root
+k = 2) is evaluated, and the settle instants are the same grid points as
+on the whole grid.
 """
 
 from __future__ import annotations
@@ -253,12 +254,11 @@ def settling_times(
     Settling is measured on the dense closed-form response: the last time
     the output leaves the +/-2 % band around its final value (zero, both
     channels have no dc gain), with the band referenced to the peak
-    response magnitude.  The grid ``np.arange(0, horizon, dt)`` spans 12
-    slow-pole time constants (at most ``SETTLING_HORIZON``); the responses
-    are evaluated only on its prefix up to the envelope bracket of
-    ``_bracket``, which holds both peaks and both last band exits, so the
-    result equals that of the whole grid.  A response still outside the
-    band at the end of the whole grid raises ``ValueError``.
+    response magnitude.  Of the grid of 12 slow-pole time constants only
+    the prefix ``_bracket`` finds to hold both peaks and last band exits
+    is evaluated, so the result equals that of the whole grid; a response
+    still outside the band at the end of the whole grid raises
+    ``ValueError``.
     """
     k = params.k
     # slowest pole decay rate: zeta*w0 when underdamped, the slow real

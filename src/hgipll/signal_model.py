@@ -64,8 +64,8 @@ class TimedEvent:
     value: float
 
     def __post_init__(self):
-        if not self.time >= 0:
-            raise ScenarioError("event time must be >= 0")
+        if not 0 <= self.time < math.inf:
+            raise ScenarioError("event time must be finite and >= 0")
         if self.kind not in EVENT_KINDS:
             raise ScenarioError(f"unknown event kind {self.kind!r}")
         if not math.isfinite(self.value):

@@ -148,11 +148,13 @@ CLEAN = str(SCENARIOS / "clean_50hz.json")
 @pytest.fixture(scope="module")
 def input_files(tmp_path_factory):
     """A valid design file, one with a NaN ``kp``, a scenario with a NaN
-    fundamental frequency and two with a NaN event value."""
+    fundamental frequency, two with a NaN event value and one with an
+    infinite event time."""
     tmp = tmp_path_factory.mktemp("inputs")
     files = {name: tmp / f"{name}.json"
              for name in ("design", "nan_design", "nan_scenario",
-                          "nan_phase_jump", "nan_frequency_step")}
+                          "nan_phase_jump", "nan_frequency_step",
+                          "inf_event_time")}
     design = build_design("inline", 1.56, 55.0,
                           settling_times(HgiParams(1.56))[2])
     save_design(design, files["design"])
@@ -166,6 +168,9 @@ def input_files(tmp_path_factory):
         scenario["events"] = [{"time_s": 0.5, "kind": kind,
                                "value": float("nan")}]
         files[f"nan_{kind}"].write_text(json.dumps(scenario))
+    scenario["events"] = [{"time_s": float("inf"), "kind": "phase_jump",
+                           "value": 1.0}]
+    files["inf_event_time"].write_text(json.dumps(scenario))
     return files
 
 
@@ -205,6 +210,9 @@ def input_files(tmp_path_factory):
     (["simulate", "--scenario", "{nan_frequency_step}", "--k", "1.56",
       "--f-bw", "29.5", "--duration", "0.7"],
      "invalid scenario {nan_frequency_step}: event value must be finite"),
+    (["simulate", "--scenario", "{inf_event_time}", "--k", "1.56", "--f-bw",
+      "29.5", "--duration", "0.7"],
+     "invalid scenario {inf_event_time}: event time must be finite and >= 0"),
     (["design", "--method", "hc-mtsd", "--input-thd", "nan"],
      "invalid constraints: input_thd must be >= 0 and finite"),
     (["design", "--method", "hc-mtsd", "--input-thd", "inf"],
@@ -222,6 +230,7 @@ def input_files(tmp_path_factory):
         "simulate-f-bw-nan", "simulate-f-bw-inf", "simulate-design-kp-nan",
         "simulate-scenario-frequency-nan", "analyze-scenario-frequency-nan",
         "simulate-phase-jump-nan", "simulate-frequency-step-nan",
+        "simulate-event-time-inf",
         "design-input-thd-nan", "design-input-thd-inf",
         "sweep-frequencies-nan", "sweep-input-thds-nan",
         "compare-frequencies-nan", "compare-input-thd-nan"])

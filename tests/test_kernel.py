@@ -180,6 +180,11 @@ def test_settling_times_equal_oracle_on_whole_grids():
         params = HgiParams(float(k))
         assert settling_times(params, dt=1e-6) == oracle.settling_times(
             params, dt=1e-6), k
+    # at k = 4 a 10 ms grid puts its point nearest the alpha peak at t = 0
+    for k in (0.1, 1.56, 4.0):
+        params = HgiParams(k)
+        assert settling_times(params, dt=0.01) == oracle.settling_times(
+            params, dt=0.01), k
 
 
 @settings(max_examples=60, deadline=None)
