@@ -174,8 +174,8 @@ def test_settling_times_equal_oracle_on_whole_grids():
         params = HgiParams(float(k))
         assert settling_times(params, dt=2e-6) == oracle.settling_times(
             params, dt=2e-6), k
-    near_critical = np.concatenate([
-        np.linspace(1.95, 2.05, 101), 2.0 + np.array([-1e-6, -1e-9, 1e-9, 1e-6])])
+    near_critical = np.concatenate([np.linspace(1.95, 2.05, 101),
+                                    2.0 + np.array([-1e-6, -1e-9, 1e-9, 1e-6])])
     for k in near_critical:
         params = HgiParams(float(k))
         assert settling_times(params, dt=1e-6) == oracle.settling_times(
@@ -191,7 +191,8 @@ def test_settling_times_equal_oracle_on_whole_grids():
 @given(k=st.floats(0.1, 4.0), dt=st.sampled_from([1e-6, 2e-6]))
 def test_settling_times_equal_oracle_property(k, dt):
     params = HgiParams(k)
-    assert settling_times(params, dt=dt) == oracle.settling_times(params, dt=dt)
+    assert settling_times(params, dt=dt) == oracle.settling_times(params,
+                                                                  dt=dt)
 
 
 @pytest.mark.parametrize("kwargs", [
