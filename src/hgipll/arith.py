@@ -5,6 +5,16 @@ A policy provides ``coeff`` (applied once per coefficient), ``signal``,
 to (sin, cos)), ``quantize_input`` (over the whole sampled input) and a
 ``saturations`` count.  ``EXACT`` is plain float64; ``Fixed16Arithmetic``
 emulates a 16-bit DSP; ``ArithmeticMode.policy()`` picks one per run.
+
+A fixed16 quantizer rounds y = x * scale half to even as
+``(y + 1.5 * 2**52) - 1.5 * 2**52``: while |y| < 2**51 the sum lies where
+adjacent float64 values are exactly 1 apart, so the result equals
+``round(y)``.  One check of that result against the word's rails passes
+every in-range value, all of which lie in the exact range.  Anything
+else (past a rail, |y| >= 2**51, inf or NaN) is handed to ``round(y)``,
+which raises ``OverflowError`` or ``ValueError`` for inf and NaN, and is
+then saturated and counted.  The phase word is not saturated: its 52 bits
+end at -2**51 and 2**51 - 1, past which it returns ``round(y) / scale``.
 """
 
 from __future__ import annotations
@@ -39,6 +49,8 @@ class ExactArithmetic:
 
 EXACT = ExactArithmetic()
 
+_ROUNDER = 1.5 * 2.0 ** 52   # (y + _ROUNDER) - _ROUNDER rounds y, see above
+
 
 class Fixed16Arithmetic:
     """Emulated 16-bit fixed-point arithmetic with saturation.
@@ -50,6 +62,9 @@ class Fixed16Arithmetic:
     limit-cycle.  Coefficients are rounded to a 16-bit mantissa at a
     per-coefficient binary scale, as a DSP implementation would store
     them.  Saturations are counted.
+
+    ``signal``, ``accumulator``, ``phase`` and ``trig`` are closures
+    built once per policy by ``_quantizer`` and ``_lut_trig``.
     """
 
     PHASE_FRACTION_BITS = 28
@@ -62,26 +77,38 @@ class Fixed16Arithmetic:
         self._sig_scale = float(1 << fraction_bits)
         self._sig_max = (2 ** 15 - 1) / self._sig_scale
         self._sig_min = -(2 ** 15) / self._sig_scale
-        self._ph_scale = float(1 << self.PHASE_FRACTION_BITS)
-        self._acc_scale = float(1 << (self.ACCUMULATOR_BITS - 2))
-        self._acc_max = (2 ** 31 - 1) / self._acc_scale
-        self._acc_min = -(2 ** 31) / self._acc_scale
-        idx = np.arange(self.LUT_SIZE) * (TWO_PI / self.LUT_SIZE)
-        # lists, so that a lookup yields a Python float, not a numpy scalar
-        self._sin_lut = (np.round(np.sin(idx) * self._sig_scale)
-                         / self._sig_scale).tolist()
-        self._cos_lut = (np.round(np.cos(idx) * self._sig_scale)
-                         / self._sig_scale).tolist()
+        self.signal = self._quantizer(self._sig_scale, 16)
+        self.accumulator = self._quantizer(
+            float(1 << (self.ACCUMULATOR_BITS - 2)), self.ACCUMULATOR_BITS)
+        # the phase word never saturates; its 52 bits end where the
+        # rounding stops being exact
+        self.phase = self._quantizer(
+            float(1 << self.PHASE_FRACTION_BITS), 52, saturate=False)
+        self.trig = self._lut_trig()
 
-    def signal(self, x: float) -> float:
-        q = round(x * self._sig_scale) / self._sig_scale
-        if q > self._sig_max:
+    def _quantizer(self, scale: float, bits: int, saturate: bool = True):
+        """Round ``x * scale`` half to even onto a ``bits``-bit two's
+        complement word and return it in units of 1/``scale``.
+
+        Past the word's rails a saturating quantizer returns the rail and
+        counts it; the phase quantizer returns ``round(x * scale) / scale``
+        unsaturated.  Both call ``round`` there first, so inf and NaN
+        raise ``OverflowError`` and ``ValueError``.
+        """
+        lo, hi = -float(2 ** (bits - 1)), float(2 ** (bits - 1) - 1)
+
+        def quantize(x: float) -> float:
+            y = x * scale
+            q = (y + _ROUNDER) - _ROUNDER
+            if lo <= q <= hi:
+                return q / scale
+            r = round(y)
+            if not saturate:
+                return r / scale
             self.saturations += 1
-            return self._sig_max
-        if q < self._sig_min:
-            self.saturations += 1
-            return self._sig_min
-        return q
+            return (hi if r > hi else lo) / scale
+
+        return quantize
 
     def quantize_input(self, v: np.ndarray) -> np.ndarray:
         """The signal quantizer over a whole input array, as the ADC
@@ -93,40 +120,40 @@ class Fixed16Arithmetic:
             np.clip(v, self._sig_min, self._sig_max) * self._sig_scale
         ) / self._sig_scale
 
-    def accumulator(self, x: float) -> float:
-        q = round(x * self._acc_scale) / self._acc_scale
-        if q > self._acc_max:
-            self.saturations += 1
-            return self._acc_max
-        if q < self._acc_min:
-            self.saturations += 1
-            return self._acc_min
-        return q
-
-    def phase(self, x: float) -> float:
-        return round(x * self._ph_scale) / self._ph_scale
-
     @staticmethod
     def coeff(x: float) -> float:
-        """Round to a 16-bit mantissa at the value's own binary scale."""
-        if x == 0:
-            return 0.0
+        """Round to a 16-bit mantissa at the value's own binary scale; a
+        zero or non-finite value is returned unchanged."""
+        if x == 0 or not math.isfinite(x):
+            return x
         exp = math.ceil(math.log2(abs(x) / (2 ** 15 - 0.5)))
         scale = 2.0 ** -exp
         return round(x * scale) / scale
 
-    def trig(self, theta: float) -> tuple[float, float]:
+    def _lut_trig(self):
         """Table lookup with linear interpolation, as DSP firmware does;
         a raw 1024-entry staircase would put ~0.3 Hz of phase-detector
-        noise on the frequency estimate."""
+        noise on the frequency estimate.  The slope to the next entry is
+        tabulated with each entry."""
         n = self.LUT_SIZE
-        pos = (theta * (n / TWO_PI)) % n
-        i = int(pos)
-        frac = pos - i
-        j = (i + 1) % n
-        s = self._sin_lut[i] + frac * (self._sin_lut[j] - self._sin_lut[i])
-        c = self._cos_lut[i] + frac * (self._cos_lut[j] - self._cos_lut[i])
-        return self.signal(s), self.signal(c)
+        idx = np.arange(n) * (TWO_PI / n)
+        sin = np.round(np.sin(idx) * self._sig_scale) / self._sig_scale
+        cos = np.round(np.cos(idx) * self._sig_scale) / self._sig_scale
+        # lists, so that a lookup yields a Python float, not a numpy scalar
+        d_sin = (np.roll(sin, -1) - sin).tolist()
+        d_cos = (np.roll(cos, -1) - cos).tolist()
+        sin, cos = sin.tolist(), cos.tolist()
+        per_rad = n / TWO_PI
+        signal = self.signal
+
+        def trig(theta: float) -> tuple[float, float]:
+            pos = (theta * per_rad) % n
+            i = int(pos)
+            frac = pos - i
+            return (signal(sin[i] + frac * d_sin[i]),
+                    signal(cos[i] + frac * d_cos[i]))
+
+        return trig
 
 
 @dataclass(frozen=True)

@@ -104,10 +104,11 @@ class QuadratureFilter:
             raise ValueError("sample rate too low for Euler stability")
         self.params = params
         self.sample_period = sample_period
-        self._q = arith if arith is not None else EXACT
-        self._k = self._q.coeff(params.k)
-        self._c1 = self._q.coeff(params.k * params.omega0 * sample_period)
-        self._c2 = self._q.coeff(params.omega0 * sample_period)
+        q = arith if arith is not None else EXACT
+        self._signal = q.signal
+        self._k = q.coeff(params.k)
+        self._c1 = q.coeff(params.k * params.omega0 * sample_period)
+        self._c2 = q.coeff(params.omega0 * sample_period)
         self._x1 = 0.0
         self._x2 = 0.0
 
@@ -130,7 +131,7 @@ class HgiFilter(QuadratureFilter):
 
     def step(self, v_g):
         """Advance one sample; returns (v_alpha, v_beta)."""
-        q = self._q.signal
+        q = self._signal
         x1, x2 = self._x1, self._x2
         u = v_g - x1                       # alpha-path input summer
         r = v_g - x1                       # beta-path input summer
@@ -149,7 +150,7 @@ class BasicSogiFilter(QuadratureFilter):
     """
 
     def step(self, v_g):
-        q = self._q.signal
+        q = self._signal
         x1, x2 = self._x1, self._x2
         u = v_g - x1
         self._x1 = q(x1 + self._c1 * u - self._c2 * x2)

@@ -56,7 +56,8 @@ class TimedEvent:
 
     ``phase_jump`` adds ``value`` radians to the running phase; the other
     kinds set the fundamental frequency (Hz), fundamental amplitude (pu)
-    or dc offset (pu) to ``value``.
+    or dc offset (pu) to ``value``; a frequency must be > 0, as the
+    fundamental's is.
     """
 
     time: float
@@ -70,6 +71,8 @@ class TimedEvent:
             raise ScenarioError(f"unknown event kind {self.kind!r}")
         if not math.isfinite(self.value):
             raise ScenarioError("event value must be finite")
+        if self.kind == "frequency_step" and not self.value > 0:
+            raise ScenarioError("frequency_step value must be > 0")
 
 
 @dataclass(frozen=True)

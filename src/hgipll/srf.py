@@ -82,13 +82,16 @@ class SrfPll:
                  arith=None):
         self.pi = pi
         self.omega0 = omega0
-        self._q = arith if arith is not None else EXACT
-        self._trig = getattr(self._q, "trig", EXACT.trig)
+        q = arith if arith is not None else EXACT
+        self._trig = getattr(q, "trig", EXACT.trig)
+        self._signal = q.signal
+        self._accumulator = q.accumulator
+        self._phase = q.phase
         ts = pi.sample_period
-        self._kp_pu = self._q.coeff(pi.kp / omega0)
-        self._ki_pu = self._q.coeff(pi.ki * ts / omega0)
+        self._kp_pu = q.coeff(pi.kp / omega0)
+        self._ki_pu = q.coeff(pi.ki * ts / omega0)
         # nominal phase increment per sample
-        self._c_w = self._q.coeff(omega0 * ts)
+        self._c_w = q.coeff(omega0 * ts)
         self.reset()
 
     def reset(self, theta=0.0, accumulator=0.0):
@@ -105,15 +108,15 @@ class SrfPll:
 
     def step(self, v_alpha, v_beta):
         """Advance one sample; returns the unit vectors (sin, cos) used."""
-        q = self._q
+        signal = self._signal
         s, c = self._trig(self.theta)
         # Park transform; with v_alpha = sin(theta), v_beta = -cos(theta)
         # the d axis carries the phase error
-        v_d = q.signal(v_alpha * c + v_beta * s)
-        v_q = q.signal(v_beta * c - v_alpha * s)
-        acc = q.accumulator(self.accumulator + self._ki_pu * v_d)
-        dev = q.signal(self._kp_pu * v_d + acc)
-        theta = q.phase(self.theta + self._c_w + self._c_w * dev)
+        v_d = signal(v_alpha * c + v_beta * s)
+        v_q = signal(v_beta * c - v_alpha * s)
+        acc = self._accumulator(self.accumulator + self._ki_pu * v_d)
+        dev = signal(self._kp_pu * v_d + acc)
+        theta = self._phase(self.theta + self._c_w + self._c_w * dev)
         if theta >= TWO_PI:
             theta -= TWO_PI              # subtraction wrap, fixed-point safe
         elif theta < 0.0:

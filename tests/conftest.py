@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 from hgipll import (
     HgiParams,
@@ -9,6 +10,11 @@ from hgipll import (
     settling_times,
     srf_settling_time,
 )
+
+# the properties run whole kernels and loops per example, which can
+# outlast hypothesis's 200 ms per-example deadline on a busy machine
+settings.register_profile("hgipll", deadline=None)
+settings.load_profile("hgipll")
 
 
 class OpCounter:

@@ -7,7 +7,8 @@ package evaluates the same closed forms array-native; the tests compare
 the two.  ``measured_thd`` is the least-squares fit on the explicit
 sin/cos/dc sample basis, which the package solves by normal equations.
 ``run`` is the closed loop stepped on numpy scalars and recorded by
-per-sample array indexing, and ``write_trace_csv`` the ``np.savetxt``
+per-sample array indexing, in fixed16 through ``Fixed16Reference``'s
+``round()``-based quantizers, and ``write_trace_csv`` the ``np.savetxt``
 form of ``SimTrace.write_csv``; the package steps and writes on Python
 floats.  ``settling_times`` evaluates the whole 12-time-constant grid,
 which the package brackets by the step-response envelope, and
@@ -445,6 +446,61 @@ def measured_thd(trace, fundamental_hz, sample_period, max_order=50,
     return float(100.0 * math.sqrt(np.sum(amps[1:] ** 2)) / amps[0])
 
 
+class Fixed16Reference(Fixed16Arithmetic):
+    """The fixed16 policy with ``round()``-based quantizers: each rounds
+    ``x * scale`` by ``round``, divides back and compares the quotient
+    with the rails; ``trig`` interpolates between numpy-array LUT entries
+    and so yields numpy scalars.  ``coeff`` and ``quantize_input`` are the
+    package's."""
+
+    def __init__(self, fraction_bits: int = 14):
+        super().__init__(fraction_bits)
+        self._ph_scale = float(1 << self.PHASE_FRACTION_BITS)
+        self._acc_scale = float(1 << (self.ACCUMULATOR_BITS - 2))
+        self._acc_max = (2 ** 31 - 1) / self._acc_scale
+        self._acc_min = -(2 ** 31) / self._acc_scale
+        idx = np.arange(self.LUT_SIZE) * (TWO_PI / self.LUT_SIZE)
+        self._sin_lut = (np.round(np.sin(idx) * self._sig_scale)
+                         / self._sig_scale)
+        self._cos_lut = (np.round(np.cos(idx) * self._sig_scale)
+                         / self._sig_scale)
+        self.signal, self.accumulator = self._signal, self._accumulator
+        self.phase, self.trig = self._phase, self._trig
+
+    def _signal(self, x: float) -> float:
+        q = round(x * self._sig_scale) / self._sig_scale
+        if q > self._sig_max:
+            self.saturations += 1
+            return self._sig_max
+        if q < self._sig_min:
+            self.saturations += 1
+            return self._sig_min
+        return q
+
+    def _accumulator(self, x: float) -> float:
+        q = round(x * self._acc_scale) / self._acc_scale
+        if q > self._acc_max:
+            self.saturations += 1
+            return self._acc_max
+        if q < self._acc_min:
+            self.saturations += 1
+            return self._acc_min
+        return q
+
+    def _phase(self, x: float) -> float:
+        return round(x * self._ph_scale) / self._ph_scale
+
+    def _trig(self, theta: float) -> tuple[float, float]:
+        n = self.LUT_SIZE
+        pos = (theta * (n / TWO_PI)) % n
+        i = int(pos)
+        frac = pos - i
+        j = (i + 1) % n
+        s = self._sin_lut[i] + frac * (self._sin_lut[j] - self._sin_lut[i])
+        c = self._cos_lut[i] + frac * (self._cos_lut[j] - self._cos_lut[i])
+        return self._signal(s), self._signal(c)
+
+
 def run(spec: GridSignalSpec, design, duration: float,
         mode: ArithmeticMode = FLOAT64, topology: str = "hgi") -> SimTrace:
     """The closed loop driven one ``np.float64`` input sample at a time,
@@ -452,11 +508,8 @@ def run(spec: GridSignalSpec, design, duration: float,
     ts = design.pi.sample_period
     v_g = synthesize(spec, ts, duration)
     n = len(v_g)
-    arith = mode.policy()
-    if isinstance(arith, Fixed16Arithmetic):
-        # table lookups yield numpy scalars, as the arrays did
-        arith._sin_lut = np.asarray(arith._sin_lut)
-        arith._cos_lut = np.asarray(arith._cos_lut)
+    arith = (Fixed16Reference(mode.fraction_bits) if mode.mode == "fixed16"
+             else mode.policy())
     v_g = arith.quantize_input(v_g)
     filt_cls = HgiFilter if topology == "hgi" else BasicSogiFilter
     filt = filt_cls(design.hgi, ts, arith=arith)

@@ -147,19 +147,25 @@ CLEAN = str(SCENARIOS / "clean_50hz.json")
 
 @pytest.fixture(scope="module")
 def input_files(tmp_path_factory):
-    """A valid design file, one with a NaN ``kp``, a scenario with a NaN
-    fundamental frequency, two with a NaN event value and one with an
-    infinite event time."""
+    """A valid design file, one with a NaN ``kp``, two with an HGI gain
+    whose coefficient k·ω0·Ts is huge (1e305) or overflows (1e306), a
+    scenario with a NaN fundamental frequency, two with a NaN event value,
+    one with an infinite event time and two with a frequency step to 0 Hz
+    and below."""
     tmp = tmp_path_factory.mktemp("inputs")
     files = {name: tmp / f"{name}.json"
-             for name in ("design", "nan_design", "nan_scenario",
-                          "nan_phase_jump", "nan_frequency_step",
-                          "inf_event_time")}
+             for name in ("design", "nan_design", "k1e305_design",
+                          "k1e306_design", "nan_scenario", "nan_phase_jump",
+                          "nan_frequency_step", "inf_event_time",
+                          "zero_frequency_step", "negative_frequency_step")}
     design = build_design("inline", 1.56, 55.0,
                           settling_times(HgiParams(1.56))[2])
     save_design(design, files["design"])
     files["nan_design"].write_text(
         json.dumps({**design.to_dict(), "kp": float("nan")}))
+    for k in ("1e305", "1e306"):
+        files[f"k{k}_design"].write_text(
+            json.dumps({**design.to_dict(), "k": float(k)}))
     scenario = json.loads((SCENARIOS / "clean_50hz.json").read_text())
     scenario["fundamental"]["frequency_hz"] = float("nan")
     files["nan_scenario"].write_text(json.dumps(scenario))
@@ -171,6 +177,10 @@ def input_files(tmp_path_factory):
     scenario["events"] = [{"time_s": float("inf"), "kind": "phase_jump",
                            "value": 1.0}]
     files["inf_event_time"].write_text(json.dumps(scenario))
+    for name, f in (("zero", 0.0), ("negative", -50.0)):
+        scenario["events"] = [{"time_s": 0.5, "kind": "frequency_step",
+                               "value": f}]
+        files[f"{name}_frequency_step"].write_text(json.dumps(scenario))
     return files
 
 
@@ -213,6 +223,15 @@ def input_files(tmp_path_factory):
     (["simulate", "--scenario", "{inf_event_time}", "--k", "1.56", "--f-bw",
       "29.5", "--duration", "0.7"],
      "invalid scenario {inf_event_time}: event time must be finite and >= 0"),
+    # a frequency step to 0 Hz or below, as the fundamental is refused
+    (["simulate", "--scenario", "{zero_frequency_step}", "--k", "1.56",
+      "--f-bw", "29.5", "--duration", "0.7"],
+     "invalid scenario {zero_frequency_step}: frequency_step value must be "
+     "> 0"),
+    (["simulate", "--scenario", "{negative_frequency_step}", "--k", "1.56",
+      "--f-bw", "29.5", "--duration", "0.7"],
+     "invalid scenario {negative_frequency_step}: frequency_step value must "
+     "be > 0"),
     (["design", "--method", "hc-mtsd", "--input-thd", "nan"],
      "invalid constraints: input_thd must be >= 0 and finite"),
     (["design", "--method", "hc-mtsd", "--input-thd", "inf"],
@@ -230,7 +249,8 @@ def input_files(tmp_path_factory):
         "simulate-f-bw-nan", "simulate-f-bw-inf", "simulate-design-kp-nan",
         "simulate-scenario-frequency-nan", "analyze-scenario-frequency-nan",
         "simulate-phase-jump-nan", "simulate-frequency-step-nan",
-        "simulate-event-time-inf",
+        "simulate-event-time-inf", "simulate-frequency-step-zero",
+        "simulate-frequency-step-negative",
         "design-input-thd-nan", "design-input-thd-inf",
         "sweep-frequencies-nan", "sweep-input-thds-nan",
         "compare-frequencies-nan", "compare-input-thd-nan"])
@@ -242,6 +262,32 @@ def test_rejected_input_exit_code(tmp_path, capsys, input_files, argv,
     assert capsys.readouterr().err == f"error: {message}\n".format(
         **input_files)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("design, mode, sample", [
+    ("k1e305_design", "float64", 3),
+    ("k1e305_design", "fixed16", 2),
+    # k·ω0·Ts overflows to inf: fixed16 keeps it, as float64 does, and
+    # the sample loop reports the divergence
+    ("k1e306_design", "float64", 1),
+    ("k1e306_design", "fixed16", 0),
+])
+def test_simulate_coefficient_overflow_exit_code(tmp_path, capsys,
+                                                 input_files, design, mode,
+                                                 sample):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([
+            "simulate", "--scenario", CLEAN, "--design",
+            str(input_files[design]), "--mode", mode, "--duration", "0.2",
+            "--out", str(out),
+        ])
+    assert code == 4
+    assert capsys.readouterr().err == (
+        f"error: numerical divergence at sample {sample} "
+        f"(t = {sample * 50e-6:.6g} s)\n")
+    assert not (out / "metrics.json").exists()
 
 
 def test_analyze_breakdown(tmp_path, capsys):

@@ -38,7 +38,7 @@ harmonics = st.lists(
     st.tuples(st.integers(2, 25), st.floats(0.0, 0.2), phases), max_size=5)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     k=st.floats(0.1, 4.0),
     f_bw=st.floats(5.0, 100.0),
@@ -125,7 +125,7 @@ def test_scalar_ripple_functions_match_oracle():
                 for t in want]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     k=st.floats(0.1, 4.0),
     f_bw=st.floats(5.0, 100.0),
@@ -187,7 +187,7 @@ def test_settling_times_equal_oracle_on_whole_grids():
             params, dt=0.01), k
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(k=st.floats(0.1, 4.0), dt=st.sampled_from([1e-6, 2e-6]))
 def test_settling_times_equal_oracle_property(k, dt):
     params = HgiParams(k)

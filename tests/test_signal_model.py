@@ -150,6 +150,10 @@ def test_invalid_event_rejected():
         TimedEvent(-1.0, "phase_jump", 0.1)
     with pytest.raises(ScenarioError):
         TimedEvent(0.1, "voltage_sag", 0.1)
+    # a frequency step to 0 Hz or below leaves no fundamental to track
+    for f in (0.0, -0.0, -50.0):
+        with pytest.raises(ScenarioError, match="must be > 0"):
+            TimedEvent(0.1, "frequency_step", f)
 
 
 def test_scenario_round_trip(tmp_path):

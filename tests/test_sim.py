@@ -1,9 +1,12 @@
+import dataclasses
 import math
+import struct
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle
 from hgipll import (
@@ -154,6 +157,13 @@ def test_run_matches_oracle_loop_with_saturations(hc_like):
     assert _assert_run_matches_oracle(spec, hc_like, 0.1, FIXED16) > 0
 
 
+def test_run_matches_oracle_loop_at_huge_gain(hc_like):
+    # k = 1e300 drives the filter states into their rails on most samples
+    design = dataclasses.replace(hc_like, k=1e300)
+    assert _assert_run_matches_oracle(
+        GridSignalSpec(), design, 0.01, FIXED16) == 596
+
+
 def test_rerun_bit_identical(mtsd_like):
     spec = GridSignalSpec(fundamental_frequency=46.0,
                           harmonics=tuple(harmonic_profile(0.05)))
@@ -217,6 +227,72 @@ def test_fixed16_quantization_and_saturation():
     assert arith.saturations == 2
 
 
+#: scale and word width of each fixed16 quantizer kind; the phase word
+#: does not saturate, and its 52 bits mark where the add-and-subtract
+#: rounding stops being exact (|x * scale| >= 2**51)
+QUANTIZER_KINDS = {
+    "signal": (lambda fraction_bits: 2.0 ** fraction_bits, 16),
+    "accumulator": (lambda fraction_bits: 2.0 ** 30, 32),
+    "phase": (lambda fraction_bits: 2.0 ** 28, 52),
+}
+
+
+def _quantizer_inputs(scale, bits):
+    """x around the word of ``bits`` bits at ``scale``: zeros, half-LSB
+    ties, the rails to within an LSB, past them, |x * scale| >= 2**51,
+    inf, NaN and any float."""
+    rails = st.sampled_from([-(2.0 ** (bits - 1)), 2.0 ** (bits - 1) - 1])
+    wide = st.floats(1.0, 2.0 ** 10)
+    scaled = st.one_of(
+        st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+        st.integers(-(2 ** 52), 2 ** 52 - 1).map(lambda n: n + 0.5),
+        st.builds(lambda r, d: r + d, rails, st.floats(-1.0, 1.0)),
+        st.builds(lambda r, w: r * w, rails, wide),
+        st.builds(lambda sign, w: sign * 2.0 ** 51 * w,
+                  st.sampled_from([-1.0, 1.0]), wide),
+        st.floats(-2.0 ** 51, 2.0 ** 51),
+    )
+    return st.one_of(scaled.map(lambda y: y / scale), st.floats())
+
+
+def _outcome(f, x):
+    """The bits of ``f(x)`` (one float or a tuple), or the exception type."""
+    try:
+        y = f(x)
+    except (OverflowError, ValueError, IndexError) as exc:
+        return type(exc)
+    return struct.pack(f"<{len(y)}d", *y) if isinstance(y, tuple) else (
+        struct.pack("<d", y))
+
+
+@pytest.mark.parametrize("fraction_bits", [8, 14, 15])
+@pytest.mark.parametrize("kind", sorted(QUANTIZER_KINDS))
+@settings(max_examples=100)
+@given(data=st.data())
+def test_fixed16_quantizer_matches_reference(kind, fraction_bits, data):
+    scale_of, bits = QUANTIZER_KINDS[kind]
+    xs = data.draw(st.lists(
+        _quantizer_inputs(scale_of(fraction_bits), bits), max_size=12))
+    got = Fixed16Arithmetic(fraction_bits)
+    want = oracle.Fixed16Reference(fraction_bits)
+    for x in xs:
+        assert (_outcome(getattr(got, kind), x)
+                == _outcome(getattr(want, kind), x)), x
+    assert got.saturations == want.saturations
+
+
+@pytest.mark.parametrize("fraction_bits", [8, 14, 15])
+@settings(max_examples=100)
+@given(thetas=st.lists(st.one_of(st.floats(0.0, 2 * math.pi), st.floats()),
+                       max_size=20))
+def test_fixed16_trig_matches_reference(fraction_bits, thetas):
+    got = Fixed16Arithmetic(fraction_bits)
+    want = oracle.Fixed16Reference(fraction_bits)
+    for theta in thetas:
+        assert _outcome(got.trig, theta) == _outcome(want.trig, theta), theta
+    assert got.saturations == want.saturations
+
+
 def test_fixed16_quantize_input_matches_signal_and_clips():
     arith = Fixed16Arithmetic()
     v = np.sin(np.linspace(0.0, 6.0, 257)) * 1.3 + 0.01
@@ -262,6 +338,23 @@ def test_fixed16_coeff_keeps_16_bit_mantissa():
     c = Fixed16Arithmetic.coeff(0.0157079)
     assert c == pytest.approx(0.0157079, rel=2**-15)
     assert Fixed16Arithmetic.coeff(0.0) == 0.0
+    # a non-finite coefficient is kept, as in float64, for the loop to catch
+    assert Fixed16Arithmetic.coeff(math.inf) == math.inf
+    assert Fixed16Arithmetic.coeff(-math.inf) == -math.inf
+    assert math.isnan(Fixed16Arithmetic.coeff(math.nan))
+
+
+@pytest.mark.parametrize("k, sample, cause", [
+    (1e305, 2, OverflowError),   # the states overflow in the quantizer
+    (1e306, 0, ValueError),      # k·ω0·Ts is inf, and inf·0 is NaN
+])
+def test_fixed16_huge_gain_diverges(hc_like, k, sample, cause):
+    design = dataclasses.replace(hc_like, k=k)
+    with pytest.raises(SimulationError,
+                       match=rf"^numerical divergence at sample {sample} "
+                             rf"\(t = {sample * TS:.6g} s\)$") as info:
+        run(GridSignalSpec(), design, 0.01, FIXED16)
+    assert isinstance(info.value.__cause__, cause)
 
 
 def test_fixed16_trig_accuracy():

@@ -178,7 +178,7 @@ def test_measured_thd_short_trace_rejected():
         measured_thd(np.sin(2 * np.pi * 50 * t), 50.0, TS)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     f=st.floats(40.0, 70.0),
     ts_frac=st.floats(0.0, 1.0),
