@@ -239,14 +239,16 @@ QUANTIZER_KINDS = {
 
 def _quantizer_inputs(scale, bits):
     """x around the word of ``bits`` bits at ``scale``: zeros, half-LSB
-    ties, the rails to within an LSB, past them, |x * scale| >= 2**51,
-    inf, NaN and any float."""
+    ties, the rails to within a few LSB, far past them, |x * scale| >=
+    2**51, inf, NaN and any float."""
     rails = st.sampled_from([-(2.0 ** (bits - 1)), 2.0 ** (bits - 1) - 1])
+    near = st.one_of(st.floats(-4.0, 4.0),
+                     st.integers(-8, 8).map(lambda n: n / 2))
     wide = st.floats(1.0, 2.0 ** 10)
     scaled = st.one_of(
         st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
         st.integers(-(2 ** 52), 2 ** 52 - 1).map(lambda n: n + 0.5),
-        st.builds(lambda r, d: r + d, rails, st.floats(-1.0, 1.0)),
+        st.builds(lambda r, d: r + d, rails, near),
         st.builds(lambda r, w: r * w, rails, wide),
         st.builds(lambda sign, w: sign * 2.0 ** 51 * w,
                   st.sampled_from([-1.0, 1.0]), wide),
