@@ -87,14 +87,9 @@ class Fixed16Arithmetic:
         self.trig = self._lut_trig()
 
     def _quantizer(self, scale: float, bits: int, saturate: bool = True):
-        """Round ``x * scale`` half to even onto a ``bits``-bit two's
-        complement word and return it in units of 1/``scale``.
-
-        Past the word's rails a saturating quantizer returns the rail and
-        counts it; the phase quantizer returns ``round(x * scale) / scale``
-        unsaturated.  Both call ``round`` there first, so inf and NaN
-        raise ``OverflowError`` and ``ValueError``.
-        """
+        """x rounded onto a ``bits``-bit word at ``scale`` (see the module
+        docstring); past the rails it saturates and counts, or with
+        ``saturate=False`` returns ``round(x * scale) / scale``."""
         lo, hi = -float(2 ** (bits - 1)), float(2 ** (bits - 1) - 1)
 
         def quantize(x: float) -> float:
