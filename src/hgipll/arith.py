@@ -121,9 +121,12 @@ class Fixed16Arithmetic:
         zero or non-finite value is returned unchanged."""
         if x == 0 or not math.isfinite(x):
             return x
-        exp = math.ceil(math.log2(abs(x) / (2 ** 15 - 0.5)))
-        scale = 2.0 ** -exp
-        return round(x * scale) / scale
+        m, e = math.frexp(x)  # x = m * 2**e, 0.5 <= |m| < 1
+        q = round(math.ldexp(m, 15))
+        if abs(q) == 2 ** 15:  # m rounded up out of 16 bits: one bit less
+            q, e = q // 2, e + 1
+        # past 2**1024 (within half an LSB of the float64 top) it is inf
+        return math.ldexp(q, e - 15) if e <= 1024 else math.copysign(math.inf, x)
 
     def _lut_trig(self):
         """Table lookup with linear interpolation, as DSP firmware does;
@@ -145,6 +148,7 @@ class Fixed16Arithmetic:
             pos = (theta * per_rad) % n
             i = int(pos)
             frac = pos - i
+            i %= n  # pos rounds up to n for a theta just below 0
             return (signal(sin[i] + frac * d_sin[i]),
                     signal(cos[i] + frac * d_cos[i]))
 

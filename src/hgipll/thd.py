@@ -10,10 +10,15 @@ pair, leaving a negative-sequence fundamental (h = 1, orders 1 and 3);
 its order-1 term perturbs the fundamental amplitude and only the third
 harmonic counts.
 
+Each term is one complex phasor a*exp(j*phi) of the unit-vector harmonic
+a*sin(order*w*t + phi): z*G / (2*(1 + Re(v1+)*G)), with z the sequence
+component, G = ki/(n*w)^2 + j*kp/(n*w) the loop gain at n*w and v1+ the
+positive-sequence fundamental reference.
+
 ``ripple_terms`` runs the whole pipeline array-native: every argument
 broadcasts, so one call evaluates a whole grid of gains, frequencies and
-harmonic profiles; ``unit_vector_thd`` phasor-sums the terms that land on
-the same output order.  ``total_unit_vector_thd`` and
+harmonic profiles; ``unit_vector_thd`` sums the phasors that land on the
+same output order.  ``total_unit_vector_thd`` and
 ``harmonic_breakdown`` evaluate one scenario through the same code.
 ``measured_thd`` is the independent check on simulated traces.
 """
@@ -57,16 +62,6 @@ class Phasor:
         return self.amplitude * cmath.exp(1j * self.phase)
 
 
-def _loop_gain(kp, ki, omega):
-    """Magnitude and phase of -(kp + ki/s)/s at s = j*omega.
-
-    That gain is ki/omega^2 + j*kp/omega; array-native.
-    """
-    re = ki / (omega * omega)
-    im = kp / omega
-    return np.hypot(re, im), np.arctan2(im, re)
-
-
 def _sequences(v_alpha, v_beta):
     """Positive- and negative-sequence alpha phasors of an alpha/beta pair."""
     return (v_alpha + 1j * v_beta) / 2, (v_alpha - 1j * v_beta) / 2
@@ -77,14 +72,6 @@ def _beat(h: int, sequence: str) -> tuple[int, tuple[int, int]]:
     if sequence == "positive":
         return h - 1, (h - 2, h)
     return h + 1, (h, h + 2)
-
-
-def _fold_sign(a, phi):
-    """|a|, with a negative sign folded into the phase as +pi and the phase
-    reduced to [-pi, pi] as math.remainder(phi, 2*pi) does."""
-    r = np.fmod(np.where(a < 0, phi + math.pi, phi), TWO_PI)
-    r = np.where(r > math.pi, r - TWO_PI, np.where(r < -math.pi, r + TWO_PI, r))
-    return np.abs(a), r
 
 
 def sequence_decompose(
@@ -110,28 +97,19 @@ def sequence_decompose(
     return positive, negative
 
 
-def _harmonic(n, v_h, gamma, v_1plus, delta, kp, ki, omega):
-    """Amplitude and phase of the ripple a sequence harmonic (amplitude
-    v_h, phase gamma) makes through the loop gain at n*omega, against the
-    fundamental reference (v_1plus, delta); array-native."""
-    m, x = _loop_gain(kp, ki, n * omega)
-    a_h_coef = m * v_1plus * np.cos(delta)
-    alpha_h = 1 + a_h_coef * np.cos(x)
-    beta_h = a_h_coef * np.sin(x)
-    c = x + gamma
-    sin_c, cos_c = np.sin(c), np.cos(c)
-    # cot(c) reformulated through atan2 to stay finite at c = n*pi
-    phi_h = np.arctan2(alpha_h * sin_c - beta_h * cos_c,
-                       beta_h * sin_c + alpha_h * cos_c)
-    a_h = (0.5 * v_h * m * cos_c) / (
-        np.cos(phi_h) + a_h_coef * np.cos(phi_h + x))
-    return _fold_sign(a_h, phi_h)
+def _ripple(n, z, v1p, kp, ki, omega):
+    """Ripple phasor a*exp(j*phi) that a sequence component ``z`` makes
+    through the loop gain G at n*omega against the fundamental reference
+    ``v1p``: z*G / (2*(1 + Re(v1p)*G)); array-native."""
+    w = n * omega
+    g = ki / (w * w) + 1j * (kp / w)  # -(kp + ki/s)/s at s = j*w
+    return z * g / (2 * (1 + v1p.real * g))
 
 
 def ripple_terms(
     k, kp, ki, omega, harmonics=(), amplitude=1.0, phase=0.0,
     omega0: float = NOMINAL_OMEGA0,
-) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """All unit-vector ripple terms of steady-state scenarios, array-native.
 
     ``k`` (HGI gain), ``kp``/``ki`` (PI gains), ``omega`` (fundamental,
@@ -141,17 +119,18 @@ def ripple_terms(
 
     Pipeline: push the fundamental and each input harmonic through the
     HGI gains, split each into sequence components and evaluate the ripple
-    of every component through ``_harmonic``.  The fundamental reference
+    of every component through ``_ripple``.  The fundamental reference
     is the positive-sequence part of the filtered fundamental.  The
     deviation term is the negative-sequence part of the filtered unit
     fundamental (amplitude 1, phase 0), with that unit fundamental's
     positive-sequence part as its reference.
 
-    Returns (output order, amplitude, phase, present) per term: the
+    Returns (output order, phasor, present) per term, the phasor
+    a*exp(j*phi) of the unit-vector harmonic a*sin(order*w*t + phi): the
     deviation term first, then for each harmonic its positive- and
     negative-sequence pairs.  Where a term does not arise (nominal
     frequency, a sequence component below 1e-15) ``present`` is False and
-    its amplitude and phase are 0.
+    its phasor is 0.
     """
     omega = np.asarray(omega, dtype=float)
     if not np.isfinite(omega).all():
@@ -161,7 +140,6 @@ def ripple_terms(
         g_alpha, g_beta = quadrature_gains(k, omega0, omega)
         rot = np.exp(1j * phase)
         v1p, _ = _sequences(amplitude * g_alpha * rot, amplitude * g_beta * rot)
-        v_1plus, delta = np.abs(v1p), np.angle(v1p)
 
         off_nominal = np.abs(omega - omega0) > 1e-9
         in_range = (0.5 * omega0 < omega) & (omega < 1.5 * omega0)
@@ -170,11 +148,9 @@ def ripple_terms(
         unit_p, unit_n = _sequences(g_alpha, g_beta)
         # deviation term: of its output orders 1 and 3 only 3 is distortion
         n, (_, order) = _beat(1, "negative")
-        a, phi = _harmonic(n, np.abs(unit_n), np.angle(unit_n), np.abs(unit_p),
-                           np.angle(unit_p), kp, ki, omega)
-        present = off_nominal & (a > 0)
-        terms.append((order, np.where(present, a, 0.0),
-                      np.where(present, phi, 0.0), present))
+        r = _ripple(n, unit_n, unit_p, kp, ki, omega)
+        present = off_nominal & (r != 0)
+        terms.append((order, np.where(present, r, 0j), present))
 
         for order, v_h, gamma in harmonics:
             if order < 2:
@@ -187,20 +163,18 @@ def ripple_terms(
             for z, sequence in ((pos, "positive"), (neg, "negative")):
                 n, orders = _beat(order, sequence)
                 present = np.abs(z) >= 1e-15
-                if np.any(present & (v_1plus <= 0)):
+                if np.any(present & (v1p == 0)):
                     raise AnalyticsError("no fundamental reference")
-                a, phi = _harmonic(n, np.abs(z), np.angle(z), v_1plus, delta,
-                                   kp, ki, omega)
-                a, phi = np.where(present, a, 0.0), np.where(present, phi, 0.0)
-                terms.extend((o, a, phi, present) for o in orders)
+                r = np.where(present, _ripple(n, z, v1p, kp, ki, omega), 0j)
+                terms.extend((o, r, present) for o in orders)
     return terms
 
 
 def _by_order(terms) -> dict[int, np.ndarray]:
-    """Phasor sum a*exp(j*phi) of the ripple terms per output order."""
+    """Sum of the ripple phasors per output order."""
     by_order: dict[int, np.ndarray] = {}
-    for order, a, phi, _ in terms:
-        by_order[order] = by_order.get(order, 0) + a * np.exp(1j * phi)
+    for order, r, _ in terms:
+        by_order[order] = by_order.get(order, 0) + r
     return by_order
 
 
@@ -243,7 +217,7 @@ def harmonic_breakdown(
     """Per-order (order, amplitude, phase) table of unit-vector ripple,
     over the orders that receive at least one ripple term."""
     terms = ripple_terms(*_steady_args(spec, hgi, pi))
-    present = {o for o, _, _, p in terms if p}
+    present = {o for o, _, p in terms if p}
     return [
         (o, float(abs(z)), float(np.angle(z)))
         for o, z in sorted(_by_order(terms).items()) if o in present

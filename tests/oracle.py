@@ -4,11 +4,17 @@ These are the point-by-point forms of the analytical unit-vector THD
 pipeline and of the HGI step-response settling times, written with
 Python complex scalars and the complex-exponential step response.  The
 package evaluates the same closed forms array-native; the tests compare
-the two.  ``measured_thd`` is the least-squares fit on the explicit
-sin/cos/dc sample basis, which the package solves by normal equations.
-``run`` is the closed loop stepped on numpy scalars and recorded by
-per-sample array indexing, in fixed16 through ``Fixed16Reference``'s
-``round()``-based quantizers, and ``write_trace_csv`` the ``np.savetxt``
+the two.  Only here does a ripple term live in magnitude/phase form
+(``freq_dev_ripple``, ``harmonic_ripple``): its amplitude and phase are
+rebuilt by sin/cos/atan2 and a sign fold, where the package takes one
+complex phasor.  That form divides two factors that vanish together
+where cos(x + gamma) = 0, so near there it agrees with the package only
+to about 1e-16/|cos(x + gamma)| relative.  ``measured_thd`` is the
+least-squares fit on the explicit sin/cos/dc sample basis, which the
+package solves by normal equations.  ``run`` is the closed loop stepped
+on numpy scalars and recorded by per-sample array indexing, in fixed16
+through ``Fixed16Reference``'s ``round()``-based quantizers and
+``log2``-based ``coeff``, and ``write_trace_csv`` the ``np.savetxt``
 form of ``SimTrace.write_csv``; the package steps and writes on Python
 floats.  ``settling_times`` evaluates the whole 12-time-constant grid,
 which the package brackets by the step-response envelope, and
@@ -450,8 +456,8 @@ class Fixed16Reference(Fixed16Arithmetic):
     """The fixed16 policy with ``round()``-based quantizers: each rounds
     ``x * scale`` by ``round``, divides back and compares the quotient
     with the rails; ``trig`` interpolates between numpy-array LUT entries
-    and so yields numpy scalars.  ``coeff`` and ``quantize_input`` are the
-    package's."""
+    and so yields numpy scalars.  ``coeff`` finds the binary scale by
+    ``log2``.  ``quantize_input`` is the package's."""
 
     def __init__(self, fraction_bits: int = 14):
         super().__init__(fraction_bits)
@@ -466,6 +472,17 @@ class Fixed16Reference(Fixed16Arithmetic):
                          / self._sig_scale)
         self.signal, self.accumulator = self._signal, self._accumulator
         self.phase, self.trig = self._phase, self._trig
+
+    @staticmethod
+    def coeff(x: float) -> float:
+        """The smallest binary scale whose scaled |x| rounds into 16 bits,
+        by ``log2``: below about 1e-319 ``log2`` raises ``ValueError``,
+        below about 2**-1009 the scale raises ``OverflowError``."""
+        if x == 0 or not math.isfinite(x):
+            return x
+        exp = math.ceil(math.log2(abs(x) / (2 ** 15 - 0.5)))
+        scale = 2.0 ** -exp
+        return round(x * scale) / scale
 
     def _signal(self, x: float) -> float:
         q = round(x * self._sig_scale) / self._sig_scale
@@ -495,6 +512,7 @@ class Fixed16Reference(Fixed16Arithmetic):
         pos = (theta * (n / TWO_PI)) % n
         i = int(pos)
         frac = pos - i
+        i %= n  # pos rounds up to n for a theta just below 0
         j = (i + 1) % n
         s = self._sin_lut[i] + frac * (self._sin_lut[j] - self._sin_lut[i])
         c = self._cos_lut[i] + frac * (self._cos_lut[j] - self._cos_lut[i])

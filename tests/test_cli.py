@@ -148,14 +148,15 @@ CLEAN = str(SCENARIOS / "clean_50hz.json")
 @pytest.fixture(scope="module")
 def input_files(tmp_path_factory):
     """A valid design file, one with a NaN ``kp``, two with an HGI gain
-    whose coefficient k·ω0·Ts is huge (1e305) or overflows (1e306), a
+    whose coefficient k·ω0·Ts is huge (1e305) or overflows (1e306), one
+    with a subnormal HGI gain (1e-320), a
     scenario with a NaN fundamental frequency, two with a NaN event value,
     one with an infinite event time and two with a frequency step to 0 Hz
     and below."""
     tmp = tmp_path_factory.mktemp("inputs")
     files = {name: tmp / f"{name}.json"
              for name in ("design", "nan_design", "k1e305_design",
-                          "k1e306_design", "nan_scenario", "nan_phase_jump",
+                          "k1e306_design", "k1e-320_design", "nan_scenario", "nan_phase_jump",
                           "nan_frequency_step", "inf_event_time",
                           "zero_frequency_step", "negative_frequency_step")}
     design = build_design("inline", 1.56, 55.0,
@@ -163,7 +164,7 @@ def input_files(tmp_path_factory):
     save_design(design, files["design"])
     files["nan_design"].write_text(
         json.dumps({**design.to_dict(), "kp": float("nan")}))
-    for k in ("1e305", "1e306"):
+    for k in ("1e305", "1e306", "1e-320"):
         files[f"k{k}_design"].write_text(
             json.dumps({**design.to_dict(), "k": float(k)}))
     scenario = json.loads((SCENARIOS / "clean_50hz.json").read_text())
@@ -208,6 +209,14 @@ def input_files(tmp_path_factory):
      "invalid parameters: f_bw must be finite and > 0"),
     (["simulate", "--scenario", CLEAN, "--design", "{nan_design}"],
      "invalid design file {nan_design}: kp and ki must be finite and > 0"),
+    # fixed16 rounds a subnormal HGI gain as float64 keeps it, and both
+    # runs reach the same error: 0.2 s leaves too short a steady window
+    (["simulate", "--scenario", CLEAN, "--design", "{k1e-320_design}",
+      "--duration", "0.2"],
+     "analysis failed: leakage window"),
+    (["simulate", "--scenario", CLEAN, "--design", "{k1e-320_design}",
+      "--duration", "0.2", "--mode", "fixed16"],
+     "analysis failed: leakage window"),
     (["simulate", "--scenario", "{nan_scenario}", "--design", "{design}"],
      "invalid scenario {nan_scenario}: fundamental frequency must be finite "
      "and > 0"),
@@ -247,6 +256,7 @@ def input_files(tmp_path_factory):
 ], ids=["simulate-unsettled-k", "design-unsettled-k", "design-mtsd-input-thd",
         "simulate-no-sample", "simulate-k-nan", "simulate-k-inf",
         "simulate-f-bw-nan", "simulate-f-bw-inf", "simulate-design-kp-nan",
+        "simulate-design-k-subnormal", "simulate-design-k-subnormal-fixed16",
         "simulate-scenario-frequency-nan", "analyze-scenario-frequency-nan",
         "simulate-phase-jump-nan", "simulate-frequency-step-nan",
         "simulate-event-time-inf", "simulate-frequency-step-zero",

@@ -70,7 +70,7 @@ def test_terms_and_breakdown_match_oracle(name, k, f_bw):
         k, pi.kp, pi.ki, 2 * math.pi * spec.fundamental_frequency,
         [(c.order, c.amplitude, c.phase) for c in spec.harmonics],
         spec.fundamental_amplitude, spec.fundamental_phase)
-    got = [(o, a, phi) for o, a, phi, present in terms if present]
+    got = [(o, abs(r), np.angle(r)) for o, r, present in terms if present]
     want = oracle.unit_vector_ripple_terms(spec, hgi, pi)
     assert [o for o, _, _ in got] == [t.output_order for t in want]
     for (_, a, phi), w in zip(got, want):
@@ -104,7 +104,8 @@ def test_scalar_ripple_functions_match_oracle():
         pi = pi_from_bandwidth(f_bw)
         for f in (26.0, 46.0, 50.0, 54.0, 74.0):
             omega = 2 * math.pi * f
-            [(order, u3, phi, _)] = ripple_terms(hgi.k, pi.kp, pi.ki, omega)
+            [(order, r, _)] = ripple_terms(hgi.k, pi.kp, pi.ki, omega)
+            u3, phi = abs(r), np.angle(r)
             rterm, ru3 = oracle.freq_dev_ripple(hgi, pi, omega)
             assert order == rterm.output_order
             assert (float(u3), float(phi)) == pytest.approx(
@@ -120,7 +121,8 @@ def test_scalar_ripple_functions_match_oracle():
                     for t in oracle.harmonic_ripple(
                         h, seq, p.amplitude, p.phase, v_1plus.amplitude,
                         v_1plus.phase, pi, omega)]
-            assert [(o, float(a), float(phi)) for o, a, phi, _ in terms[1:]] == [
+            assert [(o, float(abs(r)), float(np.angle(r)))
+                    for o, r, _ in terms[1:]] == [
                 pytest.approx((t.output_order, t.a, t.phi), rel=1e-12)
                 for t in want]
 
@@ -135,13 +137,100 @@ def test_deviation_term_matches_oracle(k, f_bw, rel_freq):
     # the order-3 deviation term alone, against the old closed form
     pi = pi_from_bandwidth(f_bw)
     omega = W0 * rel_freq
-    [(order, u3, phi, _)] = ripple_terms(k, pi.kp, pi.ki, omega)
+    [(order, r, _)] = ripple_terms(k, pi.kp, pi.ki, omega)
+    u3, phi = abs(r), np.angle(r)
     rterm, ru3 = oracle.freq_dev_ripple(HgiParams(k), pi, omega)
     assert order == rterm.output_order == 3
     assert float(u3) == pytest.approx(ru3, rel=0, abs=1e-13)
     if u3 > 1e-12:
         assert math.remainder(float(phi) - rterm.phi, 2 * math.pi) == (
             pytest.approx(0.0, abs=1e-9))
+
+
+def _mp_ripple_amplitude(mp, k, kp, ki, omega, order, sequence, v_h=0.0,
+                         gamma=0.0, amplitude=1.0, phase=0.0):
+    """|a_h| of the magnitude/phase ratio 0.5*|z|*m*cos(c) / (cos(phi_h)
+    + A*cos(phi_h + x)), c = x + arg(z), at 40 digits from the same float
+    inputs as ``ripple_terms``; order 1 is the deviation term of a unit
+    fundamental."""
+    with mp.workdps(40):
+        j = mp.mpc(0, 1)
+        k, kp, ki, omega, v_h, gamma, amplitude, phase, w0 = map(
+            mp.mpf, (k, kp, ki, omega, v_h, gamma, amplitude, phase, W0))
+
+        def gains(w):
+            s = j * w
+            den = s * s + k * w0 * s + w0 * w0
+            return k * s * w0 / den, -k * s * s / den
+
+        ga, gb = gains(omega)
+        if order == 1:
+            v1p, z, n = (ga + j * gb) / 2, (ga - j * gb) / 2, 2
+        else:
+            v1p = amplitude * mp.expj(phase) * (ga + j * gb) / 2
+            gah, gbh = gains(order * omega)
+            sign, n = (1, order - 1) if sequence == "positive" else (-1, order + 1)
+            z = v_h * mp.expj(gamma) * (gah + sign * j * gbh) / 2
+        w = n * omega
+        g = ki / (w * w) + j * kp / w
+        m, x = abs(g), mp.arg(g)
+        a_coef = m * abs(v1p) * mp.cos(mp.arg(v1p))
+        alpha, beta = 1 + a_coef * mp.cos(x), a_coef * mp.sin(x)
+        c = x + mp.arg(z)
+        phi = mp.atan2(alpha * mp.sin(c) - beta * mp.cos(c),
+                       beta * mp.sin(c) + alpha * mp.cos(c))
+        a = abs(z) * m * mp.cos(c) / 2 / (mp.cos(phi) + a_coef * mp.cos(phi + x))
+        return float(abs(a))
+
+
+def _ripple_angle(kp, ki, w, z):
+    """x + arg(z): the loop-gain phase at w plus the component's phase."""
+    return math.atan2(kp / w, ki / (w * w)) + cmath.phase(z)
+
+
+def test_ripple_amplitude_exact_where_ratio_is_0_over_0():
+    # the magnitude/phase form divides cos(c) by a factor that vanishes
+    # with it; at |cos(c)| = 1e-7 it loses about 1e-16/1e-7 relative
+    mp = pytest.importorskip("mpmath")
+    hgi = HgiParams(1.56)
+    for f_bw in (29.5, 55.0):
+        pi = pi_from_bandwidth(f_bw)
+        for f in (46.0, 50.0, 54.0):
+            omega = 2 * math.pi * f
+            for order in (3, 5, 7):
+                ga, gb = freq_response(hgi, order * omega)
+                for i, (sequence, n, z0) in enumerate((
+                        ("positive", order - 1, (ga + 1j * gb) / 2),
+                        ("negative", order + 1, (ga - 1j * gb) / 2))):
+                    for c in (math.pi / 2 + 1e-7, -math.pi / 2 - 1e-7):
+                        gamma = math.remainder(
+                            c - _ripple_angle(pi.kp, pi.ki, n * omega, z0),
+                            2 * math.pi)
+                        terms = ripple_terms(hgi.k, pi.kp, pi.ki, omega,
+                                             [(order, 0.2, gamma)], 0.98, -0.2)
+                        want = _mp_ripple_amplitude(
+                            mp, hgi.k, pi.kp, pi.ki, omega, order, sequence,
+                            0.2, gamma, 0.98, -0.2)
+                        assert abs(terms[1 + 2 * i][1]) == pytest.approx(
+                            want, rel=1e-12), (f_bw, f, order, sequence, c)
+    # the deviation term reaches c = +-pi/2 just below nominal frequency
+    for k, f_bw in ((1.56, 55.0), (3.0, 100.0)):
+        pi = pi_from_bandwidth(f_bw)
+
+        def cos_c(omega):
+            ga, gb = freq_response(HgiParams(k), omega)
+            return math.cos(_ripple_angle(pi.kp, pi.ki, 2 * omega,
+                                          (ga - 1j * gb) / 2))
+
+        for target in (1e-7, -1e-7):
+            lo, hi = 0.9 * W0, 0.9999 * W0
+            side = cos_c(lo) > target
+            for _ in range(60):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if (cos_c(mid) > target) == side else (lo, mid)
+            [(_, r, _)] = ripple_terms(k, pi.kp, pi.ki, lo)
+            want = _mp_ripple_amplitude(mp, k, pi.kp, pi.ki, lo, 1, "negative")
+            assert abs(r) == pytest.approx(want, rel=1e-12), (k, f_bw, target)
 
 
 def test_grid_evaluation_matches_single_points():

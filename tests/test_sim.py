@@ -16,9 +16,11 @@ from hgipll import (
     Fixed16Arithmetic,
     GridSignalSpec,
     TimedEvent,
+    SrfPll,
     fixed_vs_float_drift,
     harmonic_profile,
     load_scenario,
+    pi_from_bandwidth,
     run,
     spectral_line,
     transient_metrics,
@@ -261,7 +263,7 @@ def _outcome(f, x):
     """The bits of ``f(x)`` (one float or a tuple), or the exception type."""
     try:
         y = f(x)
-    except (OverflowError, ValueError, IndexError) as exc:
+    except (OverflowError, ValueError) as exc:
         return type(exc)
     return struct.pack(f"<{len(y)}d", *y) if isinstance(y, tuple) else (
         struct.pack("<d", y))
@@ -285,7 +287,8 @@ def test_fixed16_quantizer_matches_reference(kind, fraction_bits, data):
 
 @pytest.mark.parametrize("fraction_bits", [8, 14, 15])
 @settings(max_examples=100)
-@given(thetas=st.lists(st.one_of(st.floats(0.0, 2 * math.pi), st.floats()),
+@given(thetas=st.lists(st.one_of(st.floats(0.0, 2 * math.pi),
+                                 st.floats(-1e-15, 0.0), st.floats()),
                        max_size=20))
 def test_fixed16_trig_matches_reference(fraction_bits, thetas):
     got = Fixed16Arithmetic(fraction_bits)
@@ -293,6 +296,15 @@ def test_fixed16_trig_matches_reference(fraction_bits, thetas):
     for theta in thetas:
         assert _outcome(got.trig, theta) == _outcome(want.trig, theta), theta
     assert got.saturations == want.saturations
+
+
+def test_fixed16_trig_wraps_theta_just_below_zero():
+    # (theta * n / 2pi) % n rounds up to n, one past the table: entry 0
+    for arith in (Fixed16Arithmetic(), oracle.Fixed16Reference()):
+        assert arith.trig(-1e-17) == arith.trig(-2.2e-16) == arith.trig(0.0)
+    pll = SrfPll(pi_from_bandwidth(55.0), arith=Fixed16Arithmetic())
+    pll.reset(theta=-1e-17)
+    assert pll.step(0.0, -1.0) == Fixed16Arithmetic().trig(0.0)
 
 
 def test_fixed16_quantize_input_matches_signal_and_clips():
@@ -334,6 +346,27 @@ def test_fixed16_clipped_input_runs_without_warnings(mtsd_like):
         warnings.simplefilter("error")
         trace = run(spec, mtsd_like, 0.2, FIXED16)
     assert np.abs(trace.v_g).max() == 2.0
+
+
+@settings(max_examples=500)
+@given(x=st.one_of(
+    st.floats(),
+    # half-LSB ties of the 16-bit mantissa, and the one that rounds up
+    # out of it, at any binary scale
+    st.builds(lambda n, e, sign: sign * math.ldexp(n + 0.5, e),
+              st.integers(2 ** 14, 2 ** 15 - 1), st.integers(-1100, 1008),
+              st.sampled_from([-1.0, 1.0])),
+))
+def test_fixed16_coeff_matches_log2_form(x):
+    got = _outcome(Fixed16Arithmetic.coeff, x)
+    want = _outcome(oracle.Fixed16Reference.coeff, x)
+    if want in (ValueError, OverflowError):
+        # the log2 form fails for tiny x; frexp rounds it all the same
+        assert abs(x) < 2.0 ** -1000
+        c = Fixed16Arithmetic.coeff(x)
+        assert abs(c - x) <= abs(x) * 2.0 ** -15 + 2.0 ** -1074
+    else:
+        assert got == want, x
 
 
 def test_fixed16_coeff_keeps_16_bit_mantissa():

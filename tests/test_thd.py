@@ -59,9 +59,9 @@ def deviation_ripple(f_bw, omega):
     """The order-3 deviation term of ``ripple_terms`` at k = 1.56:
     (unit-vector amplitude u3, present)."""
     pi = pi_from_bandwidth(f_bw)
-    [(order, u3, _, present)] = ripple_terms(1.56, pi.kp, pi.ki, omega)
+    [(order, r, present)] = ripple_terms(1.56, pi.kp, pi.ki, omega)
     assert order == 3
-    return float(u3), bool(present)
+    return float(abs(r)), bool(present)
 
 
 def test_freq_dev_ripple_zero_at_nominal():
@@ -93,7 +93,7 @@ def harmonic_terms(order, amplitude, fundamental=1.0):
     pi = pi_from_bandwidth(55.0)
     terms = ripple_terms(1.56, pi.kp, pi.ki, W0, [(order, amplitude, 0.2)],
                          fundamental)
-    rows = [(o, float(a), bool(p)) for o, a, _, p in terms[1:]]
+    rows = [(o, float(abs(r)), bool(p)) for o, r, p in terms[1:]]
     return rows[:2], rows[2:]
 
 
