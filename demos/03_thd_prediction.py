@@ -8,36 +8,21 @@ against a full time-domain simulation for both designs across the
 deviation band with 5% input THD.
 """
 
-import math
-
 from hgipll import (
     DesignConstraints,
     GridSignalSpec,
-    HgiParams,
-    PllDesign,
+    build_design,
     harmonic_breakdown,
     harmonic_profile,
     predicted_thd,
-    pi_from_bandwidth,
     run,
-    settling_times,
-    srf_settling_time,
     transient_metrics,
 )
 
-
-def make_design(k, f_bw, method):
-    pi = pi_from_bandwidth(f_bw)
-    t_hgi = settling_times(HgiParams(k))[2]
-    t_srf = srf_settling_time(2 * math.pi * f_bw)
-    return PllDesign(k=k, f_bw=f_bw, pi=pi, t_s_hgi=t_hgi, t_s_srf=t_srf,
-                     t_sd=t_hgi + t_srf, method=method)
-
-
 constraints = DesignConstraints()
 harmonics = tuple(harmonic_profile(0.05))
-designs = [make_design(1.56, 55.0, "deviation-only"),
-           make_design(1.56, 29.5, "harmonic-aware")]
+designs = [build_design(1.56, 55.0, "deviation-only"),
+           build_design(1.56, 29.5, "harmonic-aware")]
 
 print(f"{'design':>15} {'f (Hz)':>7} {'analytical %':>13} {'simulated %':>12}")
 for d in designs:

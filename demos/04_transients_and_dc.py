@@ -13,30 +13,17 @@ import math
 
 from hgipll import (
     GridSignalSpec,
-    HgiParams,
-    PllDesign,
     TimedEvent,
-    pi_from_bandwidth,
+    build_design,
     run,
-    settling_times,
     spectral_line,
-    srf_settling_time,
     transient_metrics,
 )
 
-
-def make_design(k, f_bw, method):
-    pi = pi_from_bandwidth(f_bw)
-    t_hgi = settling_times(HgiParams(k))[2]
-    t_srf = srf_settling_time(2 * math.pi * f_bw)
-    return PllDesign(k=k, f_bw=f_bw, pi=pi, t_s_hgi=t_hgi, t_s_srf=t_srf,
-                     t_sd=t_hgi + t_srf, method=method)
-
-
 print("=== pi/2 phase jump at t = 0.5 s ===")
 jump = GridSignalSpec(events=(TimedEvent(0.5, "phase_jump", math.pi / 2),))
-for d in (make_design(1.56, 55.0, "deviation-only"),
-          make_design(1.56, 29.5, "harmonic-aware")):
+for d in (build_design(1.56, 55.0, "deviation-only"),
+          build_design(1.56, 29.5, "harmonic-aware")):
     trace = run(jump, d, 1.0)
     m = transient_metrics(trace, event_time=0.5)
     print(f"{d.method:>15}: settled in {m.settle_time * 1e3:5.1f} ms "
@@ -45,7 +32,7 @@ for d in (make_design(1.56, 55.0, "deviation-only"),
 
 print("\n=== 10% dc offset on the input ===")
 dc = GridSignalSpec(dc_offset=0.1)
-d = make_design(1.56, 55.0, "deviation-only")
+d = build_design(1.56, 55.0, "deviation-only")
 for topology in ("hgi", "basic_sogi"):
     trace = run(dc, d, 1.0, topology=topology)
     tail = trace.f_e[trace.steady_slice()]

@@ -20,6 +20,7 @@ from .design import (
     DesignReport,
     InfeasibleDesignError,
     PllDesign,
+    build_design,
     hc_mtsd_design,
     load_design,
     mtsd_design,
@@ -73,8 +74,9 @@ __all__ = [
     "GridSignalSpec", "HarmonicComponent", "HgiFilter", "HgiParams",
     "InfeasibleDesignError", "NOMINAL_OMEGA0", "Phasor", "PiParams",
     "PllDesign", "ScenarioError", "SimTrace", "SimulationError", "SrfPll",
-    "TimedEvent", "TransientMetrics", "fixed_vs_float_drift", "freq_response",
-    "harmonic_breakdown", "harmonic_profile", "hc_mtsd_design", "k_opt_search",
+    "TimedEvent", "TransientMetrics", "build_design", "fixed_vs_float_drift",
+    "freq_response", "harmonic_breakdown", "harmonic_profile",
+    "hc_mtsd_design", "k_opt_search",
     "load_design", "load_scenario", "measured_thd", "mtsd_design",
     "pi_from_bandwidth", "predicted_thd", "run", "save_design",
     "save_scenario", "sequence_decompose", "settling_times", "spectral_line",

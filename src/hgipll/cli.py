@@ -8,8 +8,7 @@ and metrics.json), ``analyze`` (per-order analytical ripple breakdown),
 
 Exit codes: 0 success, 2 infeasible design, 3 input schema error or
 failed analysis, 4 numerical divergence.  The output directory defaults
-to the current directory and can be overridden by ``--out`` or the
-``GRIDLOCK_OUT`` environment variable.
+to the current directory and can be overridden by ``--out``.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -35,7 +33,6 @@ from .design import (
     steady_thd,
     write_thd_grid_csv,
 )
-from .hgi import HgiParams, settling_times
 from .signal_model import GridSignalSpec, ScenarioError, load_scenario
 from .sim import (
     ArithmeticMode,
@@ -61,8 +58,7 @@ class CliError(Exception):
 
 
 def _out_dir(args) -> Path:
-    out = os.environ.get("GRIDLOCK_OUT") or args.out
-    path = Path(out)
+    path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -100,8 +96,7 @@ def _load_design_arg(args) -> PllDesign:
         raise CliError("need --design FILE or both --k and --f-bw",
                        EXIT_SCHEMA)
     try:
-        t_s_hgi = settling_times(HgiParams(args.k))[2]
-        return build_design("inline", args.k, args.f_bw, t_s_hgi)
+        return build_design(args.k, args.f_bw, "inline")
     except ValueError as exc:
         raise CliError(f"invalid parameters: {exc}", EXIT_SCHEMA)
 

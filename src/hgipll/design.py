@@ -144,20 +144,15 @@ class PllDesign:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PllDesign":
+        """The mapping's design with its own PI gains; k is checked and the
+        settling times recomputed as in ``build_design``, not read."""
         pi = PiParams(
             kp=float(data["kp"]),
             ki=float(data["ki"]),
             sample_period=float(data["sample_period_s"]),
         )
-        return cls(
-            k=HgiParams(float(data["k"])).k,  # validates k
-            f_bw=float(data["f_bw_hz"]),
-            pi=pi,
-            t_s_hgi=float(data["t_s_hgi_s"]),
-            t_s_srf=float(data["t_s_srf_s"]),
-            t_sd=float(data["t_sd_s"]),
-            method=str(data.get("method", "")),
-        )
+        return _design(float(data["k"]), float(data["f_bw_hz"]), pi,
+                       str(data.get("method", "")))
 
 
 @dataclass
@@ -253,13 +248,18 @@ def band_worst_thd(
     return worst, freqs[binding]
 
 
-def build_design(
-    method: str, k: float, f_bw: float, t_s_hgi: float,
-    constraints: DesignConstraints = DesignConstraints(),
-) -> PllDesign:
-    """Design at (k, f_bw): PI gains from the bandwidth, settling times
-    from the given HGI settling time and the loop bandwidth."""
-    pi = pi_from_bandwidth(f_bw, sample_period=constraints.sample_period)
+def build_design(k: float, f_bw: float, method: str = "",
+                 sample_period: float = SAMPLE_PERIOD) -> PllDesign:
+    """Design at (k, f_bw): PI gains from the bandwidth, the HGI settling
+    time at the design step ``DESIGN_SETTLING_DT`` and the loop settling
+    time from the bandwidth.  Raises ``ValueError`` for an invalid gain
+    or bandwidth, and for a k whose step response does not settle."""
+    pi = pi_from_bandwidth(f_bw, sample_period=sample_period)
+    return _design(k, f_bw, pi, method)
+
+
+def _design(k: float, f_bw: float, pi: PiParams, method: str) -> PllDesign:
+    t_s_hgi = float(design_settling_times([k])[0])
     t_s_srf = srf_settling_time(TWO_PI * f_bw)
     return PllDesign(
         k=k, f_bw=f_bw, pi=pi,
@@ -293,7 +293,8 @@ def mtsd_design(
     # the THD constraint tightens with bandwidth: take the highest feasible
     i = np.flatnonzero(ok)[-1]
     report.worst_thd, report.binding_hz = worst[i, 0], binding[i, 0]
-    design = build_design("mtsd", k_opt, float(f_bws[i]), t_s_hgi, constraints)
+    design = build_design(k_opt, float(f_bws[i]), "mtsd",
+                          constraints.sample_period)
     return design, report
 
 
@@ -327,8 +328,8 @@ def hc_mtsd_design(
     i = int(np.argmin(t_sd))
     j = best_k[i]
     report.worst_thd, report.binding_hz = worst[i, j], binding[i, j]
-    design = build_design("hc-mtsd", float(ks[j]), float(f_bws[i]),
-                          float(ts_hgi[j]), constraints)
+    design = build_design(float(ks[j]), float(f_bws[i]), "hc-mtsd",
+                          constraints.sample_period)
     return design, report
 
 

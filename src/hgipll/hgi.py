@@ -247,6 +247,11 @@ def _settle_time(y: np.ndarray, t: np.ndarray) -> float:
     return float(t[i + 1])
 
 
+def _unsettled(k: float, horizon: float) -> ValueError:
+    return ValueError(f"the HGI step response at k = {k:g} does not "
+                      f"settle within {horizon:g} s")
+
+
 def settling_times(
     params: HgiParams, dt: float = SETTLING_DT
 ) -> tuple[float, float, float]:
@@ -258,7 +263,8 @@ def settling_times(
     response magnitude.  Of the grid of 12 slow-pole time constants only
     the prefix ``_bracket`` finds to hold both peaks and last band exits
     is evaluated, so the result equals that of the whole grid; a response
-    still outside the band at the end of the whole grid raises
+    still outside the band at the end of the whole grid, or whose slow
+    pole has a time constant of the horizon or longer, raises
     ``ValueError``.
     """
     k = params.k
@@ -266,14 +272,17 @@ def settling_times(
     # pole when overdamped; 12 time constants comfortably brackets any
     # 2% settling instant
     rate = 0.5 * (k - math.sqrt(max(k * k - 4.0, 0.0))) * params.omega0
+    # such a slow pole cannot settle; checked before the pole arithmetic,
+    # where a rate that underflowed, cancelled or overflowed would fail
+    if not rate * SETTLING_HORIZON > 1:
+        raise _unsettled(k, SETTLING_HORIZON)
     horizon = min(SETTLING_HORIZON, 12 / rate + 0.005)
     t = np.arange(0.0, horizon, dt)
     y_alpha, y_beta = step_responses(params, t[:_bracket(params, t, dt)])
     ts_a = _settle_time(y_alpha, t)
     ts_b = _settle_time(y_beta, t)
     if math.isinf(max(ts_a, ts_b)):
-        raise ValueError(f"the HGI step response at k = {k:g} does not "
-                         f"settle within {horizon:g} s")
+        raise _unsettled(k, horizon)
     return ts_a, ts_b, max(ts_a, ts_b)
 
 

@@ -74,8 +74,7 @@ class SrfPll:
     Per-sample cost is 7 multiplications and 6 additions, trig excluded.
 
     ``arith`` is an arithmetic policy (see ``hgipll.arith``), exact
-    float64 by default; its ``trig`` maps theta to (sin, cos), and a
-    policy without one gets the exact sin/cos.
+    float64 by default; its ``trig`` maps theta to (sin, cos).
     """
 
     def __init__(self, pi: PiParams, omega0: float = NOMINAL_OMEGA0,
@@ -83,7 +82,7 @@ class SrfPll:
         self.pi = pi
         self.omega0 = omega0
         q = arith if arith is not None else EXACT
-        self._trig = getattr(q, "trig", EXACT.trig)
+        self._trig = q.trig
         self._signal = q.signal
         self._accumulator = q.accumulator
         self._phase = q.phase

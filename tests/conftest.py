@@ -1,15 +1,8 @@
-import math
-
 import pytest
 from hypothesis import settings
 
-from hgipll import (
-    HgiParams,
-    PllDesign,
-    pi_from_bandwidth,
-    settling_times,
-    srf_settling_time,
-)
+from hgipll import PllDesign, build_design
+from hgipll.arith import EXACT
 
 # the properties run whole kernels and loops per example, which can
 # outlast hypothesis's 200 ms per-example deadline on a busy machine
@@ -66,7 +59,8 @@ class CountingFloat(float):
 
 class CountingArithmetic:
     """Arithmetic hooks that wrap coefficients so every product and sum
-    against them is tallied by CountingFloat."""
+    against them is tallied by CountingFloat; trig is the exact sin/cos,
+    outside the tally."""
 
     @staticmethod
     def coeff(x):
@@ -78,14 +72,11 @@ class CountingArithmetic:
 
     accumulator = signal
     phase = signal
+    trig = staticmethod(EXACT.trig)
 
 
 def make_design(k: float, f_bw: float, method: str = "test") -> PllDesign:
-    pi = pi_from_bandwidth(f_bw)
-    t_hgi = settling_times(HgiParams(k))[2]
-    t_srf = srf_settling_time(2 * math.pi * f_bw)
-    return PllDesign(k=k, f_bw=f_bw, pi=pi, t_s_hgi=t_hgi, t_s_srf=t_srf,
-                     t_sd=t_hgi + t_srf, method=method)
+    return build_design(k, f_bw, method)
 
 
 @pytest.fixture(scope="session")

@@ -4,9 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from hgipll import DesignConstraints, HgiParams, save_design, settling_times
+from hgipll import build_design, save_design
 from hgipll.cli import main
-from hgipll.design import build_design
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "hgipll" / "scenarios"
 
@@ -147,20 +146,18 @@ CLEAN = str(SCENARIOS / "clean_50hz.json")
 
 @pytest.fixture(scope="module")
 def input_files(tmp_path_factory):
-    """A valid design file, one with a NaN ``kp``, two with an HGI gain
-    whose coefficient k·ω0·Ts is huge (1e305) or overflows (1e306), one
-    with a subnormal HGI gain (1e-320), a
-    scenario with a NaN fundamental frequency, two with a NaN event value,
-    one with an infinite event time and two with a frequency step to 0 Hz
-    and below."""
+    """A valid design file, one with a NaN ``kp``, three with an HGI gain
+    whose step response never settles (1e305, 1e306 and the subnormal
+    1e-320), a scenario with a NaN fundamental frequency, two with a NaN
+    event value, one with an infinite event time and two with a frequency
+    step to 0 Hz and below."""
     tmp = tmp_path_factory.mktemp("inputs")
     files = {name: tmp / f"{name}.json"
              for name in ("design", "nan_design", "k1e305_design",
                           "k1e306_design", "k1e-320_design", "nan_scenario", "nan_phase_jump",
                           "nan_frequency_step", "inf_event_time",
                           "zero_frequency_step", "negative_frequency_step")}
-    design = build_design("inline", 1.56, 55.0,
-                          settling_times(HgiParams(1.56))[2])
+    design = build_design(1.56, 55.0, "inline")
     save_design(design, files["design"])
     files["nan_design"].write_text(
         json.dumps({**design.to_dict(), "kp": float("nan")}))
@@ -190,6 +187,14 @@ def input_files(tmp_path_factory):
       "--duration", "0.3"],
      "invalid parameters: the HGI step response at k = 0.01 does not "
      "settle within 1 s"),
+    # a slow-pole time constant of 1 s or more is refused before the pole
+    # arithmetic, which underflows, divides by zero or overflows there
+    (["simulate", "--scenario", CLEAN, "--k", "1e-310", "--f-bw", "29.5"],
+     "invalid parameters: the HGI step response at k = 1e-310 does not "
+     "settle within 1 s"),
+    (["simulate", "--scenario", CLEAN, "--k", "1e150", "--f-bw", "29.5"],
+     "invalid parameters: the HGI step response at k = 1e+150 does not "
+     "settle within 1 s"),
     (["design", "--k-range", "0.01", "0.02"],
      "invalid constraints: the HGI step response at k = 0.01 does not "
      "settle within 1 s"),
@@ -209,14 +214,30 @@ def input_files(tmp_path_factory):
      "invalid parameters: f_bw must be finite and > 0"),
     (["simulate", "--scenario", CLEAN, "--design", "{nan_design}"],
      "invalid design file {nan_design}: kp and ki must be finite and > 0"),
-    # fixed16 rounds a subnormal HGI gain as float64 keeps it, and both
-    # runs reach the same error: 0.2 s leaves too short a steady window
+    # a design file's gain is checked as an inline --k is, on load
+    (["simulate", "--scenario", CLEAN, "--design", "{k1e-320_design}"],
+     "invalid design file {k1e-320_design}: the HGI step response at "
+     "k = 9.99989e-321 does not settle within 1 s"),
     (["simulate", "--scenario", CLEAN, "--design", "{k1e-320_design}",
+      "--mode", "fixed16"],
+     "invalid design file {k1e-320_design}: the HGI step response at "
+     "k = 9.99989e-321 does not settle within 1 s"),
+    (["simulate", "--scenario", CLEAN, "--design", "{k1e305_design}",
       "--duration", "0.2"],
-     "analysis failed: leakage window"),
-    (["simulate", "--scenario", CLEAN, "--design", "{k1e-320_design}",
+     "invalid design file {k1e305_design}: the HGI step response at "
+     "k = 1e+305 does not settle within 1 s"),
+    (["simulate", "--scenario", CLEAN, "--design", "{k1e305_design}",
       "--duration", "0.2", "--mode", "fixed16"],
-     "analysis failed: leakage window"),
+     "invalid design file {k1e305_design}: the HGI step response at "
+     "k = 1e+305 does not settle within 1 s"),
+    (["simulate", "--scenario", CLEAN, "--design", "{k1e306_design}",
+      "--duration", "0.2"],
+     "invalid design file {k1e306_design}: the HGI step response at "
+     "k = 1e+306 does not settle within 1 s"),
+    (["simulate", "--scenario", CLEAN, "--design", "{k1e306_design}",
+      "--duration", "0.2", "--mode", "fixed16"],
+     "invalid design file {k1e306_design}: the HGI step response at "
+     "k = 1e+306 does not settle within 1 s"),
     (["simulate", "--scenario", "{nan_scenario}", "--design", "{design}"],
      "invalid scenario {nan_scenario}: fundamental frequency must be finite "
      "and > 0"),
@@ -253,10 +274,13 @@ def input_files(tmp_path_factory):
      "analysis failed: omega must be finite"),
     (["compare", "--designs", "{design}", "--input-thd", "nan"],
      "invalid scenario: input_thd must be >= 0 and finite"),
-], ids=["simulate-unsettled-k", "design-unsettled-k", "design-mtsd-input-thd",
+], ids=["simulate-unsettled-k", "simulate-k-subnormal", "simulate-k-1e150",
+        "design-unsettled-k", "design-mtsd-input-thd",
         "simulate-no-sample", "simulate-k-nan", "simulate-k-inf",
         "simulate-f-bw-nan", "simulate-f-bw-inf", "simulate-design-kp-nan",
         "simulate-design-k-subnormal", "simulate-design-k-subnormal-fixed16",
+        "simulate-design-k1e305-float64", "simulate-design-k1e305-fixed16",
+        "simulate-design-k1e306-float64", "simulate-design-k1e306-fixed16",
         "simulate-scenario-frequency-nan", "analyze-scenario-frequency-nan",
         "simulate-phase-jump-nan", "simulate-frequency-step-nan",
         "simulate-event-time-inf", "simulate-frequency-step-zero",
@@ -272,32 +296,6 @@ def test_rejected_input_exit_code(tmp_path, capsys, input_files, argv,
     assert capsys.readouterr().err == f"error: {message}\n".format(
         **input_files)
     assert not out.exists()
-
-
-@pytest.mark.parametrize("design, mode, sample", [
-    ("k1e305_design", "float64", 3),
-    ("k1e305_design", "fixed16", 2),
-    # k·ω0·Ts overflows to inf: fixed16 keeps it, as float64 does, and
-    # the sample loop reports the divergence
-    ("k1e306_design", "float64", 1),
-    ("k1e306_design", "fixed16", 0),
-])
-def test_simulate_coefficient_overflow_exit_code(tmp_path, capsys,
-                                                 input_files, design, mode,
-                                                 sample):
-    out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main([
-            "simulate", "--scenario", CLEAN, "--design",
-            str(input_files[design]), "--mode", mode, "--duration", "0.2",
-            "--out", str(out),
-        ])
-    assert code == 4
-    assert capsys.readouterr().err == (
-        f"error: numerical divergence at sample {sample} "
-        f"(t = {sample * 50e-6:.6g} s)\n")
-    assert not (out / "metrics.json").exists()
 
 
 def test_analyze_breakdown(tmp_path, capsys):
@@ -329,9 +327,7 @@ def test_sweep_grid_spot_value(tmp_path):
 def test_sweep_and_compare_analyse_the_design_file_gains(tmp_path):
     # gains for Ts = 100 us; rebuilding them at the default 50 us would
     # put 1.7770 % in the analytical column instead
-    design = build_design("ts100us", 1.56, 55.0,
-                          settling_times(HgiParams(1.56))[2],
-                          DesignConstraints(sample_period=1e-4))
+    design = build_design(1.56, 55.0, "ts100us", sample_period=1e-4)
     path = tmp_path / "design.json"
     save_design(design, path)
     common = ["--frequencies", "46", "--out", str(tmp_path)]
@@ -382,18 +378,6 @@ def test_compare_table(design_dir, tmp_path):
     assert rows[0] == "design,frequency_hz,analytical_thd_pct,simulated_thd_pct"
     _, _, analytical, simulated = rows[1].split(",")
     assert abs(float(analytical) - float(simulated)) < 0.3
-
-
-def test_output_dir_env_override(design_dir, tmp_path, monkeypatch):
-    monkeypatch.setenv("GRIDLOCK_OUT", str(tmp_path / "env_out"))
-    code = main([
-        "simulate", "--scenario", str(SCENARIOS / "clean_50hz.json"),
-        "--design", str(design_dir / "design.json"), "--duration", "0.5",
-        "--out", str(tmp_path / "ignored"),
-    ])
-    assert code == 0
-    assert (tmp_path / "env_out" / "metrics.json").exists()
-    assert not (tmp_path / "ignored").exists()
 
 
 def test_deterministic_reruns(tmp_path):

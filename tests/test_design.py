@@ -1,20 +1,18 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hgipll import (
     DesignConstraints,
-    HgiParams,
     InfeasibleDesignError,
-    PllDesign,
+    build_design,
     hc_mtsd_design,
     load_design,
     mtsd_design,
     predicted_thd,
     save_design,
-    settling_times,
 )
-from hgipll.design import build_design
 
 
 def test_constraint_validation():
@@ -41,8 +39,7 @@ def test_sweep_frequencies_zero_deviation():
 
 
 def test_additive_settling_composition():
-    t = build_design("inline", 1.56, 55.0,
-                     settling_times(HgiParams(1.56))[2]).t_sd
+    t = build_design(1.56, 55.0).t_sd
     assert t == pytest.approx(15.97e-3 + 4 / (2 * math.pi * 55), abs=0.3e-3)
 
 
@@ -105,6 +102,22 @@ def test_design_json_round_trip(tmp_path):
     loaded = load_design(path)
     assert loaded == design
     assert loaded.to_dict()["schema_version"] == 1
+
+
+@settings(max_examples=60)
+@given(k=st.floats(0.1, 4.0), f_bw=st.floats(5.0, 100.0),
+       sample_period=st.sampled_from([50e-6, 100e-6]))
+def test_design_json_round_trip_property(tmp_path_factory, k, f_bw,
+                                         sample_period):
+    # loading recomputes the settling times, which must give the saved ones
+    design = build_design(k, f_bw, "property", sample_period)
+    path = tmp_path_factory.mktemp("design") / "design.json"
+    save_design(design, path)
+    saved = path.read_bytes()
+    loaded = load_design(path)
+    assert loaded == design
+    save_design(loaded, path)
+    assert path.read_bytes() == saved
 
 
 def test_report_csv_outputs(tmp_path):

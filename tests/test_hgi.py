@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -153,11 +154,16 @@ def test_k_opt_search_matches_published_value():
     assert ts == pytest.approx(16e-3, abs=0.3e-3)
 
 
-def test_unsettled_gain_names_k():
+@pytest.mark.parametrize("k", [0.01, 1e-320, 1e-310, 1e20, 1e150, 1e305,
+                               1e306])
+def test_unsettled_gain_names_k(k):
     # k = 0.01 decays with a 0.64 s time constant: still outside the 2 %
-    # band at the 1 s horizon
-    with pytest.raises(ValueError, match=r"k = 0\.01 does not settle within 1 s"):
-        settling_times(HgiParams(0.01))
+    # band at the 1 s horizon.  The extreme gains have a slow pole of 1 s
+    # or longer, and are refused before its rate underflows (1e-320,
+    # 1e-310), cancels to 0 (1e20, 1e150) or overflows (1e305, 1e306)
+    with pytest.raises(ValueError, match=re.escape(
+            f"k = {k:g} does not settle within 1 s")):
+        settling_times(HgiParams(k))
 
 
 def test_k_grid_includes_endpoints():

@@ -1,16 +1,20 @@
-"""The package's public surface: every ``__all__`` entry exists, and every
-name the demos import from ``hgipll`` resolves.  The demos are parsed,
-not run."""
+"""The package's public surface: every ``__all__`` entry exists, every
+name the demos import from ``hgipll`` resolves, and every demo runs to
+completion."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import hgipll
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_all_entries_are_attributes():
@@ -30,3 +34,15 @@ def test_demo_imports_resolve(demo):
     missing = [f"{module}.{name}" for module, name in imports
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo):
+    # the demos import the package from the source tree, as the tests do
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
