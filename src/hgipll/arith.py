@@ -135,8 +135,9 @@ class Fixed16Arithmetic:
         tabulated with each entry."""
         n = self.LUT_SIZE
         idx = np.arange(n) * (TWO_PI / n)
-        sin = np.round(np.sin(idx) * self._sig_scale) / self._sig_scale
-        cos = np.round(np.cos(idx) * self._sig_scale) / self._sig_scale
+        # entries are signal words: at Q1.15 a peak of 1.0 takes the rail
+        sin = self.quantize_input(np.sin(idx))
+        cos = self.quantize_input(np.cos(idx))
         # lists, so that a lookup yields a Python float, not a numpy scalar
         d_sin = (np.roll(sin, -1) - sin).tolist()
         d_cos = (np.roll(cos, -1) - cos).tolist()

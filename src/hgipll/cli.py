@@ -6,9 +6,10 @@ and metrics.json), ``analyze`` (per-order analytical ripple breakdown),
 ``sweep`` (THD grid over frequency and input THD), ``compare``
 (analytical vs simulated THD table for one or both designs).
 
-Exit codes: 0 success, 2 infeasible design, 3 input schema error or
-failed analysis, 4 numerical divergence.  The output directory defaults
-to the current directory and can be overridden by ``--out``.
+Exit codes: 0 success, 2 infeasible design, 3 input schema error,
+failed analysis or input too large to allocate, 4 numerical divergence.
+The output directory defaults to the current directory and can be
+overridden by ``--out``.
 """
 
 from __future__ import annotations
@@ -314,6 +315,9 @@ def main(argv=None) -> int:
         message, code = f"invalid scenario: {exc}", EXIT_SCHEMA
     except SimulationError as exc:
         message, code = exc, EXIT_DIVERGENCE
+    except MemoryError:
+        # a grid or trace the input sizes beyond what can be allocated
+        message, code = "input too large: out of memory", EXIT_SCHEMA
     print(f"error: {message}", file=sys.stderr)
     return code
 

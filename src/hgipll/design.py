@@ -2,12 +2,13 @@
 
 Two sweeps produce a complete parameter set (k, loop bandwidth, PI gains):
 
-* ``mtsd_design`` fixes k at the fastest-settling gain and picks the
-  highest bandwidth that keeps the predicted unit-vector THD within the
-  limit for every frequency in the deviation band (harmonics ignored).
-* ``hc_mtsd_design`` additionally assumes a worst-case input THD and
-  searches the (bandwidth, k) grid for the smallest additive settling
-  time subject to the same THD limit.
+* ``hc_mtsd_design`` assumes a worst-case input THD and searches the
+  (bandwidth, k) grid for the smallest additive settling time that keeps
+  the predicted unit-vector THD within the limit for every frequency in
+  the deviation band.
+* ``mtsd_design`` is the same search with k fixed at the fastest-settling
+  gain and harmonics ignored; the loop settling time falls with
+  bandwidth, so it picks the highest feasible bandwidth.
 
 THD feasibility is checked at the resolution the limit is stated in
 (one decimal of a percent), matching how the published design
@@ -60,7 +61,6 @@ class DesignConstraints:
     k_range: tuple[float, float] = (0.1, 4.0)
     f_bw_step: float = 0.5
     k_step: float = 0.01
-    sample_period: float = SAMPLE_PERIOD
 
     def __post_init__(self):
         # written so that NaN fails them too
@@ -214,8 +214,9 @@ def predicted_thd(
     input_thd: float,
     constraints: DesignConstraints,
 ) -> float:
-    """Analytical unit-vector THD (percent) at one grid point."""
-    pi = pi_from_bandwidth(f_bw, sample_period=constraints.sample_period)
+    """Analytical unit-vector THD (percent) at one grid point; the point's
+    THD does not depend on ``constraints``."""
+    pi = pi_from_bandwidth(f_bw)
     HgiParams(k)  # validates k
     return float(steady_thd(k, pi.kp, pi.ki, frequency_hz, input_thd))
 
@@ -232,8 +233,7 @@ def band_worst_thd(
     row), so memory stays bounded whatever the grid.
     """
     freqs = np.array(constraints.sweep_frequencies())
-    pis = [pi_from_bandwidth(f_bw, sample_period=constraints.sample_period)
-           for f_bw in f_bws]
+    pis = [pi_from_bandwidth(f_bw) for f_bw in f_bws]
     kp = np.array([pi.kp for pi in pis])[:, None, None]
     ki = np.array([pi.ki for pi in pis])[:, None, None]
     worst = np.empty((len(f_bws), len(ks)))
@@ -268,69 +268,68 @@ def _design(k: float, f_bw: float, pi: PiParams, method: str) -> PllDesign:
     )
 
 
+def _sweep(method: str, ks: np.ndarray, ts_hgi: np.ndarray,
+           constraints: DesignConstraints, infeasible_row,
+           point: str) -> tuple[PllDesign, DesignReport]:
+    """The design with the smallest additive settling time over the
+    (bandwidth, k) grid whose worst band THD meets the limit; ``ts_hgi``
+    is the HGI settling time of each k in ``ks``.
+
+    ``infeasible_row(f_bw, t_s_srf)`` is the report row of a bandwidth
+    at which no k meets the limit, and ``point`` names a grid point in
+    the error raised when none meets it.
+    """
+    f_bws = constraints.bandwidth_grid()
+    worst, binding = band_worst_thd(ks, f_bws, constraints)
+    feasible = worst <= constraints.thd_threshold()
+    report = DesignReport(method=method, feasible_count=int(feasible.sum()))
+    # per bandwidth the fastest feasible k; argmin returns the first
+    # minimum, so equal settling times go to the smaller k
+    best_k = np.argmin(np.where(feasible, ts_hgi, np.inf), axis=1)
+    t_sd = np.full(len(f_bws), np.inf)
+    for i, f_bw in enumerate(f_bws):
+        t_s_srf = srf_settling_time(TWO_PI * f_bw)
+        if not feasible[i].any():
+            report.swept.append(infeasible_row(float(f_bw), t_s_srf))
+            continue
+        t_sd[i] = ts_hgi[best_k[i]] + t_s_srf
+        report.swept.append(
+            (float(f_bw), float(ks[best_k[i]]), float(t_sd[i]), True))
+    if not feasible.any():
+        raise InfeasibleDesignError(
+            f"constraints infeasible: no {point} meets the THD limit")
+    # the first minimum keeps ties at the lower bandwidth
+    i = int(np.argmin(t_sd))
+    j = best_k[i]
+    report.worst_thd, report.binding_hz = worst[i, j], binding[i, j]
+    return build_design(float(ks[j]), float(f_bws[i]), method), report
+
+
 def mtsd_design(
     constraints: DesignConstraints = DesignConstraints(),
 ) -> tuple[PllDesign, DesignReport]:
-    """Fastest design under the frequency-deviation THD constraint alone."""
+    """Fastest design under the frequency-deviation THD constraint alone:
+    the sweep on the one-gain grid of the fastest-settling k."""
     if constraints.input_thd != 0.0:
         raise ValueError("the deviation-only design requires input_thd = 0")
-    report = DesignReport(method="mtsd")
     k_opt, t_s_hgi = hgi_mod.k_opt_search(
         constraints.k_range, constraints.k_step
     )
-    f_bws = constraints.bandwidth_grid()
-    worst, binding = band_worst_thd(np.array([k_opt]), f_bws, constraints)
-    ok = worst[:, 0] <= constraints.thd_threshold()
-    report.swept = [
-        (float(f_bw), k_opt, t_s_hgi + srf_settling_time(TWO_PI * f_bw), bool(o))
-        for f_bw, o in zip(f_bws, ok)
-    ]
-    report.feasible_count = int(ok.sum())
-    if not ok.any():
-        raise InfeasibleDesignError(
-            "constraints infeasible: no bandwidth meets the THD limit"
-        )
-    # the THD constraint tightens with bandwidth: take the highest feasible
-    i = np.flatnonzero(ok)[-1]
-    report.worst_thd, report.binding_hz = worst[i, 0], binding[i, 0]
-    design = build_design(k_opt, float(f_bws[i]), "mtsd",
-                          constraints.sample_period)
-    return design, report
+    return _sweep(
+        "mtsd", np.array([k_opt]), np.array([t_s_hgi]), constraints,
+        lambda f_bw, t_s_srf: (f_bw, k_opt, t_s_hgi + t_s_srf, False),
+        "bandwidth")
 
 
 def hc_mtsd_design(
     constraints: DesignConstraints = DesignConstraints(input_thd=0.05),
 ) -> tuple[PllDesign, DesignReport]:
     """Fastest design under joint deviation and input-harmonic constraints."""
-    report = DesignReport(method="hc-mtsd")
     ks = k_grid(*constraints.k_range, constraints.k_step)
-    ts_hgi = design_settling_times(ks)
-    f_bws = constraints.bandwidth_grid()
-    worst, binding = band_worst_thd(ks, f_bws, constraints)
-    feasible = worst <= constraints.thd_threshold()
-    report.feasible_count = int(feasible.sum())
-    # per bandwidth the fastest feasible k; argmin returns the first
-    # minimum, so equal settling times go to the smaller k
-    best_k = np.argmin(np.where(feasible, ts_hgi, np.inf), axis=1)
-    t_sd = np.full(len(f_bws), np.inf)
-    for i, f_bw in enumerate(f_bws):
-        if not feasible[i].any():
-            report.swept.append((float(f_bw), math.nan, math.inf, False))
-            continue
-        t_sd[i] = ts_hgi[best_k[i]] + srf_settling_time(TWO_PI * f_bw)
-        report.swept.append(
-            (float(f_bw), float(ks[best_k[i]]), float(t_sd[i]), True))
-    if not feasible.any():
-        raise InfeasibleDesignError(
-            "constraints infeasible: no (bandwidth, k) meets the THD limit"
-        )
-    # the first minimum keeps ties at the lower bandwidth
-    i = int(np.argmin(t_sd))
-    j = best_k[i]
-    report.worst_thd, report.binding_hz = worst[i, j], binding[i, j]
-    design = build_design(float(ks[j]), float(f_bws[i]), "hc-mtsd",
-                          constraints.sample_period)
-    return design, report
+    return _sweep(
+        "hc-mtsd", ks, design_settling_times(ks), constraints,
+        lambda f_bw, t_s_srf: (f_bw, math.nan, math.inf, False),
+        "(bandwidth, k)")
 
 
 def save_design(design: PllDesign, path) -> None:

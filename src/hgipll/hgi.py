@@ -40,18 +40,14 @@ BASIC_SOGI_ADDS_PER_STEP = 4
 #: Forward-Euler stability guard: require omega0 * Ts below this.
 EULER_GUARD = 0.1
 
-#: Internal time step used when measuring settling on the continuous
-#: closed-form step response.
-SETTLING_DT = 1e-6
-
 #: Horizon after which an unsettled response is reported as unstable.
 SETTLING_HORIZON = 1.0
 
 #: Settling band, relative to the peak step response.
 SETTLING_TOLERANCE = 0.02
 
-#: Settling-time step of ``design_settling_times``, the one table both
-#: design procedures rank k on.
+#: Time step of the closed-form step response that settling is measured
+#: on, and so of the settling table both design procedures rank k on.
 DESIGN_SETTLING_DT = 2e-6
 
 
@@ -102,8 +98,6 @@ class QuadratureFilter:
             raise ValueError("sample_period must be > 0")
         if params.omega0 * sample_period >= EULER_GUARD:
             raise ValueError("sample rate too low for Euler stability")
-        self.params = params
-        self.sample_period = sample_period
         q = arith if arith is not None else EXACT
         self._signal = q.signal
         self._k = q.coeff(params.k)
@@ -111,14 +105,6 @@ class QuadratureFilter:
         self._c2 = q.coeff(params.omega0 * sample_period)
         self._x1 = 0.0
         self._x2 = 0.0
-
-    @property
-    def state(self) -> tuple[float, float]:
-        return self._x1, self._x2
-
-    def reset(self, x1=0.0, x2=0.0) -> None:
-        self._x1 = x1
-        self._x2 = x2
 
 
 class HgiFilter(QuadratureFilter):
@@ -253,7 +239,7 @@ def _unsettled(k: float, horizon: float) -> ValueError:
 
 
 def settling_times(
-    params: HgiParams, dt: float = SETTLING_DT
+    params: HgiParams, dt: float = DESIGN_SETTLING_DT
 ) -> tuple[float, float, float]:
     """Step-response settling times (t_s_alpha, t_s_beta, max of both).
 
@@ -310,8 +296,7 @@ def k_opt_search(
 def design_settling_times(ks) -> np.ndarray:
     """Combined settling time of every gain in ``ks`` at the design step
     ``DESIGN_SETTLING_DT``: the table both design procedures rank k on."""
-    return np.array([settling_times(HgiParams(k), dt=DESIGN_SETTLING_DT)[2]
-                     for k in ks])
+    return np.array([settling_times(HgiParams(k))[2] for k in ks])
 
 
 def k_grid(k_min: float, k_max: float, resolution: float) -> np.ndarray:

@@ -22,7 +22,7 @@ TWO_PI = 2 * math.pi
 NOMINAL_FREQ_HZ = 50.0
 NOMINAL_OMEGA0 = TWO_PI * NOMINAL_FREQ_HZ
 
-#: Low-order odd harmonics used by default when building a harmonic profile.
+#: Low-order odd harmonics of every harmonic profile.
 DEFAULT_HARMONIC_ORDERS = (3, 5, 7, 9)
 
 EVENT_KINDS = ("phase_jump", "frequency_step", "amplitude_step", "dc_step")
@@ -110,11 +110,9 @@ class GridSignalSpec:
         return replace(self, events=())
 
 
-def harmonic_profile(
-    input_thd: float,
-    orders: tuple[int, ...] = DEFAULT_HARMONIC_ORDERS,
-) -> list[HarmonicComponent]:
-    """Build harmonics whose amplitudes fall off as 1/order.
+def harmonic_profile(input_thd: float) -> list[HarmonicComponent]:
+    """Build harmonics of the ``DEFAULT_HARMONIC_ORDERS`` whose amplitudes
+    fall off as 1/order.
 
     Amplitudes satisfy ``v_i / v_j = j / i`` and their root-sum-square
     equals ``input_thd`` (per-unit of a 1 pu fundamental).  Phases are
@@ -122,11 +120,7 @@ def harmonic_profile(
     """
     if not 0 <= input_thd < math.inf:
         raise ScenarioError("input_thd must be >= 0 and finite")
-    orders = tuple(orders)
-    if not orders:
-        raise ScenarioError("no harmonic orders")
-    if any(o < 2 for o in orders):
-        raise ScenarioError("harmonic orders must be >= 2")
+    orders = DEFAULT_HARMONIC_ORDERS
     ref = orders[0]
     base = input_thd / math.sqrt(sum((ref / o) ** 2 for o in orders))
     return [HarmonicComponent(o, base * ref / o) for o in orders]

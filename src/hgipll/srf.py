@@ -42,19 +42,17 @@ class PiParams:
             raise ValueError("sample_period must be finite and > 0")
 
 
-def pi_from_bandwidth(f_bw: float, v_m: float = 1.0,
+def pi_from_bandwidth(f_bw: float,
                       sample_period: float = SAMPLE_PERIOD) -> PiParams:
     """PI gains for a target loop bandwidth.
 
-    kp = w_bw / V_m and ki = kp * Ts * w_bw^2, which places the PI zero
-    low enough that the closed loop settles in about 4 / w_bw.
+    kp = w_bw / V_m and ki = kp * Ts * w_bw^2 for the 1 pu input peak
+    V_m, which places the PI zero low enough that the closed loop settles
+    in about 4 / w_bw.
     """
     if not 0 < f_bw < math.inf:
         raise ValueError("f_bw must be finite and > 0")
-    if not 0 < v_m < math.inf:
-        raise ValueError("v_m must be finite and > 0")
-    w_bw = TWO_PI * f_bw
-    kp = w_bw / v_m
+    kp = w_bw = TWO_PI * f_bw
     ki = kp * sample_period * w_bw**2
     return PiParams(kp=kp, ki=ki, sample_period=sample_period)
 

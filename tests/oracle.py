@@ -32,7 +32,7 @@ import numpy as np
 
 from hgipll.arith import FLOAT64, ArithmeticMode, Fixed16Arithmetic
 from hgipll.hgi import (
-    DESIGN_SETTLING_DT, BasicSogiFilter, HgiFilter, HgiParams, SETTLING_DT,
+    DESIGN_SETTLING_DT, BasicSogiFilter, HgiFilter, HgiParams,
     SETTLING_HORIZON, freq_response,
 )
 from hgipll.signal_model import NOMINAL_OMEGA0, TWO_PI, GridSignalSpec, synthesize
@@ -316,7 +316,8 @@ def _settle_time(y: np.ndarray, t: np.ndarray, tolerance: float) -> float:
 
 
 def settling_times(
-    params: HgiParams, tolerance: float = 0.02, dt: float = SETTLING_DT
+    params: HgiParams, tolerance: float = 0.02,
+    dt: float = DESIGN_SETTLING_DT
 ) -> tuple[float, float, float]:
     """Step-response settling times (t_s_alpha, t_s_beta, max of both).
 
@@ -345,7 +346,7 @@ def predicted_thd(k, f_bw, frequency_hz, input_thd, constraints) -> float:
     from hgipll.design import steady_spec
     from hgipll.srf import pi_from_bandwidth
 
-    pi = pi_from_bandwidth(f_bw, sample_period=constraints.sample_period)
+    pi = pi_from_bandwidth(f_bw)
     spec = steady_spec(frequency_hz, input_thd)
     return total_unit_vector_thd(spec, HgiParams(k), pi)
 
@@ -360,7 +361,7 @@ def band_worst_thd(ks, f_bws, constraints):
     worst = np.empty((len(f_bws), len(ks)))
     binding = np.empty((len(f_bws), len(ks)), dtype=int)
     for i, f_bw in enumerate(f_bws):
-        pi = pi_from_bandwidth(f_bw, sample_period=constraints.sample_period)
+        pi = pi_from_bandwidth(f_bw)
         thd = steady_thd(ks[:, None], pi.kp, pi.ki, freqs,
                          constraints.input_thd)
         worst[i] = thd.max(axis=1)
@@ -466,10 +467,8 @@ class Fixed16Reference(Fixed16Arithmetic):
         self._acc_max = (2 ** 31 - 1) / self._acc_scale
         self._acc_min = -(2 ** 31) / self._acc_scale
         idx = np.arange(self.LUT_SIZE) * (TWO_PI / self.LUT_SIZE)
-        self._sin_lut = (np.round(np.sin(idx) * self._sig_scale)
-                         / self._sig_scale)
-        self._cos_lut = (np.round(np.cos(idx) * self._sig_scale)
-                         / self._sig_scale)
+        self._sin_lut = self.quantize_input(np.sin(idx))
+        self._cos_lut = self.quantize_input(np.cos(idx))
         self.signal, self.accumulator = self._signal, self._accumulator
         self.phase, self.trig = self._phase, self._trig
 

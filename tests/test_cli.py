@@ -274,6 +274,14 @@ def input_files(tmp_path_factory):
      "analysis failed: omega must be finite"),
     (["compare", "--designs", "{design}", "--input-thd", "nan"],
      "invalid scenario: input_thd must be >= 0 and finite"),
+    # each asks for petabytes, so the allocation fails at once
+    (["simulate", "--scenario", CLEAN, "--k", "1.56", "--f-bw", "29.5",
+      "--duration", "1e12"],
+     "input too large: out of memory"),
+    (["design", "--f-bw-range", "1", "1e15"],
+     "input too large: out of memory"),
+    (["design", "--k-range", "0.1", "1e15"],
+     "input too large: out of memory"),
 ], ids=["simulate-unsettled-k", "simulate-k-subnormal", "simulate-k-1e150",
         "design-unsettled-k", "design-mtsd-input-thd",
         "simulate-no-sample", "simulate-k-nan", "simulate-k-inf",
@@ -287,7 +295,9 @@ def input_files(tmp_path_factory):
         "simulate-frequency-step-negative",
         "design-input-thd-nan", "design-input-thd-inf",
         "sweep-frequencies-nan", "sweep-input-thds-nan",
-        "compare-frequencies-nan", "compare-input-thd-nan"])
+        "compare-frequencies-nan", "compare-input-thd-nan",
+        "simulate-duration-too-large", "design-f-bw-range-too-large",
+        "design-k-range-too-large"])
 def test_rejected_input_exit_code(tmp_path, capsys, input_files, argv,
                                   message):
     out = tmp_path / "out"

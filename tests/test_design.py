@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from hgipll import (
     DesignConstraints,
+    HgiParams,
     InfeasibleDesignError,
     build_design,
     hc_mtsd_design,
@@ -12,6 +13,7 @@ from hgipll import (
     mtsd_design,
     predicted_thd,
     save_design,
+    settling_times,
 )
 
 
@@ -41,6 +43,11 @@ def test_sweep_frequencies_zero_deviation():
 def test_additive_settling_composition():
     t = build_design(1.56, 55.0).t_sd
     assert t == pytest.approx(15.97e-3 + 4 / (2 * math.pi * 55), abs=0.3e-3)
+
+
+@pytest.mark.parametrize("k", [0.5, 1.56, 2.0, 3.0])
+def test_settling_times_default_step_is_the_design_step(k):
+    assert settling_times(HgiParams(k))[2] == build_design(k, 29.5).t_s_hgi
 
 
 def test_predicted_thd_zero_at_nominal_clean():

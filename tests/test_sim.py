@@ -400,6 +400,21 @@ def test_fixed16_trig_accuracy():
         assert c == pytest.approx(math.cos(theta), abs=2e-4)
 
 
+@pytest.mark.parametrize("fraction_bits", [8, 14, 15])
+def test_fixed16_trig_table_within_the_rails(fraction_bits):
+    # the tables are rounded as signal words: at Q1.15 the peaks sit on
+    # the rail, 32767/32768, where an entry of 1.0 would count a
+    # saturation on every lookup near a peak
+    arith = Fixed16Arithmetic(fraction_bits)
+    n = arith.LUT_SIZE
+    entries = [v for i in range(n) for v in arith.trig(i * 2 * math.pi / n)]
+    for theta in np.linspace(-1.0, 7.0, 100_001).tolist():
+        arith.trig(theta)
+    assert arith.saturations == 0
+    assert max(entries) == min(1.0, (2 ** 15 - 1) / 2 ** fraction_bits)
+    assert min(entries) == -1.0
+
+
 def test_fixed16_close_to_float(mtsd_like):
     report = fixed_vs_float_drift(GridSignalSpec(), mtsd_like, 0.6)
     assert report["max_freq_error_hz"] < 0.1

@@ -23,12 +23,6 @@ def test_pi_tuning_values():
     assert pi.ki == pytest.approx(2063.5, abs=0.5)
 
 
-def test_pi_tuning_scales_with_amplitude():
-    assert pi_from_bandwidth(55.0, v_m=2.0).kp == pytest.approx(
-        pi_from_bandwidth(55.0).kp / 2
-    )
-
-
 def test_settling_time_is_4_over_bandwidth():
     assert srf_settling_time(100.0) == pytest.approx(0.04)
 
