@@ -11,12 +11,14 @@ module provides the continuous-domain frequency response, a forward-Euler
 discrete realization, closed-form step-response settling times and the
 search for the gain k with the fastest settling.
 
-Settling is read off a dense grid of 12 slow-pole time constants, but the
-decaying exponential envelope of the step response bounds where the peak
-and the last exit from the settling band can lie: only the grid prefix up
-to that bracket (about a third of it; all of it at the repeated root
-k = 2) is evaluated, and the settle instants are the same grid points as
-on the whole grid.
+Settling is read off the closed-form step response on the grid t = i*dt
+over 12 slow-pole time constants, but only on short windows of it: one at
+each channel's peak and one at its last exit from the settling band.
+Closed-form lobe times place the windows and a scalar bisection finds the
+band crossing; every value compared against the band is evaluated on the
+grid itself, so the settle instants are the same grid points as on the
+whole grid, which is evaluated only at the repeated root k = 2 and on a
+grid too coarse to sample the alpha peak.
 """
 
 from __future__ import annotations
@@ -49,6 +51,14 @@ SETTLING_TOLERANCE = 0.02
 #: Time step of the closed-form step response that settling is measured
 #: on, and so of the settling table both design procedures rank k on.
 DESIGN_SETTLING_DT = 2e-6
+
+#: Grid points on each side of a response peak or band crossing that
+#: ``settling_times`` evaluates.
+SETTLING_WINDOW = 8
+
+#: Relative margin between an analytic lobe top and the evaluated
+#: response values it bounds, which carry rounding.
+_TOP_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -175,62 +185,172 @@ def step_responses(params: HgiParams, t: np.ndarray) -> tuple[np.ndarray, np.nda
     return k * w0 * h2, -k * h2p
 
 
-def _bracket(params: HgiParams, t: np.ndarray, dt: float) -> int:
-    """Length of the prefix of the uniform grid ``t`` that holds the peak
-    and the last band exit of both step responses.
+class _Underdamped:
+    """Lobes of both step responses for the pole pair -sigma +/- j*wd.
 
-    Both responses lie under an envelope C*e^(-rate*t): with the pole
-    pair -sigma +/- j*wd, |y_alpha| <= (k*w0/wd)*e^(-sigma*t) and
-    |y_beta| <= k*sqrt(1 + (sigma/wd)^2)*e^(-sigma*t); with real poles
-    r2 < r1 < 0, |y_alpha| <= k*w0/(r1 - r2)*e^(r1*t) and
-    |y_beta| <= k*(|r1| + |r2|)/(r1 - r2)*e^(r1*t).  Past the time where
-    C*e^(-rate*t) drops to the band around a lower bound P of the peak
-    (|y_beta(0)| = k; |y_alpha| at the grid point nearest its first
-    peak), every grid point is inside the band and below the peak, so
-    the prefix gives the same peak and the same last exit.  The repeated
-    root gets the whole grid.
+    |y_alpha| = A*e^(-sigma*t)*|sin(wd*t)| and
+    |y_beta| = A*e^(-sigma*t)*|cos(wd*t + theta)|, with A = k*w0/wd and
+    tan(theta) = sigma/wd, so every lobe top of either channel is
+    k*e^(-sigma*t).  In units of pi/wd, lobe m of alpha tops at
+    m + 1/2 - theta/pi and ends at its zero m + 1; lobe m of beta tops at
+    m - 2*theta/pi (at t = 0 for m = 0) and ends at m + 1/2 - theta/pi.
     """
+
+    def __init__(self, k, w0, sigma, wd):
+        self.k, self.sigma, self.wd = k, sigma, wd
+        self.gain = k * w0 / wd
+        self.theta = math.atan(sigma / wd)
+        self.unit = math.pi / wd
+        zero = 0.5 - self.theta / math.pi
+        self.offsets = ((zero, 1.0), (-2 * self.theta / math.pi, zero))
+
+    def mag(self, c, t):
+        """|y| of channel c (0 alpha, 1 beta) at time t, in scalar math."""
+        e = self.gain * math.exp(-self.sigma * t)
+        if c == 0:
+            return e * abs(math.sin(self.wd * t))
+        return e * abs(math.cos(self.wd * t + self.theta))
+
+    def lobe(self, c, m):
+        """(top, end) times of lobe m of channel c."""
+        top, end = self.offsets[c]
+        return max(0.0, (m + top) * self.unit), (m + end) * self.unit
+
+    def last(self, c, t_end, level):
+        """The last lobe of channel c that starts before t_end and whose
+        top exceeds level (lobe 0 if none)."""
+        top, end = self.offsets[c]
+        reach = math.log(self.k / level) / self.sigma
+        m = min(t_end / self.unit + 1 - end, reach / self.unit - top)
+        return max(math.ceil(m) - 1, 0)
+
+
+class _Overdamped:
+    """Lobes of both step responses for the real poles r2 < r1 < 0.
+
+    y_alpha rises to its one top at z = ln(r2/r1)/(r1 - r2) and decays;
+    y_beta falls from -k at t = 0 to its zero at z, then has one lobe
+    with its top at 2*z.
+    """
+
+    def __init__(self, k, w0, r1, r2):
+        self.k, self.w0, self.r1, self.r2 = k, w0, r1, r2
+        z = math.log(r2 / r1) / (r1 - r2)
+        self.lobes = (((z, math.inf),), ((0.0, z), (2 * z, math.inf)))
+
+    def mag(self, c, t):
+        r1, r2 = self.r1, self.r2
+        e1, e2 = math.exp(r1 * t), math.exp(r2 * t)
+        if c == 0:
+            return self.k * self.w0 * (e1 - e2) / (r1 - r2)
+        return self.k * abs(r1 * e1 - r2 * e2) / (r1 - r2)
+
+    def lobe(self, c, m):
+        """(top, end) times of lobe m of channel c; None past the last."""
+        lobes = self.lobes[c]
+        return lobes[m] if m < len(lobes) else None
+
+    def last(self, c, t_end, level):
+        m = len(self.lobes[c]) - 1
+        while m > 0 and not self.mag(c, self.lobes[c][m][0]) > level:
+            m -= 1
+        return m
+
+
+def _lobes(params: HgiParams):
+    """The lobes of both step responses; None at the repeated root, where
+    ``step_responses`` takes its t*e^(-sigma*t) branch."""
     w0, k = params.omega0, params.k
     disc = (k * w0) ** 2 - 4 * w0 * w0
     root = math.sqrt(abs(disc))
     sigma = k * w0 / 2
     if root < 1e-9 * w0:
-        return len(t)
+        return None
     if disc < 0:
-        wd = root / 2
-        rate = sigma
-        c_alpha, c_beta = k * w0 / wd, k * math.hypot(1.0, sigma / wd)
-        t_peak = math.atan2(wd, sigma) / wd
-    else:
-        r1, r2 = -sigma + root / 2, -sigma - root / 2
-        rate = -r1
-        c_alpha = k * w0 / (r1 - r2)
-        c_beta = k * (abs(r1) + abs(r2)) / (r1 - r2)
-        t_peak = math.log(r2 / r1) / (r1 - r2)
-    j = min(round(t_peak / dt), len(t) - 1)
-    peak_alpha = abs(float(step_responses(params, t[j:j + 1])[0][0]))
-    if not peak_alpha > 0:
-        # a grid too coarse to sample the alpha peak gives no lower bound
-        return len(t)
-    # the 1e-9 margin and two extra points absorb rounding in the
-    # evaluated responses, the envelope and the grid
-    ratio = max(c_alpha / peak_alpha, c_beta / k) * (1 + 1e-9)
-    n = math.ceil(math.log(ratio / SETTLING_TOLERANCE) / rate / dt) + 2
-    return min(n, len(t))
+        return _Underdamped(k, w0, sigma, root / 2)
+    return _Overdamped(k, w0, -sigma + root / 2, -sigma - root / 2)
 
 
-def _settle_time(y: np.ndarray, t: np.ndarray) -> float:
-    """Last time |y| leaves the band, referenced to the response peak;
-    ``y`` covers a prefix of ``t``.  inf when the last exit is at the end
-    of t."""
-    mag = np.abs(y)
-    outside = mag > SETTLING_TOLERANCE * mag.max()
-    if not outside.any():
-        return 0.0
-    i = np.nonzero(outside)[0][-1]
-    if i + 1 >= len(t):
-        return math.inf
-    return float(t[i + 1])
+def _window(i: int, n: int) -> np.ndarray:
+    """Indices of the grid points within ``SETTLING_WINDOW`` of point i."""
+    return np.arange(max(i - SETTLING_WINDOW, 0),
+                     min(i + SETTLING_WINDOW + 1, n))
+
+
+def _magnitudes(params: HgiParams, windows, dt: float) -> list[np.ndarray]:
+    """|y| of channel c (0 alpha, 1 beta) at the grid points i*dt of each
+    (c, indices) pair in ``windows``, from one ``step_responses`` call."""
+    ys = step_responses(params, np.concatenate([w for _, w in windows]) * dt)
+    mags, start = [], 0
+    for c, w in windows:
+        mags.append(np.abs(ys[c][start:start + len(w)]))
+        start += len(w)
+    return mags
+
+
+def _last_outside(mag: np.ndarray, band) -> int:
+    """Index of the last point of ``mag`` above ``band``; -1 if none."""
+    outside = np.flatnonzero(mag > band)
+    return int(outside[-1]) if outside.size else -1
+
+
+def _crossing(lobes, c: int, m: int, band: float, n: int, dt: float) -> int:
+    """Grid index at which lobe m of channel c falls through ``band``,
+    bisected in scalar math; the last grid point when the lobe is still
+    above the band there."""
+    top, end = lobes.lobe(c, m)
+    lo, hi = top, min(end, (n - 1) * dt)
+    if not lo < hi or lobes.mag(c, hi) > band:
+        return n - 1
+    while hi - lo > dt:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if lobes.mag(c, mid) > band:
+            lo = mid
+        else:
+            hi = mid
+    return math.floor(hi / dt)
+
+
+def _windowed_exits(params: HgiParams, lobes, n: int, dt: float):
+    """Grid index of the last point of each step response outside the
+    band (-1 if none), read from windows of the grid; None when the grid
+    is too coarse to sample a peak above every later lobe top.
+
+    The peak of a channel is the largest grid point of the window at its
+    first lobe top: |y| rises and falls once over that lobe, and every
+    later lobe top is below it.  The last band exit lies in the window at
+    the fall of the last lobe whose top exceeds the band: later lobes
+    stay inside the band, and the fall is monotone.  If that window holds
+    no point outside the band, the lobe's top slipped between grid
+    points, and the lobe before it is tried.
+    """
+    windows = [(c, _window(round(lobes.lobe(c, 0)[0] / dt), n))
+               for c in (0, 1)]
+    bands = []
+    for c, mag in enumerate(_magnitudes(params, windows, dt)):
+        peak = mag.max()
+        second = lobes.lobe(c, 1)
+        bound = lobes.mag(c, second[0]) if second else 0.0
+        if not peak > bound * (1 + _TOP_MARGIN):
+            return None
+        bands.append(SETTLING_TOLERANCE * peak)
+    t_end = (n - 1) * dt
+    lobe = [lobes.last(c, t_end, band * (1 - _TOP_MARGIN))
+            for c, band in enumerate(bands)]
+    exits = [None, None]
+    while None in exits:
+        windows = [
+            (c, _window(_crossing(lobes, c, lobe[c], bands[c], n, dt), n))
+            for c in (0, 1) if exits[c] is None]
+        for (c, w), mag in zip(windows, _magnitudes(params, windows, dt)):
+            i = _last_outside(mag, bands[c])
+            if i >= 0 or lobe[c] == 0:
+                exits[c] = int(w[i]) if i >= 0 else -1
+            else:
+                lobe[c] -= 1
+    return exits
 
 
 def _unsettled(k: float, horizon: float) -> ValueError:
@@ -238,21 +358,11 @@ def _unsettled(k: float, horizon: float) -> ValueError:
                       f"settle within {horizon:g} s")
 
 
-def settling_times(
-    params: HgiParams, dt: float = DESIGN_SETTLING_DT
-) -> tuple[float, float, float]:
-    """Step-response settling times (t_s_alpha, t_s_beta, max of both).
-
-    Settling is measured on the dense closed-form response: the last time
-    the output leaves the +/-2 % band around its final value (zero, both
-    channels have no dc gain), with the band referenced to the peak
-    response magnitude.  Of the grid of 12 slow-pole time constants only
-    the prefix ``_bracket`` finds to hold both peaks and last band exits
-    is evaluated, so the result equals that of the whole grid; a response
-    still outside the band at the end of the whole grid, or whose slow
-    pole has a time constant of the horizon or longer, raises
-    ``ValueError``.
-    """
+def _settling_grid(params: HgiParams, dt: float) -> tuple[float, int]:
+    """Horizon and length of the grid t = i*dt that settling is read
+    from; the length is that of np.arange(0.0, horizon, dt)."""
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be finite and > 0")
     k = params.k
     # slowest pole decay rate: zeta*w0 when underdamped, the slow real
     # pole when overdamped; 12 time constants comfortably brackets any
@@ -263,12 +373,40 @@ def settling_times(
     if not rate * SETTLING_HORIZON > 1:
         raise _unsettled(k, SETTLING_HORIZON)
     horizon = min(SETTLING_HORIZON, 12 / rate + 0.005)
-    t = np.arange(0.0, horizon, dt)
-    y_alpha, y_beta = step_responses(params, t[:_bracket(params, t, dt)])
-    ts_a = _settle_time(y_alpha, t)
-    ts_b = _settle_time(y_beta, t)
+    # a grid index must be exact in float64 for i*dt to be the grid point
+    if not horizon / dt < 2**53:
+        raise ValueError("dt is too small for the settling grid")
+    return horizon, math.ceil(horizon / dt)
+
+
+def settling_times(
+    params: HgiParams, dt: float = DESIGN_SETTLING_DT
+) -> tuple[float, float, float]:
+    """Step-response settling times (t_s_alpha, t_s_beta, max of both).
+
+    Settling is measured on the closed-form response sampled at t = i*dt
+    over 12 slow-pole time constants: the last time the output leaves
+    the +/-2 % band around its final value (zero, both channels have no
+    dc gain), with the band referenced to the peak response magnitude.
+    Only short windows of that grid are evaluated, at each channel's
+    peak and at its last exit from the band (see ``_windowed_exits``),
+    so the result equals that of the whole grid, which is evaluated only
+    at the repeated root k = 2 and on a grid too coarse to sample the
+    alpha peak.  A ``dt`` that is not finite and > 0 or that gives the
+    grid 2**53 points or more, a response still outside the band at the
+    end of the grid, or a slow pole with a time constant of the horizon
+    or longer raises ``ValueError``.
+    """
+    horizon, n = _settling_grid(params, dt)
+    lobes = _lobes(params)
+    exits = _windowed_exits(params, lobes, n, dt) if lobes else None
+    if exits is None:
+        ys = step_responses(params, np.arange(n) * dt)
+        exits = [_last_outside(mag, SETTLING_TOLERANCE * mag.max())
+                 for mag in map(np.abs, ys)]
+    ts_a, ts_b = (math.inf if i + 1 >= n else (i + 1) * dt for i in exits)
     if math.isinf(max(ts_a, ts_b)):
-        raise _unsettled(k, horizon)
+        raise _unsettled(params.k, horizon)
     return ts_a, ts_b, max(ts_a, ts_b)
 
 
@@ -284,8 +422,6 @@ def k_opt_search(
     k_min, k_max = k_range
     if not 0 < k_min <= k_max:
         raise ValueError("need 0 < k_min <= k_max")
-    if not resolution > 0:
-        raise ValueError("resolution must be > 0")
     ks = k_grid(k_min, k_max, resolution)
     ts = design_settling_times(ks)
     # argmin returns the first minimum: ties go to the smaller k
@@ -301,6 +437,10 @@ def design_settling_times(ks) -> np.ndarray:
 
 def k_grid(k_min: float, k_max: float, resolution: float) -> np.ndarray:
     """Uniform grid from k_min to k_max inclusive, for gains and bandwidths."""
+    if not math.isfinite(k_min) or not math.isfinite(k_max):
+        raise ValueError("grid range must be finite")
+    if not 0 < resolution < math.inf:
+        raise ValueError("resolution must be finite and > 0")
     n = int(round((k_max - k_min) / resolution))
     grid = k_min + resolution * np.arange(n + 1)
     return grid[grid <= k_max + 1e-12]

@@ -17,9 +17,9 @@ through ``Fixed16Reference``'s ``round()``-based quantizers and
 ``log2``-based ``coeff``, and ``write_trace_csv`` the ``np.savetxt``
 form of ``SimTrace.write_csv``; the package steps and writes on Python
 floats.  ``settling_times`` evaluates the whole 12-time-constant grid,
-which the package brackets by the step-response envelope, and
-``band_worst_thd`` evaluates the THD cube one bandwidth row at a time,
-where the package takes slabs of rows.
+of which the package evaluates only windows at each peak and last band
+exit, and ``band_worst_thd`` evaluates the THD cube one bandwidth row at
+a time, where the package takes slabs of rows.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hgipll import (
     BasicSogiFilter,
@@ -15,6 +16,7 @@ from hgipll import (
     step_responses,
     synthesize,
     GridSignalSpec,
+    TimedEvent,
 )
 from hgipll.hgi import (
     HGI_ADDS_PER_STEP,
@@ -86,6 +88,35 @@ def test_discrete_filter_blocks_dc():
         va, vb = filt.step(1.0)
     assert abs(va) < 1e-6
     assert abs(vb) < 1e-6
+
+
+def _run_filter(params, v):
+    filt = HgiFilter(params, TS)
+    for s in v:
+        out = filt.step(s)
+    return out
+
+
+@settings(max_examples=25)
+@given(k=st.floats(0.5, 3.0), dc=st.floats(-2.0, 2.0))
+def test_discrete_filter_blocks_any_dc(k, dc):
+    # 1 s is over 78 time constants of the slowest pole at k = 0.5
+    v_alpha, v_beta = _run_filter(HgiParams(k), np.full(20000, dc))
+    assert abs(v_alpha) < 1e-9
+    assert abs(v_beta) < 1e-9
+
+
+@settings(max_examples=25)
+@given(k=st.floats(0.5, 3.0), dc=st.floats(-2.0, 2.0),
+       at=st.floats(0.0, 0.2))
+def test_discrete_filter_rejects_a_dc_step(k, dc, at):
+    # the filter is linear: with and without the step, both outputs end
+    # the same once the step's transient has decayed
+    spec = GridSignalSpec(events=(TimedEvent(at, "dc_step", dc),))
+    params = HgiParams(k)
+    stepped = _run_filter(params, synthesize(spec, TS, 1.0))
+    clean = _run_filter(params, synthesize(spec.without_events(), TS, 1.0))
+    assert stepped == pytest.approx(clean, abs=1e-9)
 
 
 def test_basic_sogi_passes_dc_to_quadrature():
@@ -164,6 +195,39 @@ def test_unsettled_gain_names_k(k):
     with pytest.raises(ValueError, match=re.escape(
             f"k = {k:g} does not settle within 1 s")):
         settling_times(HgiParams(k))
+
+
+@pytest.mark.parametrize("dt,message", [
+    (0.0, "dt must be finite and > 0"),
+    (-2e-6, "dt must be finite and > 0"),
+    (math.nan, "dt must be finite and > 0"),
+    (math.inf, "dt must be finite and > 0"),
+    (1e-300, "dt is too small"),
+    (5e-324, "dt is too small"),
+])
+def test_settling_times_refuses_a_bad_dt(dt, message):
+    with pytest.raises(ValueError, match=message):
+        settling_times(HgiParams(1.56), dt=dt)
+
+
+@pytest.mark.parametrize("args,message", [
+    (((0.1, 4.0), math.inf), "resolution must be finite and > 0"),
+    (((0.1, 4.0), math.nan), "resolution must be finite and > 0"),
+    (((0.1, 4.0), 0.0), "resolution must be finite and > 0"),
+    (((0.1, math.inf),), "grid range must be finite"),
+])
+def test_k_opt_search_refuses_a_non_finite_grid(args, message):
+    with pytest.raises(ValueError, match=message):
+        k_opt_search(*args)
+
+
+@pytest.mark.parametrize("args", [
+    (0.1, 4.0, math.inf), (0.1, 4.0, math.nan), (0.1, 4.0, -0.01),
+    (0.1, math.inf, 0.01), (-math.inf, 4.0, 0.01), (math.nan, 4.0, 0.01),
+])
+def test_k_grid_refuses_a_non_finite_range_or_resolution(args):
+    with pytest.raises(ValueError, match="finite"):
+        k_grid(*args)
 
 
 def test_k_grid_includes_endpoints():

@@ -4,6 +4,7 @@ against ``DesignConstraints.thd_ok``."""
 
 import cmath
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,9 @@ from hgipll import (
     total_unit_vector_thd,
 )
 from hgipll.design import THD_COMPARE_DECIMALS, band_worst_thd, steady_thd
-from hgipll.hgi import k_grid, settling_times
+from hgipll import hgi
+from hgipll.hgi import (SETTLING_WINDOW, _settling_grid, k_grid,
+                        settling_times, step_responses)
 from hgipll.thd import ripple_terms
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "hgipll" / "scenarios"
@@ -282,6 +285,121 @@ def test_settling_times_equal_oracle_property(k, dt):
     params = HgiParams(k)
     assert settling_times(params, dt=dt) == oracle.settling_times(params,
                                                                   dt=dt)
+
+
+def _settling_or_unsettled(settle, params, dt):
+    try:
+        return settle(params, dt=dt)
+    except (ValueError, RuntimeError):
+        return "unsettled"
+
+
+@settings(max_examples=100)
+@given(k=st.floats(0.1, 8.0),
+       dt=st.floats(math.log(1e-6), math.log(2e-2)).map(math.exp))
+def test_settling_windows_equal_oracle_deep_overdamped_and_coarse(k, dt):
+    # up to 1 ms the windows serve every k; coarser grids (at 10 ms, 0.1 <=
+    # k < 0.5 among others) sample the alpha peak below the next lobe top
+    # and take the whole grid
+    params = HgiParams(k)
+    assert (_settling_or_unsettled(settling_times, params, dt)
+            == _settling_or_unsettled(oracle.settling_times, params, dt))
+
+
+def _lobe_top_and_grid_hit(k, dt, channel, m):
+    """Analytic top of lobe m of one underdamped step response, relative to
+    the band of the whole grid, and whether a grid point of that lobe lies
+    outside the band."""
+    sigma, wd = k * W0 / 2, W0 * math.sqrt(4 - k * k) / 2
+    theta = math.atan(sigma / wd)
+    if channel == 0:
+        top = (math.pi / 2 - theta + m * math.pi) / wd
+        start, end = m * math.pi / wd, (m + 1) * math.pi / wd
+    else:
+        top = (m * math.pi - 2 * theta) / wd
+        start = ((m - 0.5) * math.pi - theta) / wd
+        end = ((m + 0.5) * math.pi - theta) / wd
+    horizon = min(1.0, 12 / sigma + 0.005)
+    t = np.arange(0.0, horizon, dt)
+    y = np.abs(oracle.step_responses(HgiParams(k), t)[channel])
+    band = 0.02 * y.max()
+    lobe = (t > start) & (t < end)
+    return k * math.exp(-sigma * top) / band - 1, bool((y[lobe] > band).any())
+
+
+@pytest.mark.parametrize("k,channel,m", [
+    # the top clears the band by 1e-8, between two grid points
+    (1.057087894067627, 0, 2),
+    (0.7667304352784301, 0, 3),
+    (1.2409436010374497, 1, 2),
+    # the top clears the band by about 1e-15
+    (1.5594065360937428, 0, 1),
+    (1.0570878960149146, 0, 2),
+    (1.2409436034664305, 1, 2),
+])
+def test_settling_lobe_top_just_above_the_band(k, channel, m):
+    # the last lobe whose top exceeds the band has no grid point outside
+    # it, so the last exit is read from the lobe before
+    excess, hit = _lobe_top_and_grid_hit(k, 2e-6, channel, m)
+    assert 0 < excess < 2e-8
+    assert not hit
+    params = HgiParams(k)
+    assert settling_times(params) == oracle.settling_times(params)
+
+
+@pytest.mark.parametrize("k", [0.0249, 0.02491, 0.025, 0.03])
+def test_settling_last_exit_near_the_horizon(k):
+    # below k = 0.0249048 a lobe above the band reaches past the last grid
+    # point before the 1 s horizon; just above it the last exit is at 0.996 s
+    params = HgiParams(k)
+    if k < 0.0249048:
+        with pytest.raises(ValueError, match=re.escape(
+                f"k = {k:g} does not settle within 1 s")):
+            settling_times(params)
+        with pytest.raises(RuntimeError):
+            oracle.settling_times(params)
+    else:
+        got = settling_times(params)
+        assert 0.8 < got[2] < 1.0
+        assert got == oracle.settling_times(params)
+
+
+@pytest.mark.parametrize("dt", [1e-6, 2e-6])
+def test_settling_grid_length_is_arange_length(dt):
+    for k in k_grid(0.1, 4.0, 0.01):
+        horizon, n = _settling_grid(HgiParams(float(k)), dt)
+        assert n == len(np.arange(0.0, horizon, dt)), k
+
+
+def _evaluated_points(monkeypatch, params, dt):
+    counts = []
+
+    def counted(p, t):
+        counts.append(len(t))
+        return step_responses(p, t)
+
+    monkeypatch.setattr(hgi, "step_responses", counted)
+    settling_times(params, dt=dt)
+    monkeypatch.undo()
+    return counts
+
+
+def test_settling_evaluates_windows_only(monkeypatch):
+    # two calls of two windows of 2*SETTLING_WINDOW + 1 points for every
+    # design k but the repeated root, which takes the whole grid, as does
+    # a 10 ms grid that samples the alpha peak at k = 0.1 below its next
+    # lobe top
+    width = 2 * SETTLING_WINDOW + 1
+    for k in k_grid(0.1, 4.0, 0.01):
+        params = HgiParams(float(k))
+        counts = _evaluated_points(monkeypatch, params, 2e-6)
+        if abs(k - 2.0) < 1e-9:
+            assert counts == [_settling_grid(params, 2e-6)[1]]
+        else:
+            assert len(counts) == 2 and max(counts) <= 2 * width, k
+    params = HgiParams(0.1)
+    counts = _evaluated_points(monkeypatch, params, 0.01)
+    assert counts[-1] == _settling_grid(params, 0.01)[1]
 
 
 @pytest.mark.parametrize("kwargs", [
