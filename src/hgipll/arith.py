@@ -20,11 +20,23 @@ end at -2**51 and 2**51 - 1, past which it returns ``round(y) / scale``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .signal_model import TWO_PI
+
+
+class SampleError(ArithmeticError):
+    """Raised by a filter or loop pass when the arithmetic of the sample
+    at ``index`` raises; the policy's ``OverflowError`` or ``ValueError``
+    (a fixed16 ``round`` of inf or NaN, or trig of a non-finite phase)
+    is its ``__cause__``."""
+
+    def __init__(self, index: int):
+        super().__init__(f"arithmetic raised at sample {index}")
+        self.index = index
 
 
 class ExactArithmetic:
@@ -36,7 +48,9 @@ class ExactArithmetic:
     def coeff(x):
         return x
 
-    signal = accumulator = phase = coeff
+    # unary plus returns a float unchanged, and as a C function it costs
+    # less per sample than a Python identity function
+    signal = accumulator = phase = staticmethod(operator.pos)
 
     @staticmethod
     def trig(theta):

@@ -203,7 +203,10 @@ def steady_thd(k, kp, ki, frequency_hz, input_thd) -> np.ndarray:
                      for h in thds.ravel()])
     harmonics = [(o, amps[:, i].reshape(thds.shape), 0.0)
                  for i, o in enumerate(DEFAULT_HARMONIC_ORDERS)]
-    omega = TWO_PI * np.asarray(frequency_hz, dtype=float)
+    # a frequency past about 2.9e307 Hz overflows to an omega of inf,
+    # which unit_vector_thd refuses as not finite
+    with np.errstate(over="ignore"):
+        omega = TWO_PI * np.asarray(frequency_hz, dtype=float)
     return unit_vector_thd(k, kp, ki, omega, harmonics)
 
 

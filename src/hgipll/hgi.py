@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import EXACT
+from .arith import EXACT, SampleError
 from .signal_model import NOMINAL_OMEGA0
 
 #: Per-sample arithmetic budget of the forward-Euler HGI update.
@@ -100,7 +100,8 @@ class QuadratureFilter:
     State x1 is the band-pass output v_alpha, x2 the second integrator
     state.  ``arith`` is an arithmetic policy (see ``hgipll.arith``);
     by default the filter runs in exact float64.  Subclasses define only
-    ``step``, which returns (v_alpha, v_beta).
+    ``process``, the pass over a whole input sequence; ``step`` is its
+    one-sample call.
     """
 
     def __init__(self, params: HgiParams, sample_period: float, arith=None):
@@ -116,6 +117,12 @@ class QuadratureFilter:
         self._x1 = 0.0
         self._x2 = 0.0
 
+    def step(self, v_g):
+        """Advance one sample; returns (v_alpha, v_beta)."""
+        v_alpha, v_beta = [0.0], [0.0]
+        self.process([v_g], v_alpha, v_beta)
+        return v_alpha[0], v_beta[0]
+
 
 class HgiFilter(QuadratureFilter):
     """The HGI pair: band-pass alpha channel, high-pass beta channel.
@@ -125,16 +132,23 @@ class HgiFilter(QuadratureFilter):
     path separately, as in the counted hardware dataflow).
     """
 
-    def step(self, v_g):
-        """Advance one sample; returns (v_alpha, v_beta)."""
-        q = self._signal
+    def process(self, v_g, v_alpha, v_beta):
+        """Advance over every sample of ``v_g``, writing sample i's outputs
+        to ``v_alpha[i]`` and ``v_beta[i]``.  A sample whose arithmetic
+        raises raises ``SampleError``; the state then stays as it was
+        before the pass."""
+        q, k, c1, c2 = self._signal, self._k, self._c1, self._c2
         x1, x2 = self._x1, self._x2
-        u = v_g - x1                       # alpha-path input summer
-        r = v_g - x1                       # beta-path input summer
-        v_beta = q(x2 - self._k * r)
-        self._x1 = q(x1 + self._c1 * u - self._c2 * x2)
-        self._x2 = q(x2 + self._c2 * x1)
-        return x1, v_beta
+        try:
+            for i, v in enumerate(v_g):
+                u = v - x1                 # alpha-path input summer
+                r = v - x1                 # beta-path input summer
+                v_beta[i] = q(x2 - k * r)
+                v_alpha[i] = x1
+                x1, x2 = q(x1 + c1 * u - c2 * x2), q(x2 + c2 * x1)
+        except (ValueError, OverflowError) as exc:
+            raise SampleError(i) from exc
+        self._x1, self._x2 = x1, x2
 
 
 class BasicSogiFilter(QuadratureFilter):
@@ -145,13 +159,19 @@ class BasicSogiFilter(QuadratureFilter):
     comparison baseline.  3 multiplications and 4 additions per sample.
     """
 
-    def step(self, v_g):
-        q = self._signal
+    def process(self, v_g, v_alpha, v_beta):
+        """As ``HgiFilter.process``, with v_beta the state x2."""
+        q, c1, c2 = self._signal, self._c1, self._c2
         x1, x2 = self._x1, self._x2
-        u = v_g - x1
-        self._x1 = q(x1 + self._c1 * u - self._c2 * x2)
-        self._x2 = q(x2 + self._c2 * x1)
-        return x1, x2
+        try:
+            for i, v in enumerate(v_g):
+                u = v - x1
+                v_alpha[i] = x1
+                v_beta[i] = x2
+                x1, x2 = q(x1 + c1 * u - c2 * x2), q(x2 + c2 * x1)
+        except (ValueError, OverflowError) as exc:
+            raise SampleError(i) from exc
+        self._x1, self._x2 = x1, x2
 
 
 def step_responses(params: HgiParams, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

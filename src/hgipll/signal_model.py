@@ -71,7 +71,9 @@ class TimedEvent:
             raise ScenarioError(f"unknown event kind {self.kind!r}")
         if not math.isfinite(self.value):
             raise ScenarioError("event value must be finite")
-        if self.kind == "frequency_step" and not self.value > 0:
+        # 2*pi*f must be finite too: the phase integrates it
+        if (self.kind == "frequency_step"
+                and not 0 < TWO_PI * self.value < math.inf):
             raise ScenarioError("frequency_step value must be > 0")
 
 
@@ -87,7 +89,8 @@ class GridSignalSpec:
     events: tuple[TimedEvent, ...] = ()
 
     def __post_init__(self):
-        if not 0 < self.fundamental_frequency < math.inf:
+        # 2*pi*f must be finite too: the phase integrates it
+        if not 0 < TWO_PI * self.fundamental_frequency < math.inf:
             raise ScenarioError("fundamental frequency must be finite and > 0")
         values = (self.fundamental_amplitude, self.fundamental_phase,
                   self.dc_offset)
@@ -141,7 +144,12 @@ def synthesize(
         raise ScenarioError("sample_period must be > 0")
     if not 0 < duration < math.inf:
         raise ScenarioError("duration must be finite and > 0")
-    n = int(round(duration / sample_period))
+    span = duration / sample_period
+    # also an inf span, which round() cannot convert
+    if not span < np.iinfo(np.intp).max:
+        raise ScenarioError("duration spans more samples than an array "
+                            "can index")
+    n = int(round(span))
     if n < 1:
         raise ScenarioError("duration must span at least one sample")
     t = np.arange(n) * sample_period

@@ -1,9 +1,10 @@
 """Discrete-time closed-loop simulation of the full PLL.
 
-Runs the quadrature filter (HGI or the basic SOGI baseline) and the SRF
-loop sample by sample over a synthesized scenario, in float64 or in an
-emulated 16-bit fixed-point mode, and extracts transient and steady-state
-metrics from the recorded trace.
+Runs the quadrature filter (HGI or the basic SOGI baseline) over a
+synthesized scenario and the SRF loop over the filter's output, each as
+one pass over the whole run, in float64 or in an emulated 16-bit
+fixed-point mode, and extracts transient and steady-state metrics from
+the recorded trace.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import FIXED16, FLOAT64, ArithmeticMode
+from .arith import FIXED16, FLOAT64, ArithmeticMode, SampleError
 from .hgi import BasicSogiFilter, HgiFilter
 from .signal_model import TWO_PI, GridSignalSpec, synthesize
 from .srf import SrfPll
@@ -129,29 +130,29 @@ def run(
     pll = SrfPll(design.pi, design.hgi.omega0, arith=arith)
 
     out = {c: np.empty(n) for c in TRACE_CHANNELS[1:]}
-    # omega_e holds the pu deviation until the loop ends
+    # omega_e holds the pu deviation until the loop ends; memoryviews
+    # yield and take Python floats, which keep numpy-scalar overhead out
+    # of every filter and loop operation
     va_, vb_, vd_, vq_, dev_, th_, sin_, cos_ = map(memoryview, out.values())
-    filt_step, pll_step = filt.step, pll.step
+    # the filter takes nothing back from the loop, so it runs over the
+    # whole input first, and the loop over the samples it filtered
+    error = None
+    try:
+        filt.process(memoryview(v_g), va_, vb_)
+    except SampleError as exc:
+        error = exc
+    m = n if error is None else error.index
+    try:
+        pll.process(va_[:m], vb_[:m], vd_, vq_, dev_, th_, sin_, cos_)
+    except SampleError as exc:
+        error = exc                      # at a sample before the filter's
+    if error is not None:
+        # trig of a non-finite phase, or float overflow in a quantizer
+        raise SimulationError(
+            _divergence(error.index, ts)) from error.__cause__
+    omega_e = out["omega_e"]
     # float overflow marks divergence below; don't warn about it
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            # a memoryview yields Python floats, which keep numpy-scalar
-            # overhead out of every filter and loop operation
-            for i, v in enumerate(memoryview(v_g)):
-                va, vb = filt_step(v)
-                s, c = pll_step(va, vb)
-                va_[i] = va
-                vb_[i] = vb
-                vd_[i] = pll.v_d
-                vq_[i] = pll.v_q
-                dev_[i] = pll.deviation
-                th_[i] = pll.theta
-                sin_[i] = s
-                cos_[i] = c
-        except (ValueError, OverflowError) as exc:
-            # trig of a non-finite phase, or float overflow in a quantizer
-            raise SimulationError(_divergence(i, ts)) from exc
-        omega_e = out["omega_e"]
         omega_e += 1.0
         omega_e *= pll.omega0
     finite = np.isfinite(omega_e)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import EXACT
+from .arith import EXACT, SampleError
 from .signal_model import NOMINAL_OMEGA0, TWO_PI
 
 #: Per-sample arithmetic budget of the loop update, trig lookups excluded.
@@ -70,6 +70,8 @@ class SrfPll:
     The loop runs in per-unit of the nominal frequency: the PI output is
     the relative frequency deviation, added to the feedforward 1.0 pu.
     Per-sample cost is 7 multiplications and 6 additions, trig excluded.
+    ``process`` runs the loop over a whole quadrature sequence; ``step``
+    is its one-sample call.
 
     ``arith`` is an arithmetic policy (see ``hgipll.arith``), exact
     float64 by default; its ``trig`` maps theta to (sin, cos).
@@ -105,22 +107,44 @@ class SrfPll:
 
     def step(self, v_alpha, v_beta):
         """Advance one sample; returns the unit vectors (sin, cos) used."""
-        signal = self._signal
-        s, c = self._trig(self.theta)
-        # Park transform; with v_alpha = sin(theta), v_beta = -cos(theta)
-        # the d axis carries the phase error
-        v_d = signal(v_alpha * c + v_beta * s)
-        v_q = signal(v_beta * c - v_alpha * s)
-        acc = self._accumulator(self.accumulator + self._ki_pu * v_d)
-        dev = signal(self._kp_pu * v_d + acc)
-        theta = self._phase(self.theta + self._c_w + self._c_w * dev)
-        if theta >= TWO_PI:
-            theta -= TWO_PI              # subtraction wrap, fixed-point safe
-        elif theta < 0.0:
-            theta += TWO_PI
-        self.v_d = v_d
-        self.v_q = v_q
-        self.accumulator = acc
-        self.deviation = dev
-        self.theta = theta
-        return s, c
+        sin, cos = [0.0], [0.0]
+        # v_d, v_q, deviation and theta are kept on the loop itself
+        rest = [0.0]
+        self.process([v_alpha], [v_beta], rest, rest, rest, rest, sin, cos)
+        return sin[0], cos[0]
+
+    def process(self, v_alpha, v_beta, v_d, v_q, deviation, theta, sin, cos):
+        """Advance over every sample of the quadrature pair, writing sample
+        i's v_d, v_q, pu deviation and updated theta, and the unit vectors
+        (sin, cos) it used, at index i of the six output buffers.  A sample
+        whose arithmetic raises raises ``SampleError``; the state then
+        stays as it was before the pass."""
+        trig, signal = self._trig, self._signal
+        accumulator, phase = self._accumulator, self._phase
+        kp, ki, c_w = self._kp_pu, self._ki_pu, self._c_w
+        th, acc = self.theta, self.accumulator
+        vd, vq, dev = self.v_d, self.v_q, self.deviation
+        try:
+            for i, (va, vb) in enumerate(zip(v_alpha, v_beta)):
+                s, c = trig(th)
+                # Park transform; with v_alpha = sin(theta), v_beta =
+                # -cos(theta) the d axis carries the phase error
+                vd = signal(va * c + vb * s)
+                vq = signal(vb * c - va * s)
+                acc = accumulator(acc + ki * vd)
+                dev = signal(kp * vd + acc)
+                th = phase(th + c_w + c_w * dev)
+                if th >= TWO_PI:
+                    th -= TWO_PI         # subtraction wrap, fixed-point safe
+                elif th < 0.0:
+                    th += TWO_PI
+                v_d[i] = vd
+                v_q[i] = vq
+                deviation[i] = dev
+                theta[i] = th
+                sin[i] = s
+                cos[i] = c
+        except (ValueError, OverflowError) as exc:
+            raise SampleError(i) from exc
+        self.theta, self.accumulator = th, acc
+        self.v_d, self.v_q, self.deviation = vd, vq, dev

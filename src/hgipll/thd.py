@@ -229,6 +229,9 @@ def _whole_cycle_window(trace: np.ndarray, frequency_hz: float,
     """Whole cycles of ``frequency_hz`` in the trace, and the sample count
     of that many cycles (rounded, at most the trace length)."""
     n_cycles = int(len(trace) * sample_period * frequency_hz)
+    if n_cycles < 1:
+        # not one cycle, also where frequency_hz * sample_period underflows
+        return 0, 0
     n = int(round(n_cycles / (frequency_hz * sample_period)))
     return n_cycles, min(n, len(trace))
 

@@ -12,14 +12,17 @@ where cos(x + gamma) = 0, so near there it agrees with the package only
 to about 1e-16/|cos(x + gamma)| relative.  ``measured_thd`` is the
 least-squares fit on the explicit sin/cos/dc sample basis, which the
 package solves by normal equations.  ``run`` is the closed loop stepped
-on numpy scalars and recorded by per-sample array indexing, in fixed16
+on numpy scalars, filter and loop interleaved one sample at a time by
+the per-sample step bodies ``HgiStep``, ``BasicSogiStep`` and
+``SrfStep``, and recorded by per-sample array indexing, in fixed16
 through ``Fixed16Reference``'s ``round()``-based quantizers and
-``log2``-based ``coeff``, and ``write_trace_csv`` the ``np.savetxt``
-form of ``SimTrace.write_csv``; the package steps and writes on Python
-floats.  ``settling_times`` evaluates the whole 12-time-constant grid,
-of which the package evaluates only windows at each peak and last band
-exit, and ``band_worst_thd`` evaluates the THD cube one bandwidth row at
-a time, where the package takes slabs of rows.
+``log2``-based ``coeff``; the package runs the filter and then the loop
+as two whole-input passes on Python floats.  ``write_trace_csv`` is the
+``np.savetxt`` form of ``SimTrace.write_csv``.  ``settling_times``
+evaluates the whole 12-time-constant grid, of which the package
+evaluates only windows at each peak and last band exit, and
+``band_worst_thd`` evaluates the THD cube one bandwidth row at a time,
+where the package takes slabs of rows.
 """
 
 from __future__ import annotations
@@ -32,12 +35,11 @@ import numpy as np
 
 from hgipll.arith import FLOAT64, ArithmeticMode, Fixed16Arithmetic
 from hgipll.hgi import (
-    DESIGN_SETTLING_DT, BasicSogiFilter, HgiFilter, HgiParams,
-    SETTLING_HORIZON, freq_response,
+    DESIGN_SETTLING_DT, HgiParams, SETTLING_HORIZON, freq_response,
 )
 from hgipll.signal_model import NOMINAL_OMEGA0, TWO_PI, GridSignalSpec, synthesize
 from hgipll.sim import TRACE_CHANNELS, SimTrace, SimulationError
-from hgipll.srf import PiParams, SrfPll
+from hgipll.srf import PiParams
 from hgipll.thd import AnalyticsError, Phasor
 
 
@@ -518,19 +520,93 @@ class Fixed16Reference(Fixed16Arithmetic):
         return self._signal(s), self._signal(c)
 
 
+class HgiStep:
+    """The HGI filter pair advanced one sample per call, by the package's
+    per-sample step from before ``process`` ran the filter as one pass."""
+
+    def __init__(self, params: HgiParams, sample_period: float, arith):
+        self._signal = arith.signal
+        self._k = arith.coeff(params.k)
+        self._c1 = arith.coeff(params.k * params.omega0 * sample_period)
+        self._c2 = arith.coeff(params.omega0 * sample_period)
+        self._x1 = 0.0
+        self._x2 = 0.0
+
+    def step(self, v_g):
+        q = self._signal
+        x1, x2 = self._x1, self._x2
+        u = v_g - x1                       # alpha-path input summer
+        r = v_g - x1                       # beta-path input summer
+        v_beta = q(x2 - self._k * r)
+        self._x1 = q(x1 + self._c1 * u - self._c2 * x2)
+        self._x2 = q(x2 + self._c2 * x1)
+        return x1, v_beta
+
+
+class BasicSogiStep(HgiStep):
+    """The basic SOGI pair, stepped as ``HgiStep`` is."""
+
+    def step(self, v_g):
+        q = self._signal
+        x1, x2 = self._x1, self._x2
+        u = v_g - x1
+        self._x1 = q(x1 + self._c1 * u - self._c2 * x2)
+        self._x2 = q(x2 + self._c2 * x1)
+        return x1, x2
+
+
+class SrfStep:
+    """The SRF loop advanced one sample per call, by the package's
+    per-sample step from before ``process`` ran the loop as one pass."""
+
+    def __init__(self, pi: PiParams, omega0: float, arith):
+        self.omega0 = omega0
+        self._trig = arith.trig
+        self._signal = arith.signal
+        self._accumulator = arith.accumulator
+        self._phase = arith.phase
+        ts = pi.sample_period
+        self._kp_pu = arith.coeff(pi.kp / omega0)
+        self._ki_pu = arith.coeff(pi.ki * ts / omega0)
+        self._c_w = arith.coeff(omega0 * ts)
+        self.theta = self.accumulator = self.deviation = 0.0
+        self.v_d = self.v_q = 0.0
+
+    def step(self, v_alpha, v_beta):
+        signal = self._signal
+        s, c = self._trig(self.theta)
+        v_d = signal(v_alpha * c + v_beta * s)
+        v_q = signal(v_beta * c - v_alpha * s)
+        acc = self._accumulator(self.accumulator + self._ki_pu * v_d)
+        dev = signal(self._kp_pu * v_d + acc)
+        theta = self._phase(self.theta + self._c_w + self._c_w * dev)
+        if theta >= TWO_PI:
+            theta -= TWO_PI              # subtraction wrap, fixed-point safe
+        elif theta < 0.0:
+            theta += TWO_PI
+        self.v_d = v_d
+        self.v_q = v_q
+        self.accumulator = acc
+        self.deviation = dev
+        self.theta = theta
+        return s, c
+
+
 def run(spec: GridSignalSpec, design, duration: float,
         mode: ArithmeticMode = FLOAT64, topology: str = "hgi") -> SimTrace:
-    """The closed loop driven one ``np.float64`` input sample at a time,
-    each quantity stored by array indexing, omega_e formed per sample."""
+    """The closed loop driven one ``np.float64`` input sample at a time
+    through ``HgiStep`` (or ``BasicSogiStep``) and ``SrfStep``, the filter
+    and the loop interleaved, each quantity stored by array indexing,
+    omega_e formed per sample."""
     ts = design.pi.sample_period
     v_g = synthesize(spec, ts, duration)
     n = len(v_g)
     arith = (Fixed16Reference(mode.fraction_bits) if mode.mode == "fixed16"
              else mode.policy())
     v_g = arith.quantize_input(v_g)
-    filt_cls = HgiFilter if topology == "hgi" else BasicSogiFilter
-    filt = filt_cls(design.hgi, ts, arith=arith)
-    pll = SrfPll(design.pi, design.hgi.omega0, arith=arith)
+    filt_cls = HgiStep if topology == "hgi" else BasicSogiStep
+    filt = filt_cls(design.hgi, ts, arith)
+    pll = SrfStep(design.pi, design.hgi.omega0, arith)
 
     out = {c: np.empty(n) for c in TRACE_CHANNELS}
     w0 = pll.omega0

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
+import math
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hgipll import build_design, save_design
 from hgipll.cli import main
+from hgipll.srf import SAMPLE_PERIOD
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "hgipll" / "scenarios"
 
@@ -148,13 +153,16 @@ CLEAN = str(SCENARIOS / "clean_50hz.json")
 def input_files(tmp_path_factory):
     """A valid design file, one with a NaN ``kp``, three with an HGI gain
     whose step response never settles (1e305, 1e306 and the subnormal
-    1e-320), a scenario with a NaN fundamental frequency, two with a NaN
+    1e-320), a scenario with a NaN fundamental frequency, one at 1e308 Hz
+    (2*pi*f overflows) and one at a subnormal 1e-320 Hz, two with a NaN
     event value, one with an infinite event time and two with a frequency
     step to 0 Hz and below."""
     tmp = tmp_path_factory.mktemp("inputs")
     files = {name: tmp / f"{name}.json"
              for name in ("design", "nan_design", "k1e305_design",
-                          "k1e306_design", "k1e-320_design", "nan_scenario", "nan_phase_jump",
+                          "k1e306_design", "k1e-320_design", "nan_scenario",
+                          "huge_frequency_scenario", "tiny_frequency_scenario",
+                          "nan_phase_jump",
                           "nan_frequency_step", "inf_event_time",
                           "zero_frequency_step", "negative_frequency_step")}
     design = build_design(1.56, 55.0, "inline")
@@ -165,8 +173,10 @@ def input_files(tmp_path_factory):
         files[f"k{k}_design"].write_text(
             json.dumps({**design.to_dict(), "k": float(k)}))
     scenario = json.loads((SCENARIOS / "clean_50hz.json").read_text())
-    scenario["fundamental"]["frequency_hz"] = float("nan")
-    files["nan_scenario"].write_text(json.dumps(scenario))
+    for name, f in (("nan", math.nan), ("huge_frequency", 1e308),
+                    ("tiny_frequency", 1e-320)):
+        scenario["fundamental"]["frequency_hz"] = f
+        files[f"{name}_scenario"].write_text(json.dumps(scenario))
     scenario = json.loads((SCENARIOS / "phase_jump_90deg.json").read_text())
     for kind in ("phase_jump", "frequency_step"):
         scenario["events"] = [{"time_s": 0.5, "kind": kind,
@@ -282,6 +292,27 @@ def input_files(tmp_path_factory):
      "input too large: out of memory"),
     (["design", "--k-range", "0.1", "1e15"],
      "input too large: out of memory"),
+    # past 2**63 samples numpy cannot even size the array, and at 1e308 s
+    # the sample count is inf
+    (["simulate", "--scenario", CLEAN, "--k", "1.56", "--f-bw", "29.5",
+      "--duration", "1e150"],
+     "invalid scenario: duration spans more samples than an array can "
+     "index"),
+    (["simulate", "--scenario", CLEAN, "--k", "1.56", "--f-bw", "29.5",
+      "--duration", "1e308"],
+     "invalid scenario: duration spans more samples than an array can "
+     "index"),
+    (["simulate", "--scenario", "{huge_frequency_scenario}", "--k", "1.56",
+      "--f-bw", "29.5", "--duration", "0.3"],
+     "invalid scenario {huge_frequency_scenario}: fundamental frequency "
+     "must be finite and > 0"),
+    # f*Ts underflows to 0: not one cycle to measure the ripple on
+    (["simulate", "--scenario", "{tiny_frequency_scenario}", "--k", "1.56",
+      "--f-bw", "29.5", "--duration", "0.3"],
+     "analysis failed: trace shorter than one cycle"),
+    (["compare", "--designs", "{design}", "--frequencies", "1e308",
+      "--duration", "0.3"],
+     "analysis failed: omega must be finite"),
 ], ids=["simulate-unsettled-k", "simulate-k-subnormal", "simulate-k-1e150",
         "design-unsettled-k", "design-mtsd-input-thd",
         "simulate-no-sample", "simulate-k-nan", "simulate-k-inf",
@@ -297,7 +328,9 @@ def input_files(tmp_path_factory):
         "sweep-frequencies-nan", "sweep-input-thds-nan",
         "compare-frequencies-nan", "compare-input-thd-nan",
         "simulate-duration-too-large", "design-f-bw-range-too-large",
-        "design-k-range-too-large"])
+        "design-k-range-too-large", "simulate-duration-past-array-index",
+        "simulate-duration-inf-samples", "simulate-scenario-frequency-1e308",
+        "simulate-scenario-frequency-subnormal", "compare-frequencies-1e308"])
 def test_rejected_input_exit_code(tmp_path, capsys, input_files, argv,
                                   message):
     out = tmp_path / "out"
@@ -401,3 +434,57 @@ def test_deterministic_reruns(tmp_path):
         ])
         outs.append((out / "trace.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+#: values no range check should let through, and the extremes that pass
+ODD_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0,
+                              -1.0, -50.0, 1e-320, 1e150, 1e308, -1e308])
+
+
+def _values(finite):
+    # two finite draws for each odd one, so that some examples get past
+    # every check and run
+    return st.one_of(finite, finite, ODD_VALUES)
+
+
+def _design_file(path, k, f_bw):
+    """A design file with the gains ``pi_from_bandwidth`` would give, in
+    float arithmetic that saturates to inf or NaN instead of raising."""
+    w = 2 * math.pi * f_bw
+    path.write_text(json.dumps({
+        "schema_version": 1, "method": "drawn", "k": k, "f_bw_hz": f_bw,
+        "kp": w, "ki": w * SAMPLE_PERIOD * w * w,
+        "sample_period_s": SAMPLE_PERIOD,
+    }))
+
+
+@settings(max_examples=60)
+@given(command=st.sampled_from(["simulate", "compare"]),
+       k=_values(st.floats(0.5, 3.0)),
+       f_bw=_values(st.floats(5.0, 100.0)),
+       duration=_values(st.floats(0.0, 0.3)),
+       frequency=_values(st.floats(40.0, 60.0)),
+       input_thd=_values(st.floats(0.0, 0.1)),
+       mode=st.sampled_from(["float64", "fixed16"]))
+def test_cli_exits_with_a_documented_code(tmp_path_factory, command, k, f_bw,
+                                          duration, frequency, input_thd,
+                                          mode):
+    tmp = tmp_path_factory.mktemp("cli")
+    # "--opt=value" keeps argparse from reading "-inf" as an option
+    if command == "simulate":
+        scenario = json.loads((SCENARIOS / "clean_50hz.json").read_text())
+        scenario["fundamental"]["frequency_hz"] = frequency
+        (tmp / "scenario.json").write_text(json.dumps(scenario))
+        argv = ["simulate", "--scenario", str(tmp / "scenario.json"),
+                f"--k={k!r}", f"--f-bw={f_bw!r}", f"--mode={mode}"]
+    else:
+        _design_file(tmp / "design.json", k, f_bw)
+        argv = ["compare", "--designs", str(tmp / "design.json"),
+                f"--frequencies={frequency!r}", f"--input-thd={input_thd!r}"]
+    argv += [f"--duration={duration!r}", "--out", str(tmp / "out")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), argv
+    assert "Traceback" not in err.getvalue()

@@ -11,10 +11,13 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from hgipll import (
     ArithmeticMode,
+    BasicSogiFilter,
     FIXED16,
     FLOAT64,
     Fixed16Arithmetic,
     GridSignalSpec,
+    HarmonicComponent,
+    HgiFilter,
     TimedEvent,
     SrfPll,
     fixed_vs_float_drift,
@@ -25,7 +28,8 @@ from hgipll import (
     spectral_line,
     transient_metrics,
 )
-from hgipll.arith import ExactArithmetic
+from hgipll.arith import ExactArithmetic, SampleError
+from hgipll.signal_model import EVENT_KINDS
 from hgipll.sim import TRACE_CHANNELS, SimTrace, SimulationError
 
 TS = 50e-6
@@ -166,6 +170,114 @@ def test_run_matches_oracle_loop_at_huge_gain(hc_like):
         GridSignalSpec(), design, 0.01, FIXED16) == 596
 
 
+#: a drawn event value for each kind: radians, Hz, pu amplitude, pu dc
+EVENT_VALUES = {
+    "phase_jump": st.floats(-math.pi, math.pi),
+    "frequency_step": st.floats(40.0, 60.0),
+    "amplitude_step": st.floats(0.0, 1.5),
+    "dc_step": st.floats(-0.5, 0.5),
+}
+
+MODES = st.one_of(
+    st.just(FLOAT64),
+    st.integers(8, 15).map(lambda b: ArithmeticMode("fixed16", b)))
+
+
+@st.composite
+def _scenarios(draw, duration):
+    """Steady or event scenarios at 40-60 Hz with up to 4 harmonics and dc."""
+    harmonics = draw(st.lists(st.builds(
+        HarmonicComponent, st.integers(2, 13), st.floats(0.0, 0.2),
+        st.floats(-math.pi, math.pi)), max_size=4))
+    events = []
+    for kind in draw(st.lists(st.sampled_from(EVENT_KINDS), max_size=2)):
+        events.append(TimedEvent(draw(st.floats(0.0, duration)), kind,
+                                 draw(EVENT_VALUES[kind])))
+    return GridSignalSpec(
+        fundamental_amplitude=draw(st.floats(0.0, 1.5)),
+        fundamental_frequency=draw(st.floats(40.0, 60.0)),
+        fundamental_phase=draw(st.floats(-math.pi, math.pi)),
+        harmonics=tuple(harmonics),
+        dc_offset=draw(st.floats(-0.5, 0.5)),
+        events=tuple(events),
+    )
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_run_matches_oracle_on_any_scenario(hc_like, data):
+    duration = data.draw(st.floats(TS, 0.1))
+    spec = data.draw(_scenarios(duration))
+    mode = data.draw(MODES)
+    topology = data.draw(st.sampled_from(["hgi", "basic_sogi"]))
+    _assert_run_matches_oracle(spec, hc_like, duration, mode, topology)
+
+
+def _stage(kind, hc_like, mode):
+    """A fresh filter or loop on a fresh policy of ``mode``, and that
+    policy."""
+    arith = mode.policy()
+    if kind == "srf":
+        return SrfPll(hc_like.pi, arith=arith), arith
+    cls = HgiFilter if kind == "hgi" else BasicSogiFilter
+    return cls(hc_like.hgi, TS, arith=arith), arith
+
+
+def _stage_state(stage):
+    names = ("theta", "accumulator", "deviation", "v_d", "v_q", "_x1", "_x2")
+    return [getattr(stage, a) for a in names if hasattr(stage, a)]
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@settings(max_examples=60)
+@given(kind=st.sampled_from(["hgi", "basic_sogi", "srf"]), mode=MODES,
+       data=st.data())
+def test_pass_is_split_and_stepped_alike(hc_like, kind, mode, data):
+    # a few values past the ±2 pu signal rails make fixed16 saturate
+    inputs = st.lists(st.floats(-2.5, 2.5), max_size=120)
+    if kind == "srf":
+        v_alpha = data.draw(inputs)
+        v_beta = data.draw(st.lists(st.floats(-2.5, 2.5),
+                                    min_size=len(v_alpha),
+                                    max_size=len(v_alpha)))
+        ins = [v_alpha, v_beta]
+    else:
+        ins = [data.draw(inputs)]
+    n = len(ins[0])
+    cut = data.draw(st.integers(0, n))
+
+    n_out = 6 if kind == "srf" else 2    # the buffers the pass writes
+    whole, whole_arith = _stage(kind, hc_like, mode)
+    outs = [np.empty(n) for _ in range(n_out)]
+    whole.process(*ins, *map(memoryview, outs))
+
+    split, split_arith = _stage(kind, hc_like, mode)
+    heads = [[0.0] * cut for _ in range(n_out)]
+    tails = [[0.0] * (n - cut) for _ in range(n_out)]
+    split.process(*[x[:cut] for x in ins], *heads)
+    split.process(*[x[cut:] for x in ins], *tails)
+
+    stepped, stepped_arith = _stage(kind, hc_like, mode)
+    steps = [[] for _ in range(n_out)]
+    for sample in zip(*ins):
+        got = stepped.step(*sample)
+        if kind == "srf":
+            got = (stepped.v_d, stepped.v_q, stepped.deviation,
+                   stepped.theta, *got)
+        for buf, value in zip(steps, got):
+            buf.append(value)
+
+    for i, out in enumerate(outs):
+        assert _bits(heads[i] + tails[i]) == out.tobytes(), i
+        assert _bits(steps[i]) == out.tobytes(), i
+    for other, arith in ((split, split_arith), (stepped, stepped_arith)):
+        assert _bits(_stage_state(other)) == _bits(_stage_state(whole))
+        assert arith.saturations == whole_arith.saturations
+
+
 def test_rerun_bit_identical(mtsd_like):
     spec = GridSignalSpec(fundamental_frequency=46.0,
                           harmonics=tuple(harmonic_profile(0.05)))
@@ -211,6 +323,57 @@ def test_divergence_names_the_sample_whose_step_raised(mtsd_like,
                              r"\(t = 0\.00035 s\)$") as info:
         run(GridSignalSpec(), mtsd_like, 0.1)
     assert isinstance(info.value.__cause__, ValueError)
+
+
+@pytest.mark.parametrize("trig_at, inf_at, sample, cause", [
+    (3, 9, 3, ValueError),       # the loop raises first
+    (9, 3, 3, OverflowError),    # the filter raises first
+])
+def test_divergence_names_the_first_raising_sample_of_either_stage(
+        mtsd_like, monkeypatch, trig_at, inf_at, sample, cause):
+    class RaisingStages(ExactArithmetic):
+        """Exact arithmetic whose trig meets a non-finite phase at sample
+        ``trig_at``, and whose signal quantizer rounds a non-finite value
+        as fixed16's does, on an input that is inf at sample ``inf_at``."""
+
+        calls = 0
+
+        def trig(self, theta):
+            self.calls += 1
+            if self.calls == trig_at + 1:
+                return math.sin(math.inf), 0.0
+            return math.sin(theta), math.cos(theta)
+
+        @staticmethod
+        def signal(x):
+            return x if math.isfinite(x) else float(round(x))
+
+        @staticmethod
+        def quantize_input(v):
+            v = v.copy()
+            v[inf_at] = math.inf
+            return v
+
+    monkeypatch.setattr(ArithmeticMode, "policy",
+                        lambda self: RaisingStages())
+    with pytest.raises(SimulationError,
+                       match=rf"^numerical divergence at sample {sample} "
+                             rf"\(t = {sample * TS:.6g} s\)$") as info:
+        run(GridSignalSpec(), mtsd_like, 0.1)
+    assert isinstance(info.value.__cause__, cause)
+
+
+def test_failed_pass_leaves_the_state_unchanged(hc_like):
+    arith = ExactArithmetic()
+    arith.signal = lambda x: x if math.isfinite(x) else float(round(x))
+    filt = HgiFilter(hc_like.hgi, TS, arith=arith)
+    filt.step(0.5)
+    state = _stage_state(filt)
+    with pytest.raises(SampleError) as info:
+        filt.process([0.1, 0.2, math.inf, 0.3], [0.0] * 4, [0.0] * 4)
+    assert info.value.index == 2
+    assert isinstance(info.value.__cause__, OverflowError)
+    assert _stage_state(filt) == state
 
 
 def test_arithmetic_mode_validation():
