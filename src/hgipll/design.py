@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hgi as hgi_mod
-from .hgi import HgiParams, design_settling_times, k_grid
+from .hgi import HgiParams, design_settling_times, k_grid, settling_times
 from .signal_model import (DEFAULT_HARMONIC_ORDERS, NOMINAL_FREQ_HZ, TWO_PI,
                            GridSignalSpec, harmonic_profile)
 from .srf import SAMPLE_PERIOD, PiParams, pi_from_bandwidth, srf_settling_time
@@ -262,7 +262,7 @@ def build_design(k: float, f_bw: float, method: str = "",
 
 
 def _design(k: float, f_bw: float, pi: PiParams, method: str) -> PllDesign:
-    t_s_hgi = float(design_settling_times([k])[0])
+    t_s_hgi = settling_times(HgiParams(k))[2]
     t_s_srf = srf_settling_time(TWO_PI * f_bw)
     return PllDesign(
         k=k, f_bw=f_bw, pi=pi,

@@ -227,7 +227,12 @@ def harmonic_breakdown(
 def _whole_cycle_window(trace: np.ndarray, frequency_hz: float,
                         sample_period: float) -> tuple[int, int]:
     """Whole cycles of ``frequency_hz`` in the trace, and the sample count
-    of that many cycles (rounded, at most the trace length)."""
+    of that many cycles (rounded, at most the trace length).  Raises
+    ``AnalyticsError`` where 2*pi*f or its angle per sample overflows."""
+    omega = TWO_PI * frequency_hz
+    if not (math.isfinite(omega) and math.isfinite(omega * sample_period)):
+        raise AnalyticsError(f"{frequency_hz:g} Hz has no finite angle per "
+                             f"sample at Ts = {sample_period:g} s")
     n_cycles = int(len(trace) * sample_period * frequency_hz)
     if n_cycles < 1:
         # not one cycle, also where frequency_hz * sample_period underflows

@@ -292,6 +292,11 @@ def input_files(tmp_path_factory):
      "input too large: out of memory"),
     (["design", "--k-range", "0.1", "1e15"],
      "input too large: out of memory"),
+    # past 2**63 grid points, up to a span whose step count is inf
+    (["design", "--k-range", "0.5", "1e308"],
+     "invalid constraints: grid has too many points"),
+    (["design", "--method", "hc-mtsd", "--f-bw-range", "5", "1e308"],
+     "invalid constraints: grid has too many points"),
     # past 2**63 samples numpy cannot even size the array, and at 1e308 s
     # the sample count is inf
     (["simulate", "--scenario", CLEAN, "--k", "1.56", "--f-bw", "29.5",
@@ -328,7 +333,8 @@ def input_files(tmp_path_factory):
         "sweep-frequencies-nan", "sweep-input-thds-nan",
         "compare-frequencies-nan", "compare-input-thd-nan",
         "simulate-duration-too-large", "design-f-bw-range-too-large",
-        "design-k-range-too-large", "simulate-duration-past-array-index",
+        "design-k-range-too-large", "design-k-range-1e308",
+        "design-f-bw-range-1e308", "simulate-duration-past-array-index",
         "simulate-duration-inf-samples", "simulate-scenario-frequency-1e308",
         "simulate-scenario-frequency-subnormal", "compare-frequencies-1e308"])
 def test_rejected_input_exit_code(tmp_path, capsys, input_files, argv,
@@ -458,30 +464,61 @@ def _design_file(path, k, f_bw):
     }))
 
 
-@settings(max_examples=60)
-@given(command=st.sampled_from(["simulate", "compare"]),
+def _scenario_file(path, frequency):
+    scenario = json.loads((SCENARIOS / "clean_50hz.json").read_text())
+    scenario["fundamental"]["frequency_hz"] = frequency
+    path.write_text(json.dumps(scenario))
+    return str(path)
+
+
+@settings(max_examples=150)
+@given(command=st.sampled_from(["simulate", "compare", "design", "sweep",
+                                "analyze"]),
        k=_values(st.floats(0.5, 3.0)),
        f_bw=_values(st.floats(5.0, 100.0)),
        duration=_values(st.floats(0.0, 0.3)),
        frequency=_values(st.floats(40.0, 60.0)),
        input_thd=_values(st.floats(0.0, 0.1)),
-       mode=st.sampled_from(["float64", "fixed16"]))
+       mode=st.sampled_from(["float64", "fixed16"]),
+       method=st.sampled_from(["mtsd", "hc-mtsd"]),
+       k_range=st.tuples(_values(st.floats(0.5, 3.0)),
+                         _values(st.floats(0.5, 3.0))),
+       f_bw_range=st.tuples(_values(st.floats(5.0, 100.0)),
+                            _values(st.floats(5.0, 100.0))),
+       delta_f=_values(st.floats(0.0, 0.2)),
+       uthd_limit=_values(st.floats(0.001, 0.05)))
 def test_cli_exits_with_a_documented_code(tmp_path_factory, command, k, f_bw,
                                           duration, frequency, input_thd,
-                                          mode):
+                                          mode, method, k_range, f_bw_range,
+                                          delta_f, uthd_limit):
     tmp = tmp_path_factory.mktemp("cli")
-    # "--opt=value" keeps argparse from reading "-inf" as an option
+    # "--opt=value", or a leading space where an option takes several
+    # values, keeps argparse from reading "-inf" as an option
+    inline = [f"--k={k!r}", f"--f-bw={f_bw!r}"]
     if command == "simulate":
-        scenario = json.loads((SCENARIOS / "clean_50hz.json").read_text())
-        scenario["fundamental"]["frequency_hz"] = frequency
-        (tmp / "scenario.json").write_text(json.dumps(scenario))
-        argv = ["simulate", "--scenario", str(tmp / "scenario.json"),
-                f"--k={k!r}", f"--f-bw={f_bw!r}", f"--mode={mode}"]
-    else:
+        argv = ["simulate", "--scenario",
+                _scenario_file(tmp / "scenario.json", frequency),
+                *inline, f"--mode={mode}", f"--duration={duration!r}"]
+    elif command == "compare":
         _design_file(tmp / "design.json", k, f_bw)
         argv = ["compare", "--designs", str(tmp / "design.json"),
-                f"--frequencies={frequency!r}", f"--input-thd={input_thd!r}"]
-    argv += [f"--duration={duration!r}", "--out", str(tmp / "out")]
+                f"--frequencies={frequency!r}", f"--input-thd={input_thd!r}",
+                f"--duration={duration!r}"]
+    elif command == "design":
+        # the ranges' finite draws keep a design sweep under about 1 s
+        argv = ["design", f"--method={method}",
+                "--k-range", *(f" {v!r}" for v in k_range),
+                "--f-bw-range", *(f" {v!r}" for v in f_bw_range),
+                f"--delta-f={delta_f!r}", f"--uthd-limit={uthd_limit!r}"]
+        if method == "hc-mtsd":
+            argv.append(f"--input-thd={input_thd!r}")
+    elif command == "sweep":
+        argv = ["sweep", *inline, "--frequencies", f" {frequency!r}",
+                "--input-thds", f" {100 * input_thd!r}"]
+    else:
+        argv = ["analyze", "--scenario",
+                _scenario_file(tmp / "scenario.json", frequency), *inline]
+    argv += ["--out", str(tmp / "out")]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):

@@ -29,8 +29,8 @@ from hgipll import (
 )
 from hgipll.design import THD_COMPARE_DECIMALS, band_worst_thd, steady_thd
 from hgipll import hgi
-from hgipll.hgi import (SETTLING_WINDOW, _settling_grid, k_grid,
-                        settling_times, step_responses)
+from hgipll.hgi import (SETTLING_WINDOW, _settling_grid,
+                        design_settling_times, k_grid, settling_times)
 from hgipll.thd import ripple_terms
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "hgipll" / "scenarios"
@@ -364,6 +364,56 @@ def test_settling_last_exit_near_the_horizon(k):
         assert got == oracle.settling_times(params)
 
 
+#: gains of every kind the settling table meets: underdamped, the repeated
+#: root k = 2 exactly and within 1e-9 of it, and overdamped up to k = 8
+table_gains = st.one_of(
+    st.floats(0.1, 2.0, exclude_max=True),
+    st.just(2.0),
+    st.floats(-1e-9, 1e-9).map(lambda d: 2.0 + d),
+    st.floats(2.0, 8.0, exclude_min=True),
+)
+
+
+@settings(max_examples=25)
+@given(ks=st.lists(table_gains, min_size=1, max_size=8).flatmap(st.permutations),
+       k=table_gains,
+       dt=st.floats(math.log(1e-6), math.log(2e-2)).map(math.exp))
+def test_settling_table_equals_oracle_per_gain(ks, k, dt):
+    # one array pass over a shuffled mix of gains gives each gain the
+    # oracle's whole-grid settling time at the design step
+    table = design_settling_times(ks)
+    assert table.shape == (len(ks),)
+    for got, gain in zip(table, ks):
+        assert got == oracle.settling_times(HgiParams(gain))[2], gain
+    # and the one-gain call on any grid up to 20 ms
+    params = HgiParams(k)
+    assert (_settling_or_unsettled(settling_times, params, dt)
+            == _settling_or_unsettled(oracle.settling_times, params, dt))
+
+
+def test_settling_table_of_no_gains_is_empty():
+    table = design_settling_times([])
+    assert isinstance(table, np.ndarray) and table.shape == (0,)
+
+
+@pytest.mark.parametrize("ks,first", [
+    ([1.56, 0.01, 2.5], 0.01),
+    ([1.56, 3.0, 1e-320, 0.01], 1e-320),
+    ([0.5, 0.0249, 1e-320], 0.0249),
+    ([2.0, 1e306, 0.0249, 1.0], 1e306),
+])
+def test_settling_table_raises_for_the_first_unsettled_gain(ks, first):
+    # the table names the first gain in array order that does not settle,
+    # whether it is refused before its pole arithmetic (1e-320, 1e306) or
+    # found unsettled at the end of its grid (0.01, 0.0249), and not a
+    # later offending gain of either kind
+    message = f"k = {first:g} does not settle within 1 s"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        settling_times(HgiParams(first))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        design_settling_times(ks)
+
+
 @pytest.mark.parametrize("dt", [1e-6, 2e-6])
 def test_settling_grid_length_is_arange_length(dt):
     for k in k_grid(0.1, 4.0, 0.01):
@@ -371,15 +421,17 @@ def test_settling_grid_length_is_arange_length(dt):
         assert n == len(np.arange(0.0, horizon, dt)), k
 
 
-def _evaluated_points(monkeypatch, params, dt):
+def _evaluated_points(monkeypatch, settle, *args):
+    """Grid points of each step-response evaluation of ``settle(*args)``."""
     counts = []
+    responses = hgi._responses
 
-    def counted(p, t):
-        counts.append(len(t))
-        return step_responses(p, t)
+    def counted(k, w0, t):
+        counts.append(t.size)
+        return responses(k, w0, t)
 
-    monkeypatch.setattr(hgi, "step_responses", counted)
-    settling_times(params, dt=dt)
+    monkeypatch.setattr(hgi, "_responses", counted)
+    settle(*args)
     monkeypatch.undo()
     return counts
 
@@ -390,16 +442,24 @@ def test_settling_evaluates_windows_only(monkeypatch):
     # a 10 ms grid that samples the alpha peak at k = 0.1 below its next
     # lobe top
     width = 2 * SETTLING_WINDOW + 1
-    for k in k_grid(0.1, 4.0, 0.01):
+    grid = k_grid(0.1, 4.0, 0.01)
+    for k in grid:
         params = HgiParams(float(k))
-        counts = _evaluated_points(monkeypatch, params, 2e-6)
+        counts = _evaluated_points(monkeypatch, settling_times, params, 2e-6)
         if abs(k - 2.0) < 1e-9:
             assert counts == [_settling_grid(params, 2e-6)[1]]
         else:
             assert len(counts) == 2 and max(counts) <= 2 * width, k
     params = HgiParams(0.1)
-    counts = _evaluated_points(monkeypatch, params, 0.01)
+    counts = _evaluated_points(monkeypatch, settling_times, params, 0.01)
     assert counts[-1] == _settling_grid(params, 0.01)[1]
+    # the whole table at once: for each damping kind one call per round,
+    # of at most two windows per gain, and the repeated root's whole grid
+    windowed = grid[np.abs(grid - 2.0) >= 1e-9]
+    counts = _evaluated_points(monkeypatch, design_settling_times, grid)
+    assert len(counts) == 5
+    assert sum(counts) <= (2 * 2 * width * len(windowed)
+                           + _settling_grid(HgiParams(2.0), 2e-6)[1])
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -1,6 +1,7 @@
 """The package's public surface: every ``__all__`` entry exists, every
-name the demos import from ``hgipll`` resolves, and every demo runs to
-completion."""
+name the demos import from ``hgipll`` resolves, every demo runs to
+completion, and the package imports nothing but the standard library and
+numpy."""
 
 import ast
 import importlib
@@ -15,6 +16,7 @@ import hgipll
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "hgipll").glob("*.py"))
 
 
 def test_all_entries_are_attributes():
@@ -46,3 +48,23 @@ def test_demo_runs(demo):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_package_is_numpy_only():
+    # numpy is the one declared dependency; scipy and others may be
+    # installed, so an import of them would otherwise pass unnoticed
+    assert PACKAGE
+    foreign = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [(path.name, name) for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names
+                        and name.split(".")[0] != "numpy"]
+    assert foreign == []

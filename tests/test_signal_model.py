@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hgipll import (
     GridSignalSpec,
@@ -168,6 +169,40 @@ def test_scenario_round_trip(tmp_path):
     save_scenario(spec, path)
     assert load_scenario(path) == spec
     assert json.loads(path.read_text())["schema_version"] == 1
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+#: frequencies whose 2*pi*f is finite and > 0, subnormal ones included
+frequencies = st.floats(0.0, 1e307, exclude_min=True)
+event_times = st.floats(0.0, allow_infinity=False)
+drawn_harmonics = st.builds(HarmonicComponent, order=st.integers(2, 1000),
+                            amplitude=st.floats(0.0, allow_infinity=False),
+                            phase=finite)
+drawn_events = st.one_of(
+    st.builds(TimedEvent, time=event_times,
+              kind=st.sampled_from(["phase_jump", "amplitude_step",
+                                    "dc_step"]),
+              value=finite),
+    st.builds(TimedEvent, time=event_times, kind=st.just("frequency_step"),
+              value=frequencies),
+)
+
+
+@given(spec=st.builds(
+    GridSignalSpec, fundamental_amplitude=finite,
+    fundamental_frequency=frequencies, fundamental_phase=finite,
+    harmonics=st.lists(drawn_harmonics, max_size=5).map(tuple),
+    dc_offset=finite, events=st.lists(drawn_events, max_size=4).map(tuple)))
+def test_scenario_json_round_trip_property(tmp_path_factory, spec):
+    # save_scenario then load_scenario is the identity, and the loaded
+    # spec saves to the same bytes
+    path = tmp_path_factory.mktemp("scenario") / "scenario.json"
+    save_scenario(spec, path)
+    loaded = load_scenario(path)
+    assert loaded == spec
+    again = path.with_name("again.json")
+    save_scenario(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_spec_dict_round_trip():

@@ -243,3 +243,15 @@ def test_spectral_line_amplitude():
     t = np.arange(0, 0.5, TS)
     u = 0.3 * np.sin(2 * np.pi * 50 * t + 1.0) + 0.7
     assert spectral_line(u, 50.0, TS) == pytest.approx(0.3, abs=1e-3)
+
+
+@pytest.mark.parametrize("fn", [measured_thd, spectral_line],
+                         ids=["measured_thd", "spectral_line"])
+@pytest.mark.parametrize("f, ts", [(1e308, TS), (math.inf, TS),
+                                   (1e307, 50.0)])
+def test_overflowing_fundamental_refused(fn, f, ts):
+    # 2*pi*f (1e308 Hz, inf) or 2*pi*f*Ts (1e307 Hz at Ts = 50 s) is not
+    # finite; measured_thd used to end in a LAPACK LinAlgError after
+    # RuntimeWarnings, spectral_line to return NaN
+    with pytest.raises(AnalyticsError, match="no finite angle per sample"):
+        fn(np.sin(0.01 * np.arange(6000)), f, ts)
