@@ -146,26 +146,33 @@ class Fixed16Arithmetic:
         """Table lookup with linear interpolation, as DSP firmware does;
         a raw 1024-entry staircase would put ~0.3 Hz of phase-detector
         noise on the frequency estimate.  The slope to the next entry is
-        tabulated with each entry."""
+        tabulated with each entry.
+
+        An interpolated value lies between two in-rail signal words, so
+        it is rounded onto the signal word without ``signal``'s rail
+        check, which could never fire: the same rounding, in line.  The
+        table holds the words times the signal scale, which is exact, so
+        the sum is the scaled value ``signal`` would round.
+        """
         n = self.LUT_SIZE
+        scale = self._sig_scale
         idx = np.arange(n) * (TWO_PI / n)
         # entries are signal words: at Q1.15 a peak of 1.0 takes the rail
-        sin = self.quantize_input(np.sin(idx))
-        cos = self.quantize_input(np.cos(idx))
+        sin = self.quantize_input(np.sin(idx)) * scale
+        cos = self.quantize_input(np.cos(idx)) * scale
         # lists, so that a lookup yields a Python float, not a numpy scalar
         d_sin = (np.roll(sin, -1) - sin).tolist()
         d_cos = (np.roll(cos, -1) - cos).tolist()
         sin, cos = sin.tolist(), cos.tolist()
         per_rad = n / TWO_PI
-        signal = self.signal
 
         def trig(theta: float) -> tuple[float, float]:
             pos = (theta * per_rad) % n
             i = int(pos)
             frac = pos - i
             i %= n  # pos rounds up to n for a theta just below 0
-            return (signal(sin[i] + frac * d_sin[i]),
-                    signal(cos[i] + frac * d_cos[i]))
+            return (((sin[i] + frac * d_sin[i] + _ROUNDER) - _ROUNDER) / scale,
+                    ((cos[i] + frac * d_cos[i] + _ROUNDER) - _ROUNDER) / scale)
 
         return trig
 

@@ -159,9 +159,10 @@ def cmd_simulate(args) -> int:
     with open(out / "metrics.json", "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+    thd = ("n/a" if metrics.steady_thd is None
+           else f"{metrics.steady_thd:.3f} %")
     print(f"settle={metrics.settle_time * 1e3:.1f} ms "
-          f"ripple={metrics.freq_ripple_peak:.4f} Hz "
-          f"thd={metrics.steady_thd:.3f} %")
+          f"ripple={metrics.freq_ripple_peak:.4f} Hz thd={thd}")
     print(f"wrote {out / 'trace.csv'} and {out / 'metrics.json'}")
     return EXIT_OK
 
@@ -214,6 +215,8 @@ def cmd_compare(args) -> int:
         for f, a in zip(freqs, analytical):
             trace = run_sim(steady_spec(f, args.input_thd), d, args.duration)
             m = transient_metrics(trace, fundamental_hz=f)
+            if m.steady_thd is None:
+                raise AnalyticsError(m.steady_thd_reason)
             rows.append((label, f, float(a), m.steady_thd))
     path = _out_dir(args) / "compare.csv"
     with open(path, "w", newline="") as fh:

@@ -244,10 +244,11 @@ def band_worst_thd(
     rows = max(1, THD_SLAB_POINTS // (len(ks) * len(freqs)))
     for i in range(0, len(f_bws), rows):
         slab = slice(i, i + rows)
-        thd = steady_thd(ks[:, None], kp[slab], ki[slab], freqs,
+        # (bandwidth x frequency x k): the long k axis innermost
+        thd = steady_thd(ks, kp[slab], ki[slab], freqs[:, None],
                          constraints.input_thd)
-        worst[slab] = thd.max(axis=2)
-        binding[slab] = thd.argmax(axis=2)
+        worst[slab] = thd.max(axis=1)
+        binding[slab] = thd.argmax(axis=1)
     return worst, freqs[binding]
 
 

@@ -92,15 +92,20 @@ class TransientMetrics:
     peak_freq_excursion: float
     freq_ripple_peak: float
     steady_thd: float | None = None
+    # why ``steady_thd`` is None
+    steady_thd_reason: str | None = None
 
     def to_dict(self) -> dict:
-        return {
+        d = {
             "settle_time_s": self.settle_time,
             "settled": self.settled,
             "peak_freq_excursion_hz": self.peak_freq_excursion,
             "freq_ripple_peak_hz": self.freq_ripple_peak,
             "steady_thd_pct": self.steady_thd,
         }
+        if self.steady_thd is None:
+            d["steady_thd_reason"] = self.steady_thd_reason
+        return d
 
 
 def run(
@@ -183,7 +188,10 @@ def transient_metrics(
     fundamental frequency is given, the steady tail also yields the
     unit-vector THD and the fundamental-frequency ripple of f_e (the
     spectral line a dc disturbance puts on the frequency estimate);
-    without it the ripple falls back to the total peak deviation.
+    without it the ripple falls back to the total peak deviation.  Where
+    no THD is measured (no fundamental given, fewer than five whole cycles
+    in the tail, no fundamental in it) ``steady_thd`` is None and
+    ``steady_thd_reason`` says why.
     """
     ts = trace.sample_period
     i0 = int(round(event_time / ts))
@@ -204,21 +212,28 @@ def transient_metrics(
         i0 + int(round((settle + 0.05) / ts)), None
     )
     f_steady = trace.f_e[steady]
-    thd = None
     if len(f_steady) == 0:
         ripple = math.nan
     elif fundamental_hz is not None:
         ripple = spectral_line(f_steady, fundamental_hz, ts)
     else:
         ripple = float(np.max(np.abs(f_steady - np.mean(f_steady))))
+    thd, reason = None, "no fundamental frequency given"
     if fundamental_hz is not None:
-        thd = measured_thd(trace.sin_theta[steady], fundamental_hz, ts)
+        tail = trace.sin_theta[steady]
+        try:
+            thd = measured_thd(tail, fundamental_hz, ts)
+        except AnalyticsError as exc:
+            # a tail too short for the fit, or one without a fundamental
+            reason = (f"{exc} in the {len(tail) * ts:.6g} s steady tail "
+                      f"of {fundamental_hz:g} Hz")
     return TransientMetrics(
         settle_time=settle,
         settled=settled,
         peak_freq_excursion=float(np.max(np.abs(f_e - final))),
         freq_ripple_peak=ripple,
         steady_thd=thd,
+        steady_thd_reason=None if thd is not None else reason,
     )
 
 

@@ -11,15 +11,22 @@ its order-1 term perturbs the fundamental amplitude and only the third
 harmonic counts.
 
 Each term is one complex phasor a*exp(j*phi) of the unit-vector harmonic
-a*sin(order*w*t + phi): z*G / (2*(1 + Re(v1+)*G)), with z the sequence
-component, G = ki/(n*w)^2 + j*kp/(n*w) the loop gain at n*w and v1+ the
-positive-sequence fundamental reference.
+a*sin(order*w*t + phi): z*F_n, with z the sequence component and
+F_n = G / (2*(1 + Re(v1+)*G)) the loop factor, G = ki/(n*w)^2 +
+j*kp/(n*w) the loop gain at n*w and v1+ the positive-sequence fundamental
+reference.  Every term at loop multiple n shares F_n and lands on the
+same orders n-1 and n+1, so the terms group by loop multiple.  The
+deviation term, whose reference is the unit fundamental and whose one
+counted order is 3, is a group of its own; it shares F_2 only where v1+
+equals that reference (a unit fundamental at phase 0).
 
 ``ripple_terms`` runs the whole pipeline array-native: every argument
 broadcasts, so one call evaluates a whole grid of gains, frequencies and
-harmonic profiles; ``unit_vector_thd`` sums the phasors that land on the
-same output order.  ``total_unit_vector_thd`` and
-``harmonic_breakdown`` evaluate one scenario through the same code.
+harmonic profiles, and lists every term's phasor.  ``unit_vector_thd``
+sums each group's sequence components first, on a grid without the PI
+gains' axes, so the whole grid takes one product with F_n per group, not
+one per term.  ``total_unit_vector_thd`` and ``harmonic_breakdown``
+evaluate one scenario through the same code.
 ``measured_thd`` is the independent check on simulated traces.
 """
 
@@ -97,13 +104,64 @@ def sequence_decompose(
     return positive, negative
 
 
-def _ripple(n, z, v1p, kp, ki, omega):
-    """Ripple phasor a*exp(j*phi) that a sequence component ``z`` makes
-    through the loop gain G at n*omega against the fundamental reference
-    ``v1p``: z*G / (2*(1 + Re(v1p)*G)); array-native."""
+def _loop_factor(n, ref, kp, ki, omega):
+    """Loop factor F_n = G / (2*(1 + Re(ref)*G)) of the loop gain G at
+    n*omega against the fundamental reference ``ref``; array-native."""
     w = n * omega
     g = ki / (w * w) + 1j * (kp / w)  # -(kp + ki/s)/s at s = j*w
-    return z * g / (2 * (1 + v1p.real * g))
+    # 2 + (2*Re(ref))*G equals 2*(1 + Re(ref)*G) bit for bit, one pass fewer
+    return g / (2 + (2 * ref.real) * g)
+
+
+def _grouped_terms(k, kp, ki, omega, harmonics, amplitude, phase, omega0):
+    """Every ripple term as its sequence component and its loop.
+
+    Returns (terms, factors): ``terms`` lists (loop, output orders, z,
+    present) in ``ripple_terms``' order, with ``z`` zero where the term
+    does not arise; ``factors`` maps each loop, a loop multiple n and the
+    name of its reference, to its loop factor F_n.  A term's phasor is
+    z*F_n.
+    """
+    omega = np.asarray(omega, dtype=float)
+    if not np.isfinite(omega).all():
+        raise AnalyticsError("omega must be finite")
+    g_alpha, g_beta = quadrature_gains(k, omega0, omega)
+    rot = np.exp(1j * phase)
+    v1p, _ = _sequences(amplitude * g_alpha * rot, amplitude * g_beta * rot)
+
+    off_nominal = np.abs(omega - omega0) > 1e-9
+    in_range = (0.5 * omega0 < omega) & (omega < 1.5 * omega0)
+    if np.any(off_nominal & ~in_range):
+        raise AnalyticsError("omega_in outside supported deviation range")
+    unit_p, unit_n = _sequences(g_alpha, g_beta)
+    # deviation term: of its output orders 1 and 3 only 3 is distortion
+    n, (_, order) = _beat(1, "negative")
+    present = off_nominal & (unit_n != 0)
+    terms = [((n, "unit"), (order,), np.where(present, unit_n, 0j), present)]
+    refs = {"unit": unit_p, "v1p": v1p}
+    # a unit fundamental at phase 0 makes v1+ the unit reference itself,
+    # and the deviation term shares the loop factor of the other n = 2 terms
+    v1p_name = "unit" if np.array_equal(v1p, unit_p) else "v1p"
+
+    for order, v_h, gamma in harmonics:
+        if order < 2:
+            raise AnalyticsError("harmonic order must be >= 2")
+        if not np.isfinite(v_h).all():
+            raise AnalyticsError("harmonic amplitude must be finite")
+        gah, gbh = quadrature_gains(k, omega0, order * omega)
+        rot = np.exp(1j * gamma)
+        pos, neg = _sequences(v_h * gah * rot, v_h * gbh * rot)
+        for z, sequence in ((pos, "positive"), (neg, "negative")):
+            n, orders = _beat(order, sequence)
+            present = np.abs(z) >= 1e-15
+            if np.any(present & (v1p == 0)):
+                raise AnalyticsError("no fundamental reference")
+            terms.append(((n, v1p_name), orders, np.where(present, z, 0j),
+                          present))
+    loops = dict.fromkeys(loop for loop, *_ in terms)
+    factors = {(n, name): _loop_factor(n, refs[name], kp, ki, omega)
+               for n, name in loops}
+    return terms, factors
 
 
 def ripple_terms(
@@ -118,12 +176,13 @@ def ripple_terms(
     broadcast against each other, so one call covers a whole grid.
 
     Pipeline: push the fundamental and each input harmonic through the
-    HGI gains, split each into sequence components and evaluate the ripple
-    of every component through ``_ripple``.  The fundamental reference
-    is the positive-sequence part of the filtered fundamental.  The
-    deviation term is the negative-sequence part of the filtered unit
-    fundamental (amplitude 1, phase 0), with that unit fundamental's
-    positive-sequence part as its reference.
+    HGI gains and split each into sequence components z; a term's phasor
+    is z*F_n, with F_n the loop factor its loop multiple n shares with
+    every other term at n.  The fundamental reference is the
+    positive-sequence part of the filtered fundamental.  The deviation
+    term is the negative-sequence part of the filtered unit fundamental
+    (amplitude 1, phase 0), with that unit fundamental's positive-sequence
+    part as its reference.
 
     Returns (output order, phasor, present) per term, the phasor
     a*exp(j*phi) of the unit-vector harmonic a*sin(order*w*t + phi): the
@@ -132,50 +191,44 @@ def ripple_terms(
     frequency, a sequence component below 1e-15) ``present`` is False and
     its phasor is 0.
     """
-    omega = np.asarray(omega, dtype=float)
-    if not np.isfinite(omega).all():
-        raise AnalyticsError("omega must be finite")
-    terms = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        g_alpha, g_beta = quadrature_gains(k, omega0, omega)
-        rot = np.exp(1j * phase)
-        v1p, _ = _sequences(amplitude * g_alpha * rot, amplitude * g_beta * rot)
-
-        off_nominal = np.abs(omega - omega0) > 1e-9
-        in_range = (0.5 * omega0 < omega) & (omega < 1.5 * omega0)
-        if np.any(off_nominal & ~in_range):
-            raise AnalyticsError("omega_in outside supported deviation range")
-        unit_p, unit_n = _sequences(g_alpha, g_beta)
-        # deviation term: of its output orders 1 and 3 only 3 is distortion
-        n, (_, order) = _beat(1, "negative")
-        r = _ripple(n, unit_n, unit_p, kp, ki, omega)
-        present = off_nominal & (r != 0)
-        terms.append((order, np.where(present, r, 0j), present))
-
-        for order, v_h, gamma in harmonics:
-            if order < 2:
-                raise AnalyticsError("harmonic order must be >= 2")
-            if not np.isfinite(v_h).all():
-                raise AnalyticsError("harmonic amplitude must be finite")
-            gah, gbh = quadrature_gains(k, omega0, order * omega)
-            rot = np.exp(1j * gamma)
-            pos, neg = _sequences(v_h * gah * rot, v_h * gbh * rot)
-            for z, sequence in ((pos, "positive"), (neg, "negative")):
-                n, orders = _beat(order, sequence)
-                present = np.abs(z) >= 1e-15
-                if np.any(present & (v1p == 0)):
-                    raise AnalyticsError("no fundamental reference")
-                r = np.where(present, _ripple(n, z, v1p, kp, ki, omega), 0j)
-                terms.extend((o, r, present) for o in orders)
-    return terms
+        terms, factors = _grouped_terms(k, kp, ki, omega, harmonics,
+                                        amplitude, phase, omega0)
+        out = []
+        for loop, orders, z, present in terms:
+            r = np.where(present, z * factors[loop], 0j)
+            out.extend((o, r, present) for o in orders)
+    return out
 
 
-def _by_order(terms) -> dict[int, np.ndarray]:
-    """Sum of the ripple phasors per output order."""
-    by_order: dict[int, np.ndarray] = {}
-    for order, r, _ in terms:
-        by_order[order] = by_order.get(order, 0) + r
-    return by_order
+def _order_sums(k, kp, ki, omega, harmonics, amplitude, phase,
+                omega0) -> tuple[dict[int, np.ndarray], set[int]]:
+    """Sum of the ripple phasors per output order, and the orders that
+    receive at least one present term (arguments as in ``ripple_terms``).
+
+    A group is the terms with one loop and the same output orders.  They
+    share F_n, so their components are summed first, on a grid without
+    the PI gains' axes, and meet F_n in one product over the whole grid.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms, factors = _grouped_terms(k, kp, ki, omega, harmonics,
+                                        amplitude, phase, omega0)
+        groups: dict = {}
+        for loop, orders, z, present in terms:
+            c, mask = groups.get((loop, orders), (0j, False))
+            groups[loop, orders] = c + z, mask | present
+        sums: dict[int, np.ndarray] = {}
+        reached: set[int] = set()
+        for (loop, orders), (c, mask) in groups.items():
+            r = c * factors[loop]
+            if not mask.all():
+                # where no term arises F_n may be inf or nan; r is 0 there
+                r = np.where(mask, r, 0j)
+            if mask.any():
+                reached.update(orders)
+            for o in orders:
+                sums[o] = sums[o] + r if o in sums else r
+    return sums, reached
 
 
 def unit_vector_thd(
@@ -183,14 +236,16 @@ def unit_vector_thd(
     omega0: float = NOMINAL_OMEGA0,
 ) -> np.ndarray:
     """Predicted THD of the sine unit vector, in percent, over a whole grid
-    (arguments as in ``ripple_terms``).
+    (arguments as in ``ripple_terms``): the root-sum-square of the
+    per-order sums of the ripple phasors, each loop multiple's terms
+    summed before they meet their shared loop factor F_n.
 
     Ripple at orders below 2 perturbs the fundamental amplitude and is
     excluded; the fundamental itself is unit amplitude by construction.
     """
-    by_order = _by_order(
-        ripple_terms(k, kp, ki, omega, harmonics, amplitude, phase, omega0))
-    power = sum(np.abs(z) ** 2 for o, z in by_order.items() if o >= 2)
+    sums, _ = _order_sums(k, kp, ki, omega, harmonics, amplitude, phase,
+                          omega0)
+    power = sum(np.abs(z) ** 2 for o, z in sums.items() if o >= 2)
     return 100.0 * np.sqrt(power)
 
 
@@ -216,12 +271,9 @@ def harmonic_breakdown(
 ) -> list[tuple[int, float, float]]:
     """Per-order (order, amplitude, phase) table of unit-vector ripple,
     over the orders that receive at least one ripple term."""
-    terms = ripple_terms(*_steady_args(spec, hgi, pi))
-    present = {o for o, _, p in terms if p}
-    return [
-        (o, float(abs(z)), float(np.angle(z)))
-        for o, z in sorted(_by_order(terms).items()) if o in present
-    ]
+    sums, reached = _order_sums(*_steady_args(spec, hgi, pi))
+    return [(o, float(abs(z)), float(np.angle(z)))
+            for o, z in sorted(sums.items()) if o in reached]
 
 
 def _whole_cycle_window(trace: np.ndarray, frequency_hz: float,

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -12,7 +15,8 @@ from hgipll import build_design, save_design
 from hgipll.cli import main
 from hgipll.srf import SAMPLE_PERIOD
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "hgipll" / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "src" / "hgipll" / "scenarios"
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +25,28 @@ def design_dir(tmp_path_factory):
     code = main(["design", "--method", "mtsd", "--out", str(out)])
     assert code == 0
     return out
+
+
+def _run_module(*args, cwd):
+    """``python -m hgipll`` with the package from the source tree."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "hgipll", *args], cwd=cwd,
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_python_m_hgipll_runs_the_cli(tmp_path):
+    proc = _run_module("--help", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: hgipll")
+    proc = _run_module("simulate", "--scenario",
+                       str(SCENARIOS / "clean_50hz.json"), "--k", "-1",
+                       "--f-bw", "29.5", cwd=tmp_path)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: invalid parameters")
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_design_outputs(design_dir):
@@ -68,6 +94,9 @@ def test_simulate_round_trips_design_json(design_dir, tmp_path):
     metrics = json.loads((tmp_path / "metrics.json").read_text())
     assert metrics["freq_ripple_peak_hz"] < 0.05
     assert metrics["settled"] is True
+    # the reason key is written only beside a null THD
+    assert metrics["steady_thd_pct"] >= 0
+    assert "steady_thd_reason" not in metrics
     trace = (tmp_path / "trace.csv").read_text().splitlines()
     assert trace[0].startswith("time_s,v_g,")
 
@@ -91,17 +120,24 @@ def test_simulate_bad_scenario_exit_code(tmp_path):
     assert code == 3
 
 
-def test_simulate_failed_analysis_exit_code(tmp_path, capsys):
-    # 0.65 s leaves too few cycles after the jump for the THD window
+def test_simulate_leakage_window_writes_null_thd(tmp_path, capsys):
+    # 0.65 s leaves three whole cycles after the jump, too few for the
+    # THD fit: the run still writes its trace and every other metric
     code = main([
         "simulate", "--scenario", str(SCENARIOS / "phase_jump_90deg.json"),
         "--k", "1.56", "--f-bw", "29.5", "--duration", "0.65",
         "--out", str(tmp_path),
     ])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert "error: analysis failed: leakage window" in err
-    assert "Traceback" not in err
+    assert code == 0
+    out, err = capsys.readouterr()
+    assert "thd=n/a" in out
+    assert err == ""
+    assert (tmp_path / "trace.csv").stat().st_size > 0
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    assert metrics["steady_thd_pct"] is None
+    assert metrics["steady_thd_reason"].startswith("leakage window")
+    assert metrics["settled"] is True
+    assert math.isfinite(metrics["peak_freq_excursion_hz"])
 
 
 def test_simulate_short_trace_after_event_exit_code(tmp_path, capsys):
@@ -427,6 +463,20 @@ def test_compare_table(design_dir, tmp_path):
     assert rows[0] == "design,frequency_hz,analytical_thd_pct,simulated_thd_pct"
     _, _, analytical, simulated = rows[1].split(",")
     assert abs(float(analytical) - float(simulated)) < 0.3
+
+
+def test_compare_without_a_simulated_thd_exit_code(design_dir, tmp_path,
+                                                   capsys):
+    # 0.3 s leaves 0.1 s past the start-up exclusion, under five cycles
+    code = main([
+        "compare", "--designs", str(design_dir / "design.json"),
+        "--frequencies", "46", "--duration", "0.3",
+        "--out", str(tmp_path),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "error: analysis failed: leakage window" in err
+    assert not (tmp_path / "compare.csv").exists()
 
 
 def test_deterministic_reruns(tmp_path):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from hgipll import (
@@ -31,7 +31,7 @@ from hgipll.design import THD_COMPARE_DECIMALS, band_worst_thd, steady_thd
 from hgipll import hgi
 from hgipll.hgi import (SETTLING_WINDOW, _settling_grid,
                         design_settling_times, k_grid, settling_times)
-from hgipll.thd import ripple_terms
+from hgipll.thd import ripple_terms, unit_vector_thd
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "hgipll" / "scenarios"
 W0 = 2 * math.pi * 50.0
@@ -234,6 +234,54 @@ def test_ripple_amplitude_exact_where_ratio_is_0_over_0():
             [(_, r, _)] = ripple_terms(k, pi.kp, pi.ki, lo)
             want = _mp_ripple_amplitude(mp, k, pi.kp, pi.ki, lo, 1, "negative")
             assert abs(r) == pytest.approx(want, rel=1e-12), (k, f_bw, target)
+
+
+@settings(max_examples=200)
+@given(
+    k=st.floats(0.1, 4.0),
+    f_bw=st.floats(5.0, 100.0),
+    rel_freq=st.floats(0.55, 1.45),
+    amplitude=st.floats(0.1, 2.0),
+    phase=phases,
+    # orders 2-15: a positive-sequence h and a negative-sequence h - 2
+    # share the loop multiple h - 1
+    components=st.lists(
+        st.tuples(st.integers(2, 15), st.floats(0.0, 0.2), phases),
+        min_size=1, max_size=6),
+)
+@example(k=1.56, f_bw=29.5, rel_freq=0.92, amplitude=1.0, phase=0.0,
+         components=[(3, 0.0, 0.0), (5, 0.02, 0.3), (7, 0.01, -1.0)])
+@example(k=1.56, f_bw=55.0, rel_freq=1.0, amplitude=1.0, phase=0.0,
+         components=[(3, 0.04, 0.0), (5, 0.024, 0.0), (7, 0.017, 0.0),
+                     (9, 0.013, 0.0)])
+def test_grouped_sums_equal_per_term_phasors(k, f_bw, rel_freq, amplitude,
+                                             phase, components):
+    # the kernel's two views: unit_vector_thd sums each loop multiple's
+    # components before its loop factor, ripple_terms lists every term
+    spec = GridSignalSpec(
+        fundamental_amplitude=amplitude,
+        fundamental_frequency=50.0 * rel_freq,
+        fundamental_phase=phase,
+        harmonics=tuple(HarmonicComponent(*c) for c in components),
+    )
+    pi = pi_from_bandwidth(f_bw)
+    args = (k, pi.kp, pi.ki, 2 * math.pi * spec.fundamental_frequency,
+            components, amplitude, phase)
+    terms = ripple_terms(*args)
+    by_order, scale = {}, {}
+    for o, r, _ in terms:
+        by_order[o] = by_order.get(o, 0j) + complex(r)
+        scale[o] = scale.get(o, 0.0) + abs(complex(r))
+    want = 100 * math.sqrt(sum(abs(z) ** 2 for o, z in by_order.items()
+                               if o >= 2))
+    # where phasors of one order cancel, the two summation orders part by
+    # rounding relative to the phasors, not to their sum
+    uncancelled = 100 * math.sqrt(sum(a ** 2 for o, a in scale.items()
+                                      if o >= 2))
+    assert float(unit_vector_thd(*args)) == pytest.approx(
+        want, rel=1e-13, abs=1e-13 * uncancelled)
+    rows = harmonic_breakdown(spec, HgiParams(k), pi)
+    assert [o for o, _, _ in rows] == sorted({o for o, _, p in terms if p})
 
 
 def test_grid_evaluation_matches_single_points():
