@@ -53,6 +53,7 @@ from .sim import (
     TransientMetrics,
     fixed_vs_float_drift,
     run,
+    run_designs,
     transient_metrics,
 )
 from .srf import PiParams, SrfPll, pi_from_bandwidth, srf_settling_time
@@ -78,7 +79,7 @@ __all__ = [
     "freq_response", "harmonic_breakdown", "harmonic_profile",
     "hc_mtsd_design", "k_opt_search",
     "load_design", "load_scenario", "measured_thd", "mtsd_design",
-    "pi_from_bandwidth", "predicted_thd", "run", "save_design",
+    "pi_from_bandwidth", "predicted_thd", "run", "run_designs", "save_design",
     "save_scenario", "sequence_decompose", "settling_times", "spectral_line",
     "srf_settling_time", "step_responses", "synthesize",
     "total_unit_vector_thd", "transient_metrics",

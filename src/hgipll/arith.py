@@ -15,10 +15,20 @@ else (past a rail, |y| >= 2**51, inf or NaN) is handed to ``round(y)``,
 which raises ``OverflowError`` or ``ValueError`` for inf and NaN, and is
 then saturated and counted.  The phase word is not saturated: its 52 bits
 end at -2**51 and 2**51 - 1, past which it returns ``round(y) / scale``.
+
+A filter or loop pass is written once, calling its policy's hooks.
+Under ``EXACT`` every hook but ``trig`` returns its argument, so a stage
+built on ``EXACT`` runs ``float64_pass`` of its written ``process``
+instead: the same body with the hooks taken out, derived once per
+process from its source by rewriting the syntax tree.  Every other
+policy, fixed16 among them, runs the written body.
 """
 
 from __future__ import annotations
 
+import ast
+import functools
+import linecache
 import math
 import operator
 from dataclasses import dataclass
@@ -62,6 +72,99 @@ class ExactArithmetic:
 
 
 EXACT = ExactArithmetic()
+
+#: The attributes a stage keeps its policy's per-sample hooks under.
+_HOOKS = ("_signal", "_accumulator", "_phase", "_trig")
+
+
+def _located(new, old):
+    """``new``, with ``old``'s source position on every node it adds."""
+    return ast.fix_missing_locations(ast.copy_location(new, old))
+
+
+class _DropHooks(ast.NodeTransformer):
+    """Takes the policy hooks out of a written pass: an assignment's
+    ``name = self._<hook>`` pairs are dropped, ``name(x)`` becomes ``x``
+    and, for the trig hook, ``(_sin(x), _cos(x))``."""
+
+    def __init__(self):
+        self.hooks = {}                  # local name -> hook attribute
+
+    def visit_Assign(self, node):
+        (target,) = node.targets
+        if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+            pairs = list(zip(target.elts, node.value.elts))
+        else:
+            pairs = [(target, node.value)]
+        keep = []
+        for name, value in pairs:
+            if (isinstance(name, ast.Name)
+                    and isinstance(value, ast.Attribute)
+                    and isinstance(value.value, ast.Name)
+                    and value.value.id == "self" and value.attr in _HOOKS):
+                self.hooks[name.id] = value.attr
+            else:
+                keep.append((name, value))
+        if len(keep) == len(pairs):
+            return self.generic_visit(node)
+        if not keep:
+            return None
+        names, values = zip(*keep)
+        return _located(ast.Assign([ast.Tuple(list(names), ast.Store())],
+                                   ast.Tuple(list(values), ast.Load())), node)
+
+    def visit_Call(self, node):
+        self.generic_visit(node)
+        hook = isinstance(node.func, ast.Name) and self.hooks.get(node.func.id)
+        if not hook:
+            return node
+        (arg,) = node.args
+        if hook != "_trig":
+            return arg
+        return _located(
+            ast.Tuple([ast.Call(ast.Name(f, ast.Load()), [arg], [])
+                       for f in ("_sin", "_cos")], ast.Load()), node)
+
+
+@functools.cache
+def float64_pass(method):
+    """``method``, a stage's written ``process``, with its policy hooks
+    taken out (see ``_DropHooks``): the pass ``EXACT`` would run, with
+    no call per hook.
+
+    The source is the ``def`` line and every deeper-indented or blank
+    line after it (``inspect.getsource`` tokenizes, which costs
+    milliseconds on first use).  It is compiled, at its own file, line
+    numbers and globals, inside ``def _bind(_sin, _cos)``, which binds
+    ``math.sin`` and ``math.cos`` as closure cells.
+    """
+    code = method.__code__
+    lines = linecache.getlines(code.co_filename)
+    if not lines:                        # installed without its source
+        return method
+    first = code.co_firstlineno - 1
+    indent = lines[first][:len(lines[first]) - len(lines[first].lstrip())]
+    end = first + 1
+    while end < len(lines) and (not lines[end].strip()
+                                or lines[end].startswith(indent + " ")):
+        end += 1
+    source = ("\n" * (first - 1) + "def _bind(_sin, _cos):\n"
+              + "".join(lines[first:end])
+              + f"{indent}return {method.__name__}\n")
+    module = _DropHooks().visit(ast.parse(source))
+    namespace = {}
+    exec(compile(module, code.co_filename, "exec"), method.__globals__,
+         namespace)
+    derived = namespace["_bind"](math.sin, math.cos)
+    derived.__qualname__ = method.__qualname__
+    return derived
+
+
+def bind_pass(stage, policy) -> None:
+    """Give ``stage`` its float64 pass when ``policy`` is ``EXACT``; on
+    any other policy it keeps the written ``process``."""
+    if policy is EXACT:
+        stage.process = float64_pass(type(stage).process).__get__(stage)
 
 _ROUNDER = 1.5 * 2.0 ** 52   # (y + _ROUNDER) - _ROUNDER rounds y, see above
 

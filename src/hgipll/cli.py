@@ -39,6 +39,8 @@ from .sim import (
     ArithmeticMode,
     SimulationError,
     run as run_sim,
+    run_designs,
+    tail_thd,
     transient_metrics,
 )
 from .thd import AnalyticsError, harmonic_breakdown, total_unit_vector_thd
@@ -159,10 +161,12 @@ def cmd_simulate(args) -> int:
     with open(out / "metrics.json", "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+    ripple = ("n/a" if metrics.freq_ripple_peak is None
+              else f"{metrics.freq_ripple_peak:.4f} Hz")
     thd = ("n/a" if metrics.steady_thd is None
            else f"{metrics.steady_thd:.3f} %")
     print(f"settle={metrics.settle_time * 1e3:.1f} ms "
-          f"ripple={metrics.freq_ripple_peak:.4f} Hz thd={thd}")
+          f"ripple={ripple} thd={thd}")
     print(f"wrote {out / 'trace.csv'} and {out / 'metrics.json'}")
     return EXIT_OK
 
@@ -208,16 +212,24 @@ def cmd_compare(args) -> int:
     freqs = args.frequencies
     if not freqs:
         raise CliError("empty sweep", EXIT_SCHEMA)
-    rows = []
-    for d in designs:
-        label = d.method or f"k={d.k:g},f_bw={d.f_bw:g}"
-        analytical = steady_thd(d.k, d.pi.kp, d.pi.ki, freqs, args.input_thd)
-        for f, a in zip(freqs, analytical):
-            trace = run_sim(steady_spec(f, args.input_thd), d, args.duration)
-            m = transient_metrics(trace, fundamental_hz=f)
-            if m.steady_thd is None:
-                raise AnalyticsError(m.steady_thd_reason)
-            rows.append((label, f, float(a), m.steady_thd))
+    # every analytical column first: a frequency or input THD the
+    # analysis refuses is refused before anything is simulated
+    analytical = [steady_thd(d.k, d.pi.kp, d.pi.ki, freqs, args.input_thd)
+                  for d in designs]
+    # one frequency at a time, every design on one scenario, so designs
+    # that share the HGI gain and sample period share its filter pass
+    simulated = [[] for _ in designs]
+    for f in freqs:
+        traces = run_designs(steady_spec(f, args.input_thd), designs,
+                             args.duration)
+        for column, trace in zip(simulated, traces):
+            thd, reason = tail_thd(trace, f)
+            if thd is None:
+                raise AnalyticsError(reason)
+            column.append(thd)
+    rows = [(d.method or f"k={d.k:g},f_bw={d.f_bw:g}", f, float(a), s)
+            for d, column_a, column_s in zip(designs, analytical, simulated)
+            for f, a, s in zip(freqs, column_a, column_s)]
     path = _out_dir(args) / "compare.csv"
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

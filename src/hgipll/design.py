@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hgi as hgi_mod
-from .hgi import HgiParams, design_settling_times, k_grid, settling_times
+from .hgi import (HgiParams, check_euler, design_settling_times, k_grid,
+                  settling_times)
 from .signal_model import (DEFAULT_HARMONIC_ORDERS, NOMINAL_FREQ_HZ, TWO_PI,
                            GridSignalSpec, harmonic_profile)
 from .srf import SAMPLE_PERIOD, PiParams, pi_from_bandwidth, srf_settling_time
@@ -257,13 +258,17 @@ def build_design(k: float, f_bw: float, method: str = "",
     """Design at (k, f_bw): PI gains from the bandwidth, the HGI settling
     time at the design step ``DESIGN_SETTLING_DT`` and the loop settling
     time from the bandwidth.  Raises ``ValueError`` for an invalid gain
-    or bandwidth, and for a k whose step response does not settle."""
+    or bandwidth, for a sample period the forward-Euler filter is not
+    stable at (``check_euler``) and for a k whose step response does not
+    settle."""
     pi = pi_from_bandwidth(f_bw, sample_period=sample_period)
     return _design(k, f_bw, pi, method)
 
 
 def _design(k: float, f_bw: float, pi: PiParams, method: str) -> PllDesign:
-    t_s_hgi = settling_times(HgiParams(k))[2]
+    hgi = HgiParams(k)
+    check_euler(hgi, pi.sample_period)
+    t_s_hgi = settling_times(hgi)[2]
     t_s_srf = srf_settling_time(TWO_PI * f_bw)
     return PllDesign(
         k=k, f_bw=f_bw, pi=pi,

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import EXACT, SampleError
+from .arith import EXACT, SampleError, bind_pass
 from .signal_model import NOMINAL_OMEGA0
 
 #: Per-sample arithmetic budget of the forward-Euler HGI update.
@@ -99,22 +99,30 @@ def freq_response(params: HgiParams, omega) -> tuple[complex, complex]:
     return g_alpha, g_beta
 
 
+def check_euler(params: HgiParams, sample_period: float) -> None:
+    """Raise ``ValueError`` unless forward Euler at ``sample_period`` is
+    stable for the filter pair: omega0 * Ts below ``EULER_GUARD``."""
+    if not sample_period > 0:
+        raise ValueError("sample_period must be > 0")
+    if params.omega0 * sample_period >= EULER_GUARD:
+        raise ValueError("sample rate too low for Euler stability")
+
+
 class QuadratureFilter:
     """Forward-Euler discrete realization shared by the filter pairs.
 
     State x1 is the band-pass output v_alpha, x2 the second integrator
     state.  ``arith`` is an arithmetic policy (see ``hgipll.arith``);
-    by default the filter runs in exact float64.  Subclasses define only
+    by default the filter runs in exact float64, through the hook-free
+    form of ``process`` (``arith.float64_pass``).  Subclasses define only
     ``process``, the pass over a whole input sequence; ``step`` is its
     one-sample call.
     """
 
     def __init__(self, params: HgiParams, sample_period: float, arith=None):
-        if not sample_period > 0:
-            raise ValueError("sample_period must be > 0")
-        if params.omega0 * sample_period >= EULER_GUARD:
-            raise ValueError("sample rate too low for Euler stability")
+        check_euler(params, sample_period)
         q = arith if arith is not None else EXACT
+        bind_pass(self, q)
         self._signal = q.signal
         self._k = q.coeff(params.k)
         self._c1 = q.coeff(params.k * params.omega0 * sample_period)

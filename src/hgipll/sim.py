@@ -90,10 +90,12 @@ class TransientMetrics:
     settle_time: float
     settled: bool
     peak_freq_excursion: float
-    freq_ripple_peak: float
+    freq_ripple_peak: float | None
     steady_thd: float | None = None
     # why ``steady_thd`` is None
     steady_thd_reason: str | None = None
+    # why ``freq_ripple_peak`` is None
+    freq_ripple_peak_reason: str | None = None
 
     def to_dict(self) -> dict:
         d = {
@@ -101,8 +103,10 @@ class TransientMetrics:
             "settled": self.settled,
             "peak_freq_excursion_hz": self.peak_freq_excursion,
             "freq_ripple_peak_hz": self.freq_ripple_peak,
-            "steady_thd_pct": self.steady_thd,
         }
+        if self.freq_ripple_peak is None:
+            d["freq_ripple_peak_reason"] = self.freq_ripple_peak_reason
+        d["steady_thd_pct"] = self.steady_thd
         if self.steady_thd is None:
             d["steady_thd_reason"] = self.steady_thd_reason
         return d
@@ -120,35 +124,72 @@ def run(
     ``design`` is a PllDesign (or anything with ``.hgi``, ``.pi``).  The
     PLL starts from zeroed states.  In fixed16 mode all filter and loop
     states, coefficients and arithmetic results are quantized, with
-    saturation instead of wraparound on overflow.
+    saturation instead of wraparound on overflow.  This is the one-design
+    case of ``run_designs``.
+    """
+    (trace,) = run_designs(spec, [design], duration, mode, topology)
+    return trace
+
+
+def run_designs(spec: GridSignalSpec, designs, duration: float,
+                mode: ArithmeticMode = FLOAT64, topology: str = "hgi"):
+    """Simulate one scenario for each design in turn, yielding each
+    design's ``SimTrace`` as ``run`` would return it.
+
+    The filter takes nothing back from the loop, so designs with equal
+    HGI parameters and sample period share one synthesized, quantized
+    input and one filter pass, and their traces share its ``v_g``,
+    ``v_alpha`` and ``v_beta`` arrays.  Each design gets its own loop pass
+    on its own policy; its saturations are the shared filter pass's count
+    plus its loop's.  A pass is held only until the last design that
+    shares it is yielded.  A design whose run fails raises when its trace
+    is due.
     """
     if topology not in ("hgi", "basic_sogi"):
         raise ValueError("topology must be 'hgi' or 'basic_sogi'")
-    ts = design.pi.sample_period
-    v_g = synthesize(spec, ts, duration)
-    n = len(v_g)
+    filt_cls = HgiFilter if topology == "hgi" else BasicSogiFilter
+    designs = list(designs)
+    keys = [(d.hgi, d.pi.sample_period) for d in designs]
+    last = {key: i for i, key in enumerate(keys)}
+    passes = {}
+    for i, (design, key) in enumerate(zip(designs, keys)):
+        if key not in passes:
+            passes[key] = _filter_pass(spec, *key, duration, mode, filt_cls)
+        shared = passes[key] if last[key] > i else passes.pop(key)
+        yield _loop_pass(design, mode, *shared)
 
+
+def _filter_pass(spec, hgi, ts, duration, mode, filt_cls):
+    """The quantized input and the filter's (v_alpha, v_beta) over it, the
+    ``SampleError`` that cut the pass short (or None) and the pass's
+    saturations."""
+    v_g = synthesize(spec, ts, duration)
     arith = mode.policy()
     v_g = arith.quantize_input(v_g)
-    filt_cls = HgiFilter if topology == "hgi" else BasicSogiFilter
-    filt = filt_cls(design.hgi, ts, arith=arith)
-    pll = SrfPll(design.pi, design.hgi.omega0, arith=arith)
-
-    out = {c: np.empty(n) for c in TRACE_CHANNELS[1:]}
-    # omega_e holds the pu deviation until the loop ends; memoryviews
-    # yield and take Python floats, which keep numpy-scalar overhead out
-    # of every filter and loop operation
-    va_, vb_, vd_, vq_, dev_, th_, sin_, cos_ = map(memoryview, out.values())
-    # the filter takes nothing back from the loop, so it runs over the
-    # whole input first, and the loop over the samples it filtered
+    filt = filt_cls(hgi, ts, arith=arith)
+    v_alpha, v_beta = np.empty(len(v_g)), np.empty(len(v_g))
+    # memoryviews yield and take Python floats, which keep numpy-scalar
+    # overhead out of every filter and loop operation
     error = None
     try:
-        filt.process(memoryview(v_g), va_, vb_)
+        filt.process(memoryview(v_g), memoryview(v_alpha), memoryview(v_beta))
     except SampleError as exc:
         error = exc
+    return v_g, v_alpha, v_beta, error, arith.saturations
+
+
+def _loop_pass(design, mode, v_g, v_alpha, v_beta, error, saturations):
+    """One design's loop over the samples its filter pass got through."""
+    ts = design.pi.sample_period
+    n = len(v_g)
+    arith = mode.policy()
+    pll = SrfPll(design.pi, design.hgi.omega0, arith=arith)
+    out = {c: np.empty(n) for c in TRACE_CHANNELS[3:]}
+    # omega_e holds the pu deviation until the loop ends
     m = n if error is None else error.index
     try:
-        pll.process(va_[:m], vb_[:m], vd_, vq_, dev_, th_, sin_, cos_)
+        pll.process(memoryview(v_alpha)[:m], memoryview(v_beta)[:m],
+                    *map(memoryview, out.values()))
     except SampleError as exc:
         error = exc                      # at a sample before the filter's
     if error is not None:
@@ -164,15 +205,35 @@ def run(
     if not finite.all():
         raise SimulationError(_divergence(int(np.argmin(finite)), ts))
     return SimTrace(
-        sample_period=ts,
-        v_g=v_g,
-        saturations=arith.saturations,
-        **out,
+        sample_period=ts, v_g=v_g, v_alpha=v_alpha, v_beta=v_beta,
+        saturations=saturations + arith.saturations, **out,
     )
 
 
 def _divergence(i: int, ts: float) -> str:
     return f"numerical divergence at sample {i} (t = {i * ts:.6g} s)"
+
+
+def _on_tail(measure, tail, fundamental_hz, ts):
+    """``measure(tail, fundamental_hz, ts)`` and None, or None and why
+    the steady tail has no such value."""
+    try:
+        return measure(tail, fundamental_hz, ts), None
+    except AnalyticsError as exc:
+        return None, (f"{exc} in the {len(tail) * ts:.6g} s steady tail "
+                      f"of {fundamental_hz:g} Hz")
+
+
+def tail_thd(trace: SimTrace, fundamental_hz: float,
+             steady: slice | None = None) -> tuple[float | None, str | None]:
+    """Unit-vector THD (percent) of ``sin_theta`` over the steady tail
+    (by default everything past ``STARTUP_EXCLUDE_S``) and None; or None
+    and why, where the tail holds fewer than five whole cycles or no
+    fundamental."""
+    if steady is None:
+        steady = trace.steady_slice()
+    return _on_tail(measured_thd, trace.sin_theta[steady], fundamental_hz,
+                    trace.sample_period)
 
 
 def transient_metrics(
@@ -186,12 +247,15 @@ def transient_metrics(
     Settling is the last excursion of f_e outside +/-freq_band (Hz)
     around its final value, measured from ``event_time``.  When the
     fundamental frequency is given, the steady tail also yields the
-    unit-vector THD and the fundamental-frequency ripple of f_e (the
-    spectral line a dc disturbance puts on the frequency estimate);
-    without it the ripple falls back to the total peak deviation.  Where
-    no THD is measured (no fundamental given, fewer than five whole cycles
-    in the tail, no fundamental in it) ``steady_thd`` is None and
-    ``steady_thd_reason`` says why.
+    unit-vector THD (``tail_thd``) and the fundamental-frequency ripple
+    of f_e (the spectral line a dc disturbance puts on the frequency
+    estimate); without it the ripple falls back to the total peak
+    deviation.  Where no THD is measured (no fundamental given, fewer
+    than five whole cycles in the tail, no fundamental in it)
+    ``steady_thd`` is None and ``steady_thd_reason`` says why; where the
+    tail holds less than one cycle, ``freq_ripple_peak`` is None and
+    ``freq_ripple_peak_reason`` says why.  A trace that holds less than
+    one cycle of the fundamental as a whole is refused.
     """
     ts = trace.sample_period
     i0 = int(round(event_time / ts))
@@ -212,28 +276,25 @@ def transient_metrics(
         i0 + int(round((settle + 0.05) / ts)), None
     )
     f_steady = trace.f_e[steady]
-    if len(f_steady) == 0:
-        ripple = math.nan
-    elif fundamental_hz is not None:
-        ripple = spectral_line(f_steady, fundamental_hz, ts)
-    else:
-        ripple = float(np.max(np.abs(f_steady - np.mean(f_steady))))
     thd, reason = None, "no fundamental frequency given"
-    if fundamental_hz is not None:
-        tail = trace.sin_theta[steady]
-        try:
-            thd = measured_thd(tail, fundamental_hz, ts)
-        except AnalyticsError as exc:
-            # a tail too short for the fit, or one without a fundamental
-            reason = (f"{exc} in the {len(tail) * ts:.6g} s steady tail "
-                      f"of {fundamental_hz:g} Hz")
+    ripple_reason = None
+    if fundamental_hz is None:
+        ripple = (float(np.max(np.abs(f_steady - np.mean(f_steady))))
+                  if len(f_steady) else math.nan)
+    else:
+        if len(trace) * ts * fundamental_hz < 1:
+            raise AnalyticsError("trace shorter than one cycle")
+        ripple, ripple_reason = _on_tail(spectral_line, f_steady,
+                                         fundamental_hz, ts)
+        thd, reason = tail_thd(trace, fundamental_hz, steady)
     return TransientMetrics(
         settle_time=settle,
         settled=settled,
         peak_freq_excursion=float(np.max(np.abs(f_e - final))),
         freq_ripple_peak=ripple,
         steady_thd=thd,
-        steady_thd_reason=None if thd is not None else reason,
+        steady_thd_reason=reason,
+        freq_ripple_peak_reason=ripple_reason,
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import EXACT, SampleError
+from .arith import EXACT, SampleError, bind_pass
 from .signal_model import NOMINAL_OMEGA0, TWO_PI
 
 #: Per-sample arithmetic budget of the loop update, trig lookups excluded.
@@ -74,7 +74,8 @@ class SrfPll:
     is its one-sample call.
 
     ``arith`` is an arithmetic policy (see ``hgipll.arith``), exact
-    float64 by default; its ``trig`` maps theta to (sin, cos).
+    float64 by default, run through the hook-free form of ``process``
+    (``arith.float64_pass``); its ``trig`` maps theta to (sin, cos).
     """
 
     def __init__(self, pi: PiParams, omega0: float = NOMINAL_OMEGA0,
@@ -82,6 +83,7 @@ class SrfPll:
         self.pi = pi
         self.omega0 = omega0
         q = arith if arith is not None else EXACT
+        bind_pass(self, q)
         self._trig = q.trig
         self._signal = q.signal
         self._accumulator = q.accumulator
@@ -93,17 +95,12 @@ class SrfPll:
         self._c_w = q.coeff(omega0 * ts)
         self.reset()
 
-    def reset(self, theta=0.0, accumulator=0.0):
-        self.theta = theta
-        self.accumulator = accumulator
+    def reset(self):
+        self.theta = 0.0
+        self.accumulator = 0.0
         self.deviation = 0.0             # pu frequency deviation, PI output
         self.v_d = 0.0
         self.v_q = 0.0
-
-    @property
-    def omega_e(self):
-        """Estimated frequency in rad/s."""
-        return self.omega0 * (1.0 + self.deviation)
 
     def step(self, v_alpha, v_beta):
         """Advance one sample; returns the unit vectors (sin, cos) used."""

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hgipll import build_design, save_design
+from hgipll import build_design, load_design, measured_thd, run, save_design
+from hgipll.design import steady_spec
 from hgipll.cli import main
 from hgipll.srf import SAMPLE_PERIOD
 
@@ -94,9 +95,10 @@ def test_simulate_round_trips_design_json(design_dir, tmp_path):
     metrics = json.loads((tmp_path / "metrics.json").read_text())
     assert metrics["freq_ripple_peak_hz"] < 0.05
     assert metrics["settled"] is True
-    # the reason key is written only beside a null THD
+    # the reason keys are written only beside a null THD or ripple
     assert metrics["steady_thd_pct"] >= 0
     assert "steady_thd_reason" not in metrics
+    assert "freq_ripple_peak_reason" not in metrics
     trace = (tmp_path / "trace.csv").read_text().splitlines()
     assert trace[0].startswith("time_s,v_g,")
 
@@ -134,6 +136,30 @@ def test_simulate_leakage_window_writes_null_thd(tmp_path, capsys):
     assert err == ""
     assert (tmp_path / "trace.csv").stat().st_size > 0
     metrics = json.loads((tmp_path / "metrics.json").read_text())
+    assert metrics["steady_thd_pct"] is None
+    assert metrics["steady_thd_reason"].startswith("leakage window")
+    assert metrics["settled"] is True
+    assert math.isfinite(metrics["peak_freq_excursion_hz"])
+
+
+def test_simulate_tail_under_one_cycle_writes_null_ripple(tmp_path, capsys):
+    # 0.6 s leaves 19 ms after the settled jump, under one 50 Hz cycle:
+    # neither the ripple nor the THD is measured, and the run still writes
+    # its trace and every other metric
+    code = main([
+        "simulate", "--scenario", str(SCENARIOS / "phase_jump_90deg.json"),
+        "--k", "1.56", "--f-bw", "29.5", "--duration", "0.6",
+        "--out", str(tmp_path),
+    ])
+    assert code == 0
+    out, err = capsys.readouterr()
+    assert "ripple=n/a thd=n/a" in out
+    assert err == ""
+    assert (tmp_path / "trace.csv").stat().st_size > 0
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    assert metrics["freq_ripple_peak_hz"] is None
+    assert metrics["freq_ripple_peak_reason"] == (
+        "trace shorter than one cycle in the 0.0193 s steady tail of 50 Hz")
     assert metrics["steady_thd_pct"] is None
     assert metrics["steady_thd_reason"].startswith("leakage window")
     assert metrics["settled"] is True
@@ -189,14 +215,16 @@ CLEAN = str(SCENARIOS / "clean_50hz.json")
 def input_files(tmp_path_factory):
     """A valid design file, one with a NaN ``kp``, three with an HGI gain
     whose step response never settles (1e305, 1e306 and the subnormal
-    1e-320), a scenario with a NaN fundamental frequency, one at 1e308 Hz
+    1e-320), one sampled at 2 ms (omega0 * Ts = 0.63, past the
+    forward-Euler guard), a scenario with a NaN fundamental frequency, one at 1e308 Hz
     (2*pi*f overflows) and one at a subnormal 1e-320 Hz, two with a NaN
     event value, one with an infinite event time and two with a frequency
     step to 0 Hz and below."""
     tmp = tmp_path_factory.mktemp("inputs")
     files = {name: tmp / f"{name}.json"
              for name in ("design", "nan_design", "k1e305_design",
-                          "k1e306_design", "k1e-320_design", "nan_scenario",
+                          "k1e306_design", "k1e-320_design", "ts2ms_design",
+                          "nan_scenario",
                           "huge_frequency_scenario", "tiny_frequency_scenario",
                           "nan_phase_jump",
                           "nan_frequency_step", "inf_event_time",
@@ -208,6 +236,8 @@ def input_files(tmp_path_factory):
     for k in ("1e305", "1e306", "1e-320"):
         files[f"k{k}_design"].write_text(
             json.dumps({**design.to_dict(), "k": float(k)}))
+    files["ts2ms_design"].write_text(
+        json.dumps({**design.to_dict(), "sample_period_s": 2e-3}))
     scenario = json.loads((SCENARIOS / "clean_50hz.json").read_text())
     for name, f in (("nan", math.nan), ("huge_frequency", 1e308),
                     ("tiny_frequency", 1e-320)):
@@ -354,6 +384,14 @@ def input_files(tmp_path_factory):
     (["compare", "--designs", "{design}", "--frequencies", "1e308",
       "--duration", "0.3"],
      "analysis failed: omega must be finite"),
+    # a design file's sample period is checked on load, as its k is
+    (["simulate", "--scenario", CLEAN, "--design", "{ts2ms_design}"],
+     "invalid design file {ts2ms_design}: sample rate too low for Euler "
+     "stability"),
+    (["compare", "--designs", "{design}", "{ts2ms_design}", "--frequencies",
+      "46"],
+     "invalid design file {ts2ms_design}: sample rate too low for Euler "
+     "stability"),
 ], ids=["simulate-unsettled-k", "simulate-k-subnormal", "simulate-k-1e150",
         "design-unsettled-k", "design-mtsd-input-thd",
         "simulate-no-sample", "simulate-k-nan", "simulate-k-inf",
@@ -372,7 +410,8 @@ def input_files(tmp_path_factory):
         "design-k-range-too-large", "design-k-range-1e308",
         "design-f-bw-range-1e308", "simulate-duration-past-array-index",
         "simulate-duration-inf-samples", "simulate-scenario-frequency-1e308",
-        "simulate-scenario-frequency-subnormal", "compare-frequencies-1e308"])
+        "simulate-scenario-frequency-subnormal", "compare-frequencies-1e308",
+        "simulate-design-euler-unstable", "compare-design-euler-unstable"])
 def test_rejected_input_exit_code(tmp_path, capsys, input_files, argv,
                                   message):
     out = tmp_path / "out"
@@ -477,6 +516,33 @@ def test_compare_without_a_simulated_thd_exit_code(design_dir, tmp_path,
     err = capsys.readouterr().err
     assert "error: analysis failed: leakage window" in err
     assert not (tmp_path / "compare.csv").exists()
+
+
+def test_compare_simulated_column_equals_a_direct_run(tmp_path):
+    # the first two share k = 1.56 at 50 us, so one filter pass; the
+    # others differ in k and in the sample period
+    designs = [build_design(1.56, 55.0, "mtsd"),
+               build_design(1.56, 29.5, "hc-mtsd"),
+               build_design(1.0, 40.0, "k1"),
+               build_design(1.56, 29.5, "ts100us", sample_period=1e-4)]
+    paths = [str(tmp_path / f"{d.method}.json") for d in designs]
+    for d, path in zip(designs, paths):
+        save_design(d, path)
+    freqs = (46.0, 53.0)
+    assert main(["compare", "--designs", *paths,
+                 "--frequencies", *map(str, freqs), "--input-thd", "0.05",
+                 "--duration", "0.8", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "compare.csv").read_text().splitlines()[1:]
+    want = []
+    for path in paths:
+        d = load_design(path)
+        for f in freqs:
+            trace = run(steady_spec(f, 0.05), d, 0.8)
+            tail = trace.sin_theta[trace.steady_slice()]
+            thd = measured_thd(tail, f, trace.sample_period)
+            want.append((d.method, f"{f:g}", f"{thd:.4f}"))
+    assert [(r.split(",")[0], r.split(",")[1], r.split(",")[3])
+            for r in rows] == want
 
 
 def test_deterministic_reruns(tmp_path):

@@ -28,9 +28,10 @@ from hgipll import (
     spectral_line,
     transient_metrics,
 )
-from hgipll.arith import ExactArithmetic, SampleError
+from hgipll import build_design, sim, synthesize
+from hgipll.arith import EXACT, ExactArithmetic, SampleError
 from hgipll.signal_model import EVENT_KINDS
-from hgipll.sim import TRACE_CHANNELS, SimTrace, SimulationError
+from hgipll.sim import TRACE_CHANNELS, SimTrace, SimulationError, run_designs
 
 TS = 50e-6
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "hgipll" / "scenarios"
@@ -211,6 +212,129 @@ def test_run_matches_oracle_on_any_scenario(hc_like, data):
     mode = data.draw(MODES)
     topology = data.draw(st.sampled_from(["hgi", "basic_sogi"]))
     _assert_run_matches_oracle(spec, hc_like, duration, mode, topology)
+
+
+#: (k, Ts) pairs of the drawn designs: two share k, two share Ts
+DESIGN_KEYS = [(1.56, TS), (1.56, 1e-4), (0.9, TS)]
+
+
+@settings(max_examples=25)
+@given(data=st.data())
+def test_run_designs_equals_run_per_design(data):
+    # 2-3 designs drawn from three (k, Ts) pairs with their own bandwidths,
+    # so that some share a filter pass and some do not
+    keys = data.draw(st.lists(st.sampled_from(DESIGN_KEYS), min_size=2,
+                              max_size=3))
+    designs = [build_design(k, data.draw(st.floats(20.0, 60.0)), "drawn",
+                            sample_period=ts) for k, ts in keys]
+    duration = data.draw(st.floats(0.002, 0.05))
+    spec = data.draw(_scenarios(duration))
+    mode = data.draw(MODES)
+    topology = data.draw(st.sampled_from(["hgi", "basic_sogi"]))
+    traces = list(run_designs(spec, designs, duration, mode, topology))
+    assert len(traces) == len(designs)
+    for design, got in zip(designs, traces):
+        want = run(spec, design, duration, mode, topology)
+        for c in TRACE_CHANNELS:
+            assert _same_bits(got.channel(c), want.channel(c)), c
+        assert got.saturations == want.saturations
+        assert got.sample_period == want.sample_period
+
+
+def test_designs_with_one_k_and_ts_share_one_filter_pass(mtsd_like, hc_like,
+                                                         monkeypatch):
+    synthesized = []
+    monkeypatch.setattr(sim, "synthesize", lambda *a: synthesized.append(a)
+                        or synthesize(*a))
+    ts100 = build_design(1.56, 29.5, "ts100us", sample_period=1e-4)
+    designs = [mtsd_like, ts100, hc_like]
+    # the clipped input drives the fixed16 filter states into their rails
+    spec = GridSignalSpec(fundamental_amplitude=1e308)
+    mtsd, ts100_trace, hc = run_designs(spec, designs, 0.05, FIXED16)
+    assert len(synthesized) == 2
+    assert mtsd.v_alpha is hc.v_alpha and mtsd.v_g is hc.v_g
+    assert ts100_trace.v_alpha is not mtsd.v_alpha
+    assert not np.array_equal(mtsd.sin_theta, hc.sin_theta)
+    # each counts the shared filter pass's saturations and its own loop's
+    arith = FIXED16.policy()
+    HgiFilter(hc_like.hgi, TS, arith=arith).process(
+        arith.quantize_input(synthesize(spec, TS, 0.05)), *[[0.0] * 1000] * 2)
+    assert arith.saturations > 0
+    for design, trace in zip(designs, (mtsd, ts100_trace, hc)):
+        assert trace.saturations == oracle.run(spec, design, 0.05,
+                                               FIXED16).saturations
+
+
+def test_float64_run_makes_no_call_through_exact_hooks(hc_like, monkeypatch):
+    calls = []
+
+    def counted(name):
+        hook = getattr(EXACT, name)
+        return staticmethod(lambda x: calls.append(name) or hook(x))
+
+    for name in ("signal", "accumulator", "phase", "trig"):
+        monkeypatch.setattr(ExactArithmetic, name, counted(name))
+    spec = GridSignalSpec(harmonics=tuple(harmonic_profile(0.05)),
+                          dc_offset=0.1)
+    for topology in ("hgi", "basic_sogi"):
+        got = run(spec, hc_like, 0.02, FLOAT64, topology)
+        assert calls == []
+        want = oracle.run(spec, hc_like, 0.02, FLOAT64, topology)
+        for c in TRACE_CHANNELS:
+            assert _same_bits(got.channel(c), want.channel(c)), c
+        # the oracle's steps go through the patched hooks
+        assert sorted(set(calls)) == ["accumulator", "phase", "signal",
+                                      "trig"]
+        calls.clear()
+    # so do the written passes, on any exact policy but EXACT
+    HgiFilter(hc_like.hgi, TS, arith=ExactArithmetic()).step(0.5)
+    SrfPll(hc_like.pi, arith=ExactArithmetic()).step(0.5, -0.5)
+    assert sorted(set(calls)) == ["accumulator", "phase", "signal", "trig"]
+
+
+_SPECIAL = st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -0.0])
+
+
+@settings(max_examples=60)
+@given(kind=st.sampled_from(["hgi", "basic_sogi", "srf"]), data=st.data())
+def test_float64_pass_equals_the_written_pass(hc_like, kind, data):
+    # EXACT binds the derived pass; another ExactArithmetic runs the
+    # written one, with its hooks
+    values = st.one_of(st.floats(-2.5, 2.5), _SPECIAL)
+    n = data.draw(st.integers(0, 60))
+    ins = [data.draw(st.lists(values, min_size=n, max_size=n))
+           for _ in range(2 if kind == "srf" else 1)]
+    results = []
+    for arith in (EXACT, ExactArithmetic()):
+        stage, _ = _stage(kind, hc_like, _Fixed(arith))
+        outs = [[0.0] * n for _ in range(6 if kind == "srf" else 2)]
+        try:
+            stage.process(*ins, *outs)
+            index = None
+        except SampleError as exc:
+            index = exc.index
+        results.append((index, _bits_any_nan(sum(outs, [])),
+                        _bits_any_nan(_stage_state(stage))))
+    assert results[0] == results[1]
+
+
+def _bits_any_nan(values):
+    """The bits of ``values`` with every NaN made the same: where two NaNs
+    meet, which of them a float add or multiply returns depends on whether
+    the interpreter has specialized that instruction yet."""
+    a = np.array(values, dtype=float)
+    a[np.isnan(a)] = math.nan
+    return a.tobytes()
+
+
+class _Fixed:
+    """A mode whose policy is the given one."""
+
+    def __init__(self, arith):
+        self.arith = arith
+
+    def policy(self):
+        return self.arith
 
 
 def _stage(kind, hc_like, mode):
@@ -466,7 +590,7 @@ def test_fixed16_trig_wraps_theta_just_below_zero():
     for arith in (Fixed16Arithmetic(), oracle.Fixed16Reference()):
         assert arith.trig(-1e-17) == arith.trig(-2.2e-16) == arith.trig(0.0)
     pll = SrfPll(pi_from_bandwidth(55.0), arith=Fixed16Arithmetic())
-    pll.reset(theta=-1e-17)
+    pll.theta = -1e-17
     assert pll.step(0.0, -1.0) == Fixed16Arithmetic().trig(0.0)
 
 
