@@ -22,7 +22,10 @@ as two whole-input passes on Python floats.  ``write_trace_csv`` is the
 evaluates the whole 12-time-constant grid, of which the package
 evaluates only windows at each peak and last band exit, and
 ``band_worst_thd`` evaluates the THD cube one bandwidth row at a time,
-where the package takes slabs of rows.
+where the package takes slabs of rows.  ``cube_sweep`` picks each
+bandwidth's gain by a masked argmin over the whole cube, where the
+package tries the gains in settling order and stops at the first
+feasible one.
 """
 
 from __future__ import annotations
@@ -369,6 +372,38 @@ def band_worst_thd(ks, f_bws, constraints):
         worst[i] = thd.max(axis=1)
         binding[i] = thd.argmax(axis=1)
     return worst, freqs[binding]
+
+
+def cube_sweep(ks, ts_hgi, constraints, infeasible_row):
+    """The design sweep as a masked argmin over the whole cube of
+    ``design.band_worst_thd``: the report's swept rows, with
+    ``infeasible_row(f_bw, t_s_srf)`` for a bandwidth where no k is
+    feasible, and the chosen (k, f_bw, worst band THD, binding
+    frequency), or None when no point is feasible."""
+    from hgipll.design import band_worst_thd
+    from hgipll.srf import srf_settling_time
+
+    f_bws = constraints.bandwidth_grid()
+    worst, binding = band_worst_thd(ks, f_bws, constraints)
+    feasible = worst <= constraints.thd_threshold()
+    # per bandwidth the fastest feasible k; argmin returns the first
+    # minimum, so equal settling times go to the smaller k
+    best_k = np.argmin(np.where(feasible, ts_hgi, np.inf), axis=1)
+    t_sd = np.full(len(f_bws), np.inf)
+    swept = []
+    for i, f_bw in enumerate(f_bws):
+        t_s_srf = srf_settling_time(TWO_PI * f_bw)
+        if not feasible[i].any():
+            swept.append(infeasible_row(float(f_bw), t_s_srf))
+            continue
+        t_sd[i] = ts_hgi[best_k[i]] + t_s_srf
+        swept.append((float(f_bw), float(ks[best_k[i]]), float(t_sd[i]), True))
+    if not feasible.any():
+        return swept, None
+    # the first minimum keeps ties at the lower bandwidth
+    i = int(np.argmin(t_sd))
+    j = best_k[i]
+    return swept, (float(ks[j]), float(f_bws[i]), worst[i, j], binding[i, j])
 
 
 def _feasible(k, f_bw, input_thd, freqs, constraints) -> bool:

@@ -72,12 +72,14 @@ def test_design_reports_binding_point(tmp_path, capsys):
 
 
 def test_design_infeasible_exit_code(tmp_path, capsys):
-    code = main([
-        "design", "--method", "mtsd", "--uthd-limit", "0.001",
-        "--f-bw-range", "50", "55", "--out", str(tmp_path),
-    ])
-    assert code == 2
-    assert "infeasible" in capsys.readouterr().err
+    # the harmonic-aware case tries every gain at every bandwidth
+    for args in (["--method", "mtsd", "--uthd-limit", "0.001",
+                  "--f-bw-range", "50", "55"],
+                 ["--method", "hc-mtsd", "--input-thd", "0.05",
+                  "--uthd-limit", "0.001"]):
+        code = main(["design", *args, "--out", str(tmp_path)])
+        assert code == 2
+        assert "infeasible" in capsys.readouterr().err
 
 
 def test_design_invalid_constraints_exit_code(tmp_path):

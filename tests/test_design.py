@@ -78,6 +78,12 @@ def test_mtsd_infeasible_raises():
         mtsd_design(c)
 
 
+def test_hc_mtsd_infeasible_raises():
+    c = DesignConstraints(input_thd=0.05, uthd_limit=0.001)
+    with pytest.raises(InfeasibleDesignError, match=r"\(bandwidth, k\)"):
+        hc_mtsd_design(c)
+
+
 def test_mtsd_published_design():
     design, report = mtsd_design(DesignConstraints())
     assert design.f_bw == pytest.approx(55.0, abs=0.5)

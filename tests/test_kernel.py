@@ -3,6 +3,7 @@ oracles in ``oracle.py``, and the design procedures' feasibility masks
 against ``DesignConstraints.thd_ok``."""
 
 import cmath
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -17,7 +18,9 @@ from hgipll import (
     GridSignalSpec,
     HarmonicComponent,
     HgiParams,
+    InfeasibleDesignError,
     Phasor,
+    build_design,
     freq_response,
     harmonic_breakdown,
     hc_mtsd_design,
@@ -28,7 +31,7 @@ from hgipll import (
     total_unit_vector_thd,
 )
 from hgipll.design import THD_COMPARE_DECIMALS, band_worst_thd, steady_thd
-from hgipll import hgi
+from hgipll import design as design_mod, hgi
 from hgipll.hgi import (SETTLING_WINDOW, _settling_grid,
                         design_settling_times, k_grid, settling_times)
 from hgipll.thd import ripple_terms, unit_vector_thd
@@ -612,3 +615,89 @@ def test_design_procedures_match_point_by_point_oracle(procedure, sweep,
     assert report.worst_thd == pytest.approx(max(band), rel=1e-12)
     assert report.binding_hz == constraints.sweep_frequencies()[
         int(np.argmax(band))]
+
+
+def _cube_procedure(constraints):
+    """Both procedures at ``constraints`` by ``oracle.cube_sweep``:
+    (method, procedure, its constraints, swept rows, chosen point or
+    None) each; the deviation-only one runs at input THD 0."""
+    ks = k_grid(*constraints.k_range, constraints.k_step)
+    ts = design_settling_times(ks)
+    k_opt, t_s_hgi = hgi.k_opt_search(constraints.k_range, constraints.k_step)
+    clean = dataclasses.replace(constraints, input_thd=0.0)
+    return [
+        ("hc-mtsd", hc_mtsd_design, constraints,
+         *oracle.cube_sweep(ks, ts, constraints,
+                            lambda f_bw, t: (f_bw, math.nan, math.inf, False))),
+        ("mtsd", mtsd_design, clean,
+         *oracle.cube_sweep(np.array([k_opt]), np.array([t_s_hgi]), clean,
+                            lambda f_bw, t: (f_bw, k_opt, t_s_hgi + t, False))),
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    # one band frequency (delta_f = 0) makes one-point kernel calls likely
+    delta_f=st.one_of(st.just(0.0), st.floats(0.0, 0.1)),
+    input_thd=st.floats(0.0, 0.1),
+    uthd_limit=st.floats(0.002, 0.02),
+    f_bw_lo=st.floats(10.0, 60.0),
+    f_bw_span=st.floats(0.0, 80.0),
+    f_bw_step=st.sampled_from([0.5, 1.0, 2.0]),
+    k_lo=st.floats(0.1, 2.0),
+    k_span=st.floats(0.0, 2.0),
+    k_step=st.sampled_from([0.01, 0.02, 0.05]),
+)
+# a partly infeasible grid (14 of 201 rows), a wholly infeasible one, two
+# gains of equal settling time, where the smaller k wins, and one
+# bandwidth at one frequency, with 21 gains and with one
+@example(delta_f=0.08, input_thd=0.05, uthd_limit=0.01, f_bw_lo=20.0,
+         f_bw_span=100.0, f_bw_step=0.5, k_lo=0.1, k_span=3.9, k_step=0.01)
+@example(delta_f=0.08, input_thd=0.05, uthd_limit=0.001, f_bw_lo=20.0,
+         f_bw_span=35.0, f_bw_step=0.5, k_lo=0.1, k_span=3.9, k_step=0.01)
+@example(delta_f=0.08, input_thd=0.05, uthd_limit=0.01, f_bw_lo=20.0,
+         f_bw_span=35.0, f_bw_step=0.5, k_lo=1.28, k_span=0.05, k_step=0.05)
+@example(delta_f=0.0, input_thd=0.0625, uthd_limit=0.015625,
+         f_bw_lo=48.328125, f_bw_span=0.0, f_bw_step=0.5, k_lo=1.0,
+         k_span=1.0, k_step=0.05)
+@example(delta_f=0.0, input_thd=0.0625, uthd_limit=0.015625,
+         f_bw_lo=48.328125, f_bw_span=0.0, f_bw_step=0.5, k_lo=1.6,
+         k_span=0.0, k_step=0.05)
+def test_design_search_equals_whole_cube_argmin(delta_f, input_thd, uthd_limit,
+                                                f_bw_lo, f_bw_span, f_bw_step,
+                                                k_lo, k_span, k_step):
+    # the search in settling order picks what the masked argmin over the
+    # whole cube picks, down to the bits of the binding point's THD
+    constraints = DesignConstraints(
+        delta_f=delta_f, input_thd=input_thd, uthd_limit=uthd_limit,
+        f_bw_range=(f_bw_lo, f_bw_lo + f_bw_span), f_bw_step=f_bw_step,
+        k_range=(k_lo, min(4.0, k_lo + k_span)), k_step=k_step)
+    for method, procedure, c, swept, chosen in _cube_procedure(constraints):
+        if chosen is None:
+            with pytest.raises(InfeasibleDesignError):
+                procedure(c)
+            continue
+        design, report = procedure(c)
+        _same_rows(report.swept, swept)
+        k, f_bw, worst, binding = chosen
+        assert design == build_design(k, f_bw, method)
+        assert (report.worst_thd, report.binding_hz) == (worst, binding)
+
+
+def test_design_search_evaluates_to_first_feasible_only(monkeypatch):
+    # the published constraints: the harmonic-aware search stops well
+    # short of the 71 x 391 x 5 cube, and the deviation-only one, with
+    # its one gain, evaluates each of its 71 bandwidths' 5 frequencies once
+    counts = []
+
+    def counted(*args):
+        thd = steady_thd(*args)
+        counts.append(thd.size)
+        return thd
+
+    monkeypatch.setattr(design_mod, "steady_thd", counted)
+    hc_mtsd_design(DesignConstraints(input_thd=0.05))
+    assert sum(counts) <= 75_000
+    counts.clear()
+    mtsd_design(DesignConstraints())
+    assert sum(counts) == 355
