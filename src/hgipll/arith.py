@@ -20,8 +20,9 @@ A filter or loop pass is written once, calling its policy's hooks.
 Under ``EXACT`` every hook but ``trig`` returns its argument, so a stage
 built on ``EXACT`` runs ``float64_pass`` of its written ``process``
 instead: the same body with the hooks taken out, derived once per
-process from its source by rewriting the syntax tree.  Every other
-policy, fixed16 among them, runs the written body.
+process from its source by rewriting the syntax tree.  The same rewrite
+can also take out the stores to output buffers a caller does not read.
+Every other policy, fixed16 among them, runs the written body.
 """
 
 from __future__ import annotations
@@ -85,13 +86,19 @@ def _located(new, old):
 class _DropHooks(ast.NodeTransformer):
     """Takes the policy hooks out of a written pass: an assignment's
     ``name = self._<hook>`` pairs are dropped, ``name(x)`` becomes ``x``
-    and, for the trig hook, ``(_sin(x), _cos(x))``."""
+    and, for the trig hook, ``(_sin(x), _cos(x))``.  A store
+    ``buf[i] = x`` to a buffer named in ``dropped`` is dropped too."""
 
-    def __init__(self):
+    def __init__(self, dropped=frozenset()):
         self.hooks = {}                  # local name -> hook attribute
+        self.dropped = dropped
 
     def visit_Assign(self, node):
         (target,) = node.targets
+        if (isinstance(target, ast.Subscript)
+                and isinstance(target.value, ast.Name)
+                and target.value.id in self.dropped):
+            return None
         if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
             pairs = list(zip(target.elts, node.value.elts))
         else:
@@ -127,10 +134,12 @@ class _DropHooks(ast.NodeTransformer):
 
 
 @functools.cache
-def float64_pass(method):
+def float64_pass(method, dropped=frozenset()):
     """``method``, a stage's written ``process``, with its policy hooks
     taken out (see ``_DropHooks``): the pass ``EXACT`` would run, with
-    no call per hook.
+    no call per hook.  Stores to the buffer parameters named in
+    ``dropped`` are taken out as well, so the caller may pass None for
+    those buffers.
 
     The source is the ``def`` line and every deeper-indented or blank
     line after it (``inspect.getsource`` tokenizes, which costs
@@ -151,7 +160,7 @@ def float64_pass(method):
     source = ("\n" * (first - 1) + "def _bind(_sin, _cos):\n"
               + "".join(lines[first:end])
               + f"{indent}return {method.__name__}\n")
-    module = _DropHooks().visit(ast.parse(source))
+    module = _DropHooks(dropped).visit(ast.parse(source))
     namespace = {}
     exec(compile(module, code.co_filename, "exec"), method.__globals__,
          namespace)
@@ -160,11 +169,15 @@ def float64_pass(method):
     return derived
 
 
-def bind_pass(stage, policy) -> None:
-    """Give ``stage`` its float64 pass when ``policy`` is ``EXACT``; on
-    any other policy it keeps the written ``process``."""
-    if policy is EXACT:
-        stage.process = float64_pass(type(stage).process).__get__(stage)
+def bind_pass(stage, policy, dropped=frozenset()) -> bool:
+    """Give ``stage`` its float64 pass, without the stores to the buffers
+    named in ``dropped``, when ``policy`` is ``EXACT``, and return True;
+    on any other policy it keeps the written ``process``, which writes
+    every buffer, and False is returned."""
+    if policy is not EXACT:
+        return False
+    stage.process = float64_pass(type(stage).process, dropped).__get__(stage)
+    return True
 
 _ROUNDER = 1.5 * 2.0 ** 52   # (y + _ROUNDER) - _ROUNDER rounds y, see above
 

@@ -40,7 +40,7 @@ from .sim import (
     SimulationError,
     run as run_sim,
     run_designs,
-    tail_thd,
+    tail_thds,
     transient_metrics,
 )
 from .thd import AnalyticsError, harmonic_breakdown, total_unit_vector_thd
@@ -217,16 +217,31 @@ def cmd_compare(args) -> int:
     analytical = [steady_thd(d.k, d.pi.kp, d.pi.ki, freqs, args.input_thd)
                   for d in designs]
     # one frequency at a time, every design on one scenario, so designs
-    # that share the HGI gain and sample period share its filter pass
+    # that share the HGI gain and sample period share its filter pass;
+    # only sin_theta is read, and the steady tails of the designs that
+    # share a sample period are fitted as one stack
     simulated = [[] for _ in designs]
     for f in freqs:
-        traces = run_designs(steady_spec(f, args.input_thd), designs,
-                             args.duration)
-        for column, trace in zip(simulated, traces):
-            thd, reason = tail_thd(trace, f)
+        tails, diverged = {}, None       # sample period -> {design: tail}
+        try:
+            for i, trace in enumerate(run_designs(
+                    steady_spec(f, args.input_thd), designs, args.duration,
+                    channels=("sin_theta",))):
+                tails.setdefault(trace.sample_period, {})[i] = (
+                    trace.sin_theta[trace.steady_slice()])
+        except SimulationError as exc:
+            diverged = exc
+        thds = {}
+        for ts, rows in tails.items():
+            thds.update(zip(rows, tail_thds(list(rows.values()), f, ts)))
+        # the first failure in design order is the one reported
+        for i in sorted(thds):
+            thd, reason = thds[i]
             if thd is None:
                 raise AnalyticsError(reason)
-            column.append(thd)
+            simulated[i].append(thd)
+        if diverged is not None:
+            raise diverged
     rows = [(d.method or f"k={d.k:g},f_bw={d.f_bw:g}", f, float(a), s)
             for d, column_a, column_s in zip(designs, analytical, simulated)
             for f, a, s in zip(freqs, column_a, column_s)]

@@ -316,9 +316,7 @@ def _first_feasible(ks: np.ndarray, ts_hgi: np.ndarray, f_bws: np.ndarray,
     bandwidths with no feasible gain yet, in slabs of at most
     ``THD_SLAB_POINTS`` points, and a bandwidth closes at its first
     feasible candidate.  Every point gets the arguments it gets in
-    ``band_worst_thd``, in a call of more than one point wherever the
-    cube has more than one, so every THD compared is the cube's, bit for
-    bit.
+    ``band_worst_thd``, so every THD compared is the cube's, bit for bit.
     """
     freqs = np.array(constraints.sweep_frequencies())
     kp, ki = _pi_gains(f_bws)
@@ -331,18 +329,12 @@ def _first_feasible(ks: np.ndarray, ts_hgi: np.ndarray, f_bws: np.ndarray,
     start, size = 0, 1
     while open_rows.size and start < len(ks):
         cand = order[start:start + size]
-        k_cand = ks[cand]
-        if len(cand) * len(freqs) == 1 < len(ks):
-            # numpy rounds a complex product on one-element operands
-            # differently from its vector loop, which the cube takes: a
-            # repeated gain keeps every point on the vector loop
-            k_cand = np.repeat(k_cand, 2)
-        rows = max(1, THD_SLAB_POINTS // (len(k_cand) * len(freqs)))
+        rows = max(1, THD_SLAB_POINTS // (len(cand) * len(freqs)))
         for i in range(0, len(open_rows), rows):
             slab = open_rows[i:i + rows]
             # (bandwidth x frequency x candidate), as in band_worst_thd
-            thd = steady_thd(k_cand, kp[slab], ki[slab], freqs[:, None],
-                             constraints.input_thd)[..., :len(cand)]
+            thd = steady_thd(ks[cand], kp[slab], ki[slab], freqs[:, None],
+                             constraints.input_thd)
             band = thd.max(axis=1)
             ok = band <= threshold
             hit = ok.any(axis=1)

@@ -9,12 +9,13 @@ the recorded trace.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import FIXED16, FLOAT64, ArithmeticMode, SampleError
+from .arith import FIXED16, FLOAT64, ArithmeticMode, SampleError, bind_pass
 from .hgi import BasicSogiFilter, HgiFilter
 from .signal_model import TWO_PI, GridSignalSpec, synthesize
 from .srf import SrfPll
@@ -24,6 +25,11 @@ TRACE_CHANNELS = (
     "v_g", "v_alpha", "v_beta", "v_d", "v_q",
     "omega_e", "theta_e", "sin_theta", "cos_theta",
 )
+
+#: The channels the loop pass writes, each with the name of its output
+#: buffer in ``SrfPll.process`` (the parameters after v_alpha and v_beta).
+_LOOP_BUFFERS = dict(zip(
+    TRACE_CHANNELS[3:], list(inspect.signature(SrfPll.process).parameters)[3:]))
 
 #: Samples discarded before steady-state metrics.
 STARTUP_EXCLUDE_S = 0.2
@@ -38,22 +44,23 @@ class SimulationError(RuntimeError):
 
 @dataclass
 class SimTrace:
-    """Uniformly sampled record of every loop quantity."""
+    """Uniformly sampled record of the loop quantities; a channel the run
+    did not record is None (``omega_e`` is always recorded)."""
 
     sample_period: float
-    v_g: np.ndarray
-    v_alpha: np.ndarray
-    v_beta: np.ndarray
-    v_d: np.ndarray
-    v_q: np.ndarray
+    v_g: np.ndarray | None
+    v_alpha: np.ndarray | None
+    v_beta: np.ndarray | None
+    v_d: np.ndarray | None
+    v_q: np.ndarray | None
     omega_e: np.ndarray
-    theta_e: np.ndarray
-    sin_theta: np.ndarray
-    cos_theta: np.ndarray
+    theta_e: np.ndarray | None
+    sin_theta: np.ndarray | None
+    cos_theta: np.ndarray | None
     saturations: int = 0
 
     def __len__(self):
-        return len(self.v_g)
+        return len(self.omega_e)
 
     @property
     def time(self) -> np.ndarray:
@@ -71,7 +78,8 @@ class SimTrace:
         return slice(int(round(exclude / self.sample_period)), None)
 
     def write_csv(self, path) -> None:
-        """Header, units row, then one ``%.10g`` row per sample: the bytes
+        """Header, units row, then one ``%.10g`` row per sample of every
+        channel, all of which must be recorded: the bytes
         ``np.savetxt(..., delimiter=",", fmt="%.10g")`` writes."""
         columns = [self.time] + [self.channel(c) for c in TRACE_CHANNELS]
         row = ",".join(["%.10g"] * len(columns)) + "\n"
@@ -132,9 +140,17 @@ def run(
 
 
 def run_designs(spec: GridSignalSpec, designs, duration: float,
-                mode: ArithmeticMode = FLOAT64, topology: str = "hgi"):
+                mode: ArithmeticMode = FLOAT64, topology: str = "hgi",
+                channels=TRACE_CHANNELS):
     """Simulate one scenario for each design in turn, yielding each
-    design's ``SimTrace`` as ``run`` would return it.
+    design's ``SimTrace`` as ``run`` would return it, with the channels
+    not in ``channels`` None.
+
+    ``omega_e`` is always recorded: it is what the divergence check
+    reads.  Under the exact float64 policy the loop pass is the derived
+    one without the stores to the loop channels not requested
+    (``arith.float64_pass``); any other policy runs the written pass,
+    and its traces record every channel.
 
     The filter takes nothing back from the loop, so designs with equal
     HGI parameters and sample period share one synthesized, quantized
@@ -147,6 +163,10 @@ def run_designs(spec: GridSignalSpec, designs, duration: float,
     """
     if topology not in ("hgi", "basic_sogi"):
         raise ValueError("topology must be 'hgi' or 'basic_sogi'")
+    unknown = set(channels) - set(TRACE_CHANNELS)
+    if unknown:
+        raise ValueError(f"unknown trace channels: {sorted(unknown)}")
+    unrequested = set(TRACE_CHANNELS) - set(channels) - {"omega_e"}
     filt_cls = HgiFilter if topology == "hgi" else BasicSogiFilter
     designs = list(designs)
     keys = [(d.hgi, d.pi.sample_period) for d in designs]
@@ -156,7 +176,7 @@ def run_designs(spec: GridSignalSpec, designs, duration: float,
         if key not in passes:
             passes[key] = _filter_pass(spec, *key, duration, mode, filt_cls)
         shared = passes[key] if last[key] > i else passes.pop(key)
-        yield _loop_pass(design, mode, *shared)
+        yield _loop_pass(design, mode, unrequested, *shared)
 
 
 def _filter_pass(spec, hgi, ts, duration, mode, filt_cls):
@@ -178,18 +198,25 @@ def _filter_pass(spec, hgi, ts, duration, mode, filt_cls):
     return v_g, v_alpha, v_beta, error, arith.saturations
 
 
-def _loop_pass(design, mode, v_g, v_alpha, v_beta, error, saturations):
-    """One design's loop over the samples its filter pass got through."""
+def _loop_pass(design, mode, unrequested, v_g, v_alpha, v_beta, error,
+               saturations):
+    """One design's loop over the samples its filter pass got through,
+    leaving out the ``unrequested`` channels where its pass can."""
     ts = design.pi.sample_period
     n = len(v_g)
     arith = mode.policy()
     pll = SrfPll(design.pi, design.hgi.omega0, arith=arith)
-    out = {c: np.empty(n) for c in TRACE_CHANNELS[3:]}
+    if not bind_pass(pll, arith, frozenset(
+            _LOOP_BUFFERS[c] for c in unrequested if c in _LOOP_BUFFERS)):
+        unrequested = ()                 # the written pass writes them all
+    out = {c: None if c in unrequested else np.empty(n)
+           for c in _LOOP_BUFFERS}
     # omega_e holds the pu deviation until the loop ends
     m = n if error is None else error.index
     try:
         pll.process(memoryview(v_alpha)[:m], memoryview(v_beta)[:m],
-                    *map(memoryview, out.values()))
+                    *(b if b is None else memoryview(b)
+                      for b in out.values()))
     except SampleError as exc:
         error = exc                      # at a sample before the filter's
     if error is not None:
@@ -204,9 +231,10 @@ def _loop_pass(design, mode, v_g, v_alpha, v_beta, error, saturations):
     finite = np.isfinite(omega_e)
     if not finite.all():
         raise SimulationError(_divergence(int(np.argmin(finite)), ts))
+    out.update(v_g=v_g, v_alpha=v_alpha, v_beta=v_beta)
     return SimTrace(
-        sample_period=ts, v_g=v_g, v_alpha=v_alpha, v_beta=v_beta,
-        saturations=saturations + arith.saturations, **out,
+        sample_period=ts, saturations=saturations + arith.saturations,
+        **{c: None if c in unrequested else out[c] for c in TRACE_CHANNELS},
     )
 
 
@@ -234,6 +262,21 @@ def tail_thd(trace: SimTrace, fundamental_hz: float,
         steady = trace.steady_slice()
     return _on_tail(measured_thd, trace.sin_theta[steady], fundamental_hz,
                     trace.sample_period)
+
+
+def tail_thds(tails, fundamental_hz: float, sample_period: float
+              ) -> list[tuple[float | None, str | None]]:
+    """``tail_thd``'s (THD, None) or (None, why) for each of ``tails``,
+    equal-length steady tails of ``sin_theta`` at one sample period, from
+    one stacked ``measured_thd`` fit: each THD is bit for bit the one the
+    tail's own fit gives.  Where the stacked fit raises, each tail is
+    fitted alone to tell which of them fail and why."""
+    try:
+        thds = measured_thd(np.stack(tails), fundamental_hz, sample_period)
+    except AnalyticsError:
+        return [_on_tail(measured_thd, tail, fundamental_hz, sample_period)
+                for tail in tails]
+    return [(float(thd), None) for thd in thds]
 
 
 def transient_metrics(

@@ -27,7 +27,8 @@ sums each group's sequence components first, on a grid without the PI
 gains' axes, so the whole grid takes one product with F_n per group, not
 one per term.  ``total_unit_vector_thd`` and ``harmonic_breakdown``
 evaluate one scenario through the same code.
-``measured_thd`` is the independent check on simulated traces.
+``measured_thd`` is the independent check on simulated traces; it fits
+one trace, or a stack of traces that share one fit matrix.
 """
 
 from __future__ import annotations
@@ -231,6 +232,33 @@ def _order_sums(k, kp, ki, omega, harmonics, amplitude, phase,
     return sums, reached
 
 
+def _evaluate(k, kp, ki, omega, harmonics, amplitude, phase, omega0
+              ) -> tuple[dict[int, np.ndarray], set[int], np.ndarray]:
+    """``_order_sums`` and the THD that ``unit_vector_thd`` returns; every
+    call of ``unit_vector_thd`` and ``harmonic_breakdown`` comes through
+    here.
+
+    numpy rounds complex arithmetic on one-element operands differently
+    from the vector loops a grid of more points takes, so a one-point
+    grid is evaluated with its gain repeated and cut back to one point
+    at the end: a point gets the same bits alone as in any grid.
+    """
+    args = (k, kp, ki, omega, amplitude, phase,
+            *(x for _, v_h, gamma in harmonics for x in (v_h, gamma)))
+    one_point = all(np.size(x) == 1 for x in args)
+    if one_point:
+        shape = np.broadcast_shapes(*map(np.shape, args))
+        k = np.repeat(np.reshape(k, -1), 2)
+    sums, reached = _order_sums(k, kp, ki, omega, harmonics, amplitude,
+                                phase, omega0)
+    power = sum(np.abs(z) ** 2 for o, z in sums.items() if o >= 2)
+    thd = 100.0 * np.sqrt(power)
+    if one_point:
+        sums = {o: z[..., :1].reshape(shape) for o, z in sums.items()}
+        thd = np.reshape(thd, -1)[:1].reshape(shape)
+    return sums, reached, thd
+
+
 def unit_vector_thd(
     k, kp, ki, omega, harmonics=(), amplitude=1.0, phase=0.0,
     omega0: float = NOMINAL_OMEGA0,
@@ -243,10 +271,8 @@ def unit_vector_thd(
     Ripple at orders below 2 perturbs the fundamental amplitude and is
     excluded; the fundamental itself is unit amplitude by construction.
     """
-    sums, _ = _order_sums(k, kp, ki, omega, harmonics, amplitude, phase,
-                          omega0)
-    power = sum(np.abs(z) ** 2 for o, z in sums.items() if o >= 2)
-    return 100.0 * np.sqrt(power)
+    return _evaluate(k, kp, ki, omega, harmonics, amplitude, phase,
+                     omega0)[2]
 
 
 def _steady_args(spec: GridSignalSpec, hgi: HgiParams, pi: PiParams) -> tuple:
@@ -271,26 +297,27 @@ def harmonic_breakdown(
 ) -> list[tuple[int, float, float]]:
     """Per-order (order, amplitude, phase) table of unit-vector ripple,
     over the orders that receive at least one ripple term."""
-    sums, reached = _order_sums(*_steady_args(spec, hgi, pi))
+    sums, reached, _ = _evaluate(*_steady_args(spec, hgi, pi))
     return [(o, float(abs(z)), float(np.angle(z)))
             for o, z in sorted(sums.items()) if o in reached]
 
 
-def _whole_cycle_window(trace: np.ndarray, frequency_hz: float,
+def _whole_cycle_window(n_samples: int, frequency_hz: float,
                         sample_period: float) -> tuple[int, int]:
-    """Whole cycles of ``frequency_hz`` in the trace, and the sample count
-    of that many cycles (rounded, at most the trace length).  Raises
-    ``AnalyticsError`` where 2*pi*f or its angle per sample overflows."""
+    """Whole cycles of ``frequency_hz`` in a trace of ``n_samples``, and
+    the sample count of that many cycles (rounded, at most the trace
+    length).  Raises ``AnalyticsError`` where 2*pi*f or its angle per
+    sample overflows."""
     omega = TWO_PI * frequency_hz
     if not (math.isfinite(omega) and math.isfinite(omega * sample_period)):
         raise AnalyticsError(f"{frequency_hz:g} Hz has no finite angle per "
                              f"sample at Ts = {sample_period:g} s")
-    n_cycles = int(len(trace) * sample_period * frequency_hz)
+    n_cycles = int(n_samples * sample_period * frequency_hz)
     if n_cycles < 1:
         # not one cycle, also where frequency_hz * sample_period underflows
         return 0, 0
     n = int(round(n_cycles / (frequency_hz * sample_period)))
-    return n_cycles, min(n, len(trace))
+    return n_cycles, min(n, n_samples)
 
 
 def measured_thd(
@@ -298,8 +325,10 @@ def measured_thd(
     fundamental_hz: float,
     sample_period: float,
     max_order: int = 50,
-) -> float:
-    """THD of a sampled waveform, in percent.
+):
+    """THD of a sampled waveform, in percent; or, for a 2-D stack of
+    equal-length traces with one fundamental and sample period, an array
+    of each row's THD, each bit for bit the THD of that row alone.
 
     Harmonic amplitudes come from a least-squares projection onto the
     harmonic basis over the largest whole number of fundamental cycles (at
@@ -317,25 +346,36 @@ def measured_thd(
     1e-7 cycles per sample of Nyquist (max_order * f * Ts -> 0.5) the top
     order's sine column nearly vanishes, the fit amplifies noise without
     bound and the two solutions part.
+
+    The power sums and the Gram matrix depend only on the fundamental,
+    the sample period, the window and the order, so a stack shares them;
+    each row gets its own projection mat-vec and its own ``lstsq`` call,
+    the operations a single trace gets.  A stack raises where any of its
+    rows would, for the first such row.
     """
     trace = np.asarray(trace, dtype=float)
     if not fundamental_hz > 0:
         raise AnalyticsError("fundamental_hz must be > 0")
     if max_order < 2:
         raise AnalyticsError("max_order must be >= 2")
-    n_cycles, n = _whole_cycle_window(trace, fundamental_hz, sample_period)
+    if trace.ndim not in (1, 2):
+        raise AnalyticsError("trace must be 1-D, or a 2-D stack of traces")
+    rows = np.atleast_2d(trace)          # one trace is the 1-row stack
+    n_cycles, n = _whole_cycle_window(rows.shape[1], fundamental_hz,
+                                      sample_period)
     if n_cycles < 5:
         raise AnalyticsError("leakage window")
-    window = trace[-n:]
+    windows = rows[:, -n:]
     z = np.exp(1j * (TWO_PI * fundamental_hz * (np.arange(n) * sample_period)))
     power = np.empty(2 * max_order + 1, dtype=complex)
-    proj = np.empty(max_order + 1, dtype=complex)
+    proj = np.empty((len(rows), max_order + 1), dtype=complex)
     zd = np.ones(n, dtype=complex)
     zd_parts = zd.view(float).reshape(n, 2)  # (real, imag) columns of zd
     for d in range(2 * max_order + 1):
         power[d] = zd.sum()
         if d <= max_order:
-            proj[d] = complex(*(window @ zd_parts))
+            for p, window in zip(proj, windows):
+                p[d] = complex(*(window @ zd_parts))
         zd *= z
     # E[d] for d = -2H..2H (E[-d] = conj(E[d])), indexed from 0
     sums = np.concatenate((power[:0:-1].conj(), power))
@@ -347,12 +387,15 @@ def measured_thd(
     sin_sin = (e_dif - e_add).real[1:, 1:] / 2
     sin_cos = (e_add + e_dif).imag[1:, :] / 2
     gram = np.block([[cos_cos, sin_cos.T], [sin_cos, sin_sin]])
-    rhs = np.concatenate((proj.real, proj.imag[1:]))
-    coef, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-    amps = np.hypot(coef[1:max_order + 1], coef[max_order + 1:])
-    if amps[0] == 0:
-        raise AnalyticsError("no fundamental component in trace")
-    return float(100.0 * math.sqrt(np.sum(amps[1:] ** 2)) / amps[0])
+    thds = []
+    for p in proj:
+        rhs = np.concatenate((p.real, p.imag[1:]))
+        coef, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
+        amps = np.hypot(coef[1:max_order + 1], coef[max_order + 1:])
+        if amps[0] == 0:
+            raise AnalyticsError("no fundamental component in trace")
+        thds.append(100.0 * math.sqrt(np.sum(amps[1:] ** 2)) / amps[0])
+    return float(thds[0]) if trace.ndim == 1 else np.array(thds)
 
 
 def spectral_line(
@@ -360,7 +403,8 @@ def spectral_line(
 ) -> float:
     """Amplitude of one spectral line via projection over integer cycles."""
     trace = np.asarray(trace, dtype=float)
-    n_cycles, n = _whole_cycle_window(trace, frequency_hz, sample_period)
+    n_cycles, n = _whole_cycle_window(len(trace), frequency_hz,
+                                      sample_period)
     if n_cycles < 1:
         raise AnalyticsError("trace shorter than one cycle")
     window = trace[-n:] - np.mean(trace[-n:])

@@ -9,11 +9,13 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hgipll import build_design, load_design, measured_thd, run, save_design
+from hgipll import cli as cli_mod, sim
 from hgipll.design import steady_spec
 from hgipll.cli import main
+from hgipll.sim import SimulationError, tail_thd, tail_thds
 from hgipll.srf import SAMPLE_PERIOD
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -545,6 +547,103 @@ def test_compare_simulated_column_equals_a_direct_run(tmp_path):
             want.append((d.method, f"{f:g}", f"{thd:.4f}"))
     assert [(r.split(",")[0], r.split(",")[1], r.split(",")[3])
             for r in rows] == want
+
+
+@pytest.mark.parametrize("diverging, duration, code, message", [
+    # both tails are under five cycles, and the second design diverges
+    (1, "0.3", 3,
+     "analysis failed: leakage window in the 0.1 s steady tail of 46 Hz"),
+    (0, "0.3", 4, "numerical divergence at sample 7 (t = 0.00035 s)"),
+    (1, "0.8", 4, "numerical divergence at sample 7 (t = 0.00035 s)"),
+])
+def test_compare_reports_the_first_failure_in_design_order(
+        tmp_path, capsys, monkeypatch, diverging, duration, code, message):
+    # no design file makes a float64 loop diverge, so one design's run is
+    # made to raise as a diverging one does
+    def run_designs(spec, designs, duration, **kwargs):
+        for i, trace in enumerate(sim.run_designs(spec, designs, duration,
+                                                  **kwargs)):
+            if i == diverging:
+                raise SimulationError(message)
+            yield trace
+
+    monkeypatch.setattr(cli_mod, "run_designs", run_designs)
+    paths = []
+    for f_bw in (55.0, 29.5):
+        paths.append(str(tmp_path / f"{f_bw:g}.json"))
+        save_design(build_design(1.56, f_bw), paths[-1])
+    assert main(["compare", "--designs", *paths, "--frequencies", "46",
+                 "--duration", duration, "--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "compare.csv").exists()
+
+
+@settings(max_examples=15)
+@example(designs=[(1.56, 55.0, 50e-6), (1.0, 40.0, 1e-4),
+                  (2.2, 20.0, 50e-6)],
+         freqs=[46.0, 53.5], input_thd=0.05, duration=0.5)
+@given(designs=st.lists(st.tuples(st.floats(0.5, 3.0), st.floats(10.0, 80.0),
+                                  st.sampled_from([50e-6, 1e-4])),
+                        min_size=1, max_size=3),
+       freqs=st.lists(st.floats(45.0, 55.0), min_size=1, max_size=2,
+                      unique=True),
+       input_thd=st.floats(0.0, 0.05),
+       duration=st.floats(0.3, 0.6))
+def test_compare_simulated_values_equal_direct_runs(tmp_path_factory, designs,
+                                                    freqs, input_thd,
+                                                    duration):
+    # compare's simulated THD of every (frequency, design), taken where it
+    # leaves the stacked fit, against tail_thd of a direct run, bit for
+    # bit; where a run fails, compare reports the first failure in
+    # (frequency, design) order
+    tmp = tmp_path_factory.mktemp("compare")
+    paths = []
+    for i, (k, f_bw, ts) in enumerate(designs):
+        paths.append(str(tmp / f"d{i}.json"))
+        save_design(build_design(k, f_bw, f"d{i}", sample_period=ts),
+                    paths[-1])
+    loaded = [load_design(path) for path in paths]
+    got = {}
+
+    def spy(tails, f, ts):
+        results = tail_thds(tails, f, ts)
+        # the tails of one sample period arrive in design order
+        rows = [i for i, d in enumerate(loaded) if d.pi.sample_period == ts]
+        got.update(((f, i), r) for i, r in zip(rows, results))
+        return results
+
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        mp.setattr(cli_mod, "tail_thds", spy)
+        code = main(["compare", "--designs", *paths,
+                     "--frequencies", *(f" {f!r}" for f in freqs),
+                     f"--input-thd={input_thd!r}", f"--duration={duration!r}",
+                     "--out", str(tmp / "out")])
+    want, failure = {}, None
+    for f in freqs:
+        for i, d in enumerate(loaded):
+            try:
+                thd, reason = tail_thd(run(steady_spec(f, input_thd), d,
+                                           duration), f)
+                if thd is None and failure is None:
+                    failure = (3, f"analysis failed: {reason}")
+            except SimulationError as exc:
+                thd = None
+                if failure is None:
+                    failure = (4, str(exc))
+            want[f, i] = thd
+    if failure is not None:
+        assert (code, err.getvalue()) == (failure[0],
+                                          f"error: {failure[1]}\n")
+        return
+    assert code == 0 and err.getvalue() == ""
+    assert {key: (thd.hex(), None) for key, thd in want.items()} == {
+        key: (thd.hex(), reason) for key, (thd, reason) in got.items()}
+    rows = (tmp / "out" / "compare.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[3] for r in rows] == [
+        f"{want[f, i]:.4f}" for i in range(len(loaded)) for f in freqs]
 
 
 def test_deterministic_reruns(tmp_path):

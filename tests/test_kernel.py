@@ -300,6 +300,48 @@ def test_grid_evaluation_matches_single_points():
                 oracle.predicted_thd(1.56, 55.0, f, h, c), rel=1e-12, abs=1e-12)
 
 
+def test_one_point_call_rounds_as_the_design_cube():
+    # alone, this point took numpy's one-element complex arithmetic and
+    # read ...1022, where the cube's vector loops read ...1024
+    pi = pi_from_bandwidth(48.328125)
+    cube = steady_thd(np.array([1.6, 1.65]), pi.kp, pi.ki, 50.0, 0.0625)
+    point = predicted_thd(1.6, 48.328125, 50.0, 0.0625, DesignConstraints())
+    assert point == cube[0] == 1.1306723372001024
+
+
+def _with(values, i, value):
+    return np.array(values[:i] + [value] + values[i:])
+
+
+@settings(max_examples=60)
+@given(
+    k=st.floats(0.1, 4.0),
+    f_bw=st.floats(10.0, 80.0),
+    f=st.floats(46.0, 54.0),
+    input_thd=st.floats(0.0, 0.1),
+    ks=st.lists(st.floats(0.1, 4.0), max_size=3),
+    f_bws=st.lists(st.floats(10.0, 80.0), max_size=2),
+    fs=st.lists(st.floats(46.0, 54.0), max_size=3),
+    data=st.data(),
+)
+def test_a_point_alone_equals_the_point_in_a_grid(k, f_bw, f, input_thd, ks,
+                                                  f_bws, fs, data):
+    # the (bandwidth x frequency x k) layout of the design cube, the point
+    # at a drawn place on each axis; alone, as scalars or as one-element
+    # arrays of that layout, it gets the same bits
+    pi = pi_from_bandwidth(f_bw)
+    alone = predicted_thd(k, f_bw, f, input_thd, DesignConstraints())
+    kp, ki = design_mod._pi_gains(np.array([f_bw]))
+    cube_of_one = steady_thd(np.array([k]), kp, ki, np.array([[f]]), input_thd)
+    assert cube_of_one.shape == (1, 1, 1)
+    i, j, m = (data.draw(st.integers(0, len(x))) for x in (f_bws, fs, ks))
+    kp, ki = design_mod._pi_gains(_with(f_bws, i, f_bw))
+    grid = steady_thd(_with(ks, m, k), kp, ki, _with(fs, j, f)[:, None],
+                      input_thd)
+    assert alone == cube_of_one[0, 0, 0] == grid[i, j, m]
+    assert alone == float(steady_thd(k, pi.kp, pi.ki, f, input_thd))
+
+
 @pytest.mark.parametrize("dt", [2e-6, 1e-6])
 def test_settling_times_equal_complex_oracle(dt):
     grid = k_grid(0.1, 4.0, 0.01)

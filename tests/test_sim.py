@@ -29,7 +29,7 @@ from hgipll import (
     transient_metrics,
 )
 from hgipll import build_design, sim, synthesize
-from hgipll.arith import EXACT, ExactArithmetic, SampleError
+from hgipll.arith import EXACT, ExactArithmetic, SampleError, bind_pass
 from hgipll.signal_model import EVENT_KINDS
 from hgipll.sim import TRACE_CHANNELS, SimTrace, SimulationError, run_designs
 
@@ -222,7 +222,8 @@ DESIGN_KEYS = [(1.56, TS), (1.56, 1e-4), (0.9, TS)]
 @given(data=st.data())
 def test_run_designs_equals_run_per_design(data):
     # 2-3 designs drawn from three (k, Ts) pairs with their own bandwidths,
-    # so that some share a filter pass and some do not
+    # so that some share a filter pass and some do not, recording a drawn
+    # subset of the channels
     keys = data.draw(st.lists(st.sampled_from(DESIGN_KEYS), min_size=2,
                               max_size=3))
     designs = [build_design(k, data.draw(st.floats(20.0, 60.0)), "drawn",
@@ -231,14 +232,31 @@ def test_run_designs_equals_run_per_design(data):
     spec = data.draw(_scenarios(duration))
     mode = data.draw(MODES)
     topology = data.draw(st.sampled_from(["hgi", "basic_sogi"]))
-    traces = list(run_designs(spec, designs, duration, mode, topology))
+    channels = data.draw(st.one_of(
+        st.just(TRACE_CHANNELS),
+        st.lists(st.sampled_from(TRACE_CHANNELS), unique=True)))
+    traces = list(run_designs(spec, designs, duration, mode, topology,
+                              channels))
     assert len(traces) == len(designs)
+    # only the derived float64 pass leaves channels out; omega_e is kept
+    recorded = ({*channels, "omega_e"} if mode.mode == "float64"
+                else set(TRACE_CHANNELS))
     for design, got in zip(designs, traces):
         want = run(spec, design, duration, mode, topology)
         for c in TRACE_CHANNELS:
-            assert _same_bits(got.channel(c), want.channel(c)), c
+            if c in recorded:
+                assert _same_bits(got.channel(c), want.channel(c)), c
+            else:
+                assert got.channel(c) is None, c
+        assert len(got) == len(want)
         assert got.saturations == want.saturations
         assert got.sample_period == want.sample_period
+
+
+def test_run_designs_refuses_an_unknown_channel(mtsd_like):
+    with pytest.raises(ValueError, match="unknown trace channels"):
+        list(run_designs(GridSignalSpec(), [mtsd_like], 0.01,
+                         channels=("sin_theta", "f_e")))
 
 
 def test_designs_with_one_k_and_ts_share_one_filter_pass(mtsd_like, hc_like,
@@ -295,25 +313,37 @@ def test_float64_run_makes_no_call_through_exact_hooks(hc_like, monkeypatch):
 _SPECIAL = st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -0.0])
 
 
+#: The output buffers of each stage's ``process``, in order.
+_BUFFERS = {"hgi": ("v_alpha", "v_beta"), "basic_sogi": ("v_alpha", "v_beta"),
+            "srf": ("v_d", "v_q", "deviation", "theta", "sin", "cos")}
+
+
 @settings(max_examples=60)
 @given(kind=st.sampled_from(["hgi", "basic_sogi", "srf"]), data=st.data())
 def test_float64_pass_equals_the_written_pass(hc_like, kind, data):
-    # EXACT binds the derived pass; another ExactArithmetic runs the
-    # written one, with its hooks
+    # EXACT binds the derived pass, here without the stores to a drawn
+    # set of buffers, which it is given as None; another ExactArithmetic
+    # runs the written one, with its hooks, and writes every buffer
     values = st.one_of(st.floats(-2.5, 2.5), _SPECIAL)
     n = data.draw(st.integers(0, 60))
     ins = [data.draw(st.lists(values, min_size=n, max_size=n))
            for _ in range(2 if kind == "srf" else 1)]
+    dropped = frozenset(data.draw(st.lists(st.sampled_from(_BUFFERS[kind]),
+                                           unique=True)))
     results = []
     for arith in (EXACT, ExactArithmetic()):
         stage, _ = _stage(kind, hc_like, _Fixed(arith))
-        outs = [[0.0] * n for _ in range(6 if kind == "srf" else 2)]
+        trimmed = bind_pass(stage, arith, dropped)
+        assert trimmed == (arith is EXACT)
+        outs = {b: None if trimmed and b in dropped else [0.0] * n
+                for b in _BUFFERS[kind]}
         try:
-            stage.process(*ins, *outs)
+            stage.process(*ins, *outs.values())
             index = None
         except SampleError as exc:
             index = exc.index
-        results.append((index, _bits_any_nan(sum(outs, [])),
+        kept = [outs[b] for b in _BUFFERS[kind] if b not in dropped]
+        results.append((index, _bits_any_nan(sum(kept, [])),
                         _bits_any_nan(_stage_state(stage))))
     assert results[0] == results[1]
 
@@ -420,12 +450,16 @@ def test_divergence_reported(mtsd_like):
 
 def test_divergence_names_the_first_non_finite_sample(mtsd_like):
     spec = GridSignalSpec(fundamental_amplitude=1e308)
-    # samples 0 and 1 are still finite
-    assert np.isfinite(run(spec, mtsd_like, 2 * TS).omega_e).all()
-    with pytest.raises(SimulationError,
-                       match=r"^numerical divergence at sample 2 "
-                             r"\(t = 0\.0001 s\)$"):
-        run(spec, mtsd_like, 0.2)
+    # every channel, then trimmed float64 passes, which still record
+    # omega_e, the channel that names the sample
+    for channels in (TRACE_CHANNELS, ("sin_theta",), ()):
+        # samples 0 and 1 are still finite
+        (head,) = run_designs(spec, [mtsd_like], 2 * TS, channels=channels)
+        assert np.isfinite(head.omega_e).all()
+        with pytest.raises(SimulationError,
+                           match=r"^numerical divergence at sample 2 "
+                                 r"\(t = 0\.0001 s\)$"):
+            list(run_designs(spec, [mtsd_like], 0.2, channels=channels))
 
 
 def test_divergence_names_the_sample_whose_step_raised(mtsd_like,

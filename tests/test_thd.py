@@ -212,6 +212,56 @@ def test_measured_thd_matches_basis_fit(f, ts_frac, cycles, fundamental, dc,
         oracle.measured_thd(u, f, ts), abs=1e-9)
 
 
+def _outcome_or_error(fit):
+    try:
+        return fit()
+    except AnalyticsError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40)
+@given(
+    f=st.floats(45.0, 55.0),
+    ts=st.sampled_from([50e-6, 100e-6]),
+    # under five cycles the window leaks
+    cycles=st.one_of(st.floats(5.01, 25.0), st.floats(1.0, 4.99)),
+    rows=st.lists(st.tuples(
+        st.floats(0.2, 2.0), st.floats(-math.pi, math.pi),
+        st.lists(st.tuples(st.integers(2, 20), st.floats(0.0, 0.1),
+                           st.floats(-math.pi, math.pi)), max_size=3),
+        st.integers(0, 2**32 - 1)), min_size=1, max_size=4),
+    zero_row=st.one_of(st.none(), st.integers(0, 3)),
+)
+def test_stacked_measured_thd_equals_one_trace_calls(f, ts, cycles, rows,
+                                                     zero_row):
+    # each row's own call, on an array of its own, against the stack; a
+    # zero row has no fundamental, and the stack raises as its first
+    # failing row does
+    wt = 2 * np.pi * f * ts * np.arange(int(cycles / (f * ts)))
+    traces = []
+    for amplitude, phase, harmonics, seed in rows:
+        u = amplitude * np.sin(wt + phase)
+        for order, amp, gamma in harmonics:
+            u += amp * np.sin(order * wt + gamma)
+        traces.append(u + 0.001 * np.random.default_rng(seed).standard_normal(
+            len(wt)))
+    if zero_row is not None and zero_row < len(traces):
+        traces[zero_row] = np.zeros(len(wt))
+    alone = [_outcome_or_error(lambda: measured_thd(u, f, ts))
+             for u in traces]
+    stacked = _outcome_or_error(lambda: measured_thd(np.stack(traces), f, ts))
+    errors = [a for a in alone if isinstance(a, str)]
+    if errors:
+        assert stacked == errors[0]
+        assert errors[0] in ("leakage window",
+                             "no fundamental component in trace")
+        assert (errors[0] == "leakage window") == (cycles < 5)
+    else:
+        assert isinstance(stacked, np.ndarray) and len(stacked) == len(alone)
+        assert stacked.tobytes() == np.array(alone).tobytes()
+        assert all(type(a) is float for a in alone)
+
+
 @pytest.mark.parametrize("ts", [200e-6, 250e-6])
 def test_measured_thd_aliased_orders_minimum_norm(ts):
     # 50 Hz at 200 us puts order 50 on Nyquist; at 250 us orders 41-50
