@@ -16,7 +16,8 @@ print("=== deviation-only design (df = 8%, THD limit 1%) ===")
 design, report = mtsd_design(DesignConstraints(delta_f=0.08, uthd_limit=0.01))
 print(f"k = {design.k:.2f}, f_bw = {design.f_bw:g} Hz, "
       f"t_sd = {design.t_sd * 1e3:.2f} ms")
-print(f"feasible bandwidths: {report.feasible_count}")
+print(f"feasible bandwidths: {sum(ok for *_, ok in report.swept)}"
+      f" of {len(report.swept)}")
 
 print("\n=== harmonic-aware design (adds 5% input THD) ===")
 design2, report2 = hc_mtsd_design(
@@ -24,7 +25,8 @@ design2, report2 = hc_mtsd_design(
 )
 print(f"k = {design2.k:.2f}, f_bw = {design2.f_bw:g} Hz, "
       f"t_sd = {design2.t_sd * 1e3:.2f} ms")
-print(f"feasible (bandwidth, k) points: {report2.feasible_count}")
+print(f"feasible bandwidths: {sum(ok for *_, ok in report2.swept)}"
+      f" of {len(report2.swept)}")
 
 print("\nthe harmonic constraint pushes the bandwidth down (more filtering")
 print("of the distortion-induced ripple) at the cost of a slower response.")

@@ -35,7 +35,6 @@ from .hgi import (
     freq_response,
     k_opt_search,
     settling_times,
-    step_responses,
 )
 from .signal_model import (
     GridSignalSpec,
@@ -81,6 +80,6 @@ __all__ = [
     "load_design", "load_scenario", "measured_thd", "mtsd_design",
     "pi_from_bandwidth", "predicted_thd", "run", "run_designs", "save_design",
     "save_scenario", "sequence_decompose", "settling_times", "spectral_line",
-    "srf_settling_time", "step_responses", "synthesize",
+    "srf_settling_time", "synthesize",
     "total_unit_vector_thd", "transient_metrics",
 ]

@@ -17,8 +17,8 @@ bandwidth's gains in settling order and stop at the first one whose worst
 band THD meets the limit: the array-native kernel evaluates rounds of
 1, 2, 4, ... candidates over the bandwidths still open.  At the published
 harmonic-aware constraints that is 62,085 of the (bandwidth x k x
-frequency) cube's 138,805 points; ``band_worst_thd`` evaluates the whole
-cube.
+frequency) cube's 138,805 points.  The report keeps each bandwidth's
+pick, not the cube.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ BAND_FREQ_STEP_HZ = 2.0
 #: Decimals of a percent at which THD is compared against the limit.
 THD_COMPARE_DECIMALS = 1
 
-#: Largest number of (bandwidth, k, frequency) points ``band_worst_thd``
-#: and each round of the design search pass to the THD kernel in one call.
+#: Largest number of (bandwidth, k, frequency) points each round of the
+#: design search passes to the THD kernel in one call.
 THD_SLAB_POINTS = 2 ** 15
 
 
@@ -162,7 +162,8 @@ class PllDesign:
 
 @dataclass
 class DesignReport:
-    """Sweep artifacts kept alongside the chosen design."""
+    """Sweep artifacts kept alongside the chosen design: one swept row per
+    bandwidth, (f_bw, its fastest feasible k, t_sd, feasible)."""
 
     method: str
     swept: list[tuple[float, float, float, bool]] = field(default_factory=list)
@@ -170,25 +171,6 @@ class DesignReport:
     # (percent) and the frequency where it occurs
     worst_thd: float = math.nan
     binding_hz: float = math.nan
-    # the swept gains and the constraints, for ``feasible_count``
-    ks: np.ndarray | None = field(default=None, repr=False, compare=False)
-    constraints: DesignConstraints | None = None
-
-    @property
-    def feasible_count(self) -> int:
-        """Number of swept (bandwidth, k) points whose worst band THD meets
-        the limit (0 for a report of no sweep).
-
-        The sweep stops at each bandwidth's first feasible k, so reading
-        this evaluates the whole (bandwidth x k x frequency) cube with
-        ``band_worst_thd``: at the published harmonic-aware constraints
-        138,805 points, about 25 ms.
-        """
-        if self.ks is None or self.constraints is None:
-            return 0
-        worst, _ = band_worst_thd(self.ks, self.constraints.bandwidth_grid(),
-                                  self.constraints)
-        return int((worst <= self.constraints.thd_threshold()).sum())
 
     def write_sweep_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -247,32 +229,6 @@ def predicted_thd(
     return float(steady_thd(k, pi.kp, pi.ki, frequency_hz, input_thd))
 
 
-def band_worst_thd(
-    ks: np.ndarray, f_bws: np.ndarray, constraints: DesignConstraints,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Worst THD (percent) over the deviation band at the constraints'
-    input THD, and the frequency (Hz) where it occurs, for every
-    (bandwidth, k): two (f_bw x k) arrays.
-
-    The (bandwidth x k x frequency) cube is evaluated in slabs of whole
-    bandwidth rows, at most ``THD_SLAB_POINTS`` points each (at least one
-    row), so memory stays bounded whatever the grid.
-    """
-    freqs = np.array(constraints.sweep_frequencies())
-    kp, ki = _pi_gains(f_bws)
-    worst = np.empty((len(f_bws), len(ks)))
-    binding = np.empty((len(f_bws), len(ks)), dtype=int)
-    rows = max(1, THD_SLAB_POINTS // (len(ks) * len(freqs)))
-    for i in range(0, len(f_bws), rows):
-        slab = slice(i, i + rows)
-        # (bandwidth x frequency x k): the long k axis innermost
-        thd = steady_thd(ks, kp[slab], ki[slab], freqs[:, None],
-                         constraints.input_thd)
-        worst[slab] = thd.max(axis=1)
-        binding[slab] = thd.argmax(axis=1)
-    return worst, freqs[binding]
-
-
 def _pi_gains(f_bws) -> tuple[np.ndarray, np.ndarray]:
     """The PI gains of each bandwidth, on the leading axis of a
     (bandwidth x frequency x k) slab."""
@@ -314,9 +270,11 @@ def _first_feasible(ks: np.ndarray, ts_hgi: np.ndarray, f_bws: np.ndarray,
     The gains are tried in settling order, equal times at the smaller k,
     in rounds of 1, 2, 4, ... candidates; each round evaluates only the
     bandwidths with no feasible gain yet, in slabs of at most
-    ``THD_SLAB_POINTS`` points, and a bandwidth closes at its first
-    feasible candidate.  Every point gets the arguments it gets in
-    ``band_worst_thd``, so every THD compared is the cube's, bit for bit.
+    ``THD_SLAB_POINTS`` points (at least one bandwidth), so memory stays
+    bounded whatever the grid, and a bandwidth closes at its first
+    feasible candidate.  The kernel gives a point the same bits in any
+    grid (``thd._evaluate``), so every THD compared is that point's value
+    in the whole (bandwidth x frequency x k) cube.
     """
     freqs = np.array(constraints.sweep_frequencies())
     kp, ki = _pi_gains(f_bws)
@@ -332,7 +290,7 @@ def _first_feasible(ks: np.ndarray, ts_hgi: np.ndarray, f_bws: np.ndarray,
         rows = max(1, THD_SLAB_POINTS // (len(cand) * len(freqs)))
         for i in range(0, len(open_rows), rows):
             slab = open_rows[i:i + rows]
-            # (bandwidth x frequency x candidate), as in band_worst_thd
+            # (bandwidth x frequency x candidate): the long k axis innermost
             thd = steady_thd(ks[cand], kp[slab], ki[slab], freqs[:, None],
                              constraints.input_thd)
             band = thd.max(axis=1)
@@ -364,7 +322,7 @@ def _sweep(method: str, ks: np.ndarray, ts_hgi: np.ndarray,
     """
     f_bws = constraints.bandwidth_grid()
     best_k, worst, binding = _first_feasible(ks, ts_hgi, f_bws, constraints)
-    report = DesignReport(method=method, ks=ks, constraints=constraints)
+    report = DesignReport(method=method)
     t_sd = np.full(len(f_bws), np.inf)
     for i, f_bw in enumerate(f_bws):
         t_s_srf = srf_settling_time(TWO_PI * f_bw)

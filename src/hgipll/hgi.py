@@ -11,15 +11,17 @@ module provides the continuous-domain frequency response, a forward-Euler
 discrete realization, closed-form step-response settling times and the
 search for the gain k with the fastest settling.
 
-Settling is read off the closed-form step response on the grid t = i*dt
-over 12 slow-pole time constants, but only on short windows of it: one at
-each channel's peak and one at its last exit from the settling band.
-Closed-form lobe times place the windows and a bisection finds the band
-crossing; every value compared against the band is evaluated on the grid
-itself, so the settle instants are the same grid points as on the whole
-grid, which is evaluated only at the repeated root k = 2 and on a grid too
-coarse to sample the alpha peak.  One array pass does this for a whole
-table of gains (``design_settling_times``): the gains are split into
+Settling is read off the closed-form step response on the grid
+t = i*DESIGN_SETTLING_DT over 12 slow-pole time constants, but only on
+short windows of it: one at each channel's peak and one at its last exit
+from the settling band.  Closed-form lobe times place the windows and a
+bisection finds the band crossing; every value compared against the band
+is evaluated on the grid itself, so the settle instants are the same grid
+points as on the whole grid, which is evaluated only at the repeated root
+k = 2.  At the nominal omega0 the 2 us grid samples both peaks of every
+gain the slow-pole guard accepts; a gain whose peak falls between grid
+points (a far higher omega0) is refused.  One array pass does this for a
+whole table of gains (``design_settling_times``): the gains are split into
 underdamped and overdamped ones, each round evaluates the windows of all
 of them as one array, and the bisection steps every row at once, each
 along the midpoints a scalar bisection would take.  ``settling_times`` is
@@ -219,9 +221,14 @@ def _real_pair(sigma, root, t):
 
 def _responses(k: np.ndarray, w0: float, t: np.ndarray):
     """Unit-step responses (y_alpha, y_beta) of each gain in the 1-D array
-    ``k`` at the times in the same row of the 2-D array ``t``: the form
-    behind ``step_responses`` and every value the settling table compares
-    against its band."""
+    ``k`` at the times in the same row of the 2-D array ``t``: the form of
+    every value the settling table compares against its band.
+
+    Built from the impulse response h2 of 1/(s^2 + k*w0*s + w0^2): the
+    alpha step response is k*w0*h2 and the beta step response is -k*h2'.
+    A complex pole pair gives e^(-sigma*t) times sin/cos, two real poles
+    two exponentials, and a repeated root t*e^(-sigma*t).
+    """
     sigma, root, repeated, under = _poles(k, w0)
     h2, h2p = np.empty_like(t), np.empty_like(t)
     for form, rows in ((_repeated_root, repeated), (_complex_pair, under),
@@ -231,21 +238,6 @@ def _responses(k: np.ndarray, w0: float, t: np.ndarray):
                                        t[rows])
     k = k[:, None]
     return k * w0 * h2, -k * h2p
-
-
-def step_responses(params: HgiParams, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form unit-step responses of G_alpha and G_beta at times t.
-
-    Built from the impulse response h2 of 1/(s^2 + k*w0*s + w0^2): the
-    alpha step response is k*w0*h2 and the beta step response is -k*h2'.
-    Everything is real-valued: a complex pole pair -sigma +/- j*wd gives
-    e^(-sigma*t) times sin/cos, two real poles two exponentials, and a
-    repeated root t*e^(-sigma*t).
-    """
-    t = np.asarray(t, dtype=float)
-    y_alpha, y_beta = _responses(np.array([params.k]), params.omega0,
-                                 t.reshape(1, -1))
-    return y_alpha.reshape(t.shape), y_beta.reshape(t.shape)
 
 
 class _Lobes:
@@ -273,11 +265,13 @@ class _Lobes:
         return top, np.where(m >= self.final, np.inf,
                              (m + self.end) * self.unit)
 
-    def crossing(self, m, band, n, dt, rows):
+    def crossing(self, m, band, n, rows):
         """Grid index at which lobe m of each row in the mask ``rows`` falls
         through ``band``; the last grid point when the lobe is still above
         the band there.  Each row bisects the time of the fall until its
-        bracket is no wider than dt or has no float strictly inside."""
+        bracket is no wider than the grid step or has no float strictly
+        inside."""
+        dt = DESIGN_SETTLING_DT
         lo, hi = self.lobe(m)
         hi = np.minimum(hi, (n - 1) * dt)
         falls = rows & (lo < hi) & ~(self.mag(hi) > band)
@@ -368,11 +362,11 @@ def _window(i: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.clip(i[:, None] + _WINDOW, 0, (n - 1)[:, None])
 
 
-def _magnitudes(lobes: _Lobes, i: np.ndarray, dt: float,
-                rows=slice(None)) -> np.ndarray:
-    """|y| of each of the ``rows`` of ``lobes`` at the grid points i*dt of
-    its row of i."""
-    y_alpha, y_beta = _responses(lobes.k[rows], lobes.w0, i * dt)
+def _magnitudes(lobes: _Lobes, i: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """|y| of each of the ``rows`` of ``lobes`` at the grid points
+    i*DESIGN_SETTLING_DT of its row of i."""
+    y_alpha, y_beta = _responses(lobes.k[rows], lobes.w0,
+                                 i * DESIGN_SETTLING_DT)
     return np.abs(np.where(lobes.alpha[rows, None], y_alpha, y_beta))
 
 
@@ -382,50 +376,51 @@ def _last_outside(mag: np.ndarray, band) -> int:
     return int(outside[-1]) if outside.size else -1
 
 
-def _windowed_exits(kind, k: np.ndarray, w0: float, n: np.ndarray,
-                    dt: float):
+def _windowed_exits(kind, k: np.ndarray, w0: float,
+                    n: np.ndarray) -> np.ndarray:
     """Grid index of the last point of each step response of the gains
     ``k`` (all of one damping ``kind``) outside the band (-1 if none),
-    read from windows of their grids of lengths ``n``; and a mask of the
-    gains whose grid samples both peaks above every later lobe top.  The
-    indices of the other gains are -1, to be read from the whole grid.
+    read from windows of their grids of lengths ``n``, one row per gain.
 
     The peak of a channel is the largest grid point of the window at its
     first lobe top: |y| rises and falls once over that lobe, and every
-    later lobe top is below it.  The last band exit lies in the window at
-    the fall of the last lobe whose top exceeds the band: later lobes
-    stay inside the band, and the fall is monotone.  If that window holds
-    no point outside the band, the lobe's top slipped between grid
-    points, and the lobe before it is tried in the next round.
+    later lobe top is below it.  A window with no point above the next
+    lobe top misses the peak, and raises ``ValueError``.  The last band
+    exit lies in the window at the fall of the last lobe whose top
+    exceeds the band: later lobes stay inside the band, and the fall is
+    monotone.  If that window holds no point outside the band, the lobe's
+    top slipped between grid points, and the lobe before it is tried in
+    the next round.
     """
+    dt = DESIGN_SETTLING_DT
     lobes = kind(k, w0)
     n_rows = np.repeat(n, 2)
     centre = np.round(lobes.lobe(0)[0] / dt).astype(np.int64)
-    peak = _magnitudes(lobes, _window(centre, n_rows), dt).max(axis=1)
+    peak = _magnitudes(lobes, _window(centre, n_rows)).max(axis=1)
     bound = np.where(lobes.final >= 1, lobes.mag(lobes.lobe(1)[0]), 0.0)
-    sampled = (peak > bound * (1 + _TOP_MARGIN)).reshape(-1, 2).all(axis=1)
-    exits = np.full((len(k), 2), -1)
-    if not sampled.all():
-        if sampled.any():
-            exits[sampled] = _windowed_exits(kind, k[sampled], w0,
-                                             n[sampled], dt)[0]
-        return exits, sampled
-    exits = exits.reshape(-1)
+    missed = ~(peak > bound * (1 + _TOP_MARGIN))
+    if missed.any():
+        j = int(np.argmax(missed))
+        raise ValueError(
+            f"the {dt:g} s settling grid does not sample the "
+            f"{('alpha', 'beta')[lobes.c[j]]} peak of the HGI step response "
+            f"at k = {lobes.k[j]:g}, omega0 = {w0:g} rad/s")
+    exits = np.full(len(n_rows), -1)
     band = SETTLING_TOLERANCE * peak
     lobe = lobes.last((n_rows - 1) * dt, band * (1 - _TOP_MARGIN))
     active = np.ones(len(n_rows), dtype=bool)
     while active.any():
         rows = np.flatnonzero(active)
-        centre = lobes.crossing(lobe, band, n_rows, dt, active)[rows]
+        centre = lobes.crossing(lobe, band, n_rows, active)[rows]
         w = _window(centre, n_rows[rows])
-        outside = _magnitudes(lobes, w, dt, rows) > band[rows, None]
+        outside = _magnitudes(lobes, w, rows) > band[rows, None]
         hit = outside.any(axis=1)
         last = 2 * SETTLING_WINDOW - np.argmax(outside[:, ::-1], axis=1)
         exits[rows[hit]] = w[hit, last[hit]]
         done = hit | (lobe[rows] == 0)
         active[rows[done]] = False
         lobe[rows[~done]] -= 1
-    return exits.reshape(-1, 2), sampled
+    return exits.reshape(-1, 2)
 
 
 def _unsettled(k: float, horizon: float) -> ValueError:
@@ -433,13 +428,12 @@ def _unsettled(k: float, horizon: float) -> ValueError:
                       f"settle within {horizon:g} s")
 
 
-def _settling_grids(k: np.ndarray, w0: float, dt: float):
-    """Horizon and length of the grid t = i*dt that settling is read from,
-    for each gain in ``k`` before the first one refused ahead of its pole
-    arithmetic, and the error that refuses that gain (None if none is).
-    The length is that of np.arange(0.0, horizon, dt)."""
-    if not 0 < dt < math.inf:
-        raise ValueError("dt must be finite and > 0")
+def _settling_grids(k: np.ndarray, w0: float):
+    """Horizon and length of the grid t = i*DESIGN_SETTLING_DT that
+    settling is read from, for each gain in ``k`` before the first one
+    refused ahead of its pole arithmetic, and the error that refuses that
+    gain (None if none is).  The length is that of
+    np.arange(0.0, horizon, DESIGN_SETTLING_DT)."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # slowest pole decay rate: zeta*w0 when underdamped, the slow real
         # pole when overdamped; 12 time constants comfortably brackets any
@@ -450,50 +444,35 @@ def _settling_grids(k: np.ndarray, w0: float, dt: float):
         # arithmetic, where a rate that underflowed, cancelled or
         # overflowed would fail
         slow = ~(rate * SETTLING_HORIZON > 1)
-        # a grid index must be exact in float64 for i*dt to be the point
-        too_fine = ~(horizon / dt < 2**53)
     invalid = ~((0 < k) & (k < math.inf))
-    refused = invalid | slow | too_fine
+    refused = invalid | slow
     error, j = None, len(k)
     if refused.any():
         j = int(np.argmax(refused))
-        if invalid[j]:
-            error = ValueError("k must be finite and > 0")
-        elif slow[j]:
-            error = _unsettled(float(k[j]), SETTLING_HORIZON)
-        else:
-            error = ValueError("dt is too small for the settling grid")
-    return horizon[:j], np.ceil(horizon[:j] / dt).astype(np.int64), error
+        error = (ValueError("k must be finite and > 0") if invalid[j]
+                 else _unsettled(float(k[j]), SETTLING_HORIZON))
+    n = np.ceil(horizon[:j] / DESIGN_SETTLING_DT).astype(np.int64)
+    return horizon[:j], n, error
 
 
-def _settling_grid(params: HgiParams, dt: float) -> tuple[float, int]:
-    """``_settling_grids`` for one gain: its horizon and grid length."""
-    horizon, n, error = _settling_grids(np.array([params.k]),
-                                        params.omega0, dt)
-    if error:
-        raise error
-    return float(horizon[0]), int(n[0])
-
-
-def _settling_table(ks, w0: float, dt: float):
+def _settling_table(ks, w0: float):
     """Settling times (t_s_alpha, t_s_beta) of every gain in ``ks``, as two
     arrays; see ``settling_times``.  Raises the error of the first gain in
-    ``ks`` that is refused or does not settle."""
+    ``ks`` that is refused or does not settle, or at once for a peak the
+    grid does not sample."""
+    dt = DESIGN_SETTLING_DT
     k = np.asarray(ks, dtype=float)
     if not k.size:
         return np.empty(0), np.empty(0)
-    horizon, n, error = _settling_grids(k, w0, dt)
+    horizon, n, error = _settling_grids(k, w0)
     k = k[:len(n)]
     _, _, repeated, under = _poles(k, w0)
     exits = np.full((len(k), 2), -1)
-    whole = repeated.copy()
     for kind, rows in ((_Underdamped, under),
                        (_Overdamped, ~repeated & ~under)):
         if rows.any():
-            exits[rows], sampled = _windowed_exits(kind, k[rows], w0,
-                                                   n[rows], dt)
-            whole[rows] = ~sampled
-    for j in np.flatnonzero(whole):
+            exits[rows] = _windowed_exits(kind, k[rows], w0, n[rows])
+    for j in np.flatnonzero(repeated):
         ys = _responses(k[j:j + 1], w0, np.arange(n[j])[None] * dt)
         exits[j] = [_last_outside(mag, SETTLING_TOLERANCE * mag.max())
                     for mag in np.abs(ys)[:, 0]]
@@ -507,26 +486,24 @@ def _settling_table(ks, w0: float, dt: float):
     return ts[:, 0], ts[:, 1]
 
 
-def settling_times(
-    params: HgiParams, dt: float = DESIGN_SETTLING_DT
-) -> tuple[float, float, float]:
+def settling_times(params: HgiParams) -> tuple[float, float, float]:
     """Step-response settling times (t_s_alpha, t_s_beta, max of both).
 
-    Settling is measured on the closed-form response sampled at t = i*dt
-    over 12 slow-pole time constants: the last time the output leaves
-    the +/-2 % band around its final value (zero, both channels have no
-    dc gain), with the band referenced to the peak response magnitude.
-    This is the one-gain call of the array pass behind
-    ``design_settling_times``, which evaluates only short windows of the
-    grid, at each channel's peak and at its last exit from the band (see
-    ``_windowed_exits``), so the result equals that of the whole grid,
-    which is evaluated only at the repeated root k = 2 and on a grid too
-    coarse to sample the alpha peak.  A ``dt`` that is not finite and > 0
-    or that gives the grid 2**53 points or more, a response still outside
-    the band at the end of the grid, or a slow pole with a time constant
-    of the horizon or longer raises ``ValueError``.
+    Settling is measured on the closed-form response sampled at the design
+    step, t = i*DESIGN_SETTLING_DT, over 12 slow-pole time constants: the
+    last time the output leaves the +/-2 % band around its final value
+    (zero, both channels have no dc gain), with the band referenced to the
+    peak response magnitude.  This is the one-gain call of the array pass
+    behind ``design_settling_times``, which evaluates only short windows
+    of the grid, at each channel's peak and at its last exit from the band
+    (see ``_windowed_exits``), so the result equals that of the whole
+    grid, which is evaluated only at the repeated root k = 2.  A response
+    still outside the band at the end of the grid, a slow pole with a time
+    constant of the horizon or longer, or a peak that falls between grid
+    points (an ``omega0`` far above the nominal one) raises
+    ``ValueError``.
     """
-    (ts_a,), (ts_b,) = _settling_table([params.k], params.omega0, dt)
+    (ts_a,), (ts_b,) = _settling_table([params.k], params.omega0)
     ts_a, ts_b = float(ts_a), float(ts_b)
     return ts_a, ts_b, max(ts_a, ts_b)
 
@@ -554,16 +531,15 @@ def design_settling_times(ks) -> np.ndarray:
     """Combined settling time of every gain in ``ks`` at the design step
     ``DESIGN_SETTLING_DT``: the table both design procedures rank k on.
 
-    One array pass serves every gain: the slow-pole and grid guards run on
-    the whole array first; then, for the underdamped and the overdamped
+    One array pass serves every gain: the slow-pole guard runs on the
+    whole array first; then, for the underdamped and the overdamped
     gains in turn, each round evaluates one window per channel and gain
     as one (rows, 2*SETTLING_WINDOW + 1) array, and the band crossings
     are bisected for all rows at once.  Each gain gives the
     tuple ``settling_times`` gives it; the first gain in ``ks`` that is
     refused or does not settle raises its ``ValueError``.
     """
-    return np.maximum(*_settling_table(ks, NOMINAL_OMEGA0,
-                                       DESIGN_SETTLING_DT))
+    return np.maximum(*_settling_table(ks, NOMINAL_OMEGA0))
 
 
 def k_grid(k_min: float, k_max: float, resolution: float) -> np.ndarray:

@@ -101,14 +101,6 @@ class GridSignalSpec:
         events = tuple(sorted(self.events, key=lambda e: e.time))
         object.__setattr__(self, "events", events)
 
-    @property
-    def input_thd(self) -> float:
-        """Input THD as a fraction of the fundamental amplitude."""
-        if self.fundamental_amplitude == 0:
-            return 0.0
-        rss = math.sqrt(sum(h.amplitude**2 for h in self.harmonics))
-        return rss / self.fundamental_amplitude
-
     def without_events(self) -> "GridSignalSpec":
         return replace(self, events=())
 

@@ -20,13 +20,12 @@ deviation term, whose reference is the unit fundamental and whose one
 counted order is 3, is a group of its own; it shares F_2 only where v1+
 equals that reference (a unit fundamental at phase 0).
 
-``ripple_terms`` runs the whole pipeline array-native: every argument
+``unit_vector_thd`` runs the whole pipeline array-native: every argument
 broadcasts, so one call evaluates a whole grid of gains, frequencies and
-harmonic profiles, and lists every term's phasor.  ``unit_vector_thd``
-sums each group's sequence components first, on a grid without the PI
-gains' axes, so the whole grid takes one product with F_n per group, not
-one per term.  ``total_unit_vector_thd`` and ``harmonic_breakdown``
-evaluate one scenario through the same code.
+harmonic profiles.  It sums each group's sequence components first, on a
+grid without the PI gains' axes, so the whole grid takes one product with
+F_n per group, not one per term.  ``total_unit_vector_thd`` and
+``harmonic_breakdown`` evaluate one scenario through the same code.
 ``measured_thd`` is the independent check on simulated traces; it fits
 one trace, or a stack of traces that share one fit matrix.
 """
@@ -118,10 +117,17 @@ def _grouped_terms(k, kp, ki, omega, harmonics, amplitude, phase, omega0):
     """Every ripple term as its sequence component and its loop.
 
     Returns (terms, factors): ``terms`` lists (loop, output orders, z,
-    present) in ``ripple_terms``' order, with ``z`` zero where the term
-    does not arise; ``factors`` maps each loop, a loop multiple n and the
+    present), the deviation term first and then each harmonic's positive-
+    and negative-sequence terms, with ``z`` zero and ``present`` False
+    where the term does not arise (nominal frequency, a sequence component
+    below 1e-15); ``factors`` maps each loop, a loop multiple n and the
     name of its reference, to its loop factor F_n.  A term's phasor is
-    z*F_n.
+    z*F_n, that of the unit-vector harmonic a*sin(order*w*t + phi).
+
+    The fundamental reference is the positive-sequence part of the
+    filtered fundamental.  The deviation term is the negative-sequence
+    part of the filtered unit fundamental (amplitude 1, phase 0), with
+    that unit fundamental's positive-sequence part as its reference.
     """
     omega = np.asarray(omega, dtype=float)
     if not np.isfinite(omega).all():
@@ -165,47 +171,11 @@ def _grouped_terms(k, kp, ki, omega, harmonics, amplitude, phase, omega0):
     return terms, factors
 
 
-def ripple_terms(
-    k, kp, ki, omega, harmonics=(), amplitude=1.0, phase=0.0,
-    omega0: float = NOMINAL_OMEGA0,
-) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """All unit-vector ripple terms of steady-state scenarios, array-native.
-
-    ``k`` (HGI gain), ``kp``/``ki`` (PI gains), ``omega`` (fundamental,
-    rad/s), ``amplitude``/``phase`` (fundamental) and the amplitudes and
-    phases of ``harmonics``, a sequence of (order, amplitude, phase), all
-    broadcast against each other, so one call covers a whole grid.
-
-    Pipeline: push the fundamental and each input harmonic through the
-    HGI gains and split each into sequence components z; a term's phasor
-    is z*F_n, with F_n the loop factor its loop multiple n shares with
-    every other term at n.  The fundamental reference is the
-    positive-sequence part of the filtered fundamental.  The deviation
-    term is the negative-sequence part of the filtered unit fundamental
-    (amplitude 1, phase 0), with that unit fundamental's positive-sequence
-    part as its reference.
-
-    Returns (output order, phasor, present) per term, the phasor
-    a*exp(j*phi) of the unit-vector harmonic a*sin(order*w*t + phi): the
-    deviation term first, then for each harmonic its positive- and
-    negative-sequence pairs.  Where a term does not arise (nominal
-    frequency, a sequence component below 1e-15) ``present`` is False and
-    its phasor is 0.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms, factors = _grouped_terms(k, kp, ki, omega, harmonics,
-                                        amplitude, phase, omega0)
-        out = []
-        for loop, orders, z, present in terms:
-            r = np.where(present, z * factors[loop], 0j)
-            out.extend((o, r, present) for o in orders)
-    return out
-
-
 def _order_sums(k, kp, ki, omega, harmonics, amplitude, phase,
                 omega0) -> tuple[dict[int, np.ndarray], set[int]]:
     """Sum of the ripple phasors per output order, and the orders that
-    receive at least one present term (arguments as in ``ripple_terms``).
+    receive at least one present term (arguments as in
+    ``unit_vector_thd``).
 
     A group is the terms with one loop and the same output orders.  They
     share F_n, so their components are summed first, on a grid without
@@ -263,10 +233,15 @@ def unit_vector_thd(
     k, kp, ki, omega, harmonics=(), amplitude=1.0, phase=0.0,
     omega0: float = NOMINAL_OMEGA0,
 ) -> np.ndarray:
-    """Predicted THD of the sine unit vector, in percent, over a whole grid
-    (arguments as in ``ripple_terms``): the root-sum-square of the
-    per-order sums of the ripple phasors, each loop multiple's terms
-    summed before they meet their shared loop factor F_n.
+    """Predicted THD of the sine unit vector, in percent, over a whole grid.
+
+    ``k`` (HGI gain), ``kp``/``ki`` (PI gains), ``omega`` (fundamental,
+    rad/s), ``amplitude``/``phase`` (fundamental) and the amplitudes and
+    phases of ``harmonics``, a sequence of (order, amplitude, phase), all
+    broadcast against each other, so one call covers a whole grid.  The
+    THD is the root-sum-square of the per-order sums of the ripple
+    phasors z*F_n, each loop multiple's terms summed before they meet
+    their shared loop factor F_n.
 
     Ripple at orders below 2 perturbs the fundamental amplitude and is
     excluded; the fundamental itself is unit amplitude by construction.
@@ -276,7 +251,7 @@ def unit_vector_thd(
 
 
 def _steady_args(spec: GridSignalSpec, hgi: HgiParams, pi: PiParams) -> tuple:
-    """``ripple_terms`` arguments for one event-free scenario."""
+    """``unit_vector_thd`` arguments for one event-free scenario."""
     if spec.events:
         raise AnalyticsError("steady-state analysis requires an event-free spec")
     harmonics = [(c.order, c.amplitude, c.phase) for c in spec.harmonics]

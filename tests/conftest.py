@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
-from hgipll import PllDesign, build_design
+from hgipll import NOMINAL_OMEGA0, PllDesign, build_design
 from hgipll.arith import EXACT
+from hgipll.thd import _grouped_terms
 
 # the properties run whole kernels and loops per example, which can
 # outlast hypothesis's 200 ms per-example deadline on a busy machine
@@ -73,6 +75,18 @@ class CountingArithmetic:
     accumulator = signal
     phase = signal
     trig = staticmethod(EXACT.trig)
+
+
+def ripple_terms(k, kp, ki, omega, harmonics=(), amplitude=1.0, phase=0.0):
+    """Every ripple term of the THD kernel (``thd._grouped_terms``) as
+    (output order, phasor z*F_n, present), one entry per output order:
+    the deviation term first, then each harmonic's positive- and
+    negative-sequence terms; the phasor is 0 where the term is absent."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms, factors = _grouped_terms(k, kp, ki, omega, harmonics,
+                                        amplitude, phase, NOMINAL_OMEGA0)
+        return [(o, np.where(present, z * factors[loop], 0j), present)
+                for loop, orders, z, present in terms for o in orders]
 
 
 def make_design(k: float, f_bw: float, method: str = "test") -> PllDesign:

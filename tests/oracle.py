@@ -18,14 +18,14 @@ the per-sample step bodies ``HgiStep``, ``BasicSogiStep`` and
 through ``Fixed16Reference``'s ``round()``-based quantizers and
 ``log2``-based ``coeff``; the package runs the filter and then the loop
 as two whole-input passes on Python floats.  ``write_trace_csv`` is the
-``np.savetxt`` form of ``SimTrace.write_csv``.  ``settling_times``
-evaluates the whole 12-time-constant grid, of which the package
-evaluates only windows at each peak and last band exit, and
-``band_worst_thd`` evaluates the THD cube one bandwidth row at a time,
-where the package takes slabs of rows.  ``cube_sweep`` picks each
-bandwidth's gain by a masked argmin over the whole cube, where the
-package tries the gains in settling order and stops at the first
-feasible one.
+``np.savetxt`` form of ``SimTrace.write_csv``.  ``step_responses`` is
+the complex-exponential step response, and ``settling_times`` evaluates
+it on the whole 12-time-constant grid, of which the package evaluates
+only windows at each peak and last band exit.  ``band_worst_thd``
+evaluates the whole THD cube one bandwidth row at a time, and
+``cube_sweep`` picks each bandwidth's gain by a masked argmin over that
+cube, where the package tries the gains in settling order, in slabs of
+bandwidths, and stops at the first feasible one.
 """
 
 from __future__ import annotations
@@ -321,12 +321,12 @@ def _settle_time(y: np.ndarray, t: np.ndarray, tolerance: float) -> float:
 
 
 def settling_times(
-    params: HgiParams, tolerance: float = 0.02,
-    dt: float = DESIGN_SETTLING_DT
+    params: HgiParams, tolerance: float = 0.02
 ) -> tuple[float, float, float]:
     """Step-response settling times (t_s_alpha, t_s_beta, max of both).
 
-    Settling is measured on the dense closed-form response: the last time
+    Settling is measured on the closed-form response sampled at the design
+    step ``DESIGN_SETTLING_DT``: the last time
     the output leaves the +/-tolerance band around its final value (zero,
     both channels have no dc gain), with the band referenced to the peak
     response magnitude.
@@ -339,7 +339,7 @@ def settling_times(
     # 2% settling instant
     rate = 0.5 * (k - math.sqrt(max(k * k - 4.0, 0.0))) * params.omega0
     horizon = min(SETTLING_HORIZON, 12 / rate + 0.005)
-    t = np.arange(0.0, horizon, dt)
+    t = np.arange(0.0, horizon, DESIGN_SETTLING_DT)
     y_alpha, y_beta = step_responses(params, t)
     ts_a = _settle_time(y_alpha, t, tolerance)
     ts_b = _settle_time(y_beta, t, tolerance)
@@ -357,8 +357,10 @@ def predicted_thd(k, f_bw, frequency_hz, input_thd, constraints) -> float:
 
 
 def band_worst_thd(ks, f_bws, constraints):
-    """``design.band_worst_thd`` one bandwidth row at a time: the worst
-    band THD (percent) and its frequency (Hz) per (bandwidth, k)."""
+    """The worst THD (percent) over the deviation band at the constraints'
+    input THD, and the frequency (Hz) where it occurs, for every
+    (bandwidth, k) of the whole cube: two (f_bw x k) arrays, evaluated
+    one bandwidth row at a time."""
     from hgipll.design import steady_thd
     from hgipll.srf import pi_from_bandwidth
 
@@ -376,11 +378,10 @@ def band_worst_thd(ks, f_bws, constraints):
 
 def cube_sweep(ks, ts_hgi, constraints, infeasible_row):
     """The design sweep as a masked argmin over the whole cube of
-    ``design.band_worst_thd``: the report's swept rows, with
+    ``band_worst_thd``: the report's swept rows, with
     ``infeasible_row(f_bw, t_s_srf)`` for a bandwidth where no k is
     feasible, and the chosen (k, f_bw, worst band THD, binding
     frequency), or None when no point is feasible."""
-    from hgipll.design import band_worst_thd
     from hgipll.srf import srf_settling_time
 
     f_bws = constraints.bandwidth_grid()
@@ -414,13 +415,13 @@ def _feasible(k, f_bw, input_thd, freqs, constraints) -> bool:
 
 
 def mtsd_sweep(constraints):
-    """The deviation-only procedure point by point: (swept rows,
-    feasible count, chosen (k, f_bw, t_s_hgi))."""
+    """The deviation-only procedure point by point: (swept rows, chosen
+    (k, f_bw, t_s_hgi))."""
     from hgipll.hgi import k_grid
     from hgipll.srf import srf_settling_time
 
     ks = k_grid(*constraints.k_range, constraints.k_step)
-    ts = [settling_times(HgiParams(float(k)), dt=DESIGN_SETTLING_DT)[2] for k in ks]
+    ts = [settling_times(HgiParams(float(k)))[2] for k in ks]
     best = min(range(len(ks)), key=lambda i: (ts[i], i))
     k_opt, t_s_hgi = float(ks[best]), ts[best]
     swept, chosen = [], None
@@ -432,7 +433,7 @@ def mtsd_sweep(constraints):
         if ok and chosen is None:
             chosen = (k_opt, float(f_bw), t_s_hgi)
     swept.reverse()
-    return swept, sum(row[3] for row in swept), chosen
+    return swept, chosen
 
 
 def hc_mtsd_sweep(constraints):
@@ -442,8 +443,8 @@ def hc_mtsd_sweep(constraints):
 
     freqs = constraints.sweep_frequencies()
     ks = [float(k) for k in k_grid(*constraints.k_range, constraints.k_step)]
-    ts = {k: settling_times(HgiParams(k), dt=DESIGN_SETTLING_DT)[2] for k in ks}
-    swept, count, best = [], 0, None
+    ts = {k: settling_times(HgiParams(k))[2] for k in ks}
+    swept, best = [], None
     for f_bw in constraints.bandwidth_grid():
         f_bw = float(f_bw)
         feasible = [k for k in ks
@@ -452,13 +453,12 @@ def hc_mtsd_sweep(constraints):
         if not feasible:
             swept.append((f_bw, math.nan, math.inf, False))
             continue
-        count += len(feasible)
         k_i = min(feasible, key=lambda k: (ts[k], k))
         t_sd = ts[k_i] + srf_settling_time(TWO_PI * f_bw)
         swept.append((f_bw, k_i, t_sd, True))
         if best is None or t_sd < best[0]:
             best = (t_sd, (k_i, f_bw, ts[k_i]))
-    return swept, count, best and best[1]
+    return swept, best and best[1]
 
 
 def measured_thd(trace, fundamental_hz, sample_period, max_order=50,

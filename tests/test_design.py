@@ -89,7 +89,8 @@ def test_mtsd_published_design():
     assert design.f_bw == pytest.approx(55.0, abs=0.5)
     assert design.k == pytest.approx(1.56, abs=0.02)
     assert design.t_sd == pytest.approx(27.6e-3, abs=0.5e-3)
-    assert report.feasible_count > 0
+    # the chosen design is the swept row of its bandwidth
+    assert (design.f_bw, design.k, design.t_sd, True) in report.swept
     # the chosen design satisfies its own constraint
     c = DesignConstraints()
     for f in c.sweep_frequencies():

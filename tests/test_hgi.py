@@ -13,7 +13,6 @@ from hgipll import (
     freq_response,
     k_opt_search,
     settling_times,
-    step_responses,
     synthesize,
     GridSignalSpec,
     TimedEvent,
@@ -24,6 +23,7 @@ from hgipll.hgi import (
     k_grid,
 )
 from conftest import CountingArithmetic, CountingFloat
+from oracle import step_responses
 
 TS = 50e-6
 
@@ -197,17 +197,14 @@ def test_unsettled_gain_names_k(k):
         settling_times(HgiParams(k))
 
 
-@pytest.mark.parametrize("dt,message", [
-    (0.0, "dt must be finite and > 0"),
-    (-2e-6, "dt must be finite and > 0"),
-    (math.nan, "dt must be finite and > 0"),
-    (math.inf, "dt must be finite and > 0"),
-    (1e-300, "dt is too small"),
-    (5e-324, "dt is too small"),
-])
-def test_settling_times_refuses_a_bad_dt(dt, message):
-    with pytest.raises(ValueError, match=message):
-        settling_times(HgiParams(1.56), dt=dt)
+@pytest.mark.parametrize("k", [0.1, 0.5, 1.56])
+def test_settling_times_refuses_an_unsampled_peak(k):
+    # at omega0 = 3e6 rad/s the alpha peak of these gains falls between
+    # points of the 2 us grid, which would misplace the settling band
+    with pytest.raises(ValueError, match=re.escape(
+            f"the 2e-06 s settling grid does not sample the alpha peak of "
+            f"the HGI step response at k = {k:g}, omega0 = 3e+06 rad/s")):
+        settling_times(HgiParams(k, omega0=3e6))
 
 
 @pytest.mark.parametrize("args,message", [
@@ -239,5 +236,5 @@ def test_k_grid_includes_endpoints():
 
 def test_settling_overdamped_gain_finite():
     # large k drags a slow real pole but must still settle
-    ts = settling_times(HgiParams(4.0), dt=2e-6)[2]
+    ts = settling_times(HgiParams(4.0))[2]
     assert 0.02 < ts < 0.2

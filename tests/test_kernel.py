@@ -30,11 +30,13 @@ from hgipll import (
     predicted_thd,
     total_unit_vector_thd,
 )
-from hgipll.design import THD_COMPARE_DECIMALS, band_worst_thd, steady_thd
+from hgipll.design import THD_COMPARE_DECIMALS, steady_thd
 from hgipll import design as design_mod, hgi
-from hgipll.hgi import (SETTLING_WINDOW, _settling_grid,
-                        design_settling_times, k_grid, settling_times)
-from hgipll.thd import ripple_terms, unit_vector_thd
+from hgipll.hgi import (DESIGN_SETTLING_DT, NOMINAL_OMEGA0, SETTLING_WINDOW,
+                        _settling_grids, design_settling_times, k_grid,
+                        settling_times)
+from hgipll.thd import unit_vector_thd
+from conftest import ripple_terms
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "hgipll" / "scenarios"
 W0 = 2 * math.pi * 50.0
@@ -342,61 +344,36 @@ def test_a_point_alone_equals_the_point_in_a_grid(k, f_bw, f, input_thd, ks,
     assert alone == float(steady_thd(k, pi.kp, pi.ki, f, input_thd))
 
 
-@pytest.mark.parametrize("dt", [2e-6, 1e-6])
-def test_settling_times_equal_complex_oracle(dt):
-    grid = k_grid(0.1, 4.0, 0.01)
-    ks = np.concatenate([grid[::5], [2.0, grid[0], grid[-1]]])
-    for k in ks:
-        params = HgiParams(float(k))
-        assert settling_times(params, dt=dt) == oracle.settling_times(
-            params, dt=dt)
-
-
 def test_settling_times_equal_oracle_on_whole_grids():
-    # every k of the design grid at the design step, and a dense band
-    # around the repeated root (k = 2) at the finer default step
-    for k in k_grid(0.1, 4.0, 0.01):
-        params = HgiParams(float(k))
-        assert settling_times(params, dt=2e-6) == oracle.settling_times(
-            params, dt=2e-6), k
+    # every k of the design grid, and a dense band around the repeated
+    # root (k = 2)
     near_critical = np.concatenate([np.linspace(1.95, 2.05, 101),
                                     2.0 + np.array([-1e-6, -1e-9, 1e-9, 1e-6])])
-    for k in near_critical:
+    for k in np.concatenate([k_grid(0.1, 4.0, 0.01), near_critical]):
         params = HgiParams(float(k))
-        assert settling_times(params, dt=1e-6) == oracle.settling_times(
-            params, dt=1e-6), k
-    # at k = 4 a 10 ms grid puts its point nearest the alpha peak at t = 0
-    for k in (0.1, 1.56, 4.0):
-        params = HgiParams(k)
-        assert settling_times(params, dt=0.01) == oracle.settling_times(
-            params, dt=0.01), k
+        assert settling_times(params) == oracle.settling_times(params), k
 
 
-@settings(max_examples=60)
-@given(k=st.floats(0.1, 4.0), dt=st.sampled_from([1e-6, 2e-6]))
-def test_settling_times_equal_oracle_property(k, dt):
-    params = HgiParams(k)
-    assert settling_times(params, dt=dt) == oracle.settling_times(params,
-                                                                  dt=dt)
-
-
-def _settling_or_unsettled(settle, params, dt):
+def _settling_or_unsettled(settle, params):
     try:
-        return settle(params, dt=dt)
+        return settle(params)
     except (ValueError, RuntimeError):
         return "unsettled"
 
 
-@settings(max_examples=100)
-@given(k=st.floats(0.1, 8.0),
-       dt=st.floats(math.log(1e-6), math.log(2e-2)).map(math.exp))
-def test_settling_windows_equal_oracle_deep_overdamped_and_coarse(k, dt):
-    # up to 1 ms the windows serve every k; coarser grids (at 10 ms, 0.1 <=
-    # k < 0.5 among others) sample the alpha peak below the next lobe top
-    # and take the whole grid
+@settings(max_examples=60)
+@given(k=st.floats(math.log(0.0249), math.log(314.0)).map(math.exp))
+def test_settling_times_equal_oracle_property(k):
+    # the gains the slow-pole guard accepts (0.0064 < k < 314.2) from the
+    # first that settles within the 1 s horizon: the table and the
+    # one-gain call give the oracle's whole-grid times bit for bit, and
+    # refuse what the oracle finds unsettled
     params = HgiParams(k)
-    assert (_settling_or_unsettled(settling_times, params, dt)
-            == _settling_or_unsettled(oracle.settling_times, params, dt))
+    want = _settling_or_unsettled(oracle.settling_times, params)
+    assert _settling_or_unsettled(settling_times, params) == want
+    table = _settling_or_unsettled(
+        lambda p: tuple(design_settling_times([p.k])), params)
+    assert table == (want if want == "unsettled" else (want[2],))
 
 
 def _lobe_top_and_grid_hit(k, dt, channel, m):
@@ -468,20 +445,14 @@ table_gains = st.one_of(
 
 
 @settings(max_examples=25)
-@given(ks=st.lists(table_gains, min_size=1, max_size=8).flatmap(st.permutations),
-       k=table_gains,
-       dt=st.floats(math.log(1e-6), math.log(2e-2)).map(math.exp))
-def test_settling_table_equals_oracle_per_gain(ks, k, dt):
+@given(ks=st.lists(table_gains, min_size=1, max_size=8).flatmap(st.permutations))
+def test_settling_table_equals_oracle_per_gain(ks):
     # one array pass over a shuffled mix of gains gives each gain the
-    # oracle's whole-grid settling time at the design step
+    # oracle's whole-grid settling time
     table = design_settling_times(ks)
     assert table.shape == (len(ks),)
     for got, gain in zip(table, ks):
         assert got == oracle.settling_times(HgiParams(gain))[2], gain
-    # and the one-gain call on any grid up to 20 ms
-    params = HgiParams(k)
-    assert (_settling_or_unsettled(settling_times, params, dt)
-            == _settling_or_unsettled(oracle.settling_times, params, dt))
 
 
 def test_settling_table_of_no_gains_is_empty():
@@ -507,11 +478,18 @@ def test_settling_table_raises_for_the_first_unsettled_gain(ks, first):
         design_settling_times(ks)
 
 
-@pytest.mark.parametrize("dt", [1e-6, 2e-6])
-def test_settling_grid_length_is_arange_length(dt):
-    for k in k_grid(0.1, 4.0, 0.01):
-        horizon, n = _settling_grid(HgiParams(float(k)), dt)
-        assert n == len(np.arange(0.0, horizon, dt)), k
+def _grid_length(k):
+    """Length of the settling grid of the gain k."""
+    _, (n,), _ = _settling_grids(np.array([k]), NOMINAL_OMEGA0)
+    return n
+
+
+def test_settling_grid_length_is_arange_length():
+    ks = k_grid(0.1, 4.0, 0.01)
+    horizons, lengths, error = _settling_grids(ks, NOMINAL_OMEGA0)
+    assert error is None and len(lengths) == len(ks)
+    for k, horizon, n in zip(ks, horizons, lengths):
+        assert n == len(np.arange(0.0, horizon, DESIGN_SETTLING_DT)), k
 
 
 def _evaluated_points(monkeypatch, settle, *args):
@@ -531,28 +509,22 @@ def _evaluated_points(monkeypatch, settle, *args):
 
 def test_settling_evaluates_windows_only(monkeypatch):
     # two calls of two windows of 2*SETTLING_WINDOW + 1 points for every
-    # design k but the repeated root, which takes the whole grid, as does
-    # a 10 ms grid that samples the alpha peak at k = 0.1 below its next
-    # lobe top
+    # design k but the repeated root, which takes the whole grid
     width = 2 * SETTLING_WINDOW + 1
     grid = k_grid(0.1, 4.0, 0.01)
     for k in grid:
-        params = HgiParams(float(k))
-        counts = _evaluated_points(monkeypatch, settling_times, params, 2e-6)
+        counts = _evaluated_points(monkeypatch, settling_times,
+                                   HgiParams(float(k)))
         if abs(k - 2.0) < 1e-9:
-            assert counts == [_settling_grid(params, 2e-6)[1]]
+            assert counts == [_grid_length(k)]
         else:
             assert len(counts) == 2 and max(counts) <= 2 * width, k
-    params = HgiParams(0.1)
-    counts = _evaluated_points(monkeypatch, settling_times, params, 0.01)
-    assert counts[-1] == _settling_grid(params, 0.01)[1]
     # the whole table at once: for each damping kind one call per round,
     # of at most two windows per gain, and the repeated root's whole grid
     windowed = grid[np.abs(grid - 2.0) >= 1e-9]
     counts = _evaluated_points(monkeypatch, design_settling_times, grid)
     assert len(counts) == 5
-    assert sum(counts) <= (2 * 2 * width * len(windowed)
-                           + _settling_grid(HgiParams(2.0), 2e-6)[1])
+    assert sum(counts) <= 2 * 2 * width * len(windowed) + _grid_length(2.0)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -602,7 +574,7 @@ def test_feasibility_mask_matches_thd_ok_at_rounding_boundaries(constraints, ks)
         cube[i] = steady_thd(ks[:, None], pi.kp, pi.ki, freqs,
                              constraints.input_thd)
     # the design mask is the per-point mask reduced over the band
-    worst, _ = band_worst_thd(ks, f_bws, constraints)
+    worst, _ = oracle.band_worst_thd(ks, f_bws, constraints)
     assert np.array_equal(worst, cube.max(axis=2))
     mask = cube <= constraints.thd_threshold()
     picked = _rounding_sample(cube, THD_COMPARE_DECIMALS)
@@ -612,20 +584,6 @@ def test_feasibility_mask_matches_thd_ok_at_rounding_boundaries(constraints, ks)
                                     constraints.input_thd, constraints)
         assert mask[i, j, m] == constraints.thd_ok(want), (f_bws[i], ks[j],
                                                           freqs[m], want)
-
-
-@pytest.mark.parametrize("constraints,ks", [
-    (DesignConstraints(delta_f=0.08, uthd_limit=0.01), np.array([1.56])),
-    (DesignConstraints(delta_f=0.08, input_thd=0.05, uthd_limit=0.01),
-     k_grid(0.1, 4.0, 0.01)),
-], ids=["criterion2", "criterion3"])
-def test_band_worst_thd_slabs_equal_per_row_oracle(constraints, ks):
-    # criterion 2 fits one slab; criterion 3 takes several, the last partial
-    f_bws = constraints.bandwidth_grid()
-    worst, binding = band_worst_thd(ks, f_bws, constraints)
-    want_worst, want_binding = oracle.band_worst_thd(ks, f_bws, constraints)
-    assert np.array_equal(worst, want_worst)
-    assert np.array_equal(binding, want_binding)
 
 
 def _same_rows(got, want):
@@ -646,9 +604,10 @@ def _same_rows(got, want):
 def test_design_procedures_match_point_by_point_oracle(procedure, sweep,
                                                        constraints):
     design, report = procedure(constraints)
-    swept, count, (k, f_bw, t_s_hgi) = sweep(constraints)
+    swept, (k, f_bw, t_s_hgi) = sweep(constraints)
     _same_rows(report.swept, swept)
-    assert report.feasible_count == count
+    feasible = [row[0] for row in report.swept if row[3]]
+    assert feasible == [row[0] for row in swept if row[3]] and feasible
     assert (design.k, design.f_bw, design.t_s_hgi) == (k, f_bw, t_s_hgi)
     # the reported binding point is the chosen design's worst band THD
     band = [oracle.predicted_thd(k, f_bw, f, constraints.input_thd,

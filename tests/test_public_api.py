@@ -1,7 +1,8 @@
 """The package's public surface: every ``__all__`` entry exists, every
 name the demos import from ``hgipll`` resolves, every demo runs to
-completion, and the package imports nothing but the standard library and
-numpy."""
+completion, the package imports nothing but the standard library and
+numpy, and every definition in it is reached by the package, the demos or
+the acceptance gate."""
 
 import ast
 import importlib
@@ -68,3 +69,40 @@ def test_package_is_numpy_only():
                         if name.split(".")[0] not in sys.stdlib_module_names
                         and name.split(".")[0] != "numpy"]
     assert foreign == []
+
+
+def _names(nodes) -> set[str]:
+    """Every name, attribute and imported name the syntax trees use."""
+    used = set()
+    for node in (n for tree in nodes for n in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.asname or node.name)
+    return used
+
+
+#: The one definition no command, demo or gate reaches: the write half of
+#: the scenario file format, kept so that a scenario built in Python can be
+#: saved for ``simulate --scenario`` (the tests round-trip it).
+UNREACHED = {("signal_model.py", "save_scenario")}
+
+
+def test_every_definition_is_reached():
+    # a top-level function or class of src/hgipll that only the tests (or
+    # the re-exports of __init__) use is code the toolkit does not need
+    modules = {p.name: ast.parse(p.read_text(), filename=str(p))
+               for p in PACKAGE if p.name != "__init__.py"}
+    outside = _names(ast.parse(p.read_text(), filename=str(p))
+                     for p in DEMOS + [ROOT / "tests" / "test_acceptance.py"])
+    unreached = set()
+    for name, tree in modules.items():
+        others = _names(t for n, t in modules.items() if n != name)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own = _names(s for s in tree.body if s is not node)
+                if node.name not in own | others | outside:
+                    unreached.add((name, node.name))
+    assert unreached == UNREACHED

@@ -103,11 +103,6 @@ def test_events_sorted_by_time():
     assert [e.time for e in spec.events] == [0.1, 0.2]
 
 
-def test_input_thd_property():
-    spec = GridSignalSpec(harmonics=tuple(harmonic_profile(0.05)))
-    assert spec.input_thd == pytest.approx(0.05, rel=1e-12)
-
-
 def test_harmonic_profile_ratios_and_rss():
     comps = harmonic_profile(0.05)
     assert [c.order for c in comps] == [3, 5, 7, 9]
@@ -226,4 +221,6 @@ def test_bundled_scenarios_load():
     assert names <= found
     spec = spec_from_dict(json.loads((root / "freq_46hz_thd_5pct.json").read_text()))
     assert spec.fundamental_frequency == 46.0
-    assert spec.input_thd == pytest.approx(0.05, rel=1e-9)
+    # the 5 % input THD of its name
+    rss = math.hypot(*(h.amplitude for h in spec.harmonics))
+    assert rss / spec.fundamental_amplitude == pytest.approx(0.05, rel=1e-9)

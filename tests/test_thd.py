@@ -24,7 +24,7 @@ from hgipll import (
 )
 from hgipll.hgi import EULER_GUARD
 from hgipll.signal_model import NOMINAL_OMEGA0
-from hgipll.thd import ripple_terms
+from conftest import ripple_terms
 
 TS = 50e-6
 W0 = 2 * math.pi * 50.0
@@ -56,7 +56,7 @@ def test_sequence_order_mismatch_rejected():
 
 
 def deviation_ripple(f_bw, omega):
-    """The order-3 deviation term of ``ripple_terms`` at k = 1.56:
+    """The order-3 deviation term of the kernel at k = 1.56:
     (unit-vector amplitude u3, present)."""
     pi = pi_from_bandwidth(f_bw)
     [(order, r, present)] = ripple_terms(1.56, pi.kp, pi.ki, omega)
@@ -88,7 +88,7 @@ def test_freq_dev_ripple_symmetric_band_similar():
 
 
 def harmonic_terms(order, amplitude, fundamental=1.0):
-    """``ripple_terms`` at 50 Hz with one input harmonic (phase 0.2): the
+    """The kernel's terms at 50 Hz with one input harmonic (phase 0.2): the
     positive- and the negative-sequence pair, as (order, a, present)."""
     pi = pi_from_bandwidth(55.0)
     terms = ripple_terms(1.56, pi.kp, pi.ki, W0, [(order, amplitude, 0.2)],
