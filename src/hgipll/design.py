@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hgi as hgi_mod
-from .hgi import (HgiParams, check_euler, design_settling_times, k_grid,
-                  settling_times)
+from .hgi import (K_RANGE, K_STEP, HgiParams, check_euler,
+                  design_settling_times, k_grid, settling_times)
 from .signal_model import (DEFAULT_HARMONIC_ORDERS, NOMINAL_FREQ_HZ, TWO_PI,
                            GridSignalSpec, harmonic_profile)
 from .srf import SAMPLE_PERIOD, PiParams, pi_from_bandwidth, srf_settling_time
@@ -63,9 +63,9 @@ class DesignConstraints:
     input_thd: float = 0.0           # worst-case input THD (fraction)
     uthd_limit: float = 0.01         # unit-vector THD limit (fraction)
     f_bw_range: tuple[float, float] = (20.0, 55.0)
-    k_range: tuple[float, float] = (0.1, 4.0)
+    k_range: tuple[float, float] = K_RANGE
     f_bw_step: float = 0.5
-    k_step: float = 0.01
+    k_step: float = K_STEP
 
     def __post_init__(self):
         # written so that NaN fails them too

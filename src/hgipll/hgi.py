@@ -12,20 +12,21 @@ discrete realization, closed-form step-response settling times and the
 search for the gain k with the fastest settling.
 
 Settling is read off the closed-form step response on the grid
-t = i*DESIGN_SETTLING_DT over 12 slow-pole time constants, but only on
-short windows of it: one at each channel's peak and one at its last exit
-from the settling band.  Closed-form lobe times place the windows and a
-bisection finds the band crossing; every value compared against the band
-is evaluated on the grid itself, so the settle instants are the same grid
-points as on the whole grid, which is evaluated only at the repeated root
-k = 2.  At the nominal omega0 the 2 us grid samples both peaks of every
-gain the slow-pole guard accepts; a gain whose peak falls between grid
-points (a far higher omega0) is refused.  One array pass does this for a
-whole table of gains (``design_settling_times``): the gains are split into
-underdamped and overdamped ones, each round evaluates the windows of all
-of them as one array, and the bisection steps every row at once, each
-along the midpoints a scalar bisection would take.  ``settling_times`` is
-its one-gain call.
+t = i*DESIGN_SETTLING_DT over 12 slow-pole time constants, but only at a
+few points of it.  Each damping kind (complex poles, real poles, the
+repeated root k = 2) has one closed form, and its lobe times, the tops and
+zeros of the response, say where to look: the peak is one of the two grid
+points around the first lobe top, and the last exit from the settling
+band is bisected over the grid indices of the fall of the last lobe above
+the band.  Every value compared against the band is a grid value, so the
+settle instants are the grid points the whole grid would give.  At the
+nominal omega0 the 2 us grid samples both peaks of every gain the
+slow-pole guard accepts; a gain whose peak falls between grid points (a
+far higher omega0) is refused.  One array pass does this for a whole
+table of gains (``design_settling_times``): each damping kind evaluates
+the points of all its gains as one array, and every bisection step is
+one array step over the rows still bisecting.  ``settling_times`` is its
+one-gain call.
 """
 
 from __future__ import annotations
@@ -62,6 +63,11 @@ DESIGN_SETTLING_DT = 2e-6
 #: Grid points on each side of a response peak or band crossing that
 #: ``settling_times`` evaluates.
 SETTLING_WINDOW = 8
+
+#: The gain grid that ``k_opt_search`` and both design procedures search
+#: by default: k from 0.1 to 4.0 in steps of 0.01.
+K_RANGE = (0.1, 4.0)
+K_STEP = 0.01
 
 #: Relative margin between an analytic lobe top and the evaluated
 #: response values it bounds, which carry rounding.
@@ -219,36 +225,16 @@ def _real_pair(sigma, root, t):
     return (e1 - e2) / (r1 - r2), (r1 * e1 - r2 * e2) / (r1 - r2)
 
 
-def _responses(k: np.ndarray, w0: float, t: np.ndarray):
-    """Unit-step responses (y_alpha, y_beta) of each gain in the 1-D array
-    ``k`` at the times in the same row of the 2-D array ``t``: the form of
-    every value the settling table compares against its band.
-
-    Built from the impulse response h2 of 1/(s^2 + k*w0*s + w0^2): the
-    alpha step response is k*w0*h2 and the beta step response is -k*h2'.
-    A complex pole pair gives e^(-sigma*t) times sin/cos, two real poles
-    two exponentials, and a repeated root t*e^(-sigma*t).
-    """
-    sigma, root, repeated, under = _poles(k, w0)
-    h2, h2p = np.empty_like(t), np.empty_like(t)
-    for form, rows in ((_repeated_root, repeated), (_complex_pair, under),
-                       (_real_pair, ~repeated & ~under)):
-        if rows.any():
-            h2[rows], h2p[rows] = form(sigma[rows, None], root[rows, None],
-                                       t[rows])
-    k = k[:, None]
-    return k * w0 * h2, -k * h2p
-
-
 class _Lobes:
     """Lobes of both step responses of the gains ``k``, one row per (gain,
     channel) pair: row 2*j + c is channel c (0 alpha, 1 beta) of gain j.
 
     Lobe m of a row tops at max(0, (m + top)*unit) and ends at
     (m + end)*unit, except that lobe ``final`` never ends.  Subclasses set
-    those arrays and give ``mag``, |y| of each row at the times of an
-    array, and ``last``, the last lobe of each row that starts before
-    t_end and whose top exceeds level (lobe 0 if none).
+    those arrays and give ``form``, the impulse response h2 of
+    1/(s^2 + k*w0*s + w0^2) and its derivative h2' for their damping, and
+    ``last``, the last lobe of each row that starts before t_end and whose
+    top exceeds level (lobe 0 if none).
     """
 
     final = math.inf
@@ -265,26 +251,24 @@ class _Lobes:
         return top, np.where(m >= self.final, np.inf,
                              (m + self.end) * self.unit)
 
-    def crossing(self, m, band, n, rows):
-        """Grid index at which lobe m of each row in the mask ``rows`` falls
-        through ``band``; the last grid point when the lobe is still above
-        the band there.  Each row bisects the time of the fall until its
-        bracket is no wider than the grid step or has no float strictly
-        inside."""
-        dt = DESIGN_SETTLING_DT
-        lo, hi = self.lobe(m)
-        hi = np.minimum(hi, (n - 1) * dt)
-        falls = rows & (lo < hi) & ~(self.mag(hi) > band)
-        go = falls.copy()
-        while True:
-            mid = 0.5 * (lo + hi)
-            go &= (hi - lo > dt) & (lo < mid) & (mid < hi)
-            if not go.any():
-                break
-            above = self.mag(mid) > band
-            np.copyto(lo, mid, where=go & above)
-            np.copyto(hi, mid, where=go & ~above)
-        return np.where(falls, np.floor(hi / dt), n - 1).astype(np.int64)
+    def mag(self, t, rows):
+        """|y| of each of the ``rows`` at the times in its row of the 2-D
+        array ``t``: the alpha step response is k*w0*h2 and the beta step
+        response is -k*h2'."""
+        h2, h2p = self.form(self.sigma[rows, None], self.root[rows, None], t)
+        k = self.k[rows, None]
+        return np.abs(np.where(self.alpha[rows, None], k * self.w0 * h2,
+                               -k * h2p))
+
+    def top_mag(self, m):
+        """|y| of each row at the top of its lobe m."""
+        return self.mag(self.lobe(m)[0][:, None], slice(None))[:, 0]
+
+    def around(self, m, last):
+        """The two grid indices around the top of lobe m of each row,
+        clipped to the last grid index ``last`` of the row."""
+        i = np.floor(self.lobe(m)[0] / DESIGN_SETTLING_DT)[:, None] + (0, 1)
+        return np.minimum(i, last[:, None]).astype(np.int64)
 
 
 class _Underdamped(_Lobes):
@@ -298,21 +282,16 @@ class _Underdamped(_Lobes):
     m - 2*theta/pi (at t = 0 for m = 0) and ends at m + 1/2 - theta/pi.
     """
 
+    form = staticmethod(_complex_pair)
+
     def __init__(self, k, w0):
         super().__init__(k, w0)
-        self.wd = self.root / 2
-        self.gain = self.k * w0 / self.wd
-        self.theta = np.arctan(self.sigma / self.wd)
-        self.unit = np.pi / self.wd
-        zero = 0.5 - self.theta / np.pi
-        self.top = np.where(self.alpha, zero, -2 * self.theta / np.pi)
+        wd = self.root / 2
+        theta = np.arctan(self.sigma / wd)
+        self.unit = np.pi / wd
+        zero = 0.5 - theta / np.pi
+        self.top = np.where(self.alpha, zero, -2 * theta / np.pi)
         self.end = np.where(self.alpha, 1.0, zero)
-
-    def mag(self, t):
-        e = self.gain * np.exp(-self.sigma * t)
-        x = self.wd * t
-        return e * np.abs(np.where(self.alpha, np.sin(x),
-                                   np.cos(x + self.theta)))
 
     def last(self, t_end, level):
         reach = np.log(self.k / level) / self.sigma
@@ -330,74 +309,56 @@ class _Overdamped(_Lobes):
     beta's lobe 0 tops at 0 and ends at 1/2, and its lobe 1 tops at 1.
     """
 
+    form = staticmethod(_real_pair)
+
     def __init__(self, k, w0):
         super().__init__(k, w0)
-        self.r1 = -self.sigma + self.root / 2
-        self.r2 = -self.sigma - self.root / 2
-        self.unit = 2 * (np.log(self.r2 / self.r1) / (self.r1 - self.r2))
+        self.unit = 2 * self.zero()
         self.top = np.where(self.alpha, 0.5, 0.0)
         self.end = 0.5
         self.final = np.where(self.alpha, 0, 1)
 
-    def mag(self, t):
-        r1, r2 = self.r1, self.r2
-        e1, e2 = np.exp(r1 * t), np.exp(r2 * t)
-        return np.where(self.alpha, self.k * self.w0 * (e1 - e2) / (r1 - r2),
-                        self.k * np.abs(r1 * e1 - r2 * e2) / (r1 - r2))
+    def zero(self):
+        """z of each row."""
+        r1, r2 = -self.sigma + self.root / 2, -self.sigma - self.root / 2
+        return np.log(r2 / r1) / (r1 - r2)
 
     def last(self, t_end, level):
         # beta's lobe 1 counts only if its top exceeds the level
-        above = self.mag(self.lobe(1)[0]) > level
-        return np.where(self.alpha | above, self.final, 0)
+        return np.where(self.alpha | (self.top_mag(1) > level), self.final, 0)
 
 
-#: Offsets of the grid points of a window from its centre.
-_WINDOW = np.arange(-SETTLING_WINDOW, SETTLING_WINDOW + 1)
+class _Repeated(_Overdamped):
+    """Lobes for the repeated root -sigma (k = 2): y_alpha =
+    k*w0*t*e^(-sigma*t) and y_beta = -k*(1 - sigma*t)*e^(-sigma*t) have the
+    overdamped lobes, with z = 1/sigma."""
+
+    form = staticmethod(_repeated_root)
+
+    def zero(self):
+        return 1 / self.sigma
 
 
-def _window(i: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Indices of the grid points within ``SETTLING_WINDOW`` of each point
-    i, one row each, clipped to the grid 0..n-1: a clipped window repeats
-    its end point."""
-    return np.clip(i[:, None] + _WINDOW, 0, (n - 1)[:, None])
-
-
-def _magnitudes(lobes: _Lobes, i: np.ndarray, rows=slice(None)) -> np.ndarray:
-    """|y| of each of the ``rows`` of ``lobes`` at the grid points
-    i*DESIGN_SETTLING_DT of its row of i."""
-    y_alpha, y_beta = _responses(lobes.k[rows], lobes.w0,
-                                 i * DESIGN_SETTLING_DT)
-    return np.abs(np.where(lobes.alpha[rows, None], y_alpha, y_beta))
-
-
-def _last_outside(mag: np.ndarray, band) -> int:
-    """Index of the last point of ``mag`` above ``band``; -1 if none."""
-    outside = np.flatnonzero(mag > band)
-    return int(outside[-1]) if outside.size else -1
-
-
-def _windowed_exits(kind, k: np.ndarray, w0: float,
-                    n: np.ndarray) -> np.ndarray:
+def _exits(kind, k: np.ndarray, w0: float, n: np.ndarray) -> np.ndarray:
     """Grid index of the last point of each step response of the gains
-    ``k`` (all of one damping ``kind``) outside the band (-1 if none),
-    read from windows of their grids of lengths ``n``, one row per gain.
+    ``k`` (all of one damping ``kind``) outside the band, on grids of
+    lengths ``n``, one row per gain.
 
-    The peak of a channel is the largest grid point of the window at its
-    first lobe top: |y| rises and falls once over that lobe, and every
-    later lobe top is below it.  A window with no point above the next
-    lobe top misses the peak, and raises ``ValueError``.  The last band
-    exit lies in the window at the fall of the last lobe whose top
-    exceeds the band: later lobes stay inside the band, and the fall is
-    monotone.  If that window holds no point outside the band, the lobe's
-    top slipped between grid points, and the lobe before it is tried in
-    the next round.
+    |y| rises and falls once over a lobe, so the largest grid point of a
+    lobe is one of the two around its top.  The peak is the larger of the
+    two at the first lobe top, since later lobes top lower; a peak no
+    higher than the next lobe top falls between grid points, and raises
+    ``ValueError``.  The last exit is on the fall of the last lobe above
+    the band.  If a grid point around its top is outside the band, the exit
+    is bisected over the indices from that point to the first one past the
+    lobe; if neither is, no point of the lobe is, and the next round tries
+    the lobe before.  Lobe 0 holds the peak, so every row finds its exit.
     """
     dt = DESIGN_SETTLING_DT
     lobes = kind(k, w0)
-    n_rows = np.repeat(n, 2)
-    centre = np.round(lobes.lobe(0)[0] / dt).astype(np.int64)
-    peak = _magnitudes(lobes, _window(centre, n_rows)).max(axis=1)
-    bound = np.where(lobes.final >= 1, lobes.mag(lobes.lobe(1)[0]), 0.0)
+    last = np.repeat(n, 2) - 1
+    peak = lobes.mag(lobes.around(0, last) * dt, slice(None)).max(axis=1)
+    bound = np.where(lobes.final >= 1, lobes.top_mag(1), 0.0)
     missed = ~(peak > bound * (1 + _TOP_MARGIN))
     if missed.any():
         j = int(np.argmax(missed))
@@ -405,22 +366,25 @@ def _windowed_exits(kind, k: np.ndarray, w0: float,
             f"the {dt:g} s settling grid does not sample the "
             f"{('alpha', 'beta')[lobes.c[j]]} peak of the HGI step response "
             f"at k = {lobes.k[j]:g}, omega0 = {w0:g} rad/s")
-    exits = np.full(len(n_rows), -1)
     band = SETTLING_TOLERANCE * peak
-    lobe = lobes.last((n_rows - 1) * dt, band * (1 - _TOP_MARGIN))
-    active = np.ones(len(n_rows), dtype=bool)
-    while active.any():
-        rows = np.flatnonzero(active)
-        centre = lobes.crossing(lobe, band, n_rows, active)[rows]
-        w = _window(centre, n_rows[rows])
-        outside = _magnitudes(lobes, w, rows) > band[rows, None]
-        hit = outside.any(axis=1)
-        last = 2 * SETTLING_WINDOW - np.argmax(outside[:, ::-1], axis=1)
-        exits[rows[hit]] = w[hit, last[hit]]
-        done = hit | (lobe[rows] == 0)
-        active[rows[done]] = False
-        lobe[rows[~done]] -= 1
-    return exits.reshape(-1, 2)
+    lobe = lobes.last(last * dt, band * (1 - _TOP_MARGIN))
+    lo = np.full(len(last), -1)
+    rows = np.arange(len(last))
+    while rows.size:
+        pair = lobes.around(lobe, last)[rows]
+        outside = lobes.mag(pair * dt, rows) > band[rows, None]
+        lo[rows] = np.where(outside, pair, -1).max(axis=1)
+        rows = rows[(lo[rows] < 0) & (lobe[rows] > 0)]
+        lobe[rows] -= 1
+    # |y| is outside the band at lo and inside from hi on
+    hi = np.minimum(np.ceil(lobes.lobe(lobe)[1] / dt), last + 1)
+    hi = hi.astype(np.int64)
+    while (go := np.flatnonzero(hi - lo > 1)).size:
+        mid = (lo[go] + hi[go]) // 2
+        outside = lobes.mag(mid[:, None] * dt, go)[:, 0] > band[go]
+        lo[go[outside]] = mid[outside]
+        hi[go[~outside]] = mid[~outside]
+    return lo.reshape(-1, 2)
 
 
 def _unsettled(k: float, horizon: float) -> ValueError:
@@ -467,15 +431,12 @@ def _settling_table(ks, w0: float):
     horizon, n, error = _settling_grids(k, w0)
     k = k[:len(n)]
     _, _, repeated, under = _poles(k, w0)
-    exits = np.full((len(k), 2), -1)
+    exits = np.empty((len(k), 2), dtype=np.int64)
     for kind, rows in ((_Underdamped, under),
-                       (_Overdamped, ~repeated & ~under)):
+                       (_Overdamped, ~repeated & ~under),
+                       (_Repeated, repeated)):
         if rows.any():
-            exits[rows] = _windowed_exits(kind, k[rows], w0, n[rows])
-    for j in np.flatnonzero(repeated):
-        ys = _responses(k[j:j + 1], w0, np.arange(n[j])[None] * dt)
-        exits[j] = [_last_outside(mag, SETTLING_TOLERANCE * mag.max())
-                    for mag in np.abs(ys)[:, 0]]
+            exits[rows] = _exits(kind, k[rows], w0, n[rows])
     ts = np.where(exits + 1 >= n[:, None], np.inf, (exits + 1) * dt)
     unsettled = np.isinf(ts).any(axis=1)
     if unsettled.any():
@@ -494,14 +455,13 @@ def settling_times(params: HgiParams) -> tuple[float, float, float]:
     last time the output leaves the +/-2 % band around its final value
     (zero, both channels have no dc gain), with the band referenced to the
     peak response magnitude.  This is the one-gain call of the array pass
-    behind ``design_settling_times``, which evaluates only short windows
-    of the grid, at each channel's peak and at its last exit from the band
-    (see ``_windowed_exits``), so the result equals that of the whole
-    grid, which is evaluated only at the repeated root k = 2.  A response
-    still outside the band at the end of the grid, a slow pole with a time
-    constant of the horizon or longer, or a peak that falls between grid
-    points (an ``omega0`` far above the nominal one) raises
-    ``ValueError``.
+    behind ``design_settling_times``, which evaluates O(log n) points of a
+    grid of n: two at each channel's peak and a bisection over grid indices
+    for its last exit from the band (see ``_exits``), so the result equals
+    that of the whole grid.  A response still outside the band at the end
+    of the grid, a slow pole with a time constant of the horizon or longer,
+    or a peak that falls between grid points (an ``omega0`` far above the
+    nominal one) raises ``ValueError``.
     """
     (ts_a,), (ts_b,) = _settling_table([params.k], params.omega0)
     ts_a, ts_b = float(ts_a), float(ts_b)
@@ -509,8 +469,8 @@ def settling_times(params: HgiParams) -> tuple[float, float, float]:
 
 
 def k_opt_search(
-    k_range: tuple[float, float] = (0.1, 4.0),
-    resolution: float = 0.01,
+    k_range: tuple[float, float] = K_RANGE,
+    resolution: float = K_STEP,
 ) -> tuple[float, float]:
     """Grid search for the gain with the fastest combined settling time,
     measured at the design step ``DESIGN_SETTLING_DT``.
@@ -532,12 +492,11 @@ def design_settling_times(ks) -> np.ndarray:
     ``DESIGN_SETTLING_DT``: the table both design procedures rank k on.
 
     One array pass serves every gain: the slow-pole guard runs on the
-    whole array first; then, for the underdamped and the overdamped
-    gains in turn, each round evaluates one window per channel and gain
-    as one (rows, 2*SETTLING_WINDOW + 1) array, and the band crossings
-    are bisected for all rows at once.  Each gain gives the
-    tuple ``settling_times`` gives it; the first gain in ``ks`` that is
-    refused or does not settle raises its ``ValueError``.
+    whole array first; then, for each damping kind in turn, each round and
+    each bisection step evaluates one point per row still open, for all
+    its gains as one array.  Each gain gives the tuple ``settling_times``
+    gives it; the first gain in ``ks`` that is refused or does not settle
+    raises its ``ValueError``.
     """
     return np.maximum(*_settling_table(ks, NOMINAL_OMEGA0))
 

@@ -53,7 +53,12 @@ def pi_from_bandwidth(f_bw: float,
     if not 0 < f_bw < math.inf:
         raise ValueError("f_bw must be finite and > 0")
     kp = w_bw = TWO_PI * f_bw
-    ki = kp * sample_period * w_bw**2
+    try:
+        ki = kp * sample_period * w_bw**2
+    except OverflowError:
+        # a float ** raises past about 2.1e153 Hz; PiParams refuses the
+        # gain as it refuses any other non-finite one
+        ki = math.inf
     return PiParams(kp=kp, ki=ki, sample_period=sample_period)
 
 

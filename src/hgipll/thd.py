@@ -43,6 +43,10 @@ from .signal_model import NOMINAL_OMEGA0, TWO_PI, GridSignalSpec
 from .srf import PiParams
 
 
+#: Highest harmonic order that ``measured_thd`` fits.
+THD_FIT_ORDER = 50
+
+
 class AnalyticsError(ValueError):
     pass
 
@@ -299,7 +303,6 @@ def measured_thd(
     trace: np.ndarray,
     fundamental_hz: float,
     sample_period: float,
-    max_order: int = 50,
 ):
     """THD of a sampled waveform, in percent; or, for a 2-D stack of
     equal-length traces with one fundamental and sample period, an array
@@ -318,7 +321,7 @@ def measured_thd(
     matrix.  The Gram matrix is solved by ``lstsq``, so orders that alias
     at or past Nyquist get the minimum-norm split of the sample-space fit.
     The normal equations square the basis' condition number: within about
-    1e-7 cycles per sample of Nyquist (max_order * f * Ts -> 0.5) the top
+    1e-7 cycles per sample of Nyquist (THD_FIT_ORDER * f * Ts -> 0.5) the top
     order's sine column nearly vanishes, the fit amplifies noise without
     bound and the two solutions part.
 
@@ -331,8 +334,6 @@ def measured_thd(
     trace = np.asarray(trace, dtype=float)
     if not fundamental_hz > 0:
         raise AnalyticsError("fundamental_hz must be > 0")
-    if max_order < 2:
-        raise AnalyticsError("max_order must be >= 2")
     if trace.ndim not in (1, 2):
         raise AnalyticsError("trace must be 1-D, or a 2-D stack of traces")
     rows = np.atleast_2d(trace)          # one trace is the 1-row stack
@@ -342,21 +343,21 @@ def measured_thd(
         raise AnalyticsError("leakage window")
     windows = rows[:, -n:]
     z = np.exp(1j * (TWO_PI * fundamental_hz * (np.arange(n) * sample_period)))
-    power = np.empty(2 * max_order + 1, dtype=complex)
-    proj = np.empty((len(rows), max_order + 1), dtype=complex)
+    power = np.empty(2 * THD_FIT_ORDER + 1, dtype=complex)
+    proj = np.empty((len(rows), THD_FIT_ORDER + 1), dtype=complex)
     zd = np.ones(n, dtype=complex)
     zd_parts = zd.view(float).reshape(n, 2)  # (real, imag) columns of zd
-    for d in range(2 * max_order + 1):
+    for d in range(2 * THD_FIT_ORDER + 1):
         power[d] = zd.sum()
-        if d <= max_order:
+        if d <= THD_FIT_ORDER:
             for p, window in zip(proj, windows):
                 p[d] = complex(*(window @ zd_parts))
         zd *= z
     # E[d] for d = -2H..2H (E[-d] = conj(E[d])), indexed from 0
     sums = np.concatenate((power[:0:-1].conj(), power))
-    h = np.arange(max_order + 1)
-    e_dif = sums[2 * max_order + h[:, None] - h]
-    e_add = sums[2 * max_order + h[:, None] + h]
+    h = np.arange(THD_FIT_ORDER + 1)
+    e_dif = sums[2 * THD_FIT_ORDER + h[:, None] - h]
+    e_add = sums[2 * THD_FIT_ORDER + h[:, None] + h]
     # columns: cos(h*wt) for h = 0..H (h = 0 is the dc), then sin for 1..H
     cos_cos = (e_dif + e_add).real / 2
     sin_sin = (e_dif - e_add).real[1:, 1:] / 2
@@ -366,7 +367,7 @@ def measured_thd(
     for p in proj:
         rhs = np.concatenate((p.real, p.imag[1:]))
         coef, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-        amps = np.hypot(coef[1:max_order + 1], coef[max_order + 1:])
+        amps = np.hypot(coef[1:THD_FIT_ORDER + 1], coef[THD_FIT_ORDER + 1:])
         if amps[0] == 0:
             raise AnalyticsError("no fundamental component in trace")
         thds.append(100.0 * math.sqrt(np.sum(amps[1:] ** 2)) / amps[0])

@@ -21,11 +21,11 @@ as two whole-input passes on Python floats.  ``write_trace_csv`` is the
 ``np.savetxt`` form of ``SimTrace.write_csv``.  ``step_responses`` is
 the complex-exponential step response, and ``settling_times`` evaluates
 it on the whole 12-time-constant grid, of which the package evaluates
-only windows at each peak and last band exit.  ``band_worst_thd``
-evaluates the whole THD cube one bandwidth row at a time, and
-``cube_sweep`` picks each bandwidth's gain by a masked argmin over that
-cube, where the package tries the gains in settling order, in slabs of
-bandwidths, and stops at the first feasible one.
+the two points around each peak and a bisection for each last band
+exit.  ``band_worst_thd`` evaluates the whole THD cube one bandwidth row
+at a time, and ``cube_sweep`` picks each bandwidth's gain by a masked
+argmin over that cube, where the package tries the gains in settling
+order, in slabs of bandwidths, and stops at the first feasible one.
 """
 
 from __future__ import annotations
@@ -468,8 +468,6 @@ def measured_thd(trace, fundamental_hz, sample_period, max_order=50,
     trace = np.asarray(trace, dtype=float)
     if fundamental_hz <= 0:
         raise AnalyticsError("fundamental_hz must be > 0")
-    if max_order < 2:
-        raise AnalyticsError("max_order must be >= 2")
     n_cycles = int(len(trace) * sample_period * fundamental_hz)
     if n_cycles < min_cycles:
         raise AnalyticsError("leakage window")

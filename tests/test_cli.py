@@ -292,6 +292,13 @@ def input_files(tmp_path_factory):
      "invalid parameters: f_bw must be finite and > 0"),
     (["simulate", "--scenario", CLEAN, "--k", "1.56", "--f-bw", "inf"],
      "invalid parameters: f_bw must be finite and > 0"),
+    # w_bw**2 overflows a float past about 2.1e153 Hz
+    (["simulate", "--scenario", CLEAN, "--k", "1.56", "--f-bw", "1e300"],
+     "invalid parameters: kp and ki must be finite and > 0"),
+    (["analyze", "--scenario", CLEAN, "--k", "1.56", "--f-bw", "1e300"],
+     "invalid parameters: kp and ki must be finite and > 0"),
+    (["sweep", "--k", "1.56", "--f-bw", "1e300"],
+     "invalid parameters: kp and ki must be finite and > 0"),
     (["simulate", "--scenario", CLEAN, "--design", "{nan_design}"],
      "invalid design file {nan_design}: kp and ki must be finite and > 0"),
     # a design file's gain is checked as an inline --k is, on load
@@ -399,7 +406,8 @@ def input_files(tmp_path_factory):
 ], ids=["simulate-unsettled-k", "simulate-k-subnormal", "simulate-k-1e150",
         "design-unsettled-k", "design-mtsd-input-thd",
         "simulate-no-sample", "simulate-k-nan", "simulate-k-inf",
-        "simulate-f-bw-nan", "simulate-f-bw-inf", "simulate-design-kp-nan",
+        "simulate-f-bw-nan", "simulate-f-bw-inf", "simulate-f-bw-1e300",
+        "analyze-f-bw-1e300", "sweep-f-bw-1e300", "simulate-design-kp-nan",
         "simulate-design-k-subnormal", "simulate-design-k-subnormal-fixed16",
         "simulate-design-k1e305-float64", "simulate-design-k1e305-fixed16",
         "simulate-design-k1e306-float64", "simulate-design-k1e306-fixed16",

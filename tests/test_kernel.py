@@ -32,9 +32,8 @@ from hgipll import (
 )
 from hgipll.design import THD_COMPARE_DECIMALS, steady_thd
 from hgipll import design as design_mod, hgi
-from hgipll.hgi import (DESIGN_SETTLING_DT, NOMINAL_OMEGA0, SETTLING_WINDOW,
-                        _settling_grids, design_settling_times, k_grid,
-                        settling_times)
+from hgipll.hgi import (DESIGN_SETTLING_DT, NOMINAL_OMEGA0, _settling_grids,
+                        design_settling_times, k_grid, settling_times)
 from hgipll.thd import unit_vector_thd
 from conftest import ripple_terms
 
@@ -493,38 +492,43 @@ def test_settling_grid_length_is_arange_length():
 
 
 def _evaluated_points(monkeypatch, settle, *args):
-    """Grid points of each step-response evaluation of ``settle(*args)``."""
+    """Grid points of each closed-form step-response evaluation of
+    ``settle(*args)``, counted at the three closed forms, whether the
+    module or a damping kind's ``form`` calls them."""
     counts = []
-    responses = hgi._responses
+    for name in ("_complex_pair", "_real_pair", "_repeated_root"):
+        form = getattr(hgi, name)
 
-    def counted(k, w0, t):
-        counts.append(t.size)
-        return responses(k, w0, t)
+        def counted(sigma, root, t, form=form):
+            counts.append(t.size)
+            return form(sigma, root, t)
 
-    monkeypatch.setattr(hgi, "_responses", counted)
+        monkeypatch.setattr(hgi, name, counted)
+        for kind in vars(hgi).values():
+            if isinstance(kind, type) and getattr(
+                    vars(kind).get("form"), "__func__", None) is form:
+                monkeypatch.setattr(kind, "form", staticmethod(counted))
     settle(*args)
     monkeypatch.undo()
     return counts
 
 
-def test_settling_evaluates_windows_only(monkeypatch):
-    # two calls of two windows of 2*SETTLING_WINDOW + 1 points for every
-    # design k but the repeated root, which takes the whole grid
-    width = 2 * SETTLING_WINDOW + 1
+def test_settling_evaluates_logarithmically_many_points(monkeypatch):
+    # each channel takes the two grid points around its peak and around
+    # the top of its last lobe above the band, a bisection over the grid
+    # indices of that lobe's fall, and a closed-form lobe top or two: about
+    # 1.5*log2(n) points of its grid of n, the repeated root k = 2 included
     grid = k_grid(0.1, 4.0, 0.01)
-    for k in grid:
+    log_n = np.log2([_grid_length(k) for k in grid])
+    for k, bits in zip(grid, log_n):
         counts = _evaluated_points(monkeypatch, settling_times,
                                    HgiParams(float(k)))
-        if abs(k - 2.0) < 1e-9:
-            assert counts == [_grid_length(k)]
-        else:
-            assert len(counts) == 2 and max(counts) <= 2 * width, k
-    # the whole table at once: for each damping kind one call per round,
-    # of at most two windows per gain, and the repeated root's whole grid
-    windowed = grid[np.abs(grid - 2.0) >= 1e-9]
+        assert sum(counts) <= 3 * bits, k
+    # the whole table at once: each damping kind evaluates all its rows in
+    # one call per step, so the call count does not grow with the gains
     counts = _evaluated_points(monkeypatch, design_settling_times, grid)
-    assert len(counts) == 5
-    assert sum(counts) <= 2 * 2 * width * len(windowed) + _grid_length(2.0)
+    assert len(counts) <= 3 * (max(log_n) + 4)
+    assert sum(counts) <= 3 * sum(log_n)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -1,8 +1,8 @@
 """The package's public surface: every ``__all__`` entry exists, every
 name the demos import from ``hgipll`` resolves, every demo runs to
 completion, the package imports nothing but the standard library and
-numpy, and every definition in it is reached by the package, the demos or
-the acceptance gate."""
+numpy, and every definition in it, methods included, is reached by the
+package, the demos or the acceptance gate."""
 
 import ast
 import importlib
@@ -90,9 +90,16 @@ def _names(nodes) -> set[str]:
 UNREACHED = {("signal_model.py", "save_scenario")}
 
 
+def _exempt(name: str) -> bool:
+    """Methods that Python or ``ast.NodeTransformer`` call by name."""
+    return (name.startswith("__") and name.endswith("__")
+            or name.startswith("visit_"))
+
+
 def test_every_definition_is_reached():
-    # a top-level function or class of src/hgipll that only the tests (or
-    # the re-exports of __init__) use is code the toolkit does not need
+    # a top-level function or class of src/hgipll, or a method of one of
+    # its classes, that only the tests (or the re-exports of __init__) use
+    # is code the toolkit does not need
     modules = {p.name: ast.parse(p.read_text(), filename=str(p))
                for p in PACKAGE if p.name != "__init__.py"}
     outside = _names(ast.parse(p.read_text(), filename=str(p))
@@ -105,4 +112,12 @@ def test_every_definition_is_reached():
                 own = _names(s for s in tree.body if s is not node)
                 if node.name not in own | others | outside:
                     unreached.add((name, node.name))
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if (isinstance(method, ast.FunctionDef)
+                            and not _exempt(method.name)):
+                        used = own | _names(
+                            m for m in node.body if m is not method)
+                        if method.name not in used | others | outside:
+                            unreached.add((name, method.name))
     assert unreached == UNREACHED

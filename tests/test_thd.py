@@ -194,7 +194,7 @@ def test_measured_thd_matches_basis_fit(f, ts_frac, cycles, fundamental, dc,
                                         harmonics, noise, seed):
     # Ts from 50 us up to the lower of the Euler guard and the highest
     # fitted order staying below Nyquist by 1e-5 cycles per sample
-    # (max_order * f * Ts <= 0.5 - 1e-5).  Within about 1e-7 of Nyquist
+    # (THD_FIT_ORDER * f * Ts <= 0.5 - 1e-5).  Within about 1e-7 of Nyquist
     # that order's sine column nearly vanishes and the fit is ill-posed:
     # the basis fit turns 1 % noise into 100-500,000 % THD there, and the
     # normal equations, which square the basis' condition number, no
@@ -277,7 +277,7 @@ def test_measured_thd_aliased_orders_minimum_norm(ts):
 
 @pytest.mark.parametrize("trace, f, kwargs", [
     (np.ones(20000), 0.0, {}),
-    (np.ones(20000), 50.0, {"max_order": 1}),
+    (np.ones(0), 50.0, {}),  # no sample
     (np.ones(1900), 50.0, {}),  # 4.75 cycles
     (np.zeros(20000), 50.0, {}),
 ])
