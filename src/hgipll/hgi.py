@@ -60,10 +60,6 @@ SETTLING_TOLERANCE = 0.02
 #: on, and so of the settling table both design procedures rank k on.
 DESIGN_SETTLING_DT = 2e-6
 
-#: Grid points on each side of a response peak or band crossing that
-#: ``settling_times`` evaluates.
-SETTLING_WINDOW = 8
-
 #: The gain grid that ``k_opt_search`` and both design procedures search
 #: by default: k from 0.1 to 4.0 in steps of 0.01.
 K_RANGE = (0.1, 4.0)
@@ -319,7 +315,7 @@ class _Overdamped(_Lobes):
         self.final = np.where(self.alpha, 0, 1)
 
     def zero(self):
-        """z of each row."""
+        """z of each row: the top of y_alpha and the zero of y_beta."""
         r1, r2 = -self.sigma + self.root / 2, -self.sigma - self.root / 2
         return np.log(r2 / r1) / (r1 - r2)
 
@@ -492,11 +488,11 @@ def design_settling_times(ks) -> np.ndarray:
     ``DESIGN_SETTLING_DT``: the table both design procedures rank k on.
 
     One array pass serves every gain: the slow-pole guard runs on the
-    whole array first; then, for each damping kind in turn, each round and
-    each bisection step evaluates one point per row still open, for all
-    its gains as one array.  Each gain gives the tuple ``settling_times``
-    gives it; the first gain in ``ks`` that is refused or does not settle
-    raises its ``ValueError``.
+    whole array first; then, for each damping kind in turn, each round
+    evaluates the two grid points around a lobe top and each bisection
+    step one grid point, for every row still open as one array.  Each
+    gain gives the tuple ``settling_times`` gives it; the first gain in
+    ``ks`` that is refused or does not settle raises its ``ValueError``.
     """
     return np.maximum(*_settling_table(ks, NOMINAL_OMEGA0))
 
