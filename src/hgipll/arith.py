@@ -16,13 +16,14 @@ which raises ``OverflowError`` or ``ValueError`` for inf and NaN, and is
 then saturated and counted.  The phase word is not saturated: its 52 bits
 end at -2**51 and 2**51 - 1, past which it returns ``round(y) / scale``.
 
-A filter or loop pass is written once, calling its policy's hooks.
-Under ``EXACT`` every hook but ``trig`` returns its argument, so a stage
-built on ``EXACT`` runs ``float64_pass`` of its written ``process``
-instead: the same body with the hooks taken out, derived once per
-process from its source by rewriting the syntax tree.  The same rewrite
-can also take out the stores to output buffers a caller does not read.
-Every other policy, fixed16 among them, runs the written body.
+A filter or loop pass is written once, calling its policy's hooks.  A
+stage on ``EXACT`` or on a ``Fixed16Arithmetic`` runs instead the pass
+``derived_pass`` derives once per process from its written ``process``
+by rewriting the syntax tree: each hook call becomes the policy's form
+of it, written in line (under ``EXACT`` ``signal(x)`` is ``x``; under
+fixed16 the rounding and rail check above).  The same rewrite can also
+take out the stores to output buffers a caller does not read.  Every
+other policy runs the written body.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import ast
 import functools
 import linecache
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,17 +51,19 @@ class SampleError(ArithmeticError):
 
 
 class ExactArithmetic:
-    """No-op policy: exact float64 everywhere, nothing ever saturates."""
+    """No-op policy: exact float64 everywhere, nothing ever saturates;
+    ``EXACT``'s derived pass writes each hook call as its ``_FORMS``."""
 
     saturations = 0
+    _FORMS = {"signal": "x", "accumulator": "x", "phase": "x",
+              "trig": "(_sin(x), _cos(x))"}
+    _cells = {"_sin": math.sin, "_cos": math.cos}
 
     @staticmethod
     def coeff(x):
         return x
 
-    # unary plus returns a float unchanged, and as a C function it costs
-    # less per sample than a Python identity function
-    signal = accumulator = phase = staticmethod(operator.pos)
+    signal = accumulator = phase = staticmethod(lambda x: x)
 
     @staticmethod
     def trig(theta):
@@ -75,7 +77,7 @@ class ExactArithmetic:
 EXACT = ExactArithmetic()
 
 #: The attributes a stage keeps its policy's per-sample hooks under.
-_HOOKS = ("_signal", "_accumulator", "_phase", "_trig")
+_HOOKS = {f"_{h}": h for h in ("signal", "accumulator", "phase", "trig")}
 
 
 def _located(new, old):
@@ -83,14 +85,30 @@ def _located(new, old):
     return ast.fix_missing_locations(ast.copy_location(new, old))
 
 
-class _DropHooks(ast.NodeTransformer):
-    """Takes the policy hooks out of a written pass: an assignment's
-    ``name = self._<hook>`` pairs are dropped, ``name(x)`` becomes ``x``
-    and, for the trig hook, ``(_sin(x), _cos(x))``.  A store
-    ``buf[i] = x`` to a buffer named in ``dropped`` is dropped too."""
+class _Substitute(ast.NodeTransformer):
+    """A hook's form with ``arg`` for its ``x``, and ``call``'s source
+    position on every node of the form's own."""
 
-    def __init__(self, dropped=frozenset()):
-        self.hooks = {}                  # local name -> hook attribute
+    def __init__(self, arg, call):
+        self.arg, self.call = arg, call
+
+    def visit(self, node):
+        if isinstance(node, ast.Name) and node.id == "x":
+            return self.arg
+        return self.generic_visit(ast.copy_location(node, self.call))
+
+
+class _InlineHooks(ast.NodeTransformer):
+    """Writes a policy's hooks into a written pass: an assignment's
+    ``name = self._<hook>`` pairs are dropped, and ``name(arg)`` becomes
+    the hook's form, an expression of ``x`` (with temporaries ``_q``,
+    ``_y``, ...), with ``arg`` for ``x``.  A store ``buf[i] = v`` to a
+    buffer in ``dropped`` is dropped, but for evaluating a ``v`` that is
+    not a name."""
+
+    def __init__(self, forms, dropped=frozenset()):
+        self.forms = forms
+        self.hooks = {}                  # local name -> hook
         self.dropped = dropped
 
     def visit_Assign(self, node):
@@ -98,7 +116,8 @@ class _DropHooks(ast.NodeTransformer):
         if (isinstance(target, ast.Subscript)
                 and isinstance(target.value, ast.Name)
                 and target.value.id in self.dropped):
-            return None
+            return None if isinstance(node.value, ast.Name) else self.visit(
+                _located(ast.Expr(node.value), node))
         if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
             pairs = list(zip(target.elts, node.value.elts))
         else:
@@ -109,7 +128,7 @@ class _DropHooks(ast.NodeTransformer):
                     and isinstance(value, ast.Attribute)
                     and isinstance(value.value, ast.Name)
                     and value.value.id == "self" and value.attr in _HOOKS):
-                self.hooks[name.id] = value.attr
+                self.hooks[name.id] = _HOOKS[value.attr]
             else:
                 keep.append((name, value))
         if len(keep) == len(pairs):
@@ -126,60 +145,79 @@ class _DropHooks(ast.NodeTransformer):
         if not hook:
             return node
         (arg,) = node.args
-        if hook != "_trig":
+        if self.forms[hook] == "x":      # the argument itself
             return arg
-        return _located(
-            ast.Tuple([ast.Call(ast.Name(f, ast.Load()), [arg], [])
-                       for f in ("_sin", "_cos")], ast.Load()), node)
+        form = ast.parse(self.forms[hook], mode="eval").body
+        return _Substitute(arg, node).visit(form)
 
 
 @functools.cache
-def float64_pass(method, dropped=frozenset()):
-    """``method``, a stage's written ``process``, with its policy hooks
-    taken out (see ``_DropHooks``): the pass ``EXACT`` would run, with
-    no call per hook.  Stores to the buffer parameters named in
-    ``dropped`` are taken out as well, so the caller may pass None for
-    those buffers.
+def derived_pass(method, policy_type, cells, dropped=frozenset()):
+    """``bind``, where ``bind(**policy._cells)`` is ``method``, a stage's
+    written ``process``, with each hook call written in line as its
+    ``policy_type._FORMS`` form (see ``_InlineHooks``): the pass that
+    policy runs, with no call per hook.  Stores to the buffer parameters
+    named in ``dropped`` are taken out, so the caller may pass None for
+    those buffers.  None if the source is unavailable.
 
     The source is the ``def`` line and every deeper-indented or blank
     line after it (``inspect.getsource`` tokenizes, which costs
     milliseconds on first use).  It is compiled, at its own file, line
-    numbers and globals, inside ``def _bind(_sin, _cos)``, which binds
-    ``math.sin`` and ``math.cos`` as closure cells.
+    numbers and globals, inside ``def _bind(<cells>)``, which binds the
+    policy's cells as closure cells.
     """
     code = method.__code__
     lines = linecache.getlines(code.co_filename)
     if not lines:                        # installed without its source
-        return method
+        return None
     first = code.co_firstlineno - 1
     indent = lines[first][:len(lines[first]) - len(lines[first].lstrip())]
     end = first + 1
     while end < len(lines) and (not lines[end].strip()
                                 or lines[end].startswith(indent + " ")):
         end += 1
-    source = ("\n" * (first - 1) + "def _bind(_sin, _cos):\n"
+    source = ("\n" * (first - 1) + f"def _bind({', '.join(cells)}):\n"
               + "".join(lines[first:end])
               + f"{indent}return {method.__name__}\n")
-    module = _DropHooks(dropped).visit(ast.parse(source))
+    module = _InlineHooks(policy_type._FORMS, dropped).visit(ast.parse(source))
     namespace = {}
     exec(compile(module, code.co_filename, "exec"), method.__globals__,
          namespace)
-    derived = namespace["_bind"](math.sin, math.cos)
-    derived.__qualname__ = method.__qualname__
-    return derived
+    return namespace["_bind"]
 
 
 def bind_pass(stage, policy, dropped=frozenset()) -> bool:
-    """Give ``stage`` its float64 pass, without the stores to the buffers
-    named in ``dropped``, when ``policy`` is ``EXACT``, and return True;
-    on any other policy it keeps the written ``process``, which writes
-    every buffer, and False is returned."""
-    if policy is not EXACT:
-        return False
-    stage.process = float64_pass(type(stage).process, dropped).__get__(stage)
-    return True
+    """Give ``stage`` its derived pass for ``policy``, without the stores
+    to the buffers named in ``dropped``, and return True.  Under any
+    policy but ``EXACT`` and ``Fixed16Arithmetic``, or without the
+    source, it keeps the written ``process``, which calls the hooks and
+    writes every buffer, and False is returned."""
+    bind = (policy is EXACT or type(policy) is Fixed16Arithmetic) and (
+        derived_pass(type(stage).process, type(policy), tuple(policy._cells),
+                     dropped))
+    if bind:
+        stage.process = bind(**policy._cells).__get__(stage)
+    return bool(bind)
+
 
 _ROUNDER = 1.5 * 2.0 ** 52   # (y + _ROUNDER) - _ROUNDER rounds y, see above
+
+#: The hooks, ``(lambda x: form, ...)`` compiled from their forms
+_lambdas = functools.cache(lambda forms: compile(
+    "(" + "".join(f"lambda x: {f}, " for f in forms) + ")", "<forms>", "eval"))
+
+#: Quantizer h as one expression of x, on the cells ``_{h}_scale``, the
+#: scaled rails ``_{h}_lo`` and ``_{h}_hi``, and ``_{h}_slow`` (``_word``).
+_QUANTIZE = ("(_q / _{h}_scale if _{h}_lo <= "
+             "(_q := ((_y := x * _{h}_scale) + {r}) - {r}) <= _{h}_hi "
+             "else _{h}_slow(_y))")
+
+#: The LUT trig as one expression of theta x (``_lut``); the second
+#: ``% _lut_n`` wraps a position that rounds up to n (theta just below 0).
+_TRIG = ("(((_lut_sin[(_i := (_j := int(_p := (x * _lut_per_rad) % _lut_n))"
+         " % _lut_n)] + (_f := _p - _j) * _lut_dsin[_i] + {r}) - {r})"
+         " / _signal_scale,"
+         " ((_lut_cos[_i] + _f * _lut_dcos[_i] + {r}) - {r}) / _signal_scale)")
 
 
 class Fixed16Arithmetic:
@@ -193,13 +231,17 @@ class Fixed16Arithmetic:
     per-coefficient binary scale, as a DSP implementation would store
     them.  Saturations are counted.
 
-    ``signal``, ``accumulator``, ``phase`` and ``trig`` are closures
-    built once per policy by ``_quantizer`` and ``_lut_trig``.
+    ``signal``, ``accumulator``, ``phase`` and ``trig`` are each one
+    expression on the policy's ``_cells``, its ``_FORMS``: a derived pass
+    writes it in line, and the hook is the same expression compiled.
     """
 
     PHASE_FRACTION_BITS = 28
     ACCUMULATOR_BITS = 32
     LUT_SIZE = 1024
+    _FORMS = {**{h: _QUANTIZE.format(h=h, r=_ROUNDER)
+                 for h in ("signal", "accumulator", "phase")},
+              "trig": _TRIG.format(r=_ROUNDER)}
 
     def __init__(self, fraction_bits: int = 14):
         self.fraction_bits = fraction_bits
@@ -207,33 +249,33 @@ class Fixed16Arithmetic:
         self._sig_scale = float(1 << fraction_bits)
         self._sig_max = (2 ** 15 - 1) / self._sig_scale
         self._sig_min = -(2 ** 15) / self._sig_scale
-        self.signal = self._quantizer(self._sig_scale, 16)
-        self.accumulator = self._quantizer(
-            float(1 << (self.ACCUMULATOR_BITS - 2)), self.ACCUMULATOR_BITS)
-        # the phase word never saturates; its 52 bits end where the
-        # rounding stops being exact
-        self.phase = self._quantizer(
-            float(1 << self.PHASE_FRACTION_BITS), 52, saturate=False)
-        self.trig = self._lut_trig()
+        self._cells = {
+            **self._word("signal", self._sig_scale, 16),
+            **self._word("accumulator", float(1 << (self.ACCUMULATOR_BITS - 2)),
+                         self.ACCUMULATOR_BITS),
+            # the phase word never saturates; its 52 bits end where the
+            # rounding stops being exact
+            **self._word("phase", float(1 << self.PHASE_FRACTION_BITS), 52,
+                         saturate=False),
+            **self._lut()}
+        self.signal, self.accumulator, self.phase, self.trig = eval(
+            _lambdas(tuple(self._FORMS.values())), dict(self._cells))
 
-    def _quantizer(self, scale: float, bits: int, saturate: bool = True):
-        """x rounded onto a ``bits``-bit word at ``scale`` (see the module
-        docstring); past the rails it saturates and counts, or with
-        ``saturate=False`` returns ``round(x * scale) / scale``."""
+    def _word(self, hook: str, scale: float, bits: int, saturate: bool = True):
+        """The cells of quantizer ``hook`` (see the module docstring): its
+        ``bits``-bit word at ``scale``, and the slow path past the rails,
+        which saturates and counts unless ``saturate`` is False."""
         lo, hi = -float(2 ** (bits - 1)), float(2 ** (bits - 1) - 1)
 
-        def quantize(x: float) -> float:
-            y = x * scale
-            q = (y + _ROUNDER) - _ROUNDER
-            if lo <= q <= hi:
-                return q / scale
+        def slow(y: float) -> float:
             r = round(y)
             if not saturate:
                 return r / scale
             self.saturations += 1
             return (hi if r > hi else lo) / scale
 
-        return quantize
+        return {f"_{hook}_scale": scale, f"_{hook}_lo": lo,
+                f"_{hook}_hi": hi, f"_{hook}_slow": slow}
 
     def quantize_input(self, v: np.ndarray) -> np.ndarray:
         """The signal quantizer over a whole input array, as the ADC
@@ -258,11 +300,11 @@ class Fixed16Arithmetic:
         # past 2**1024 (within half an LSB of the float64 top) it is inf
         return math.ldexp(q, e - 15) if e <= 1024 else math.copysign(math.inf, x)
 
-    def _lut_trig(self):
-        """Table lookup with linear interpolation, as DSP firmware does;
-        a raw 1024-entry staircase would put ~0.3 Hz of phase-detector
-        noise on the frequency estimate.  The slope to the next entry is
-        tabulated with each entry.
+    def _lut(self):
+        """The cells of the trig: table lookup with linear interpolation,
+        as DSP firmware does; a raw 1024-entry staircase would put ~0.3 Hz
+        of phase-detector noise on the frequency estimate.  The slope to
+        the next entry is tabulated with each entry.
 
         An interpolated value lies between two in-rail signal words, so
         it is rounded onto the signal word without ``signal``'s rail
@@ -277,20 +319,10 @@ class Fixed16Arithmetic:
         sin = self.quantize_input(np.sin(idx)) * scale
         cos = self.quantize_input(np.cos(idx)) * scale
         # lists, so that a lookup yields a Python float, not a numpy scalar
-        d_sin = (np.roll(sin, -1) - sin).tolist()
-        d_cos = (np.roll(cos, -1) - cos).tolist()
-        sin, cos = sin.tolist(), cos.tolist()
-        per_rad = n / TWO_PI
-
-        def trig(theta: float) -> tuple[float, float]:
-            pos = (theta * per_rad) % n
-            i = int(pos)
-            frac = pos - i
-            i %= n  # pos rounds up to n for a theta just below 0
-            return (((sin[i] + frac * d_sin[i] + _ROUNDER) - _ROUNDER) / scale,
-                    ((cos[i] + frac * d_cos[i] + _ROUNDER) - _ROUNDER) / scale)
-
-        return trig
+        return {"_lut_sin": sin.tolist(), "_lut_cos": cos.tolist(),
+                "_lut_dsin": (np.roll(sin, -1) - sin).tolist(),
+                "_lut_dcos": (np.roll(cos, -1) - cos).tolist(),
+                "_lut_n": n, "_lut_per_rad": n / TWO_PI}
 
 
 @dataclass(frozen=True)

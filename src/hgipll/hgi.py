@@ -116,11 +116,11 @@ class QuadratureFilter:
     """Forward-Euler discrete realization shared by the filter pairs.
 
     State x1 is the band-pass output v_alpha, x2 the second integrator
-    state.  ``arith`` is an arithmetic policy (see ``hgipll.arith``);
-    by default the filter runs in exact float64, through the hook-free
-    form of ``process`` (``arith.float64_pass``).  Subclasses define only
-    ``process``, the pass over a whole input sequence; ``step`` is its
-    one-sample call.
+    state.  ``arith`` is an arithmetic policy (see ``hgipll.arith``),
+    exact float64 by default; float64 and fixed16 run the pass derived
+    from ``process`` with the hooks in line (``arith.derived_pass``).
+    Subclasses define only ``process``, the pass over a whole input
+    sequence; ``step`` is its one-sample call.
     """
 
     def __init__(self, params: HgiParams, sample_period: float, arith=None):

@@ -147,10 +147,9 @@ def run_designs(spec: GridSignalSpec, designs, duration: float,
     not in ``channels`` None.
 
     ``omega_e`` is always recorded: it is what the divergence check
-    reads.  Under the exact float64 policy the loop pass is the derived
-    one without the stores to the loop channels not requested
-    (``arith.float64_pass``); any other policy runs the written pass,
-    and its traces record every channel.
+    reads.  The loop pass, float64 or fixed16, is the derived one without
+    the stores to the channels not requested (``arith.derived_pass``);
+    where none is derived the written pass records every channel.
 
     The filter takes nothing back from the loop, so designs with equal
     HGI parameters and sample period share one synthesized, quantized
@@ -201,7 +200,7 @@ def _filter_pass(spec, hgi, ts, duration, mode, filt_cls):
 def _loop_pass(design, mode, unrequested, v_g, v_alpha, v_beta, error,
                saturations):
     """One design's loop over the samples its filter pass got through,
-    leaving out the ``unrequested`` channels where its pass can."""
+    leaving out the ``unrequested`` channels where a pass is derived."""
     ts = design.pi.sample_period
     n = len(v_g)
     arith = mode.policy()

@@ -79,8 +79,9 @@ class SrfPll:
     is its one-sample call.
 
     ``arith`` is an arithmetic policy (see ``hgipll.arith``), exact
-    float64 by default, run through the hook-free form of ``process``
-    (``arith.float64_pass``); its ``trig`` maps theta to (sin, cos).
+    float64 by default; float64 and fixed16 run the pass derived from
+    ``process`` with the hooks in line (``arith.derived_pass``).  Its
+    ``trig`` maps theta to (sin, cos).
     """
 
     def __init__(self, pi: PiParams, omega0: float = NOMINAL_OMEGA0,
@@ -89,10 +90,8 @@ class SrfPll:
         self.omega0 = omega0
         q = arith if arith is not None else EXACT
         bind_pass(self, q)
-        self._trig = q.trig
-        self._signal = q.signal
-        self._accumulator = q.accumulator
-        self._phase = q.phase
+        self._trig, self._signal = q.trig, q.signal
+        self._accumulator, self._phase = q.accumulator, q.phase
         ts = pi.sample_period
         self._kp_pu = q.coeff(pi.kp / omega0)
         self._ki_pu = q.coeff(pi.ki * ts / omega0)

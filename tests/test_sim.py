@@ -1,4 +1,5 @@
 import dataclasses
+import linecache
 import math
 import struct
 import warnings
@@ -28,7 +29,7 @@ from hgipll import (
     spectral_line,
     transient_metrics,
 )
-from hgipll import build_design, sim, synthesize
+from hgipll import arith, build_design, sim, synthesize
 from hgipll.arith import EXACT, ExactArithmetic, SampleError, bind_pass
 from hgipll.signal_model import EVENT_KINDS
 from hgipll.sim import TRACE_CHANNELS, SimTrace, SimulationError, run_designs
@@ -238,9 +239,8 @@ def test_run_designs_equals_run_per_design(data):
     traces = list(run_designs(spec, designs, duration, mode, topology,
                               channels))
     assert len(traces) == len(designs)
-    # only the derived float64 pass leaves channels out; omega_e is kept
-    recorded = ({*channels, "omega_e"} if mode.mode == "float64"
-                else set(TRACE_CHANNELS))
+    # both modes' derived passes leave channels out; omega_e is kept
+    recorded = {*channels, "omega_e"}
     for design, got in zip(designs, traces):
         want = run(spec, design, duration, mode, topology)
         for c in TRACE_CHANNELS:
@@ -318,34 +318,119 @@ _BUFFERS = {"hgi": ("v_alpha", "v_beta"), "basic_sogi": ("v_alpha", "v_beta"),
             "srf": ("v_d", "v_q", "deviation", "theta", "sin", "cos")}
 
 
-@settings(max_examples=60)
-@given(kind=st.sampled_from(["hgi", "basic_sogi", "srf"]), data=st.data())
-def test_float64_pass_equals_the_written_pass(hc_like, kind, data):
-    # EXACT binds the derived pass, here without the stores to a drawn
-    # set of buffers, which it is given as None; another ExactArithmetic
-    # runs the written one, with its hooks, and writes every buffer
-    values = st.one_of(st.floats(-2.5, 2.5), _SPECIAL)
+def _derived_and_written(kind, hc_like, data, derived, written, rails=()):
+    """A drawn pass through the stage's derived pass on policy ``derived``,
+    without the stores to a drawn set of buffers, which it is given as
+    None, and through the written ``process`` on policy ``written``,
+    which writes every buffer: for each, the ``SampleError`` index, the
+    bits of the buffers both write, the final state and the saturations.
+    The inputs are drawn with ``rails`` among them."""
+    values = st.one_of(st.floats(-2.5, 2.5), _SPECIAL,
+                       *[st.sampled_from(rails)] * bool(rails))
     n = data.draw(st.integers(0, 60))
     ins = [data.draw(st.lists(values, min_size=n, max_size=n))
            for _ in range(2 if kind == "srf" else 1)]
     dropped = frozenset(data.draw(st.lists(st.sampled_from(_BUFFERS[kind]),
                                            unique=True)))
     results = []
-    for arith in (EXACT, ExactArithmetic()):
+    for arith in (derived, written):
         stage, _ = _stage(kind, hc_like, _Fixed(arith))
-        trimmed = bind_pass(stage, arith, dropped)
-        assert trimmed == (arith is EXACT)
-        outs = {b: None if trimmed and b in dropped else [0.0] * n
+        if arith is derived:
+            assert bind_pass(stage, arith, dropped)
+        process = stage.process if arith is derived else (
+            type(stage).process.__get__(stage))
+        outs = {b: None if arith is derived and b in dropped else [0.0] * n
                 for b in _BUFFERS[kind]}
         try:
-            stage.process(*ins, *outs.values())
+            process(*ins, *outs.values())
             index = None
         except SampleError as exc:
             index = exc.index
         kept = [outs[b] for b in _BUFFERS[kind] if b not in dropped]
         results.append((index, _bits_any_nan(sum(kept, [])),
-                        _bits_any_nan(_stage_state(stage))))
-    assert results[0] == results[1]
+                        _bits_any_nan(_stage_state(stage)), arith.saturations))
+    return results
+
+
+@settings(max_examples=60)
+@given(kind=st.sampled_from(["hgi", "basic_sogi", "srf"]), data=st.data())
+def test_float64_pass_equals_the_written_pass(hc_like, kind, data):
+    # EXACT binds the derived pass; another ExactArithmetic keeps the
+    # written one, with its hooks
+    written = ExactArithmetic()
+    assert not bind_pass(_stage(kind, hc_like, _Fixed(written))[0], written)
+    derived, written = _derived_and_written(kind, hc_like, data, EXACT,
+                                            written)
+    assert derived == written
+
+
+@settings(max_examples=60)
+@given(kind=st.sampled_from(["hgi", "basic_sogi", "srf"]),
+       fraction_bits=st.integers(8, 15), data=st.data())
+def test_fixed16_pass_equals_the_written_pass(hc_like, kind, fraction_bits,
+                                              data):
+    # the derived pass has the quantizers and the LUT trig in line; the
+    # written one calls the hooks of a policy of the same format.  The
+    # loop quantizes its first sample's inputs as they are: at a rail,
+    # the rail check must pass them
+    lsb = 2.0 ** -fraction_bits
+    derived, written = _derived_and_written(
+        kind, hc_like, data, Fixed16Arithmetic(fraction_bits),
+        Fixed16Arithmetic(fraction_bits),
+        [(2 ** 15 - 1) * lsb, -(2 ** 15) * lsb])
+    assert derived == written
+
+
+@pytest.mark.parametrize("mode", [FLOAT64, FIXED16])
+def test_run_designs_without_source_records_every_channel(hc_like, mode,
+                                                          monkeypatch):
+    # installed as bytecode only, no pass is derived: the written pass
+    # runs, and it writes every channel
+    want = run(GridSignalSpec(), hc_like, 0.01, mode)
+    monkeypatch.setattr(linecache, "getlines", lambda *args: [])
+    arith.derived_pass.cache_clear()
+    try:
+        (got,) = run_designs(GridSignalSpec(), [hc_like], 0.01, mode,
+                             channels=("sin_theta",))
+    finally:
+        arith.derived_pass.cache_clear()
+    for c in TRACE_CHANNELS:
+        assert _same_bits(got.channel(c), want.channel(c)), c
+    assert got.saturations == want.saturations
+
+
+def test_fixed16_run_makes_no_call_through_its_hooks(hc_like, monkeypatch):
+    calls = []
+
+    def counted(name, hook):
+        return lambda x: calls.append(name) or hook(x)
+
+    def policy(mode):
+        policy = Fixed16Arithmetic(mode.fraction_bits)
+        for name in ("signal", "accumulator", "phase", "trig"):
+            setattr(policy, name, counted(name, getattr(policy, name)))
+        for cell, slow in policy._cells.items():
+            if cell.endswith("_slow"):
+                policy._cells[cell] = counted(cell, slow)
+        return policy
+
+    monkeypatch.setattr(ArithmeticMode, "policy", policy)
+    # an in-rail scenario: no value takes a slow path
+    spec = GridSignalSpec(harmonics=tuple(harmonic_profile(0.05)),
+                          dc_offset=0.1)
+    for topology in ("hgi", "basic_sogi"):
+        got = run(spec, hc_like, 0.02, FIXED16, topology)
+        assert calls == []
+        assert got.saturations == 0
+        want = oracle.run(spec, hc_like, 0.02, FIXED16, topology)
+        for c in TRACE_CHANNELS:
+            assert _same_bits(got.channel(c), want.channel(c)), c
+    # the written passes go through the counted hooks
+    filt = HgiFilter(hc_like.hgi, TS, arith=FIXED16.policy())
+    HgiFilter.process(filt, [0.5], [0.0], [0.0])
+    pll = SrfPll(hc_like.pi, arith=FIXED16.policy())
+    SrfPll.process(pll, [0.5], [-0.5], *[[0.0]] * 6)
+    assert sorted(set(calls)) == ["accumulator", "phase", "signal", "trig"]
 
 
 def _bits_any_nan(values):
