@@ -50,24 +50,25 @@ class SampleError(ArithmeticError):
         self.index = index
 
 
+#: The hooks, ``(lambda x: form, ...)`` compiled from their forms
+_lambdas = functools.cache(lambda forms: compile(
+    "(" + "".join(f"lambda x: {f}, " for f in forms) + ")", "<forms>", "eval"))
+
+
 class ExactArithmetic:
     """No-op policy: exact float64 everywhere, nothing ever saturates;
-    ``EXACT``'s derived pass writes each hook call as its ``_FORMS``."""
+    its hooks are its ``_FORMS``, compiled."""
 
     saturations = 0
     _FORMS = {"signal": "x", "accumulator": "x", "phase": "x",
               "trig": "(_sin(x), _cos(x))"}
     _cells = {"_sin": math.sin, "_cos": math.cos}
+    signal, accumulator, phase, trig = map(staticmethod, eval(
+        _lambdas(tuple(_FORMS.values())), dict(_cells)))
 
     @staticmethod
     def coeff(x):
         return x
-
-    signal = accumulator = phase = staticmethod(lambda x: x)
-
-    @staticmethod
-    def trig(theta):
-        return math.sin(theta), math.cos(theta)
 
     @staticmethod
     def quantize_input(v: np.ndarray) -> np.ndarray:
@@ -110,6 +111,9 @@ class _InlineHooks(ast.NodeTransformer):
         self.forms = forms
         self.hooks = {}                  # local name -> hook
         self.dropped = dropped
+
+    def visit_Name(self, node):          # a leaf: nothing to rewrite
+        return node
 
     def visit_Assign(self, node):
         (target,) = node.targets
@@ -154,17 +158,15 @@ class _InlineHooks(ast.NodeTransformer):
 @functools.cache
 def derived_pass(method, policy_type, cells, dropped=frozenset()):
     """``bind``, where ``bind(**policy._cells)`` is ``method``, a stage's
-    written ``process``, with each hook call written in line as its
-    ``policy_type._FORMS`` form (see ``_InlineHooks``): the pass that
-    policy runs, with no call per hook.  Stores to the buffer parameters
-    named in ``dropped`` are taken out, so the caller may pass None for
-    those buffers.  None if the source is unavailable.
+    written ``process``, with each hook call in line as its ``_FORMS``
+    form (see ``_InlineHooks``): the pass that policy runs, with no call
+    per hook.  Stores to the buffers named in ``dropped`` are taken out,
+    so the caller may pass None for them.  None without the source.
 
     The source is the ``def`` line and every deeper-indented or blank
-    line after it (``inspect.getsource`` tokenizes, which costs
-    milliseconds on first use).  It is compiled, at its own file, line
-    numbers and globals, inside ``def _bind(<cells>)``, which binds the
-    policy's cells as closure cells.
+    line after it (``inspect.getsource`` tokenizes, which costs ms on
+    first use), compiled at its own file, line numbers and globals in
+    ``def _bind(<cells>)``, which binds the policy's cells as closures.
     """
     code = method.__code__
     lines = linecache.getlines(code.co_filename)
@@ -201,10 +203,6 @@ def bind_pass(stage, policy, dropped=frozenset()) -> bool:
 
 
 _ROUNDER = 1.5 * 2.0 ** 52   # (y + _ROUNDER) - _ROUNDER rounds y, see above
-
-#: The hooks, ``(lambda x: form, ...)`` compiled from their forms
-_lambdas = functools.cache(lambda forms: compile(
-    "(" + "".join(f"lambda x: {f}, " for f in forms) + ")", "<forms>", "eval"))
 
 #: Quantizer h as one expression of x, on the cells ``_{h}_scale``, the
 #: scaled rails ``_{h}_lo`` and ``_{h}_hi``, and ``_{h}_slow`` (``_word``).

@@ -90,8 +90,10 @@ class SrfPll:
         self.omega0 = omega0
         q = arith if arith is not None else EXACT
         bind_pass(self, q)
-        self._trig, self._signal = q.trig, q.signal
-        self._accumulator, self._phase = q.accumulator, q.phase
+        self._trig = q.trig
+        self._signal = q.signal
+        self._accumulator = q.accumulator
+        self._phase = q.phase
         ts = pi.sample_period
         self._kp_pu = q.coeff(pi.kp / omega0)
         self._ki_pu = q.coeff(pi.ki * ts / omega0)

@@ -325,21 +325,20 @@ def _derived_and_written(kind, hc_like, data, derived, written, rails=()):
     which writes every buffer: for each, the ``SampleError`` index, the
     bits of the buffers both write, the final state and the saturations.
     The inputs are drawn with ``rails`` among them."""
-    values = st.one_of(st.floats(-2.5, 2.5), _SPECIAL,
-                       *[st.sampled_from(rails)] * bool(rails))
+    values = st.one_of(st.floats(-2.5, 2.5), _SPECIAL, *map(st.just, rails))
     n = data.draw(st.integers(0, 60))
     ins = [data.draw(st.lists(values, min_size=n, max_size=n))
            for _ in range(2 if kind == "srf" else 1)]
     dropped = frozenset(data.draw(st.lists(st.sampled_from(_BUFFERS[kind]),
                                            unique=True)))
     results = []
-    for arith in (derived, written):
-        stage, _ = _stage(kind, hc_like, _Fixed(arith))
-        if arith is derived:
-            assert bind_pass(stage, arith, dropped)
-        process = stage.process if arith is derived else (
+    for policy in (derived, written):
+        stage, _ = _stage(kind, hc_like, _Fixed(policy))
+        if policy is derived:
+            assert bind_pass(stage, policy, dropped)
+        process = stage.process if policy is derived else (
             type(stage).process.__get__(stage))
-        outs = {b: None if arith is derived and b in dropped else [0.0] * n
+        outs = {b: None if policy is derived and b in dropped else [0.0] * n
                 for b in _BUFFERS[kind]}
         try:
             process(*ins, *outs.values())
@@ -348,7 +347,8 @@ def _derived_and_written(kind, hc_like, data, derived, written, rails=()):
             index = exc.index
         kept = [outs[b] for b in _BUFFERS[kind] if b not in dropped]
         results.append((index, _bits_any_nan(sum(kept, [])),
-                        _bits_any_nan(_stage_state(stage)), arith.saturations))
+                        _bits_any_nan(_stage_state(stage)),
+                        policy.saturations))
     return results
 
 
@@ -405,7 +405,7 @@ def test_fixed16_run_makes_no_call_through_its_hooks(hc_like, monkeypatch):
     def counted(name, hook):
         return lambda x: calls.append(name) or hook(x)
 
-    def policy(mode):
+    def counted_policy(mode):
         policy = Fixed16Arithmetic(mode.fraction_bits)
         for name in ("signal", "accumulator", "phase", "trig"):
             setattr(policy, name, counted(name, getattr(policy, name)))
@@ -414,7 +414,7 @@ def test_fixed16_run_makes_no_call_through_its_hooks(hc_like, monkeypatch):
                 policy._cells[cell] = counted(cell, slow)
         return policy
 
-    monkeypatch.setattr(ArithmeticMode, "policy", policy)
+    monkeypatch.setattr(ArithmeticMode, "policy", counted_policy)
     # an in-rail scenario: no value takes a slow path
     spec = GridSignalSpec(harmonics=tuple(harmonic_profile(0.05)),
                           dc_offset=0.1)
