@@ -16,14 +16,14 @@ which raises ``OverflowError`` or ``ValueError`` for inf and NaN, and is
 then saturated and counted.  The phase word is not saturated: its 52 bits
 end at -2**51 and 2**51 - 1, past which it returns ``round(y) / scale``.
 
-A filter or loop pass is written once, calling its policy's hooks.  A
-stage on ``EXACT`` or on a ``Fixed16Arithmetic`` runs instead the pass
-``derived_pass`` derives once per process from its written ``process``
-by rewriting the syntax tree: each hook call becomes the policy's form
-of it, written in line (under ``EXACT`` ``signal(x)`` is ``x``; under
-fixed16 the rounding and rail check above).  The same rewrite can also
-take out the stores to output buffers a caller does not read.  Every
-other policy runs the written body.
+A filter or loop pass is written once, as a stage's ``process``, calling
+each hook through a local of the hook's name.  ``derived_pass`` derives,
+once per process, the pass a policy runs instead by rewriting the syntax
+tree: each call of a hook's name becomes the policy's form of it, in line
+(under ``EXACT`` ``signal(x)`` is ``x``; under fixed16 the rounding and
+rail check above).  The same rewrite can also take out the stores to
+output buffers a caller does not read.  The simulator binds these passes
+(``bind_pass``); a stage built directly runs its written ``process``.
 """
 
 from __future__ import annotations
@@ -77,10 +77,6 @@ class ExactArithmetic:
 
 EXACT = ExactArithmetic()
 
-#: The attributes a stage keeps its policy's per-sample hooks under.
-_HOOKS = {f"_{h}": h for h in ("signal", "accumulator", "phase", "trig")}
-
-
 def _located(new, old):
     """``new``, with ``old``'s source position on every node it adds."""
     return ast.fix_missing_locations(ast.copy_location(new, old))
@@ -100,16 +96,15 @@ class _Substitute(ast.NodeTransformer):
 
 
 class _InlineHooks(ast.NodeTransformer):
-    """Writes a policy's hooks into a written pass: an assignment's
-    ``name = self._<hook>`` pairs are dropped, and ``name(arg)`` becomes
-    the hook's form, an expression of ``x`` (with temporaries ``_q``,
-    ``_y``, ...), with ``arg`` for ``x``.  A store ``buf[i] = v`` to a
-    buffer in ``dropped`` is dropped, but for evaluating a ``v`` that is
-    not a name."""
+    """Writes a policy's hooks into a written pass: a call ``name(arg)``
+    of a bare name that is a hook's, a key of ``forms``, becomes the
+    hook's form, an expression of ``x`` (with temporaries ``_q``, ``_y``,
+    ...), with ``arg`` for ``x``.  A store ``buf[i] = v`` to a buffer in
+    ``dropped`` is dropped, but for evaluating a ``v`` that is not a
+    name."""
 
     def __init__(self, forms, dropped=frozenset()):
         self.forms = forms
-        self.hooks = {}                  # local name -> hook
         self.dropped = dropped
 
     def visit_Name(self, node):          # a leaf: nothing to rewrite
@@ -122,46 +117,28 @@ class _InlineHooks(ast.NodeTransformer):
                 and target.value.id in self.dropped):
             return None if isinstance(node.value, ast.Name) else self.visit(
                 _located(ast.Expr(node.value), node))
-        if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
-            pairs = list(zip(target.elts, node.value.elts))
-        else:
-            pairs = [(target, node.value)]
-        keep = []
-        for name, value in pairs:
-            if (isinstance(name, ast.Name)
-                    and isinstance(value, ast.Attribute)
-                    and isinstance(value.value, ast.Name)
-                    and value.value.id == "self" and value.attr in _HOOKS):
-                self.hooks[name.id] = _HOOKS[value.attr]
-            else:
-                keep.append((name, value))
-        if len(keep) == len(pairs):
-            return self.generic_visit(node)
-        if not keep:
-            return None
-        names, values = zip(*keep)
-        return _located(ast.Assign([ast.Tuple(list(names), ast.Store())],
-                                   ast.Tuple(list(values), ast.Load())), node)
+        return self.generic_visit(node)
 
     def visit_Call(self, node):
         self.generic_visit(node)
-        hook = isinstance(node.func, ast.Name) and self.hooks.get(node.func.id)
-        if not hook:
+        if not (isinstance(node.func, ast.Name)
+                and node.func.id in self.forms):
             return node
         (arg,) = node.args
-        if self.forms[hook] == "x":      # the argument itself
+        form = self.forms[node.func.id]
+        if form == "x":                  # the argument itself
             return arg
-        form = ast.parse(self.forms[hook], mode="eval").body
-        return _Substitute(arg, node).visit(form)
+        return _Substitute(arg, node).visit(ast.parse(form, mode="eval").body)
 
 
 @functools.cache
 def derived_pass(method, policy_type, cells, dropped=frozenset()):
     """``bind``, where ``bind(**policy._cells)`` is ``method``, a stage's
-    written ``process``, with each hook call in line as its ``_FORMS``
-    form (see ``_InlineHooks``): the pass that policy runs, with no call
-    per hook.  Stores to the buffers named in ``dropped`` are taken out,
-    so the caller may pass None for them.  None without the source.
+    written ``process``, with each call of a hook's name in line as its
+    ``_FORMS`` form (see ``_InlineHooks``): the pass that policy runs,
+    with no call per hook.  Stores to the buffers named in ``dropped``
+    are taken out, so the caller may pass None for them.  None without
+    the source.
 
     The source is the ``def`` line and every deeper-indented or blank
     line after it (``inspect.getsource`` tokenizes, which costs ms on

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import EXACT, SampleError, bind_pass
+from .arith import EXACT, SampleError
 from .signal_model import NOMINAL_OMEGA0
 
 #: Per-sample arithmetic budget of the forward-Euler HGI update.
@@ -117,8 +117,8 @@ class QuadratureFilter:
 
     State x1 is the band-pass output v_alpha, x2 the second integrator
     state.  ``arith`` is an arithmetic policy (see ``hgipll.arith``),
-    exact float64 by default; float64 and fixed16 run the pass derived
-    from ``process`` with the hooks in line (``arith.derived_pass``).
+    exact float64 by default; the filter runs ``process`` as written, and
+    ``sim`` binds the pass derived from it (``arith.bind_pass``).
     Subclasses define only ``process``, the pass over a whole input
     sequence; ``step`` is its one-sample call.
     """
@@ -126,7 +126,6 @@ class QuadratureFilter:
     def __init__(self, params: HgiParams, sample_period: float, arith=None):
         check_euler(params, sample_period)
         q = arith if arith is not None else EXACT
-        bind_pass(self, q)
         self._signal = q.signal
         self._k = q.coeff(params.k)
         self._c1 = q.coeff(params.k * params.omega0 * sample_period)
@@ -154,15 +153,15 @@ class HgiFilter(QuadratureFilter):
         to ``v_alpha[i]`` and ``v_beta[i]``.  A sample whose arithmetic
         raises raises ``SampleError``; the state then stays as it was
         before the pass."""
-        q, k, c1, c2 = self._signal, self._k, self._c1, self._c2
+        signal, k, c1, c2 = self._signal, self._k, self._c1, self._c2
         x1, x2 = self._x1, self._x2
         try:
             for i, v in enumerate(v_g):
                 u = v - x1                 # alpha-path input summer
                 r = v - x1                 # beta-path input summer
-                v_beta[i] = q(x2 - k * r)
+                v_beta[i] = signal(x2 - k * r)
                 v_alpha[i] = x1
-                x1, x2 = q(x1 + c1 * u - c2 * x2), q(x2 + c2 * x1)
+                x1, x2 = signal(x1 + c1 * u - c2 * x2), signal(x2 + c2 * x1)
         except (ValueError, OverflowError) as exc:
             raise SampleError(i) from exc
         self._x1, self._x2 = x1, x2
@@ -178,14 +177,14 @@ class BasicSogiFilter(QuadratureFilter):
 
     def process(self, v_g, v_alpha, v_beta):
         """As ``HgiFilter.process``, with v_beta the state x2."""
-        q, c1, c2 = self._signal, self._c1, self._c2
+        signal, c1, c2 = self._signal, self._c1, self._c2
         x1, x2 = self._x1, self._x2
         try:
             for i, v in enumerate(v_g):
                 u = v - x1
                 v_alpha[i] = x1
                 v_beta[i] = x2
-                x1, x2 = q(x1 + c1 * u - c2 * x2), q(x2 + c2 * x1)
+                x1, x2 = signal(x1 + c1 * u - c2 * x2), signal(x2 + c2 * x1)
         except (ValueError, OverflowError) as exc:
             raise SampleError(i) from exc
         self._x1, self._x2 = x1, x2

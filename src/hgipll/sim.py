@@ -147,8 +147,8 @@ def run_designs(spec: GridSignalSpec, designs, duration: float,
     not in ``channels`` None.
 
     ``omega_e`` is always recorded: it is what the divergence check
-    reads.  The loop pass, float64 or fixed16, is the derived one without
-    the stores to the channels not requested (``arith.derived_pass``);
+    reads.  Float64 and fixed16 bind the derived passes, the loop's
+    without the stores to the channels not requested (``arith.bind_pass``);
     where none is derived the written pass records every channel.
 
     The filter takes nothing back from the loop, so designs with equal
@@ -186,6 +186,7 @@ def _filter_pass(spec, hgi, ts, duration, mode, filt_cls):
     arith = mode.policy()
     v_g = arith.quantize_input(v_g)
     filt = filt_cls(hgi, ts, arith=arith)
+    bind_pass(filt, arith)
     v_alpha, v_beta = np.empty(len(v_g)), np.empty(len(v_g))
     # memoryviews yield and take Python floats, which keep numpy-scalar
     # overhead out of every filter and loop operation

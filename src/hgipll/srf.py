@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import EXACT, SampleError, bind_pass
+from .arith import EXACT, SampleError
 from .signal_model import NOMINAL_OMEGA0, TWO_PI
 
 #: Per-sample arithmetic budget of the loop update, trig lookups excluded.
@@ -79,9 +79,9 @@ class SrfPll:
     is its one-sample call.
 
     ``arith`` is an arithmetic policy (see ``hgipll.arith``), exact
-    float64 by default; float64 and fixed16 run the pass derived from
-    ``process`` with the hooks in line (``arith.derived_pass``).  Its
-    ``trig`` maps theta to (sin, cos).
+    float64 by default; the loop runs ``process`` as written, and ``sim``
+    binds the pass derived from it (``arith.bind_pass``).  Its ``trig``
+    maps theta to (sin, cos).
     """
 
     def __init__(self, pi: PiParams, omega0: float = NOMINAL_OMEGA0,
@@ -89,7 +89,6 @@ class SrfPll:
         self.pi = pi
         self.omega0 = omega0
         q = arith if arith is not None else EXACT
-        bind_pass(self, q)
         self._trig = q.trig
         self._signal = q.signal
         self._accumulator = q.accumulator

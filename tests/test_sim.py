@@ -31,6 +31,7 @@ from hgipll import (
 )
 from hgipll import arith, build_design, sim, synthesize
 from hgipll.arith import EXACT, ExactArithmetic, SampleError, bind_pass
+from hgipll.design import steady_spec
 from hgipll.signal_model import EVENT_KINDS
 from hgipll.sim import TRACE_CHANNELS, SimTrace, SimulationError, run_designs
 
@@ -304,10 +305,29 @@ def test_float64_run_makes_no_call_through_exact_hooks(hc_like, monkeypatch):
         assert sorted(set(calls)) == ["accumulator", "phase", "signal",
                                       "trig"]
         calls.clear()
-    # so do the written passes, on any exact policy but EXACT
-    HgiFilter(hc_like.hgi, TS, arith=ExactArithmetic()).step(0.5)
-    SrfPll(hc_like.pi, arith=ExactArithmetic()).step(0.5, -0.5)
-    assert sorted(set(calls)) == ["accumulator", "phase", "signal", "trig"]
+    # so do the written passes, on any exact policy: a stage built
+    # directly, on EXACT too, runs its written process
+    for policy in (ExactArithmetic(), EXACT):
+        HgiFilter(hc_like.hgi, TS, arith=policy).step(0.5)
+        SrfPll(hc_like.pi, arith=policy).step(0.5, -0.5)
+        assert sorted(set(calls)) == ["accumulator", "phase", "signal",
+                                      "trig"]
+        calls.clear()
+    for policy in (EXACT, FIXED16.policy()):
+        for stage in (HgiFilter(hc_like.hgi, TS, arith=policy),
+                      BasicSogiFilter(hc_like.hgi, TS, arith=policy),
+                      SrfPll(hc_like.pi, arith=policy)):
+            assert stage.process.__func__ is type(stage).process
+
+
+def test_run_designs_derives_each_pass_it_runs_once(mtsd_like, hc_like):
+    # the two designs share one filter pass; the loop pass is derived
+    # once, without the stores to the channels not requested, and only
+    # the simulator binds a derived pass
+    arith.derived_pass.cache_clear()
+    list(run_designs(steady_spec(46.0, 0.05), [mtsd_like, hc_like], 0.05,
+                     channels=("sin_theta",)))
+    assert arith.derived_pass.cache_info().misses == 2
 
 
 _SPECIAL = st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -0.0])
