@@ -87,7 +87,7 @@ def _constraints(args) -> DesignConstraints:
 def _load_design_file(path) -> PllDesign:
     try:
         return load_design(path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise CliError(f"invalid design file {path}: {exc}", EXIT_SCHEMA)
 
 

@@ -197,12 +197,20 @@ def spec_to_dict(spec: GridSignalSpec) -> dict:
     }
 
 
+def _order(value) -> int:
+    """``value`` as a harmonic order; a fraction is refused, not cut."""
+    order = int(value)
+    if order != float(value):
+        raise ScenarioError(f"harmonic order must be an integer, got {value}")
+    return order
+
+
 def spec_from_dict(data: dict) -> GridSignalSpec:
     try:
         fund = data["fundamental"]
         harmonics = tuple(
             HarmonicComponent(
-                int(h["order"]), float(h["amplitude"]), float(h.get("phase_rad", 0.0))
+                _order(h["order"]), float(h["amplitude"]), float(h.get("phase_rad", 0.0))
             )
             for h in data.get("harmonics", [])
         )
@@ -218,7 +226,10 @@ def spec_from_dict(data: dict) -> GridSignalSpec:
             dc_offset=float(data.get("dc_offset", 0.0)),
             events=events,
         )
-    except (KeyError, TypeError) as exc:
+    except ScenarioError:
+        raise                            # its message as it stands
+    except (KeyError, TypeError, AttributeError, ValueError,
+            OverflowError) as exc:
         raise ScenarioError(f"invalid scenario file: {exc}") from exc
 
 

@@ -223,7 +223,11 @@ def input_files(tmp_path_factory):
     forward-Euler guard), a scenario with a NaN fundamental frequency, one at 1e308 Hz
     (2*pi*f overflows) and one at a subnormal 1e-320 Hz, two with a NaN
     event value, one with an infinite event time and two with a frequency
-    step to 0 Hz and below."""
+    step to 0 Hz and below.  Malformed ones: a design file holding a
+    list, one with a null ``kp`` and one with a 401-digit integer ``kp``;
+    a scenario whose fundamental is a list, one with a string frequency
+    and three with a harmonic order that is a string fraction, 1e400
+    (inf) and the fraction 3.7."""
     tmp = tmp_path_factory.mktemp("inputs")
     files = {name: tmp / f"{name}.json"
              for name in ("design", "nan_design", "k1e305_design",
@@ -232,7 +236,10 @@ def input_files(tmp_path_factory):
                           "huge_frequency_scenario", "tiny_frequency_scenario",
                           "nan_phase_jump",
                           "nan_frequency_step", "inf_event_time",
-                          "zero_frequency_step", "negative_frequency_step")}
+                          "zero_frequency_step", "negative_frequency_step",
+                          "list_design", "null_kp_design", "big_kp_design",
+                          "list_fundamental", "string_frequency",
+                          "string_order", "inf_order", "fraction_order")}
     design = build_design(1.56, 55.0, "inline")
     save_design(design, files["design"])
     files["nan_design"].write_text(
@@ -259,6 +266,22 @@ def input_files(tmp_path_factory):
         scenario["events"] = [{"time_s": 0.5, "kind": "frequency_step",
                                "value": f}]
         files[f"{name}_frequency_step"].write_text(json.dumps(scenario))
+    files["list_design"].write_text("[]")
+    files["null_kp_design"].write_text(
+        json.dumps({**design.to_dict(), "kp": None}))
+    files["big_kp_design"].write_text(
+        json.dumps({**design.to_dict(), "kp": 0}).replace(
+            '"kp": 0', '"kp": 1' + "0" * 400))
+    scenario = json.loads((SCENARIOS / "clean_50hz.json").read_text())
+    files["list_fundamental"].write_text(
+        json.dumps({**scenario, "fundamental": []}))
+    files["string_frequency"].write_text(json.dumps(
+        {**scenario, "fundamental": {"frequency_hz": "abc"}}))
+    for name, order in (("string", '"3.7"'), ("inf", "1e400"),
+                        ("fraction", "3.7")):
+        files[f"{name}_order"].write_text(json.dumps(
+            {**scenario, "harmonics": [{"order": 0, "amplitude": 0.01}]}
+        ).replace('"order": 0', f'"order": {order}'))
     return files
 
 
@@ -403,6 +426,54 @@ def input_files(tmp_path_factory):
       "46"],
      "invalid design file {ts2ms_design}: sample rate too low for Euler "
      "stability"),
+    # a malformed file is refused, not a traceback; a ScenarioError's
+    # own message is not wrapped
+    (["analyze", "--scenario", "{list_fundamental}", "--k", "1.56",
+      "--f-bw", "29.5"],
+     "invalid scenario {list_fundamental}: invalid scenario file: 'list' "
+     "object has no attribute 'get'"),
+    (["analyze", "--scenario", "{string_frequency}", "--k", "1.56",
+      "--f-bw", "29.5"],
+     "invalid scenario {string_frequency}: invalid scenario file: could "
+     "not convert string to float: 'abc'"),
+    (["analyze", "--scenario", "{string_order}", "--k", "1.56", "--f-bw",
+      "29.5"],
+     "invalid scenario {string_order}: invalid scenario file: invalid "
+     "literal for int() with base 10: '3.7'"),
+    (["analyze", "--scenario", "{inf_order}", "--k", "1.56", "--f-bw",
+      "29.5"],
+     "invalid scenario {inf_order}: invalid scenario file: cannot convert "
+     "float infinity to integer"),
+    # a fractional order is refused, not cut to order 3
+    (["analyze", "--scenario", "{fraction_order}", "--k", "1.56", "--f-bw",
+      "29.5"],
+     "invalid scenario {fraction_order}: harmonic order must be an "
+     "integer, got 3.7"),
+    (["simulate", "--scenario", "{fraction_order}", "--k", "1.56",
+      "--f-bw", "29.5"],
+     "invalid scenario {fraction_order}: harmonic order must be an "
+     "integer, got 3.7"),
+    (["analyze", "--scenario", CLEAN, "--design", "{list_design}"],
+     "invalid design file {list_design}: list indices must be integers or "
+     "slices, not str"),
+    (["simulate", "--scenario", CLEAN, "--design", "{list_design}"],
+     "invalid design file {list_design}: list indices must be integers or "
+     "slices, not str"),
+    (["simulate", "--scenario", CLEAN, "--design", "{null_kp_design}"],
+     "invalid design file {null_kp_design}: float() argument must be a "
+     "string or a real number, not 'NoneType'"),
+    (["analyze", "--scenario", CLEAN, "--design", "{null_kp_design}"],
+     "invalid design file {null_kp_design}: float() argument must be a "
+     "string or a real number, not 'NoneType'"),
+    (["sweep", "--design", "{null_kp_design}"],
+     "invalid design file {null_kp_design}: float() argument must be a "
+     "string or a real number, not 'NoneType'"),
+    (["compare", "--designs", "{design}", "{null_kp_design}"],
+     "invalid design file {null_kp_design}: float() argument must be a "
+     "string or a real number, not 'NoneType'"),
+    (["simulate", "--scenario", CLEAN, "--design", "{big_kp_design}"],
+     "invalid design file {big_kp_design}: int too large to convert to "
+     "float"),
 ], ids=["simulate-unsettled-k", "simulate-k-subnormal", "simulate-k-1e150",
         "design-unsettled-k", "design-mtsd-input-thd",
         "simulate-no-sample", "simulate-k-nan", "simulate-k-inf",
@@ -423,7 +494,14 @@ def input_files(tmp_path_factory):
         "design-f-bw-range-1e308", "simulate-duration-past-array-index",
         "simulate-duration-inf-samples", "simulate-scenario-frequency-1e308",
         "simulate-scenario-frequency-subnormal", "compare-frequencies-1e308",
-        "simulate-design-euler-unstable", "compare-design-euler-unstable"])
+        "simulate-design-euler-unstable", "compare-design-euler-unstable",
+        "analyze-scenario-fundamental-list",
+        "analyze-scenario-frequency-string", "analyze-scenario-order-string",
+        "analyze-scenario-order-inf", "analyze-scenario-order-fraction",
+        "simulate-scenario-order-fraction", "analyze-design-list",
+        "simulate-design-list", "simulate-design-kp-null",
+        "analyze-design-kp-null", "sweep-design-kp-null",
+        "compare-design-kp-null", "simulate-design-kp-int-too-large"])
 def test_rejected_input_exit_code(tmp_path, capsys, input_files, argv,
                                   message):
     out = tmp_path / "out"
