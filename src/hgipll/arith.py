@@ -77,6 +77,7 @@ class ExactArithmetic:
 
 EXACT = ExactArithmetic()
 
+
 def _located(new, old):
     """``new``, with ``old``'s source position on every node it adds."""
     return ast.fix_missing_locations(ast.copy_location(new, old))
@@ -97,11 +98,11 @@ class _Substitute(ast.NodeTransformer):
 
 class _InlineHooks(ast.NodeTransformer):
     """Writes a policy's hooks into a written pass: a call ``name(arg)``
-    of a bare name that is a hook's, a key of ``forms``, becomes the
-    hook's form, an expression of ``x`` (with temporaries ``_q``, ``_y``,
-    ...), with ``arg`` for ``x``.  A store ``buf[i] = v`` to a buffer in
-    ``dropped`` is dropped, but for evaluating a ``v`` that is not a
-    name."""
+    of a bare ``name`` that is a key of ``forms``, a hook's name, becomes
+    the hook's form, an expression of ``x`` (with temporaries ``_q``,
+    ``_y``, ...), with ``arg`` for ``x``.  A store ``buf[i] = v`` to a
+    buffer in ``dropped`` is dropped, but for evaluating a ``v`` that is
+    not a name."""
 
     def __init__(self, forms, dropped=frozenset()):
         self.forms = forms
