@@ -209,9 +209,8 @@ def spec_from_dict(data: dict) -> GridSignalSpec:
     try:
         fund = data["fundamental"]
         harmonics = tuple(
-            HarmonicComponent(
-                _order(h["order"]), float(h["amplitude"]), float(h.get("phase_rad", 0.0))
-            )
+            HarmonicComponent(_order(h["order"]), float(h["amplitude"]),
+                              float(h.get("phase_rad", 0.0)))
             for h in data.get("harmonics", [])
         )
         events = tuple(
