@@ -166,18 +166,16 @@ def derived_pass(method, policy_type, cells, dropped=frozenset()):
     return namespace["_bind"]
 
 
-def bind_pass(stage, policy, dropped=frozenset()) -> bool:
+def bind_pass(stage, policy, dropped=frozenset()) -> None:
     """Give ``stage`` its derived pass for ``policy``, without the stores
-    to the buffers named in ``dropped``, and return True.  Under any
-    policy but ``EXACT`` and ``Fixed16Arithmetic``, or without the
-    source, it keeps the written ``process``, which calls the hooks and
-    writes every buffer, and False is returned."""
+    to the buffers named in ``dropped``.  Under any policy but ``EXACT``
+    and ``Fixed16Arithmetic``, or without the source, it keeps the
+    written ``process``, which calls the hooks and writes every buffer."""
     bind = (policy is EXACT or type(policy) is Fixed16Arithmetic) and (
         derived_pass(type(stage).process, type(policy), tuple(policy._cells),
                      dropped))
     if bind:
         stage.process = bind(**policy._cells).__get__(stage)
-    return bool(bind)
 
 
 _ROUNDER = 1.5 * 2.0 ** 52   # (y + _ROUNDER) - _ROUNDER rounds y, see above

@@ -32,7 +32,6 @@ from .design import (
     save_design,
     steady_spec,
     steady_thd,
-    write_thd_grid_csv,
 )
 from .signal_model import GridSignalSpec, ScenarioError, load_scenario
 from .sim import (
@@ -111,6 +110,14 @@ def _load_scenario_arg(path) -> GridSignalSpec:
         raise CliError(f"invalid scenario {path}: {exc}", EXIT_SCHEMA)
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` as a csv table, rows ending ``\\r\\n``."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def cmd_design(args) -> int:
     constraints = _constraints(args)
     try:
@@ -125,7 +132,9 @@ def cmd_design(args) -> int:
         raise CliError(f"invalid constraints: {exc}", EXIT_SCHEMA)
     out = _out_dir(args)
     save_design(design, out / "design.json")
-    report.write_sweep_csv(out / "sweep.csv")
+    _write_csv(out / "sweep.csv", ["f_bw_hz", "k", "t_sd_ms", "feasible"],
+               [(f"{f_bw:g}", f"{k:g}", f"{t_sd * 1e3:.4f}", int(ok))
+                for f_bw, k, t_sd, ok in report.swept])
     print(f"method={design.method} k={design.k:.2f} f_bw={design.f_bw:g} Hz "
           f"t_sd={design.t_sd * 1e3:.2f} ms")
     # the margin is to the largest THD the rounded limit check accepts
@@ -177,11 +186,9 @@ def cmd_analyze(args) -> int:
     rows = harmonic_breakdown(spec.without_events(), design.hgi, design.pi)
     thd = total_unit_vector_thd(spec.without_events(), design.hgi, design.pi)
     out = _out_dir(args)
-    with open(out / "breakdown.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["order", "amplitude_pu", "phase_rad"])
-        for order, amp, phase in rows:
-            w.writerow([order, f"{amp:.6e}", f"{phase:.6f}"])
+    _write_csv(out / "breakdown.csv", ["order", "amplitude_pu", "phase_rad"],
+               [(order, f"{amp:.6e}", f"{phase:.6f}")
+                for order, amp, phase in rows])
     print(f"{'order':>5} {'amplitude':>12} {'phase_rad':>10}")
     for order, amp, phase in rows:
         print(f"{order:>5} {amp:>12.3e} {phase:>10.4f}")
@@ -198,11 +205,10 @@ def cmd_sweep(args) -> int:
         raise CliError("empty sweep", EXIT_SCHEMA)
     grid = steady_thd(design.k, design.pi.kp, design.pi.ki,
                       np.array(freqs)[:, None], np.array(thds) / 100.0)
-    rows = [(f, h, float(grid[i, j]))
-            for i, f in enumerate(freqs) for j, h in enumerate(thds)]
-    out = _out_dir(args)
-    path = out / "thd_grid.csv"
-    write_thd_grid_csv(path, rows)
+    path = _out_dir(args) / "thd_grid.csv"
+    _write_csv(path, ["frequency_hz", "input_thd_pct", "unit_vector_thd_pct"],
+               [(f"{f:g}", f"{h:g}", f"{grid[i, j]:.4f}")
+                for i, f in enumerate(freqs) for j, h in enumerate(thds)])
     print(f"wrote {path} ({len(freqs) * len(thds)} grid points)")
     return EXIT_OK
 
@@ -246,12 +252,10 @@ def cmd_compare(args) -> int:
             for d, column_a, column_s in zip(designs, analytical, simulated)
             for f, a, s in zip(freqs, column_a, column_s)]
     path = _out_dir(args) / "compare.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["design", "frequency_hz", "analytical_thd_pct",
-                    "simulated_thd_pct"])
-        for label, f, a, s in rows:
-            w.writerow([label, f"{f:g}", f"{a:.4f}", f"{s:.4f}"])
+    _write_csv(path, ["design", "frequency_hz", "analytical_thd_pct",
+                      "simulated_thd_pct"],
+               [(label, f"{f:g}", f"{a:.4f}", f"{s:.4f}")
+                for label, f, a, s in rows])
     print(f"{'design':>10} {'f_hz':>6} {'analytical':>11} {'simulated':>10}")
     for label, f, a, s in rows:
         print(f"{label:>10} {f:>6g} {a:>11.2f} {s:>10.2f}")

@@ -23,7 +23,6 @@ pick, not the cube.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -171,22 +170,6 @@ class DesignReport:
     # (percent) and the frequency where it occurs
     worst_thd: float = math.nan
     binding_hz: float = math.nan
-
-    def write_sweep_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["f_bw_hz", "k", "t_sd_ms", "feasible"])
-            for f_bw, k, t_sd, ok in self.swept:
-                w.writerow([f"{f_bw:g}", f"{k:g}", f"{t_sd * 1e3:.4f}", int(ok)])
-
-
-def write_thd_grid_csv(path, rows) -> None:
-    """Write (frequency Hz, input THD %, unit-vector THD %) rows."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["frequency_hz", "input_thd_pct", "unit_vector_thd_pct"])
-        for f, h_pct, u in rows:
-            w.writerow([f"{f:g}", f"{h_pct:g}", f"{u:.4f}"])
 
 
 def steady_spec(frequency_hz: float, input_thd: float) -> GridSignalSpec:

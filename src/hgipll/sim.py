@@ -149,7 +149,7 @@ def run_designs(spec: GridSignalSpec, designs, duration: float,
     ``omega_e`` is always recorded: it is what the divergence check
     reads.  Float64 and fixed16 bind the derived passes, the loop's
     without the stores to the channels not requested (``arith.bind_pass``);
-    where none is derived the written pass records every channel.
+    where none is derived the written pass fills them all the same.
 
     The filter takes nothing back from the loop, so designs with equal
     HGI parameters and sample period share one synthesized, quantized
@@ -201,22 +201,19 @@ def _filter_pass(spec, hgi, ts, duration, mode, filt_cls):
 def _loop_pass(design, mode, unrequested, v_g, v_alpha, v_beta, error,
                saturations):
     """One design's loop over the samples its filter pass got through,
-    leaving out the ``unrequested`` channels where a pass is derived."""
+    with the ``unrequested`` channels None."""
     ts = design.pi.sample_period
     n = len(v_g)
     arith = mode.policy()
     pll = SrfPll(design.pi, design.hgi.omega0, arith=arith)
-    if not bind_pass(pll, arith, frozenset(
-            _LOOP_BUFFERS[c] for c in unrequested if c in _LOOP_BUFFERS)):
-        unrequested = ()                 # the written pass writes them all
-    out = {c: None if c in unrequested else np.empty(n)
-           for c in _LOOP_BUFFERS}
+    bind_pass(pll, arith, frozenset(
+        _LOOP_BUFFERS[c] for c in unrequested if c in _LOOP_BUFFERS))
+    out = {c: np.empty(n) for c in _LOOP_BUFFERS}
     # omega_e holds the pu deviation until the loop ends
     m = n if error is None else error.index
     try:
         pll.process(memoryview(v_alpha)[:m], memoryview(v_beta)[:m],
-                    *(b if b is None else memoryview(b)
-                      for b in out.values()))
+                    *map(memoryview, out.values()))
     except SampleError as exc:
         error = exc                      # at a sample before the filter's
     if error is not None:
@@ -252,21 +249,10 @@ def _on_tail(measure, tail, fundamental_hz, ts):
                       f"of {fundamental_hz:g} Hz")
 
 
-def tail_thd(trace: SimTrace, fundamental_hz: float,
-             steady: slice | None = None) -> tuple[float | None, str | None]:
-    """Unit-vector THD (percent) of ``sin_theta`` over the steady tail
-    (by default everything past ``STARTUP_EXCLUDE_S``) and None; or None
-    and why, where the tail holds fewer than five whole cycles or no
-    fundamental."""
-    if steady is None:
-        steady = trace.steady_slice()
-    return _on_tail(measured_thd, trace.sin_theta[steady], fundamental_hz,
-                    trace.sample_period)
-
-
 def tail_thds(tails, fundamental_hz: float, sample_period: float
               ) -> list[tuple[float | None, str | None]]:
-    """``tail_thd``'s (THD, None) or (None, why) for each of ``tails``,
+    """The unit-vector THD (percent) and None, or None and why (fewer
+    than five whole cycles, no fundamental), for each of ``tails``,
     equal-length steady tails of ``sin_theta`` at one sample period, from
     one stacked ``measured_thd`` fit: each THD is bit for bit the one the
     tail's own fit gives.  Where the stacked fit raises, each tail is
@@ -290,7 +276,7 @@ def transient_metrics(
     Settling is the last excursion of f_e outside +/-freq_band (Hz)
     around its final value, measured from ``event_time``.  When the
     fundamental frequency is given, the steady tail also yields the
-    unit-vector THD (``tail_thd``) and the fundamental-frequency ripple
+    unit-vector THD (``tail_thds``) and the fundamental-frequency ripple
     of f_e (the spectral line a dc disturbance puts on the frequency
     estimate); without it the ripple falls back to the total peak
     deviation.  Where no THD is measured (no fundamental given, fewer
@@ -329,7 +315,8 @@ def transient_metrics(
             raise AnalyticsError("trace shorter than one cycle")
         ripple, ripple_reason = _on_tail(spectral_line, f_steady,
                                          fundamental_hz, ts)
-        thd, reason = tail_thd(trace, fundamental_hz, steady)
+        [(thd, reason)] = tail_thds([trace.sin_theta[steady]],
+                                    fundamental_hz, ts)
     return TransientMetrics(
         settle_time=settle,
         settled=settled,

@@ -15,7 +15,7 @@ from hgipll import build_design, load_design, measured_thd, run, save_design
 from hgipll import cli as cli_mod, sim
 from hgipll.design import steady_spec
 from hgipll.cli import main
-from hgipll.sim import SimulationError, tail_thd, tail_thds
+from hgipll.sim import SimulationError, tail_thds, transient_metrics
 from hgipll.srf import SAMPLE_PERIOD
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -594,6 +594,35 @@ def test_compare_table(design_dir, tmp_path):
     assert abs(float(analytical) - float(simulated)) < 0.3
 
 
+def test_table_bytes(design_dir, tmp_path):
+    # every table the CLI writes, byte for byte, csv's \r\n included:
+    # the values and formats the commands wrote before they shared one
+    # writer
+    common = ["--k", "1.56", "--f-bw", "29.5"]
+    assert main(["sweep", *common, "--frequencies", "46", "50",
+                 "--input-thds", "0", "5", "--out", str(tmp_path)]) == 0
+    assert main(["analyze", *common, "--scenario",
+                 str(SCENARIOS / "freq_46hz_thd_5pct.json"),
+                 "--out", str(tmp_path)]) == 0
+    assert main(["compare", "--designs", str(design_dir / "design.json"),
+                 "--frequencies", "46", "54", "--duration", "0.5",
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "thd_grid.csv").read_bytes() == (
+        b"frequency_hz,input_thd_pct,unit_vector_thd_pct\r\n"
+        b"46,0,0.6095\r\n46,5,1.0467\r\n50,0,0.0000\r\n50,5,0.5742\r\n")
+    assert (tmp_path / "breakdown.csv").read_bytes() == (
+        b"order,amplitude_pu,phase_rad\r\n"
+        b"1,6.107324e-03,0.278663\r\n3,1.044486e-02,0.784923\r\n"
+        b"5,5.421350e-04,-0.696520\r\n7,1.168399e-04,-0.851815\r\n"
+        b"9,2.692912e-04,-2.925009\r\n11,2.834486e-04,-3.014063\r\n")
+    assert (tmp_path / "compare.csv").read_bytes() == (
+        b"design,frequency_hz,analytical_thd_pct,simulated_thd_pct\r\n"
+        b"mtsd,46,1.7770,1.6423\r\nmtsd,54,0.8897,0.8109\r\n")
+    assert (design_dir / "sweep.csv").read_bytes().startswith(
+        b"f_bw_hz,k,t_sd_ms,feasible\r\n20,1.56,47.8050,1\r\n"
+        b"20.5,1.56,47.0286,1\r\n21,1.56,46.2892,1\r\n")
+
+
 def test_compare_without_a_simulated_thd_exit_code(design_dir, tmp_path,
                                                    capsys):
     # 0.3 s leaves 0.1 s past the start-up exclusion, under five cycles
@@ -679,9 +708,9 @@ def test_compare_simulated_values_equal_direct_runs(tmp_path_factory, designs,
                                                     freqs, input_thd,
                                                     duration):
     # compare's simulated THD of every (frequency, design), taken where it
-    # leaves the stacked fit, against tail_thd of a direct run, bit for
-    # bit; where a run fails, compare reports the first failure in
-    # (frequency, design) order
+    # leaves the stacked fit, against simulate's steady THD of a direct
+    # run, bit for bit; where a run fails, compare reports the first
+    # failure in (frequency, design) order
     tmp = tmp_path_factory.mktemp("compare")
     paths = []
     for i, (k, f_bw, ts) in enumerate(designs):
@@ -711,8 +740,10 @@ def test_compare_simulated_values_equal_direct_runs(tmp_path_factory, designs,
     for f in freqs:
         for i, d in enumerate(loaded):
             try:
-                thd, reason = tail_thd(run(steady_spec(f, input_thd), d,
-                                           duration), f)
+                metrics = transient_metrics(
+                    run(steady_spec(f, input_thd), d, duration),
+                    fundamental_hz=f)
+                thd, reason = metrics.steady_thd, metrics.steady_thd_reason
                 if thd is None and failure is None:
                     failure = (3, f"analysis failed: {reason}")
             except SimulationError as exc:

@@ -134,15 +134,6 @@ def test_design_json_round_trip_property(tmp_path_factory, k, f_bw,
     assert path.read_bytes() == saved
 
 
-def test_report_csv_outputs(tmp_path):
-    design, report = mtsd_design(DesignConstraints())
-    sweep = tmp_path / "sweep.csv"
-    report.write_sweep_csv(sweep)
-    lines = sweep.read_text().splitlines()
-    assert lines[0] == "f_bw_hz,k,t_sd_ms,feasible"
-    assert len(lines) > 10
-
-
 def test_determinism():
     d1, _ = mtsd_design(DesignConstraints())
     d2, _ = mtsd_design(DesignConstraints())
