@@ -110,6 +110,14 @@ def _load_scenario_arg(path) -> GridSignalSpec:
         raise CliError(f"invalid scenario {path}: {exc}", EXIT_SCHEMA)
 
 
+def _finite(thd):
+    """``thd``, an analytical THD (percent) or a grid of them; refused
+    where any of it overflows."""
+    if not np.isfinite(thd).all():
+        raise AnalyticsError("the predicted unit-vector THD overflows")
+    return thd
+
+
 def _write_csv(path, header, rows) -> None:
     """Write ``header`` and ``rows`` as a csv table, rows ending ``\\r\\n``."""
     with open(path, "w", newline="") as fh:
@@ -184,7 +192,8 @@ def cmd_analyze(args) -> int:
     spec = _load_scenario_arg(args.scenario)
     design = _load_design_arg(args)
     rows = harmonic_breakdown(spec.without_events(), design.hgi, design.pi)
-    thd = total_unit_vector_thd(spec.without_events(), design.hgi, design.pi)
+    thd = _finite(total_unit_vector_thd(spec.without_events(), design.hgi,
+                                        design.pi))
     out = _out_dir(args)
     _write_csv(out / "breakdown.csv", ["order", "amplitude_pu", "phase_rad"],
                [(order, f"{amp:.6e}", f"{phase:.6f}")
@@ -203,8 +212,9 @@ def cmd_sweep(args) -> int:
     thds = args.input_thds
     if not freqs or not thds:
         raise CliError("empty sweep", EXIT_SCHEMA)
-    grid = steady_thd(design.k, design.pi.kp, design.pi.ki,
-                      np.array(freqs)[:, None], np.array(thds) / 100.0)
+    grid = _finite(steady_thd(design.k, design.pi.kp, design.pi.ki,
+                              np.array(freqs)[:, None],
+                              np.array(thds) / 100.0))
     path = _out_dir(args) / "thd_grid.csv"
     _write_csv(path, ["frequency_hz", "input_thd_pct", "unit_vector_thd_pct"],
                [(f"{f:g}", f"{h:g}", f"{grid[i, j]:.4f}")
@@ -220,8 +230,8 @@ def cmd_compare(args) -> int:
         raise CliError("empty sweep", EXIT_SCHEMA)
     # every analytical column first: a frequency or input THD the
     # analysis refuses is refused before anything is simulated
-    analytical = [steady_thd(d.k, d.pi.kp, d.pi.ki, freqs, args.input_thd)
-                  for d in designs]
+    analytical = [_finite(steady_thd(d.k, d.pi.kp, d.pi.ki, freqs,
+                                     args.input_thd)) for d in designs]
     # one frequency at a time, every design on one scenario, so designs
     # that share the HGI gain and sample period share its filter pass;
     # only sin_theta is read, and the steady tails of the designs that

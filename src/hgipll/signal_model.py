@@ -41,6 +41,10 @@ class HarmonicComponent:
     phase: float = 0.0
 
     def __post_init__(self):
+        # a fraction, NaN or inf leaves a remainder (NaN for the last two)
+        if self.order % 1 != 0:
+            raise ScenarioError(
+                f"harmonic order must be an integer, got {self.order}")
         if self.order < 2:
             raise ScenarioError(f"harmonic order must be >= 2, got {self.order}")
         # written so that NaN fails them too
@@ -197,12 +201,11 @@ def spec_to_dict(spec: GridSignalSpec) -> dict:
     }
 
 
-def _order(value) -> int:
-    """``value`` as a harmonic order; a fraction is refused, not cut."""
+def _order(value):
+    """``value`` as a harmonic order: an int where it is whole, else the
+    float, which ``HarmonicComponent`` refuses rather than cut."""
     order = int(value)
-    if order != float(value):
-        raise ScenarioError(f"harmonic order must be an integer, got {value}")
-    return order
+    return order if order == float(value) else float(value)
 
 
 def spec_from_dict(data: dict) -> GridSignalSpec:

@@ -164,7 +164,8 @@ def _grouped_terms(k, kp, ki, omega, harmonics, amplitude, phase, omega0):
         pos, neg = _sequences(v_h * gah * rot, v_h * gbh * rot)
         for z, sequence in ((pos, "positive"), (neg, "negative")):
             n, orders = _beat(order, sequence)
-            present = np.abs(z) >= 1e-15
+            # a component that overflowed to NaN is present, not dropped
+            present = ~(np.abs(z) < 1e-15)
             if np.any(present & (v1p == 0)):
                 raise AnalyticsError("no fundamental reference")
             terms.append(((n, v1p_name), orders, np.where(present, z, 0j),
@@ -185,24 +186,23 @@ def _order_sums(k, kp, ki, omega, harmonics, amplitude, phase,
     share F_n, so their components are summed first, on a grid without
     the PI gains' axes, and meet F_n in one product over the whole grid.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms, factors = _grouped_terms(k, kp, ki, omega, harmonics,
-                                        amplitude, phase, omega0)
-        groups: dict = {}
-        for loop, orders, z, present in terms:
-            c, mask = groups.get((loop, orders), (0j, False))
-            groups[loop, orders] = c + z, mask | present
-        sums: dict[int, np.ndarray] = {}
-        reached: set[int] = set()
-        for (loop, orders), (c, mask) in groups.items():
-            r = c * factors[loop]
-            if not mask.all():
-                # where no term arises F_n may be inf or nan; r is 0 there
-                r = np.where(mask, r, 0j)
-            if mask.any():
-                reached.update(orders)
-            for o in orders:
-                sums[o] = sums[o] + r if o in sums else r
+    terms, factors = _grouped_terms(k, kp, ki, omega, harmonics,
+                                    amplitude, phase, omega0)
+    groups: dict = {}
+    for loop, orders, z, present in terms:
+        c, mask = groups.get((loop, orders), (0j, False))
+        groups[loop, orders] = c + z, mask | present
+    sums: dict[int, np.ndarray] = {}
+    reached: set[int] = set()
+    for (loop, orders), (c, mask) in groups.items():
+        r = c * factors[loop]
+        if not mask.all():
+            # where no term arises F_n may be inf or nan; r is 0 there
+            r = np.where(mask, r, 0j)
+        if mask.any():
+            reached.update(orders)
+        for o in orders:
+            sums[o] = sums[o] + r if o in sums else r
     return sums, reached
 
 
@@ -223,9 +223,12 @@ def _evaluate(k, kp, ki, omega, harmonics, amplitude, phase, omega0
     if one_point:
         shape = np.broadcast_shapes(*map(np.shape, args))
         k = np.repeat(np.reshape(k, -1), 2)
-    sums, reached = _order_sums(k, kp, ki, omega, harmonics, amplitude,
-                                phase, omega0)
-    power = sum(np.abs(z) ** 2 for o, z in sums.items() if o >= 2)
+    # where no term arises F_n may be inf or nan; a THD past the float
+    # range is inf, which no design meets and the CLI refuses
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sums, reached = _order_sums(k, kp, ki, omega, harmonics, amplitude,
+                                    phase, omega0)
+        power = sum(np.abs(z) ** 2 for o, z in sums.items() if o >= 2)
     thd = 100.0 * np.sqrt(power)
     if one_point:
         sums = {o: z[..., :1].reshape(shape) for o, z in sums.items()}

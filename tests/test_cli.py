@@ -78,7 +78,9 @@ def test_design_infeasible_exit_code(tmp_path, capsys):
     for args in (["--method", "mtsd", "--uthd-limit", "0.001",
                   "--f-bw-range", "50", "55"],
                  ["--method", "hc-mtsd", "--input-thd", "0.05",
-                  "--uthd-limit", "0.001"]):
+                  "--uthd-limit", "0.001"],
+                 # a THD that overflows meets no limit, and warns of nothing
+                 ["--method", "hc-mtsd", "--input-thd", "1e200"]):
         code = main(["design", *args, "--out", str(tmp_path)])
         assert code == 2
         assert "infeasible" in capsys.readouterr().err
@@ -227,7 +229,8 @@ def input_files(tmp_path_factory):
     list, one with a null ``kp`` and one with a 401-digit integer ``kp``;
     a scenario whose fundamental is a list, one with a string frequency
     and three with a harmonic order that is a string fraction, 1e400
-    (inf) and the fraction 3.7."""
+    (inf) and the fraction 3.7.  Two scenarios whose harmonic amplitudes
+    are 1e200 and 1.7e308: the predicted THD overflows."""
     tmp = tmp_path_factory.mktemp("inputs")
     files = {name: tmp / f"{name}.json"
              for name in ("design", "nan_design", "k1e305_design",
@@ -239,7 +242,8 @@ def input_files(tmp_path_factory):
                           "zero_frequency_step", "negative_frequency_step",
                           "list_design", "null_kp_design", "big_kp_design",
                           "list_fundamental", "string_frequency",
-                          "string_order", "inf_order", "fraction_order")}
+                          "string_order", "inf_order", "fraction_order",
+                          "big_harmonics", "huge_harmonics")}
     design = build_design(1.56, 55.0, "inline")
     save_design(design, files["design"])
     files["nan_design"].write_text(
@@ -282,6 +286,11 @@ def input_files(tmp_path_factory):
         files[f"{name}_order"].write_text(json.dumps(
             {**scenario, "harmonics": [{"order": 0, "amplitude": 0.01}]}
         ).replace('"order": 0', f'"order": {order}'))
+    scenario = json.loads((SCENARIOS / "freq_46hz_thd_5pct.json").read_text())
+    for name, amplitude in (("big", 1e200), ("huge", 1.7e308)):
+        for h in scenario["harmonics"]:
+            h["amplitude"] = amplitude
+        files[f"{name}_harmonics"].write_text(json.dumps(scenario))
     return files
 
 
@@ -474,6 +483,20 @@ def input_files(tmp_path_factory):
     (["simulate", "--scenario", CLEAN, "--design", "{big_kp_design}"],
      "invalid design file {big_kp_design}: int too large to convert to "
      "float"),
+    # an analytical THD that overflows is refused, compare's before it
+    # simulates; at 1.7e308 the harmonic terms themselves overflow
+    (["sweep", "--k", "1.56", "--f-bw", "29.5", "--frequencies", "46", "50",
+      "--input-thds", "1e308"],
+     "analysis failed: the predicted unit-vector THD overflows"),
+    (["compare", "--designs", "{design}", "--frequencies", "46",
+      "--input-thd", "1e200"],
+     "analysis failed: the predicted unit-vector THD overflows"),
+    (["analyze", "--scenario", "{big_harmonics}", "--k", "1.56",
+      "--f-bw", "29.5"],
+     "analysis failed: the predicted unit-vector THD overflows"),
+    (["analyze", "--scenario", "{huge_harmonics}", "--k", "1.56",
+      "--f-bw", "29.5"],
+     "analysis failed: the predicted unit-vector THD overflows"),
 ], ids=["simulate-unsettled-k", "simulate-k-subnormal", "simulate-k-1e150",
         "design-unsettled-k", "design-mtsd-input-thd",
         "simulate-no-sample", "simulate-k-nan", "simulate-k-inf",
@@ -501,7 +524,9 @@ def input_files(tmp_path_factory):
         "simulate-scenario-order-fraction", "analyze-design-list",
         "simulate-design-list", "simulate-design-kp-null",
         "analyze-design-kp-null", "sweep-design-kp-null",
-        "compare-design-kp-null", "simulate-design-kp-int-too-large"])
+        "compare-design-kp-null", "simulate-design-kp-int-too-large",
+        "sweep-thd-overflow", "compare-thd-overflow",
+        "analyze-thd-overflow", "analyze-harmonic-terms-overflow"])
 def test_rejected_input_exit_code(tmp_path, capsys, input_files, argv,
                                   message):
     out = tmp_path / "out"

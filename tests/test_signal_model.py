@@ -141,6 +141,15 @@ def test_invalid_harmonic_rejected():
             HarmonicComponent(3, amplitude, phase)
 
 
+@pytest.mark.parametrize("order", [3.7, 2.5, math.nan, math.inf, -math.inf])
+def test_non_integer_harmonic_order_rejected(order):
+    # from Python as from a scenario file: a fraction is refused, not
+    # synthesized at a fractional multiple of theta, and so are NaN and inf
+    with pytest.raises(ScenarioError, match="harmonic order must be an "
+                                            "integer"):
+        HarmonicComponent(order, 0.05)
+
+
 def test_invalid_event_rejected():
     with pytest.raises(ScenarioError):
         TimedEvent(-1.0, "phase_jump", 0.1)
