@@ -218,7 +218,6 @@ class Fixed16Arithmetic:
               "trig": _TRIG.format(r=_ROUNDER)}
 
     def __init__(self, fraction_bits: int = 14):
-        self.fraction_bits = fraction_bits
         self.saturations = 0
         self._sig_scale = float(1 << fraction_bits)
         self._sig_max = (2 ** 15 - 1) / self._sig_scale

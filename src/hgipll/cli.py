@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from .design import (
     steady_spec,
     steady_thd,
 )
-from .signal_model import GridSignalSpec, ScenarioError, load_scenario
+from .signal_model import ScenarioError, load_scenario, write_json
 from .sim import (
     ArithmeticMode,
     SimulationError,
@@ -65,35 +64,26 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _constraints(args) -> DesignConstraints:
-    kwargs = {}
-    if args.delta_f is not None:
-        kwargs["delta_f"] = args.delta_f
-    if args.input_thd is not None:
-        kwargs["input_thd"] = args.input_thd
-    if args.uthd_limit is not None:
-        kwargs["uthd_limit"] = args.uthd_limit
-    if args.f_bw_range is not None:
-        kwargs["f_bw_range"] = tuple(args.f_bw_range)
-    if args.k_range is not None:
-        kwargs["k_range"] = tuple(args.k_range)
-    try:
-        return DesignConstraints(**kwargs)
-    except ValueError as exc:
-        raise CliError(f"invalid constraints: {exc}", EXIT_SCHEMA)
+#: What reading and parsing an input file can raise: unreadable or
+#: undecodable bytes, malformed or nested-too-deep JSON, an integer past
+#: the digit limit and a value the schema or its checks refuse.
+_INPUT_FILE_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError,
+                      OverflowError, RecursionError)
 
 
-def _load_design_file(path) -> PllDesign:
+def _load_file(load, path, kind):
+    """``load(path)``; a file it cannot read or parse is refused with
+    exit 3, its message prefixed by ``kind`` and the path."""
     try:
-        return load_design(path)
-    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
-        raise CliError(f"invalid design file {path}: {exc}", EXIT_SCHEMA)
+        return load(path)
+    except _INPUT_FILE_ERRORS as exc:
+        raise CliError(f"invalid {kind} {path}: {exc}", EXIT_SCHEMA)
 
 
 def _load_design_arg(args) -> PllDesign:
     """Design from --design JSON, or inline --k/--f-bw parameters."""
     if args.design is not None:
-        return _load_design_file(args.design)
+        return _load_file(load_design, args.design, "design file")
     if args.k is None or args.f_bw is None:
         raise CliError("need --design FILE or both --k and --f-bw",
                        EXIT_SCHEMA)
@@ -101,13 +91,6 @@ def _load_design_arg(args) -> PllDesign:
         return build_design(args.k, args.f_bw, "inline")
     except ValueError as exc:
         raise CliError(f"invalid parameters: {exc}", EXIT_SCHEMA)
-
-
-def _load_scenario_arg(path) -> GridSignalSpec:
-    try:
-        return load_scenario(path)
-    except (OSError, ScenarioError, json.JSONDecodeError) as exc:
-        raise CliError(f"invalid scenario {path}: {exc}", EXIT_SCHEMA)
 
 
 def _finite(thd):
@@ -127,8 +110,11 @@ def _write_csv(path, header, rows) -> None:
 
 
 def cmd_design(args) -> int:
-    constraints = _constraints(args)
+    kwargs = {name: value for name in ("delta_f", "input_thd", "uthd_limit",
+                                       "f_bw_range", "k_range")
+              if (value := getattr(args, name)) is not None}
     try:
+        constraints = DesignConstraints(**kwargs)
         if args.method == "mtsd":
             design, report = design_mod.mtsd_design(constraints)
         else:
@@ -136,7 +122,8 @@ def cmd_design(args) -> int:
     except InfeasibleDesignError:
         raise
     except ValueError as exc:
-        # a k range with a gain that never settles, or mtsd with input THD
+        # a constraint out of range, a k range with a gain that never
+        # settles, or mtsd with input THD
         raise CliError(f"invalid constraints: {exc}", EXIT_SCHEMA)
     out = _out_dir(args)
     save_design(design, out / "design.json")
@@ -156,7 +143,7 @@ def cmd_design(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    spec = _load_scenario_arg(args.scenario)
+    spec = _load_file(load_scenario, args.scenario, "scenario")
     design = _load_design_arg(args)
     mode = ArithmeticMode(args.mode)
     trace = run_sim(spec, design, args.duration, mode, args.topology)
@@ -175,9 +162,7 @@ def cmd_simulate(args) -> int:
         "saturations": trace.saturations,
         **metrics.to_dict(),
     }
-    with open(out / "metrics.json", "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(payload, out / "metrics.json")
     ripple = ("n/a" if metrics.freq_ripple_peak is None
               else f"{metrics.freq_ripple_peak:.4f} Hz")
     thd = ("n/a" if metrics.steady_thd is None
@@ -189,7 +174,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    spec = _load_scenario_arg(args.scenario)
+    spec = _load_file(load_scenario, args.scenario, "scenario")
     design = _load_design_arg(args)
     rows = harmonic_breakdown(spec.without_events(), design.hgi, design.pi)
     thd = _finite(total_unit_vector_thd(spec.without_events(), design.hgi,
@@ -224,7 +209,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    designs = [_load_design_file(path) for path in args.designs]
+    designs = [_load_file(load_design, path, "design file")
+               for path in args.designs]
     freqs = args.frequencies
     if not freqs:
         raise CliError("empty sweep", EXIT_SCHEMA)

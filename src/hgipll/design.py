@@ -33,7 +33,7 @@ from . import hgi as hgi_mod
 from .hgi import (K_RANGE, K_STEP, HgiParams, check_euler,
                   design_settling_times, k_grid, settling_times)
 from .signal_model import (DEFAULT_HARMONIC_ORDERS, NOMINAL_FREQ_HZ, TWO_PI,
-                           GridSignalSpec, harmonic_profile)
+                           GridSignalSpec, harmonic_profile, write_json)
 from .srf import SAMPLE_PERIOD, PiParams, pi_from_bandwidth, srf_settling_time
 from .thd import unit_vector_thd
 
@@ -67,6 +67,8 @@ class DesignConstraints:
     k_step: float = K_STEP
 
     def __post_init__(self):
+        for name in ("f_bw_range", "k_range"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         # written so that NaN fails them too
         if not 0 < self.uthd_limit < 1:
             raise ValueError("uthd_limit must be in (0, 1)")
@@ -352,9 +354,7 @@ def hc_mtsd_design(
 
 
 def save_design(design: PllDesign, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(design.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(design.to_dict(), path)
 
 
 def load_design(path) -> PllDesign:

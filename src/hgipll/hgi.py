@@ -39,14 +39,6 @@ import numpy as np
 from .arith import EXACT, SampleError
 from .signal_model import NOMINAL_OMEGA0
 
-#: Per-sample arithmetic budget of the forward-Euler HGI update.
-HGI_MULS_PER_STEP = 4
-HGI_ADDS_PER_STEP = 6
-
-#: Budget of the basic SOGI variant (low-pass quadrature channel).
-BASIC_SOGI_MULS_PER_STEP = 3
-BASIC_SOGI_ADDS_PER_STEP = 4
-
 #: Forward-Euler stability guard: require omega0 * Ts below this.
 EULER_GUARD = 0.1
 

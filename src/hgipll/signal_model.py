@@ -122,6 +122,10 @@ def harmonic_profile(input_thd: float) -> list[HarmonicComponent]:
     orders = DEFAULT_HARMONIC_ORDERS
     ref = orders[0]
     base = input_thd / math.sqrt(sum((ref / o) ** 2 for o in orders))
+    # every amplitude is base * ref / o: refused where base * ref overflows
+    if not base * ref < math.inf:
+        raise ScenarioError(
+            f"input_thd {input_thd:g} overflows the harmonic amplitudes")
     return [HarmonicComponent(o, base * ref / o) for o in orders]
 
 
@@ -241,6 +245,12 @@ def load_scenario(path) -> GridSignalSpec:
 
 
 def save_scenario(spec: GridSignalSpec, path) -> None:
+    write_json(spec_to_dict(spec), path)
+
+
+def write_json(payload: dict, path) -> None:
+    """Write ``payload`` as JSON indented by 2, ending in a newline: the
+    layout of every JSON file the toolkit writes."""
     with open(path, "w") as fh:
-        json.dump(spec_to_dict(spec), fh, indent=2)
+        json.dump(payload, fh, indent=2)
         fh.write("\n")

@@ -74,8 +74,8 @@ class SimTrace:
     def channel(self, name: str) -> np.ndarray:
         return getattr(self, name)
 
-    def steady_slice(self, exclude: float = STARTUP_EXCLUDE_S) -> slice:
-        return slice(int(round(exclude / self.sample_period)), None)
+    def steady_slice(self) -> slice:
+        return slice(int(round(STARTUP_EXCLUDE_S / self.sample_period)), None)
 
     def write_csv(self, path) -> None:
         """Header, units row, then one ``%.10g`` row per sample of every
@@ -330,11 +330,10 @@ def transient_metrics(
 
 def fixed_vs_float_drift(
     spec: GridSignalSpec, design, duration: float,
-    mode: ArithmeticMode = FIXED16, topology: str = "hgi",
-) -> dict:
+    mode: ArithmeticMode = FIXED16) -> dict:
     """Run both arithmetic modes and report worst-case deviations."""
-    ref = run(spec, design, duration, FLOAT64, topology)
-    fxp = run(spec, design, duration, mode, topology)
+    ref = run(spec, design, duration, FLOAT64)
+    fxp = run(spec, design, duration, mode)
     steady = ref.steady_slice()
     df = np.abs(ref.f_e[steady] - fxp.f_e[steady])
     du = np.abs(ref.sin_theta[steady] - fxp.sin_theta[steady])

@@ -13,10 +13,6 @@ from dataclasses import dataclass
 from .arith import EXACT, SampleError
 from .signal_model import NOMINAL_OMEGA0, TWO_PI
 
-#: Per-sample arithmetic budget of the loop update, trig lookups excluded.
-SRF_MULS_PER_STEP = 7
-SRF_ADDS_PER_STEP = 6
-
 #: Sample period of the published designs (20 kHz).
 SAMPLE_PERIOD = 50e-6
 

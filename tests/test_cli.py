@@ -14,6 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 from hgipll import build_design, load_design, measured_thd, run, save_design
 from hgipll import cli as cli_mod, sim
 from hgipll.design import steady_spec
+from hgipll.signal_model import (GridSignalSpec, TimedEvent, harmonic_profile,
+                                 save_scenario)
 from hgipll.cli import main
 from hgipll.sim import SimulationError, tail_thds, transient_metrics
 from hgipll.srf import SAMPLE_PERIOD
@@ -80,7 +82,8 @@ def test_design_infeasible_exit_code(tmp_path, capsys):
                  ["--method", "hc-mtsd", "--input-thd", "0.05",
                   "--uthd-limit", "0.001"],
                  # a THD that overflows meets no limit, and warns of nothing
-                 ["--method", "hc-mtsd", "--input-thd", "1e200"]):
+                 ["--method", "hc-mtsd", "--input-thd", "1e200"],
+                 ["--method", "hc-mtsd", "--input-thd", "1e300"]):
         code = main(["design", *args, "--out", str(tmp_path)])
         assert code == 2
         assert "infeasible" in capsys.readouterr().err
@@ -230,7 +233,10 @@ def input_files(tmp_path_factory):
     a scenario whose fundamental is a list, one with a string frequency
     and three with a harmonic order that is a string fraction, 1e400
     (inf) and the fraction 3.7.  Two scenarios whose harmonic amplitudes
-    are 1e200 and 1.7e308: the predicted THD overflows."""
+    are 1e200 and 1.7e308: the predicted THD overflows.  Unreadable ones:
+    a scenario that is not UTF-8, one with a 5,000-digit integer amplitude
+    (past Python's integer-digit limit) and a file of 100,000 nested
+    ``[``, given as a scenario and as a design file."""
     tmp = tmp_path_factory.mktemp("inputs")
     files = {name: tmp / f"{name}.json"
              for name in ("design", "nan_design", "k1e305_design",
@@ -243,7 +249,8 @@ def input_files(tmp_path_factory):
                           "list_design", "null_kp_design", "big_kp_design",
                           "list_fundamental", "string_frequency",
                           "string_order", "inf_order", "fraction_order",
-                          "big_harmonics", "huge_harmonics")}
+                          "big_harmonics", "huge_harmonics",
+                          "latin1_scenario", "big_int_scenario", "nested")}
     design = build_design(1.56, 55.0, "inline")
     save_design(design, files["design"])
     files["nan_design"].write_text(
@@ -291,6 +298,13 @@ def input_files(tmp_path_factory):
         for h in scenario["harmonics"]:
             h["amplitude"] = amplitude
         files[f"{name}_harmonics"].write_text(json.dumps(scenario))
+    files["latin1_scenario"].write_bytes(
+        b'{"fundamental": {"frequency_hz": 50.0}, "note": "caf\xe9"}')
+    scenario = json.loads((SCENARIOS / "clean_50hz.json").read_text())
+    files["big_int_scenario"].write_text(json.dumps(
+        {**scenario, "harmonics": [{"order": 3, "amplitude": 0}]}
+    ).replace('"amplitude": 0', '"amplitude": 1' + "0" * 4999))
+    files["nested"].write_text("[" * 100_000)
     return files
 
 
@@ -497,6 +511,36 @@ def input_files(tmp_path_factory):
     (["analyze", "--scenario", "{huge_harmonics}", "--k", "1.56",
       "--f-bw", "29.5"],
      "analysis failed: the predicted unit-vector THD overflows"),
+    # a file that cannot be decoded or parsed is refused as either kind
+    (["simulate", "--scenario", "{latin1_scenario}", "--k", "1.56",
+      "--f-bw", "29.5"],
+     "invalid scenario {latin1_scenario}: 'utf-8' codec can't decode byte "
+     "0xe9 in position 52: invalid continuation byte"),
+    (["analyze", "--scenario", "{latin1_scenario}", "--k", "1.56",
+      "--f-bw", "29.5"],
+     "invalid scenario {latin1_scenario}: 'utf-8' codec can't decode byte "
+     "0xe9 in position 52: invalid continuation byte"),
+    (["analyze", "--scenario", "{big_int_scenario}", "--k", "1.56",
+      "--f-bw", "29.5"],
+     "invalid scenario {big_int_scenario}: Exceeds the limit (4300 digits) "
+     "for integer string conversion: value has 5000 digits; use "
+     "sys.set_int_max_str_digits() to increase the limit"),
+    (["simulate", "--scenario", "{nested}", "--k", "1.56", "--f-bw", "29.5"],
+     "invalid scenario {nested}: maximum recursion depth exceeded while "
+     "decoding a JSON array from a unicode string"),
+    (["sweep", "--design", "{nested}"],
+     "invalid design file {nested}: maximum recursion depth exceeded while "
+     "decoding a JSON array from a unicode string"),
+    (["compare", "--designs", "{design}", "{nested}"],
+     "invalid design file {nested}: maximum recursion depth exceeded while "
+     "decoding a JSON array from a unicode string"),
+    # an input THD whose 3rd-harmonic amplitude overflows is named as such
+    (["design", "--method", "hc-mtsd", "--input-thd", "1e308"],
+     "invalid constraints: input_thd 1e+308 overflows the harmonic "
+     "amplitudes"),
+    (["compare", "--designs", "{design}", "--input-thd", "1e308"],
+     "invalid scenario: input_thd 1e+308 overflows the harmonic "
+     "amplitudes"),
 ], ids=["simulate-unsettled-k", "simulate-k-subnormal", "simulate-k-1e150",
         "design-unsettled-k", "design-mtsd-input-thd",
         "simulate-no-sample", "simulate-k-nan", "simulate-k-inf",
@@ -526,7 +570,12 @@ def input_files(tmp_path_factory):
         "analyze-design-kp-null", "sweep-design-kp-null",
         "compare-design-kp-null", "simulate-design-kp-int-too-large",
         "sweep-thd-overflow", "compare-thd-overflow",
-        "analyze-thd-overflow", "analyze-harmonic-terms-overflow"])
+        "analyze-thd-overflow", "analyze-harmonic-terms-overflow",
+        "simulate-scenario-not-utf8", "analyze-scenario-not-utf8",
+        "analyze-scenario-int-past-digit-limit",
+        "simulate-scenario-nested-too-deep", "sweep-design-nested-too-deep",
+        "compare-design-nested-too-deep", "design-input-thd-1e308",
+        "compare-input-thd-1e308"])
 def test_rejected_input_exit_code(tmp_path, capsys, input_files, argv,
                                   message):
     out = tmp_path / "out"
@@ -646,6 +695,47 @@ def test_table_bytes(design_dir, tmp_path):
     assert (design_dir / "sweep.csv").read_bytes().startswith(
         b"f_bw_hz,k,t_sd_ms,feasible\r\n20,1.56,47.8050,1\r\n"
         b"20.5,1.56,47.0286,1\r\n21,1.56,46.2892,1\r\n")
+
+
+def test_json_bytes(design_dir, tmp_path, monkeypatch):
+    # every JSON file the toolkit writes, byte for byte: the layout each
+    # writer used before they shared one
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "jump.json").write_bytes(
+        (SCENARIOS / "phase_jump_90deg.json").read_bytes())
+    assert main(["simulate", "--scenario", "jump.json", "--k", "1.56",
+                 "--f-bw", "29.5", "--duration", "0.6"]) == 0
+    spec = GridSignalSpec(fundamental_frequency=49.5,
+                          harmonics=harmonic_profile(0.05)[:2], dc_offset=0.1,
+                          events=(TimedEvent(0.5, "phase_jump", 1.5),))
+    save_scenario(spec, tmp_path / "scenario.json")
+    assert (design_dir / "design.json").read_bytes() == (
+        b'{\n  "schema_version": 1,\n  "method": "mtsd",\n  "k": 1.56,\n'
+        b'  "f_bw_hz": 55.0,\n  "kp": 345.57519189487726,\n'
+        b'  "ki": 2063.467713073953,\n  "sample_period_s": 5e-05,\n'
+        b'  "t_s_hgi_s": 0.015974,\n  "t_s_srf_s": 0.011574904952137843,\n'
+        b'  "t_sd_s": 0.02754890495213784\n}\n')
+    assert (tmp_path / "metrics.json").read_bytes() == (
+        b'{\n  "schema_version": 1,\n  "scenario": "jump.json",\n'
+        b'  "topology": "hgi",\n  "mode": "float64",\n  "saturations": 0,\n'
+        b'  "settle_time_s": 0.0307,\n  "settled": true,\n'
+        b'  "peak_freq_excursion_hz": 21.680039259051256,\n'
+        b'  "freq_ripple_peak_hz": null,\n'
+        b'  "freq_ripple_peak_reason": "trace shorter than one cycle in the '
+        b'0.0193 s steady tail of 50 Hz",\n'
+        b'  "steady_thd_pct": null,\n'
+        b'  "steady_thd_reason": "leakage window in the 0.0193 s steady tail '
+        b'of 50 Hz"\n}\n')
+    assert (tmp_path / "scenario.json").read_bytes() == (
+        b'{\n  "schema_version": 1,\n  "fundamental": {\n'
+        b'    "amplitude": 1.0,\n    "frequency_hz": 49.5,\n'
+        b'    "phase_rad": 0.0\n  },\n  "harmonics": [\n'
+        b'    {\n      "order": 3,\n      "amplitude": 0.0388686334250125,\n'
+        b'      "phase_rad": 0.0\n    },\n'
+        b'    {\n      "order": 5,\n      "amplitude": 0.0233211800550075,\n'
+        b'      "phase_rad": 0.0\n    }\n  ],\n  "dc_offset": 0.1,\n'
+        b'  "events": [\n    {\n      "time_s": 0.5,\n'
+        b'      "kind": "phase_jump",\n      "value": 1.5\n    }\n  ]\n}\n')
 
 
 def test_compare_without_a_simulated_thd_exit_code(design_dir, tmp_path,

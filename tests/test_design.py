@@ -28,6 +28,14 @@ def test_constraint_validation():
         DesignConstraints(k_range=(0.0, 4.0))
 
 
+def test_constraint_ranges_are_stored_as_tuples():
+    # a list, as argparse gives, is stored as the tuple it equals
+    c = DesignConstraints(f_bw_range=[20.0, 30.0], k_range=[1.0, 2.0])
+    assert (c.f_bw_range, c.k_range) == ((20.0, 30.0), (1.0, 2.0))
+    assert hash(c) == hash(DesignConstraints(f_bw_range=(20.0, 30.0),
+                                             k_range=(1.0, 2.0)))
+
+
 def test_sweep_frequencies_cover_band():
     c = DesignConstraints(delta_f=0.08)
     freqs = c.sweep_frequencies()

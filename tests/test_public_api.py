@@ -1,8 +1,8 @@
 """The package's public surface: every ``__all__`` entry exists, every
 name the demos import from ``hgipll`` resolves, every demo runs to
 completion, the package imports nothing but the standard library and
-numpy, and every definition in it, methods included, is reached by the
-package, the demos or the acceptance gate."""
+numpy, and every definition in it, methods and module-level constants
+included, is reached by the package, the demos or the acceptance gate."""
 
 import ast
 import importlib
@@ -96,10 +96,18 @@ def _exempt(name: str) -> bool:
             or name.startswith("visit_"))
 
 
+def _constants(node) -> list[str]:
+    """The names a module-level assignment binds."""
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name) and not _exempt(n.id)]
+
+
 def test_every_definition_is_reached():
-    # a top-level function or class of src/hgipll, or a method of one of
-    # its classes, that only the tests (or the re-exports of __init__) use
-    # is code the toolkit does not need
+    # a top-level function, class or constant of src/hgipll, or a method
+    # of one of its classes, that only the tests (or the re-exports of
+    # __init__) use is code the toolkit does not need
     modules = {p.name: ast.parse(p.read_text(), filename=str(p))
                for p in PACKAGE if p.name != "__init__.py"}
     outside = _names(ast.parse(p.read_text(), filename=str(p))
@@ -108,10 +116,13 @@ def test_every_definition_is_reached():
     for name, tree in modules.items():
         others = _names(t for n, t in modules.items() if n != name)
         for node in tree.body:
+            own = _names(s for s in tree.body if s is not node)
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                own = _names(s for s in tree.body if s is not node)
                 if node.name not in own | others | outside:
                     unreached.add((name, node.name))
+            for constant in _constants(node):
+                if constant not in own | others | outside:
+                    unreached.add((name, constant))
             if isinstance(node, ast.ClassDef):
                 for method in node.body:
                     if (isinstance(method, ast.FunctionDef)

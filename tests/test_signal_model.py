@@ -117,6 +117,14 @@ def test_harmonic_profile_zero_thd():
     assert all(c.amplitude == 0 for c in harmonic_profile(0.0))
 
 
+def test_harmonic_profile_refuses_an_overflowing_input_thd():
+    # the 3rd-harmonic amplitude overflows first, and the refusal names
+    # the input THD, not an amplitude the caller never gave
+    with pytest.raises(ScenarioError, match=r"^input_thd 1e\+308 overflows"):
+        harmonic_profile(1e308)
+    assert math.isfinite(harmonic_profile(1e300)[0].amplitude)
+
+
 @pytest.mark.parametrize("bad", [
     dict(fundamental_frequency=0.0),
     dict(fundamental_frequency=-50.0),
