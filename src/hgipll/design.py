@@ -46,8 +46,10 @@ BAND_FREQ_STEP_HZ = 2.0
 THD_COMPARE_DECIMALS = 1
 
 #: Largest number of (bandwidth, k, frequency) points each round of the
-#: design search passes to the THD kernel in one call.
-THD_SLAB_POINTS = 2 ** 15
+#: design search passes to the THD kernel in one call.  At about 200 B a
+#: point the kernel's arrays fit a 2 MB cache; smaller slabs spend more
+#: on numpy's per-call overhead than they save.
+THD_SLAB_POINTS = 2 ** 13
 
 
 class InfeasibleDesignError(ValueError):

@@ -6,6 +6,7 @@ import cmath
 import dataclasses
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -721,3 +722,61 @@ def test_design_search_evaluates_to_first_feasible_only(monkeypatch):
     counts.clear()
     mtsd_design(DesignConstraints())
     assert sum(counts) == 355
+
+
+#: The published constraints of both procedures, then the @example rows
+#: of ``test_design_search_equals_whole_cube_argmin`` as (delta_f,
+#: input_thd, uthd_limit, f_bw_range, f_bw_step, k_range, k_step).
+_SLAB_CASES = [DesignConstraints(input_thd=0.05), DesignConstraints()] + [
+    DesignConstraints(delta_f=d, input_thd=h, uthd_limit=u, f_bw_range=fr,
+                      f_bw_step=fs, k_range=kr, k_step=ks)
+    for d, h, u, fr, fs, kr, ks in [
+        (0.08, 0.05, 0.01, (20.0, 120.0), 0.5, (0.1, 4.0), 0.01),
+        (0.08, 0.05, 0.001, (20.0, 55.0), 0.5, (0.1, 4.0), 0.01),
+        (0.08, 0.05, 0.01, (20.0, 55.0), 0.5, (1.28, 1.33), 0.05),
+        (0.0, 0.0625, 0.015625, (48.328125, 48.328125), 0.5, (1.0, 2.0),
+         0.05),
+        (0.0, 0.0625, 0.015625, (48.328125, 48.328125), 0.5, (1.6, 1.6),
+         0.05),
+    ]]
+
+
+def _search_bits(procedure, constraints):
+    """What ``procedure`` returns at ``constraints``, its floats as bits,
+    or the infeasible error's message."""
+    try:
+        design, report = procedure(constraints)
+    except InfeasibleDesignError as exc:
+        return str(exc)
+    swept = [np.array(row[:3]).tobytes() + bytes([row[3]])
+             for row in report.swept]
+    return (design, swept,
+            np.array([report.worst_thd, report.binding_hz]).tobytes())
+
+
+@pytest.mark.parametrize("constraints", _SLAB_CASES)
+def test_design_search_does_not_depend_on_the_slab_size(monkeypatch,
+                                                        constraints):
+    # each slab size cuts the rounds into other kernel calls, and every
+    # pick, swept row, worst THD and binding frequency keeps its bits
+    clean = dataclasses.replace(constraints, input_thd=0.0)
+    results = []
+    for points in (2 ** 10, design_mod.THD_SLAB_POINTS, 2 ** 15):
+        monkeypatch.setattr(design_mod, "THD_SLAB_POINTS", points)
+        results.append((_search_bits(hc_mtsd_design, constraints),
+                        _search_bits(mtsd_design, clean)))
+    assert results[0] == results[1] == results[2]
+
+
+def test_design_search_traced_peak_memory():
+    # the published harmonic-aware search, once its caches are warm,
+    # allocates at most 2.5 MB at a time (4.6 MB with 2**15-point slabs)
+    constraints = DesignConstraints(input_thd=0.05)
+    hc_mtsd_design(constraints)
+    tracemalloc.start()
+    try:
+        hc_mtsd_design(constraints)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
