@@ -342,7 +342,9 @@ def main(argv=None) -> int:
     except AnalyticsError as exc:
         message, code = f"analysis failed: {exc}", EXIT_SCHEMA
     except ScenarioError as exc:
-        message, code = f"invalid scenario: {exc}", EXIT_SCHEMA
+        # a scenario file's errors leave through _load_file with its path;
+        # one that reaches here comes from a flag: a duration or input THD
+        message, code = f"invalid parameters: {exc}", EXIT_SCHEMA
     except SimulationError as exc:
         message, code = exc, EXIT_DIVERGENCE
     except MemoryError:

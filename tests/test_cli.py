@@ -328,7 +328,7 @@ def input_files(tmp_path_factory):
      "invalid constraints: the deviation-only design requires input_thd = 0"),
     (["simulate", "--scenario", CLEAN, "--k", "1.56", "--f-bw", "30",
       "--duration", "1e-9"],
-     "invalid scenario: duration must span at least one sample"),
+     "invalid parameters: duration must span at least one sample"),
     # NaN and infinite values fail every range check
     (["simulate", "--scenario", CLEAN, "--k", "nan", "--f-bw", "30"],
      "invalid parameters: k must be finite and > 0"),
@@ -402,11 +402,11 @@ def input_files(tmp_path_factory):
     (["sweep", "--design", "{design}", "--frequencies", "nan"],
      "analysis failed: omega must be finite"),
     (["sweep", "--design", "{design}", "--input-thds", "nan"],
-     "invalid scenario: input_thd must be >= 0 and finite"),
+     "invalid parameters: input_thd must be >= 0 and finite"),
     (["compare", "--designs", "{design}", "--frequencies", "nan"],
      "analysis failed: omega must be finite"),
     (["compare", "--designs", "{design}", "--input-thd", "nan"],
-     "invalid scenario: input_thd must be >= 0 and finite"),
+     "invalid parameters: input_thd must be >= 0 and finite"),
     # each asks for petabytes, so the allocation fails at once
     (["simulate", "--scenario", CLEAN, "--k", "1.56", "--f-bw", "29.5",
       "--duration", "1e12"],
@@ -424,11 +424,11 @@ def input_files(tmp_path_factory):
     # the sample count is inf
     (["simulate", "--scenario", CLEAN, "--k", "1.56", "--f-bw", "29.5",
       "--duration", "1e150"],
-     "invalid scenario: duration spans more samples than an array can "
+     "invalid parameters: duration spans more samples than an array can "
      "index"),
     (["simulate", "--scenario", CLEAN, "--k", "1.56", "--f-bw", "29.5",
       "--duration", "1e308"],
-     "invalid scenario: duration spans more samples than an array can "
+     "invalid parameters: duration spans more samples than an array can "
      "index"),
     (["simulate", "--scenario", "{huge_frequency_scenario}", "--k", "1.56",
       "--f-bw", "29.5", "--duration", "0.3"],
@@ -539,7 +539,7 @@ def input_files(tmp_path_factory):
      "invalid constraints: input_thd 1e+308 overflows the harmonic "
      "amplitudes"),
     (["compare", "--designs", "{design}", "--input-thd", "1e308"],
-     "invalid scenario: input_thd 1e+308 overflows the harmonic "
+     "invalid parameters: input_thd 1e+308 overflows the harmonic "
      "amplitudes"),
 ], ids=["simulate-unsettled-k", "simulate-k-subnormal", "simulate-k-1e150",
         "design-unsettled-k", "design-mtsd-input-thd",
@@ -641,7 +641,7 @@ def test_invalid_input_thd_exit_code(design_dir, tmp_path, capsys, command,
     ])
     assert code == 3
     err = capsys.readouterr().err
-    assert "error: invalid scenario: input_thd must be >= 0" in err
+    assert "error: invalid parameters: input_thd must be >= 0" in err
     assert "Traceback" not in err
     assert not (tmp_path / output).exists()
 
