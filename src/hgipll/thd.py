@@ -117,25 +117,23 @@ def _loop_factor(n, ref, kp, ki, omega):
     return g / (2 + (2 * ref.real) * g)
 
 
-def _grouped_terms(k, kp, ki, omega, harmonics, amplitude, phase, omega0):
+def _grouped_terms(k, omega, harmonics, amplitude, phase, omega0):
     """Every ripple term as its sequence component and its loop.
 
-    Returns (terms, factors): ``terms`` lists (loop, output orders, z,
+    Returns (terms, refs): ``terms`` lists (loop, output orders, z,
     present), the deviation term first and then each harmonic's positive-
     and negative-sequence terms, with ``z`` zero and ``present`` False
     where the term does not arise (nominal frequency, a sequence component
-    below 1e-15); ``factors`` maps each loop, a loop multiple n and the
-    name of its reference, to its loop factor F_n.  A term's phasor is
-    z*F_n, that of the unit-vector harmonic a*sin(order*w*t + phi).
+    below 1e-15); a loop is a loop multiple n and the name of its
+    fundamental reference in ``refs``.  A term's phasor is z*F_n, F_n the
+    loop's ``_loop_factor``, that of the unit-vector harmonic
+    a*sin(order*w*t + phi).
 
     The fundamental reference is the positive-sequence part of the
     filtered fundamental.  The deviation term is the negative-sequence
     part of the filtered unit fundamental (amplitude 1, phase 0), with
     that unit fundamental's positive-sequence part as its reference.
     """
-    omega = np.asarray(omega, dtype=float)
-    if not np.isfinite(omega).all():
-        raise AnalyticsError("omega must be finite")
     g_alpha, g_beta = quadrature_gains(k, omega0, omega)
     rot = np.exp(1j * phase)
     v1p, _ = _sequences(amplitude * g_alpha * rot, amplitude * g_beta * rot)
@@ -149,7 +147,6 @@ def _grouped_terms(k, kp, ki, omega, harmonics, amplitude, phase, omega0):
     n, (_, order) = _beat(1, "negative")
     present = off_nominal & (unit_n != 0)
     terms = [((n, "unit"), (order,), np.where(present, unit_n, 0j), present)]
-    refs = {"unit": unit_p, "v1p": v1p}
     # a unit fundamental at phase 0 makes v1+ the unit reference itself,
     # and the deviation term shares the loop factor of the other n = 2 terms
     v1p_name = "unit" if np.array_equal(v1p, unit_p) else "v1p"
@@ -170,53 +167,32 @@ def _grouped_terms(k, kp, ki, omega, harmonics, amplitude, phase, omega0):
                 raise AnalyticsError("no fundamental reference")
             terms.append(((n, v1p_name), orders, np.where(present, z, 0j),
                           present))
-    loops = dict.fromkeys(loop for loop, *_ in terms)
-    factors = {(n, name): _loop_factor(n, refs[name], kp, ki, omega)
-               for n, name in loops}
-    return terms, factors
-
-
-def _order_sums(k, kp, ki, omega, harmonics, amplitude, phase,
-                omega0) -> tuple[dict[int, np.ndarray], set[int]]:
-    """Sum of the ripple phasors per output order, and the orders that
-    receive at least one present term (arguments as in
-    ``unit_vector_thd``).
-
-    A group is the terms with one loop and the same output orders.  They
-    share F_n, so their components are summed first, on a grid without
-    the PI gains' axes, and meet F_n in one product over the whole grid.
-    """
-    terms, factors = _grouped_terms(k, kp, ki, omega, harmonics,
-                                    amplitude, phase, omega0)
-    groups: dict = {}
-    for loop, orders, z, present in terms:
-        c, mask = groups.get((loop, orders), (0j, False))
-        groups[loop, orders] = c + z, mask | present
-    sums: dict[int, np.ndarray] = {}
-    reached: set[int] = set()
-    for (loop, orders), (c, mask) in groups.items():
-        r = c * factors[loop]
-        if not mask.all():
-            # where no term arises F_n may be inf or nan; r is 0 there
-            r = np.where(mask, r, 0j)
-        if mask.any():
-            reached.update(orders)
-        for o in orders:
-            sums[o] = sums[o] + r if o in sums else r
-    return sums, reached
+    return terms, {"unit": unit_p, "v1p": v1p}
 
 
 def _evaluate(k, kp, ki, omega, harmonics, amplitude, phase, omega0
-              ) -> tuple[dict[int, np.ndarray], set[int], np.ndarray]:
-    """``_order_sums`` and the THD that ``unit_vector_thd`` returns; every
-    call of ``unit_vector_thd`` and ``harmonic_breakdown`` comes through
-    here.
+              ) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """The sum of the ripple phasors per output order, over the orders
+    that receive a term, and the THD that ``unit_vector_thd`` returns;
+    every call of ``unit_vector_thd`` and ``harmonic_breakdown`` comes
+    through here.
+
+    A group is the terms with one loop and the same output orders.  They
+    share F_n, so their components are summed first, on a grid without
+    the PI gains' axes, and meet F_n in one product over the whole grid;
+    F_n is formed once per loop, only for a group where a term arises.
+    The squares are summed in the order of each order's first group, and
+    the THD takes the shape of every group's product, formed or not, so
+    a skipped group moves no bit.
 
     numpy rounds complex arithmetic on one-element operands differently
     from the vector loops a grid of more points takes, so a one-point
     grid is evaluated with its gain repeated and cut back to one point
     at the end: a point gets the same bits alone as in any grid.
     """
+    omega = np.asarray(omega, dtype=float)
+    if not np.isfinite(omega).all():
+        raise AnalyticsError("omega must be finite")
     args = (k, kp, ki, omega, amplitude, phase,
             *(x for _, v_h, gamma in harmonics for x in (v_h, gamma)))
     one_point = all(np.size(x) == 1 for x in args)
@@ -226,14 +202,35 @@ def _evaluate(k, kp, ki, omega, harmonics, amplitude, phase, omega0
     # where no term arises F_n may be inf or nan; a THD past the float
     # range is inf, which no design meets and the CLI refuses
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sums, reached = _order_sums(k, kp, ki, omega, harmonics, amplitude,
-                                    phase, omega0)
-        power = sum(np.abs(z) ** 2 for o, z in sums.items() if o >= 2)
+        terms, refs = _grouped_terms(k, omega, harmonics, amplitude, phase,
+                                     omega0)
+        groups: dict = {}
+        for loop, orders, z, present in terms:
+            c, mask = groups.get((loop, orders), (0j, False))
+            groups[loop, orders] = c + z, mask | present
+        grid = np.broadcast_shapes(np.shape(kp), np.shape(ki), *(
+            np.shape(x) for ((_, name), _), (c, _) in groups.items()
+            for x in (c, refs[name])))
+        factors, sums = {}, {}
+        for ((n, name), orders), (c, mask) in groups.items():
+            if not mask.any():
+                continue
+            if (n, name) not in factors:
+                factors[n, name] = _loop_factor(n, refs[name], kp, ki, omega)
+            r = c * factors[n, name]
+            if not mask.all():
+                # where no term arises F_n may be inf or nan; r is 0 there
+                r = np.where(mask, r, 0j)
+            for o in orders:
+                sums[o] = sums[o] + r if o in sums else r
+        first_seen = dict.fromkeys(o for _, orders in groups for o in orders)
+        power = sum((np.abs(sums[o]) ** 2 for o in first_seen
+                     if o >= 2 and o in sums), np.zeros(grid))
     thd = 100.0 * np.sqrt(power)
     if one_point:
         sums = {o: z[..., :1].reshape(shape) for o, z in sums.items()}
         thd = np.reshape(thd, -1)[:1].reshape(shape)
-    return sums, reached, thd
+    return sums, thd
 
 
 def unit_vector_thd(
@@ -254,7 +251,7 @@ def unit_vector_thd(
     excluded; the fundamental itself is unit amplitude by construction.
     """
     return _evaluate(k, kp, ki, omega, harmonics, amplitude, phase,
-                     omega0)[2]
+                     omega0)[1]
 
 
 def _steady_args(spec: GridSignalSpec, hgi: HgiParams, pi: PiParams) -> tuple:
@@ -279,9 +276,9 @@ def harmonic_breakdown(
 ) -> list[tuple[int, float, float]]:
     """Per-order (order, amplitude, phase) table of unit-vector ripple,
     over the orders that receive at least one ripple term."""
-    sums, reached, _ = _evaluate(*_steady_args(spec, hgi, pi))
+    sums, _ = _evaluate(*_steady_args(spec, hgi, pi))
     return [(o, float(abs(z)), float(np.angle(z)))
-            for o, z in sorted(sums.items()) if o in reached]
+            for o, z in sorted(sums.items())]
 
 
 def _whole_cycle_window(n_samples: int, frequency_hz: float,

@@ -4,7 +4,7 @@ from hypothesis import settings
 
 from hgipll import NOMINAL_OMEGA0, PllDesign, build_design
 from hgipll.arith import EXACT
-from hgipll.thd import _grouped_terms
+from hgipll.thd import _grouped_terms, _loop_factor
 
 # the properties run whole kernels and loops per example, which can
 # outlast hypothesis's 200 ms per-example deadline on a busy machine
@@ -81,12 +81,15 @@ def ripple_terms(k, kp, ki, omega, harmonics=(), amplitude=1.0, phase=0.0):
     """Every ripple term of the THD kernel (``thd._grouped_terms``) as
     (output order, phasor z*F_n, present), one entry per output order:
     the deviation term first, then each harmonic's positive- and
-    negative-sequence terms; the phasor is 0 where the term is absent."""
+    negative-sequence terms; F_n is formed here from the term's loop and
+    the kernel's references, and the phasor is 0 where the term is
+    absent."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms, factors = _grouped_terms(k, kp, ki, omega, harmonics,
-                                        amplitude, phase, NOMINAL_OMEGA0)
-        return [(o, np.where(present, z * factors[loop], 0j), present)
-                for loop, orders, z, present in terms for o in orders]
+        terms, refs = _grouped_terms(k, omega, harmonics, amplitude, phase,
+                                     NOMINAL_OMEGA0)
+        return [(o, np.where(present, z * _loop_factor(n, refs[name], kp, ki,
+                                                        omega), 0j), present)
+                for (n, name), orders, z, present in terms for o in orders]
 
 
 def make_design(k: float, f_bw: float, method: str = "test") -> PllDesign:

@@ -32,7 +32,7 @@ from hgipll import (
     total_unit_vector_thd,
 )
 from hgipll.design import THD_COMPARE_DECIMALS, steady_thd
-from hgipll import design as design_mod, hgi
+from hgipll import design as design_mod, hgi, thd as thd_mod
 from hgipll.hgi import (DESIGN_SETTLING_DT, NOMINAL_OMEGA0, _settling_grids,
                         design_settling_times, k_grid, settling_times)
 from hgipll.thd import unit_vector_thd
@@ -324,6 +324,52 @@ def test_one_point_call_rounds_as_the_design_cube():
     cube = steady_thd(np.array([1.6, 1.65]), pi.kp, pi.ki, 50.0, 0.0625)
     point = predicted_thd(1.6, 48.328125, 50.0, 0.0625, DesignConstraints())
     assert point == cube[0] == 1.1306723372001024
+
+
+def test_absent_orders_ahead_keep_the_order_of_the_sum():
+    # zero-amplitude 2nd and 7th harmonics listed ahead of the present
+    # ones: summing the squares in the order the present orders first
+    # arise, not the order every order first appears, reads ...2591
+    spec = GridSignalSpec(
+        fundamental_amplitude=0.4761902878894857,
+        fundamental_frequency=50.0,
+        fundamental_phase=1.8272228650102527,
+        harmonics=(HarmonicComponent(2, 0.0, 1.553979235892423),
+                   HarmonicComponent(7, 0.0, 0.0),
+                   HarmonicComponent(5, 0.004932107592897828, 0.0),
+                   HarmonicComponent(9, 0.009527904031999452,
+                                     1.190347320670866)))
+    hgi, pi = HgiParams(0.834491754570428), pi_from_bandwidth(54.1508175043565)
+    assert total_unit_vector_thd(spec, hgi, pi) == 0.052523682197725914
+    assert harmonic_breakdown(spec, hgi, pi) == [
+        (3, 0.0003429663775926049, 0.20021930215249842),
+        (5, 0.00019051729016325363, 0.20770955007846148),
+        (7, 0.00027013826521200774, 1.8271453337616816),
+        (9, 0.00010849157481217922, 1.3029935948253664),
+        (11, 0.00019288815674801968, -1.8464021955866734)]
+
+
+def test_no_term_anywhere_keeps_the_grid_shape():
+    pi = pi_from_bandwidth(55.0)
+    thd = steady_thd(1.56, pi.kp, pi.ki, [[50.0], [50.0]], [0.0, 0.0])
+    assert thd.shape == (2, 2)
+    assert not thd.any()
+
+
+@pytest.mark.parametrize("f,input_thd,factors", [
+    (46.0, 0.0, 1),    # only the deviation group arises
+    (50.0, 0.0, 0),    # no group arises
+    (46.0, 0.05, 5),   # nine terms, six groups, five loops
+])
+def test_loop_factor_only_for_groups_that_arise(monkeypatch, f, input_thd,
+                                                factors):
+    calls = []
+    loop_factor = thd_mod._loop_factor
+    monkeypatch.setattr(thd_mod, "_loop_factor",
+                        lambda *a: calls.append(a) or loop_factor(*a))
+    pi = pi_from_bandwidth(55.0)
+    steady_thd(1.56, pi.kp, pi.ki, f, input_thd)
+    assert len(calls) == factors
 
 
 def _with(values, i, value):
