@@ -147,8 +147,9 @@ def synthesize(
     span = duration / sample_period
     # also an inf span, which round() cannot convert
     if not span < np.iinfo(np.intp).max:
-        raise ScenarioError("duration spans more samples than an array "
-                            "can index")
+        raise ScenarioError(f"duration {duration:g} s at sample period "
+                            f"{sample_period:g} s spans more samples than "
+                            "an array can index")
     n = int(round(span))
     if n < 1:
         raise ScenarioError("duration must span at least one sample")

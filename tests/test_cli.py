@@ -225,7 +225,7 @@ def input_files(tmp_path_factory):
     """A valid design file, one with a NaN ``kp``, three with an HGI gain
     whose step response never settles (1e305, 1e306 and the subnormal
     1e-320), one sampled at 2 ms (omega0 * Ts = 0.63, past the
-    forward-Euler guard), a scenario with a NaN fundamental frequency, one at 1e308 Hz
+    forward-Euler guard), one sampled at the subnormal 5e-324 s, a scenario with a NaN fundamental frequency, one at 1e308 Hz
     (2*pi*f overflows) and one at a subnormal 1e-320 Hz, two with a NaN
     event value, one with an infinite event time and two with a frequency
     step to 0 Hz and below.  Malformed ones: a design file holding a
@@ -241,6 +241,7 @@ def input_files(tmp_path_factory):
     files = {name: tmp / f"{name}.json"
              for name in ("design", "nan_design", "k1e305_design",
                           "k1e306_design", "k1e-320_design", "ts2ms_design",
+                          "ts5e-324_design",
                           "nan_scenario",
                           "huge_frequency_scenario", "tiny_frequency_scenario",
                           "nan_phase_jump",
@@ -258,8 +259,9 @@ def input_files(tmp_path_factory):
     for k in ("1e305", "1e306", "1e-320"):
         files[f"k{k}_design"].write_text(
             json.dumps({**design.to_dict(), "k": float(k)}))
-    files["ts2ms_design"].write_text(
-        json.dumps({**design.to_dict(), "sample_period_s": 2e-3}))
+    for name, ts in (("ts2ms", 2e-3), ("ts5e-324", 5e-324)):
+        files[f"{name}_design"].write_text(
+            json.dumps({**design.to_dict(), "sample_period_s": ts}))
     scenario = json.loads((SCENARIOS / "clean_50hz.json").read_text())
     for name, f in (("nan", math.nan), ("huge_frequency", 1e308),
                     ("tiny_frequency", 1e-320)):
@@ -424,12 +426,20 @@ def input_files(tmp_path_factory):
     # the sample count is inf
     (["simulate", "--scenario", CLEAN, "--k", "1.56", "--f-bw", "29.5",
       "--duration", "1e150"],
-     "invalid parameters: duration spans more samples than an array can "
-     "index"),
+     "invalid parameters: duration 1e+150 s at sample period 5e-05 s spans "
+     "more samples than an array can index"),
     (["simulate", "--scenario", CLEAN, "--k", "1.56", "--f-bw", "29.5",
       "--duration", "1e308"],
-     "invalid parameters: duration spans more samples than an array can "
-     "index"),
+     "invalid parameters: duration 1e+308 s at sample period 5e-05 s spans "
+     "more samples than an array can index"),
+    # a design file's subnormal sample period makes the default 1 s too
+    # many samples; the message names the period, not only the duration
+    (["simulate", "--scenario", CLEAN, "--design", "{ts5e-324_design}"],
+     "invalid parameters: duration 1 s at sample period 4.94066e-324 s "
+     "spans more samples than an array can index"),
+    (["compare", "--designs", "{ts5e-324_design}", "--frequencies", "46"],
+     "invalid parameters: duration 1 s at sample period 4.94066e-324 s "
+     "spans more samples than an array can index"),
     (["simulate", "--scenario", "{huge_frequency_scenario}", "--k", "1.56",
       "--f-bw", "29.5", "--duration", "0.3"],
      "invalid scenario {huge_frequency_scenario}: fundamental frequency "
@@ -559,7 +569,8 @@ def input_files(tmp_path_factory):
         "simulate-duration-too-large", "design-f-bw-range-too-large",
         "design-k-range-too-large", "design-k-range-1e308",
         "design-f-bw-range-1e308", "simulate-duration-past-array-index",
-        "simulate-duration-inf-samples", "simulate-scenario-frequency-1e308",
+        "simulate-duration-inf-samples", "simulate-design-ts-subnormal",
+        "compare-design-ts-subnormal", "simulate-scenario-frequency-1e308",
         "simulate-scenario-frequency-subnormal", "compare-frequencies-1e308",
         "simulate-design-euler-unstable", "compare-design-euler-unstable",
         "analyze-scenario-fundamental-list",
