@@ -182,8 +182,8 @@ def _evaluate(k, kp, ki, omega, harmonics, amplitude, phase, omega0
     the PI gains' axes, and meet F_n in one product over the whole grid;
     F_n is formed once per loop, only for a group where a term arises.
     The squares are summed in the order of each order's first group, and
-    the THD takes the shape of every group's product, formed or not, so
-    a skipped group moves no bit.
+    the THD takes the broadcast shape of all the arguments, so a skipped
+    group moves no bit.
 
     numpy rounds complex arithmetic on one-element operands differently
     from the vector loops a grid of more points takes, so a one-point
@@ -195,9 +195,9 @@ def _evaluate(k, kp, ki, omega, harmonics, amplitude, phase, omega0
         raise AnalyticsError("omega must be finite")
     args = (k, kp, ki, omega, amplitude, phase,
             *(x for _, v_h, gamma in harmonics for x in (v_h, gamma)))
+    shape = np.broadcast_shapes(*map(np.shape, args))
     one_point = all(np.size(x) == 1 for x in args)
     if one_point:
-        shape = np.broadcast_shapes(*map(np.shape, args))
         k = np.repeat(np.reshape(k, -1), 2)
     # where no term arises F_n may be inf or nan; a THD past the float
     # range is inf, which no design meets and the CLI refuses
@@ -208,9 +208,6 @@ def _evaluate(k, kp, ki, omega, harmonics, amplitude, phase, omega0
         for loop, orders, z, present in terms:
             c, mask = groups.get((loop, orders), (0j, False))
             groups[loop, orders] = c + z, mask | present
-        grid = np.broadcast_shapes(np.shape(kp), np.shape(ki), *(
-            np.shape(x) for ((_, name), _), (c, _) in groups.items()
-            for x in (c, refs[name])))
         factors, sums = {}, {}
         for ((n, name), orders), (c, mask) in groups.items():
             if not mask.any():
@@ -225,7 +222,7 @@ def _evaluate(k, kp, ki, omega, harmonics, amplitude, phase, omega0
                 sums[o] = sums[o] + r if o in sums else r
         first_seen = dict.fromkeys(o for _, orders in groups for o in orders)
         power = sum((np.abs(sums[o]) ** 2 for o in first_seen
-                     if o >= 2 and o in sums), np.zeros(grid))
+                     if o >= 2 and o in sums), np.zeros(shape))
     thd = 100.0 * np.sqrt(power)
     if one_point:
         sums = {o: z[..., :1].reshape(shape) for o, z in sums.items()}
