@@ -225,7 +225,8 @@ def input_files(tmp_path_factory):
     """A valid design file, one with a NaN ``kp``, three with an HGI gain
     whose step response never settles (1e305, 1e306 and the subnormal
     1e-320), one sampled at 2 ms (omega0 * Ts = 0.63, past the
-    forward-Euler guard), one sampled at the subnormal 5e-324 s, a scenario with a NaN fundamental frequency, one at 1e308 Hz
+    forward-Euler guard) and one at the subnormal 5e-324 s, a scenario
+    with a NaN fundamental frequency, one at 1e308 Hz
     (2*pi*f overflows) and one at a subnormal 1e-320 Hz, two with a NaN
     event value, one with an infinite event time and two with a frequency
     step to 0 Hz and below.  Malformed ones: a design file holding a
