@@ -163,12 +163,12 @@ def cmd_simulate(args) -> int:
         **metrics.to_dict(),
     }
     write_json(payload, out / "metrics.json")
-    ripple = ("n/a" if metrics.freq_ripple_peak is None
-              else f"{metrics.freq_ripple_peak:.4f} Hz")
-    thd = ("n/a" if metrics.steady_thd is None
-           else f"{metrics.steady_thd:.3f} %")
+    shown = ["n/a" if v is None else f"{v:.{digits}f} {unit}"
+             for v, digits, unit in ((metrics.freq_line, 4, "Hz"),
+                                     (metrics.freq_ripple_peak, 4, "Hz"),
+                                     (metrics.steady_thd, 3, "%"))]
     print(f"settle={metrics.settle_time * 1e3:.1f} ms "
-          f"ripple={ripple} thd={thd}")
+          "line={} ripple={} thd={}".format(*shown))
     print(f"wrote {out / 'trace.csv'} and {out / 'metrics.json'}")
     return EXIT_OK
 

@@ -42,6 +42,10 @@ SCHEMA_VERSION = 1
 #: Spacing (Hz) of the frequency grid over the deviation band.
 BAND_FREQ_STEP_HZ = 2.0
 
+#: Spacing (Hz) of the loop-bandwidth grid both procedures search; the
+#: k grid's is ``hgi.K_STEP``.
+F_BW_STEP = 0.5
+
 #: Decimals of a percent at which THD is compared against the limit.
 THD_COMPARE_DECIMALS = 1
 
@@ -65,8 +69,6 @@ class DesignConstraints:
     uthd_limit: float = 0.01         # unit-vector THD limit (fraction)
     f_bw_range: tuple[float, float] = (20.0, 55.0)
     k_range: tuple[float, float] = K_RANGE
-    f_bw_step: float = 0.5
-    k_step: float = K_STEP
 
     def __post_init__(self):
         for name in ("f_bw_range", "k_range"):
@@ -94,7 +96,7 @@ class DesignConstraints:
         return sorted(freqs)
 
     def bandwidth_grid(self) -> np.ndarray:
-        return k_grid(*self.f_bw_range, self.f_bw_step)
+        return k_grid(*self.f_bw_range, F_BW_STEP)
 
     def thd_ok(self, thd_percent: float) -> bool:
         limit = 100.0 * self.uthd_limit
@@ -335,9 +337,7 @@ def mtsd_design(
     the sweep on the one-gain grid of the fastest-settling k."""
     if constraints.input_thd != 0.0:
         raise ValueError("the deviation-only design requires input_thd = 0")
-    k_opt, t_s_hgi = hgi_mod.k_opt_search(
-        constraints.k_range, constraints.k_step
-    )
+    k_opt, t_s_hgi = hgi_mod.k_opt_search(constraints.k_range, K_STEP)
     return _sweep(
         "mtsd", np.array([k_opt]), np.array([t_s_hgi]), constraints,
         lambda f_bw, t_s_srf: (f_bw, k_opt, t_s_hgi + t_s_srf, False),
@@ -348,7 +348,7 @@ def hc_mtsd_design(
     constraints: DesignConstraints = DesignConstraints(input_thd=0.05),
 ) -> tuple[PllDesign, DesignReport]:
     """Fastest design under joint deviation and input-harmonic constraints."""
-    ks = k_grid(*constraints.k_range, constraints.k_step)
+    ks = k_grid(*constraints.k_range, K_STEP)
     return _sweep(
         "hc-mtsd", ks, design_settling_times(ks), constraints,
         lambda f_bw, t_s_srf: (f_bw, math.nan, math.inf, False),

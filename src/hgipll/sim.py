@@ -10,7 +10,6 @@ the recorded trace.
 from __future__ import annotations
 
 import inspect
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ from .arith import FIXED16, FLOAT64, ArithmeticMode, SampleError, bind_pass
 from .hgi import BasicSogiFilter, HgiFilter
 from .signal_model import TWO_PI, GridSignalSpec, synthesize
 from .srf import SrfPll
-from .thd import AnalyticsError, measured_thd, spectral_line
+from .thd import AnalyticsError, line_fit
 
 TRACE_CHANNELS = (
     "v_g", "v_alpha", "v_beta", "v_d", "v_q",
@@ -95,28 +94,31 @@ class SimTrace:
 
 @dataclass
 class TransientMetrics:
+    """What ``transient_metrics`` measures; each ``*_reason`` says why
+    the value it is named after is None."""
+
     settle_time: float
     settled: bool
     peak_freq_excursion: float
     freq_ripple_peak: float | None
     steady_thd: float | None = None
-    # why ``steady_thd`` is None
     steady_thd_reason: str | None = None
-    # why ``freq_ripple_peak`` is None
     freq_ripple_peak_reason: str | None = None
+    freq_line: float | None = None
+    freq_line_reason: str | None = None
 
     def to_dict(self) -> dict:
         d = {
             "settle_time_s": self.settle_time,
             "settled": self.settled,
             "peak_freq_excursion_hz": self.peak_freq_excursion,
-            "freq_ripple_peak_hz": self.freq_ripple_peak,
         }
-        if self.freq_ripple_peak is None:
-            d["freq_ripple_peak_reason"] = self.freq_ripple_peak_reason
-        d["steady_thd_pct"] = self.steady_thd
-        if self.steady_thd is None:
-            d["steady_thd_reason"] = self.steady_thd_reason
+        # a reason key is written only beside a null value
+        for name, unit in (("freq_line", "hz"), ("freq_ripple_peak", "hz"),
+                           ("steady_thd", "pct")):
+            d[f"{name}_{unit}"] = value = getattr(self, name)
+            if value is None:
+                d[f"{name}_reason"] = getattr(self, f"{name}_reason")
         return d
 
 
@@ -239,14 +241,21 @@ def _divergence(i: int, ts: float) -> str:
     return f"numerical divergence at sample {i} (t = {i * ts:.6g} s)"
 
 
-def _on_tail(measure, tail, fundamental_hz, ts):
-    """``measure(tail, fundamental_hz, ts)`` and None, or None and why
+def _read_tails(tails, fundamental_hz: float, ts: float, reads) -> list:
+    """Each of ``reads`` applied to the one ``line_fit`` of the stacked
+    equal-length steady ``tails``: its value and None, or None and why
     the steady tail has no such value."""
-    try:
-        return measure(tail, fundamental_hz, ts), None
-    except AnalyticsError as exc:
-        return None, (f"{exc} in the {len(tail) * ts:.6g} s steady tail "
-                      f"of {fundamental_hz:g} Hz")
+    def on_tail(read):
+        try:
+            return read(), None
+        except AnalyticsError as exc:
+            return None, (f"{exc} in the {len(tails[0]) * ts:.6g} s steady "
+                          f"tail of {fundamental_hz:g} Hz")
+
+    fit, why = on_tail(lambda: line_fit(np.stack(tails), fundamental_hz, ts))
+    if fit is None:
+        return [(None, why)] * len(reads)
+    return [on_tail(lambda: read(fit)) for read in reads]
 
 
 def tail_thds(tails, fundamental_hz: float, sample_period: float
@@ -254,15 +263,11 @@ def tail_thds(tails, fundamental_hz: float, sample_period: float
     """The unit-vector THD (percent) and None, or None and why (fewer
     than five whole cycles, no fundamental), for each of ``tails``,
     equal-length steady tails of ``sin_theta`` at one sample period, from
-    one stacked ``measured_thd`` fit: each THD is bit for bit the one the
-    tail's own fit gives.  Where the stacked fit raises, each tail is
-    fitted alone to tell which of them fail and why."""
-    try:
-        thds = measured_thd(np.stack(tails), fundamental_hz, sample_period)
-    except AnalyticsError:
-        return [_on_tail(measured_thd, tail, fundamental_hz, sample_period)
-                for tail in tails]
-    return [(float(thd), None) for thd in thds]
+    one stacked ``line_fit``: each THD is bit for bit the one the tail's
+    own fit gives."""
+    return _read_tails(tails, fundamental_hz, sample_period,
+                       [lambda fit, row=row: fit.thd(row)
+                        for row in range(len(tails))])
 
 
 def transient_metrics(
@@ -274,17 +279,20 @@ def transient_metrics(
     """Settling and steady-state numbers extracted from a trace.
 
     Settling is the last excursion of f_e outside +/-freq_band (Hz)
-    around its final value, measured from ``event_time``.  When the
-    fundamental frequency is given, the steady tail also yields the
-    unit-vector THD (``tail_thds``) and the fundamental-frequency ripple
-    of f_e (the spectral line a dc disturbance puts on the frequency
-    estimate); without it the ripple falls back to the total peak
-    deviation.  Where no THD is measured (no fundamental given, fewer
-    than five whole cycles in the tail, no fundamental in it)
-    ``steady_thd`` is None and ``steady_thd_reason`` says why; where the
-    tail holds less than one cycle, ``freq_ripple_peak`` is None and
-    ``freq_ripple_peak_reason`` says why.  A trace that holds less than
-    one cycle of the fundamental as a whole is refused.
+    around its final value, measured from ``event_time``.  The ripple
+    peak is the largest deviation of f_e from its mean over the steady
+    tail; where the tail holds no sample ``freq_ripple_peak`` is None and
+    ``freq_ripple_peak_reason`` says why.  When the fundamental frequency
+    is given, the tails of sin_theta and f_e are fitted as one two-row
+    ``line_fit`` stack: the first yields the unit-vector THD, the second
+    the line of f_e at the fundamental (the ripple a dc disturbance puts
+    on the frequency estimate).  Where no THD is measured (no
+    fundamental given, fewer than five whole cycles in the tail, no
+    fundamental in it) ``steady_thd`` is None and ``steady_thd_reason``
+    says why; where no line is (no fundamental given, less than one
+    cycle in the tail) ``freq_line`` is None and ``freq_line_reason``
+    says why.  A trace that holds less than one cycle of the fundamental
+    as a whole is refused.
     """
     ts = trace.sample_period
     i0 = int(round(event_time / ts))
@@ -305,18 +313,19 @@ def transient_metrics(
         i0 + int(round((settle + 0.05) / ts)), None
     )
     f_steady = trace.f_e[steady]
-    thd, reason = None, "no fundamental frequency given"
-    ripple_reason = None
+    ripple, ripple_reason = None, "no sample in the steady tail"
+    if len(f_steady):
+        ripple = float(np.max(np.abs(f_steady - np.mean(f_steady))))
+        ripple_reason = None
     if fundamental_hz is None:
-        ripple = (float(np.max(np.abs(f_steady - np.mean(f_steady))))
-                  if len(f_steady) else math.nan)
+        thd = line = None
+        reason = line_reason = "no fundamental frequency given"
     else:
         if len(trace) * ts * fundamental_hz < 1:
             raise AnalyticsError("trace shorter than one cycle")
-        ripple, ripple_reason = _on_tail(spectral_line, f_steady,
-                                         fundamental_hz, ts)
-        [(thd, reason)] = tail_thds([trace.sin_theta[steady]],
-                                    fundamental_hz, ts)
+        (thd, reason), (line, line_reason) = _read_tails(
+            [trace.sin_theta[steady], f_steady], fundamental_hz, ts,
+            [lambda fit: fit.thd(0), lambda fit: fit.amplitude(1, row=1)])
     return TransientMetrics(
         settle_time=settle,
         settled=settled,
@@ -325,6 +334,8 @@ def transient_metrics(
         steady_thd=thd,
         steady_thd_reason=reason,
         freq_ripple_peak_reason=ripple_reason,
+        freq_line=line,
+        freq_line_reason=line_reason,
     )
 
 

@@ -26,8 +26,8 @@ harmonic profiles.  It sums each group's sequence components first, on a
 grid without the PI gains' axes, so the whole grid takes one product with
 F_n per group, not one per term.  ``total_unit_vector_thd`` and
 ``harmonic_breakdown`` evaluate one scenario through the same code.
-``measured_thd`` is the independent check on simulated traces; it fits
-one trace, or a stack of traces that share one fit matrix.
+``line_fit`` measures simulated traces, one trace or a stack that shares
+one fit matrix; ``measured_thd`` and ``spectral_line`` read it.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .signal_model import NOMINAL_OMEGA0, TWO_PI, GridSignalSpec
 from .srf import PiParams
 
 
-#: Highest harmonic order that ``measured_thd`` fits.
+#: Highest harmonic order that ``line_fit`` fits.
 THD_FIT_ORDER = 50
 
 
@@ -278,38 +278,45 @@ def harmonic_breakdown(
             for o, z in sorted(sums.items())]
 
 
-def _whole_cycle_window(n_samples: int, frequency_hz: float,
-                        sample_period: float) -> tuple[int, int]:
-    """Whole cycles of ``frequency_hz`` in a trace of ``n_samples``, and
-    the sample count of that many cycles (rounded, at most the trace
-    length).  Raises ``AnalyticsError`` where 2*pi*f or its angle per
-    sample overflows."""
-    omega = TWO_PI * frequency_hz
-    if not (math.isfinite(omega) and math.isfinite(omega * sample_period)):
-        raise AnalyticsError(f"{frequency_hz:g} Hz has no finite angle per "
-                             f"sample at Ts = {sample_period:g} s")
-    n_cycles = int(n_samples * sample_period * frequency_hz)
-    if n_cycles < 1:
-        # not one cycle, also where frequency_hz * sample_period underflows
-        return 0, 0
-    n = int(round(n_cycles / (frequency_hz * sample_period)))
-    return n_cycles, min(n, n_samples)
+@dataclass(frozen=True)
+class LineFit:
+    """What ``line_fit`` returns: the whole cycles in the fitted window
+    and, per row, ``lines[row, h]``, order h's complex amplitude
+    a*exp(j*phi) of a*sin(h*w*t + phi), t from the window's first sample
+    (order 0 is the dc); None where the window holds no whole cycle.
+    Magnitudes are taken by ``np.hypot``, as numpy's vector complex
+    ``abs`` rounds otherwise."""
+
+    cycles: int
+    lines: np.ndarray | None
+
+    def amplitude(self, order: int, row: int = 0) -> float:
+        """Amplitude of one order of one row; needs one whole cycle."""
+        if self.lines is None:
+            raise AnalyticsError("trace shorter than one cycle")
+        z = self.lines[row, order]
+        return float(np.hypot(z.real, z.imag))
+
+    def thd(self, row: int = 0) -> float:
+        """THD of one row in percent: the root-sum-square of orders 2 and
+        up over order 1; needs five whole cycles, as fewer leak."""
+        if self.cycles < 5:
+            raise AnalyticsError("leakage window")
+        z = self.lines[row, 1:]
+        amps = np.hypot(z.real, z.imag)
+        if amps[0] == 0:
+            raise AnalyticsError("no fundamental component in trace")
+        return float(100.0 * math.sqrt(np.sum(amps[1:] ** 2)) / amps[0])
 
 
-def measured_thd(
-    trace: np.ndarray,
-    fundamental_hz: float,
-    sample_period: float,
-):
-    """THD of a sampled waveform, in percent; or, for a 2-D stack of
-    equal-length traces with one fundamental and sample period, an array
-    of each row's THD, each bit for bit the THD of that row alone.
-
-    Harmonic amplitudes come from a least-squares projection onto the
-    harmonic basis over the largest whole number of fundamental cycles (at
-    least five) at the tail of the trace; the integer-cycle window keeps
-    the fundamental orthogonal to the harmonics even when a cycle is not a
-    whole number of samples.
+def line_fit(trace: np.ndarray, fundamental_hz: float,
+             sample_period: float) -> LineFit:
+    """Fit dc and orders 1..``THD_FIT_ORDER`` of ``fundamental_hz`` by least
+    squares over the largest whole number of cycles at the tail of a
+    trace, or of each row of a 2-D stack of equal-length traces; a trace
+    is the one-row stack.  The integer-cycle window keeps the fundamental
+    orthogonal to the harmonics even when a cycle is not a whole number of
+    samples.
 
     The fit is solved by its normal equations without forming the basis:
     with z = exp(j*w*Ts*i), one running product z**d gives the power sums
@@ -325,21 +332,26 @@ def measured_thd(
     The power sums and the Gram matrix depend only on the fundamental,
     the sample period, the window and the order, so a stack shares them;
     each row gets its own projection mat-vec and its own ``lstsq`` call,
-    the operations a single trace gets.  A stack raises where any of its
-    rows would, for the first such row.
+    so a row's amplitudes are bit for bit those of the row alone.
     """
-    trace = np.asarray(trace, dtype=float)
     if not fundamental_hz > 0:
         raise AnalyticsError("fundamental_hz must be > 0")
-    if trace.ndim not in (1, 2):
+    if np.ndim(trace) not in (1, 2):
         raise AnalyticsError("trace must be 1-D, or a 2-D stack of traces")
-    rows = np.atleast_2d(trace)          # one trace is the 1-row stack
-    n_cycles, n = _whole_cycle_window(rows.shape[1], fundamental_hz,
-                                      sample_period)
-    if n_cycles < 5:
-        raise AnalyticsError("leakage window")
+    rows = np.atleast_2d(np.asarray(trace, dtype=float))
+    omega = TWO_PI * fundamental_hz
+    if not (math.isfinite(omega) and math.isfinite(omega * sample_period)):
+        raise AnalyticsError(f"{fundamental_hz:g} Hz has no finite angle per "
+                             f"sample at Ts = {sample_period:g} s")
+    n_cycles = int(rows.shape[1] * sample_period * fundamental_hz)
+    if n_cycles < 1:
+        # not one cycle, also where fundamental_hz * sample_period underflows
+        return LineFit(0, None)
+    # that many cycles' samples, rounded, at most the trace length
+    n = min(int(round(n_cycles / (fundamental_hz * sample_period))),
+            rows.shape[1])
     windows = rows[:, -n:]
-    z = np.exp(1j * (TWO_PI * fundamental_hz * (np.arange(n) * sample_period)))
+    z = np.exp(1j * (omega * (np.arange(n) * sample_period)))
     power = np.empty(2 * THD_FIT_ORDER + 1, dtype=complex)
     proj = np.empty((len(rows), THD_FIT_ORDER + 1), dtype=complex)
     zd = np.ones(n, dtype=complex)
@@ -360,27 +372,35 @@ def measured_thd(
     sin_sin = (e_dif - e_add).real[1:, 1:] / 2
     sin_cos = (e_add + e_dif).imag[1:, :] / 2
     gram = np.block([[cos_cos, sin_cos.T], [sin_cos, sin_sin]])
-    thds = []
-    for p in proj:
+    lines = np.zeros((len(rows), THD_FIT_ORDER + 1), dtype=complex)
+    for line, p in zip(lines, proj):
         rhs = np.concatenate((p.real, p.imag[1:]))
         coef, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-        amps = np.hypot(coef[1:THD_FIT_ORDER + 1], coef[THD_FIT_ORDER + 1:])
-        if amps[0] == 0:
-            raise AnalyticsError("no fundamental component in trace")
-        thds.append(100.0 * math.sqrt(np.sum(amps[1:] ** 2)) / amps[0])
-    return float(thds[0]) if trace.ndim == 1 else np.array(thds)
+        # a*sin(x + phi) = a*cos(phi)*sin(x) + a*sin(phi)*cos(x): the sine
+        # coefficient is the real part, the cosine one the imaginary part
+        line.real[0] = coef[0]
+        line.real[1:] = coef[THD_FIT_ORDER + 1:]
+        line.imag[1:] = coef[1:THD_FIT_ORDER + 1]
+    return LineFit(n_cycles, lines)
+
+
+def measured_thd(
+    trace: np.ndarray,
+    fundamental_hz: float,
+    sample_period: float,
+):
+    """THD of a sampled waveform in percent, ``LineFit.thd`` of its
+    ``line_fit``; for a 2-D stack, an array of each row's, bit for bit
+    that of the row alone.  A stack raises as its first failing row."""
+    fit = line_fit(trace, fundamental_hz, sample_period)
+    if np.ndim(trace) == 1:
+        return fit.thd()
+    return np.array([fit.thd(row) for row in range(len(trace))])
 
 
 def spectral_line(
     trace: np.ndarray, frequency_hz: float, sample_period: float
 ) -> float:
-    """Amplitude of one spectral line via projection over integer cycles."""
-    trace = np.asarray(trace, dtype=float)
-    n_cycles, n = _whole_cycle_window(len(trace), frequency_hz,
-                                      sample_period)
-    if n_cycles < 1:
-        raise AnalyticsError("trace shorter than one cycle")
-    window = trace[-n:] - np.mean(trace[-n:])
-    t = np.arange(n) * sample_period
-    z = np.sum(window * np.exp(-2j * np.pi * frequency_hz * t))
-    return float(2 * abs(z) / n)
+    """Amplitude of the line at ``frequency_hz``: order 1 of its
+    ``line_fit``, so over at least one whole cycle."""
+    return line_fit(trace, frequency_hz, sample_period).amplitude(1)

@@ -11,7 +11,9 @@ complex phasor.  That form divides two factors that vanish together
 where cos(x + gamma) = 0, so near there it agrees with the package only
 to about 1e-16/|cos(x + gamma)| relative.  ``measured_thd`` is the
 least-squares fit on the explicit sin/cos/dc sample basis, which the
-package solves by normal equations.  ``run`` is the closed loop stepped
+package solves by normal equations; ``spectral_line`` is the single-bin
+projection of the mean-removed tail, where the package reads order 1 of
+that fit.  ``run`` is the closed loop stepped
 on numpy scalars, filter and loop interleaved one sample at a time by
 the per-sample step bodies ``HgiStep``, ``BasicSogiStep`` and
 ``SrfStep``, and recorded by per-sample array indexing, in fixed16
@@ -36,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from hgipll import design as design_mod
 from hgipll.arith import FLOAT64, ArithmeticMode, Fixed16Arithmetic
 from hgipll.hgi import (
     DESIGN_SETTLING_DT, HgiParams, SETTLING_HORIZON, freq_response,
@@ -420,7 +423,7 @@ def mtsd_sweep(constraints):
     from hgipll.hgi import k_grid
     from hgipll.srf import srf_settling_time
 
-    ks = k_grid(*constraints.k_range, constraints.k_step)
+    ks = k_grid(*constraints.k_range, design_mod.K_STEP)
     ts = [settling_times(HgiParams(float(k)))[2] for k in ks]
     best = min(range(len(ks)), key=lambda i: (ts[i], i))
     k_opt, t_s_hgi = float(ks[best]), ts[best]
@@ -442,7 +445,8 @@ def hc_mtsd_sweep(constraints):
     from hgipll.srf import srf_settling_time
 
     freqs = constraints.sweep_frequencies()
-    ks = [float(k) for k in k_grid(*constraints.k_range, constraints.k_step)]
+    ks = [float(k)
+          for k in k_grid(*constraints.k_range, design_mod.K_STEP)]
     ts = {k: settling_times(HgiParams(k))[2] for k in ks}
     swept, best = [], None
     for f_bw in constraints.bandwidth_grid():
@@ -486,6 +490,24 @@ def measured_thd(trace, fundamental_hz, sample_period, max_order=50,
     if amps[0] == 0:
         raise AnalyticsError("no fundamental component in trace")
     return float(100.0 * math.sqrt(np.sum(amps[1:] ** 2)) / amps[0])
+
+
+def spectral_line(trace, frequency_hz, sample_period) -> float:
+    """Amplitude of one line by the single-bin projection of the
+    mean-removed whole-cycle tail window.  Where the window holds dc and
+    that line alone it agrees with the least-squares fit; next to other
+    lines it leaks, since the window is not a whole number of samples
+    per cycle."""
+    trace = np.asarray(trace, dtype=float)
+    n_cycles = int(len(trace) * sample_period * frequency_hz)
+    if n_cycles < 1:
+        raise AnalyticsError("trace shorter than one cycle")
+    n = min(int(round(n_cycles / (frequency_hz * sample_period))),
+            len(trace))
+    window = trace[-n:] - np.mean(trace[-n:])
+    t = np.arange(n) * sample_period
+    z = np.sum(window * np.exp(-2j * np.pi * frequency_hz * t))
+    return float(2 * abs(z) / n)
 
 
 class Fixed16Reference(Fixed16Arithmetic):

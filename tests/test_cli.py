@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -102,11 +103,13 @@ def test_simulate_round_trips_design_json(design_dir, tmp_path):
     ])
     assert code == 0
     metrics = json.loads((tmp_path / "metrics.json").read_text())
-    assert metrics["freq_ripple_peak_hz"] < 0.05
+    assert metrics["freq_line_hz"] < 0.05
     assert metrics["settled"] is True
-    # the reason keys are written only beside a null THD or ripple
+    # the reason keys are written only beside a null THD, line or ripple
     assert metrics["steady_thd_pct"] >= 0
+    assert metrics["freq_ripple_peak_hz"] >= metrics["freq_line_hz"]
     assert "steady_thd_reason" not in metrics
+    assert "freq_line_reason" not in metrics
     assert "freq_ripple_peak_reason" not in metrics
     trace = (tmp_path / "trace.csv").read_text().splitlines()
     assert trace[0].startswith("time_s,v_g,")
@@ -151,10 +154,10 @@ def test_simulate_leakage_window_writes_null_thd(tmp_path, capsys):
     assert math.isfinite(metrics["peak_freq_excursion_hz"])
 
 
-def test_simulate_tail_under_one_cycle_writes_null_ripple(tmp_path, capsys):
+def test_simulate_tail_under_one_cycle_writes_null_line(tmp_path, capsys):
     # 0.6 s leaves 19 ms after the settled jump, under one 50 Hz cycle:
-    # neither the ripple nor the THD is measured, and the run still writes
-    # its trace and every other metric
+    # neither the line nor the THD is measured, the ripple peak is, and
+    # the run still writes its trace and every other metric
     code = main([
         "simulate", "--scenario", str(SCENARIOS / "phase_jump_90deg.json"),
         "--k", "1.56", "--f-bw", "29.5", "--duration", "0.6",
@@ -162,13 +165,15 @@ def test_simulate_tail_under_one_cycle_writes_null_ripple(tmp_path, capsys):
     ])
     assert code == 0
     out, err = capsys.readouterr()
-    assert "ripple=n/a thd=n/a" in out
+    assert re.search(r"line=n/a ripple=\d+\.\d{4} Hz thd=n/a", out)
     assert err == ""
     assert (tmp_path / "trace.csv").stat().st_size > 0
     metrics = json.loads((tmp_path / "metrics.json").read_text())
-    assert metrics["freq_ripple_peak_hz"] is None
-    assert metrics["freq_ripple_peak_reason"] == (
+    assert metrics["freq_line_hz"] is None
+    assert metrics["freq_line_reason"] == (
         "trace shorter than one cycle in the 0.0193 s steady tail of 50 Hz")
+    assert math.isfinite(metrics["freq_ripple_peak_hz"])
+    assert "freq_ripple_peak_reason" not in metrics
     assert metrics["steady_thd_pct"] is None
     assert metrics["steady_thd_reason"].startswith("leakage window")
     assert metrics["settled"] is True
@@ -732,9 +737,10 @@ def test_json_bytes(design_dir, tmp_path, monkeypatch):
         b'  "topology": "hgi",\n  "mode": "float64",\n  "saturations": 0,\n'
         b'  "settle_time_s": 0.0307,\n  "settled": true,\n'
         b'  "peak_freq_excursion_hz": 21.680039259051256,\n'
-        b'  "freq_ripple_peak_hz": null,\n'
-        b'  "freq_ripple_peak_reason": "trace shorter than one cycle in the '
+        b'  "freq_line_hz": null,\n'
+        b'  "freq_line_reason": "trace shorter than one cycle in the '
         b'0.0193 s steady tail of 50 Hz",\n'
+        b'  "freq_ripple_peak_hz": 0.11637007807883037,\n'
         b'  "steady_thd_pct": null,\n'
         b'  "steady_thd_reason": "leakage window in the 0.0193 s steady tail '
         b'of 50 Hz"\n}\n')

@@ -659,16 +659,24 @@ def _same_rows(got, want):
         assert g[1] == w[1] or (math.isnan(g[1]) and math.isnan(w[1]))
 
 
-@pytest.mark.parametrize("procedure,sweep,constraints", [
+def _grid_steps(monkeypatch, f_bw_step, k_step):
+    """Make both procedures, and the oracles, search grids of these steps."""
+    monkeypatch.setattr(design_mod, "F_BW_STEP", f_bw_step)
+    monkeypatch.setattr(design_mod, "K_STEP", k_step)
+
+
+@pytest.mark.parametrize("procedure,sweep,constraints,f_bw_step,k_step", [
     (mtsd_design, oracle.mtsd_sweep,
-     DesignConstraints(k_range=(1.3, 1.9), f_bw_range=(45.0, 58.0),
-                       f_bw_step=1.0)),
+     DesignConstraints(k_range=(1.3, 1.9), f_bw_range=(45.0, 58.0)),
+     1.0, hgi.K_STEP),
     (hc_mtsd_design, oracle.hc_mtsd_sweep,
-     DesignConstraints(input_thd=0.05, k_range=(1.0, 2.2), k_step=0.04,
-                       f_bw_range=(24.0, 36.0), f_bw_step=1.0)),
+     DesignConstraints(input_thd=0.05, k_range=(1.0, 2.2),
+                       f_bw_range=(24.0, 36.0)),
+     1.0, 0.04),
 ], ids=["mtsd", "hc-mtsd"])
-def test_design_procedures_match_point_by_point_oracle(procedure, sweep,
-                                                       constraints):
+def test_design_procedures_match_point_by_point_oracle(
+        monkeypatch, procedure, sweep, constraints, f_bw_step, k_step):
+    _grid_steps(monkeypatch, f_bw_step, k_step)
     design, report = procedure(constraints)
     swept, (k, f_bw, t_s_hgi) = sweep(constraints)
     _same_rows(report.swept, swept)
@@ -688,9 +696,9 @@ def _cube_procedure(constraints):
     """Both procedures at ``constraints`` by ``oracle.cube_sweep``:
     (method, procedure, its constraints, swept rows, chosen point or
     None) each; the deviation-only one runs at input THD 0."""
-    ks = k_grid(*constraints.k_range, constraints.k_step)
+    ks = k_grid(*constraints.k_range, design_mod.K_STEP)
     ts = design_settling_times(ks)
-    k_opt, t_s_hgi = hgi.k_opt_search(constraints.k_range, constraints.k_step)
+    k_opt, t_s_hgi = hgi.k_opt_search(constraints.k_range, design_mod.K_STEP)
     clean = dataclasses.replace(constraints, input_thd=0.0)
     return [
         ("hc-mtsd", hc_mtsd_design, constraints,
@@ -737,18 +745,21 @@ def test_design_search_equals_whole_cube_argmin(delta_f, input_thd, uthd_limit,
     # whole cube picks, down to the bits of the binding point's THD
     constraints = DesignConstraints(
         delta_f=delta_f, input_thd=input_thd, uthd_limit=uthd_limit,
-        f_bw_range=(f_bw_lo, f_bw_lo + f_bw_span), f_bw_step=f_bw_step,
-        k_range=(k_lo, min(4.0, k_lo + k_span)), k_step=k_step)
-    for method, procedure, c, swept, chosen in _cube_procedure(constraints):
-        if chosen is None:
-            with pytest.raises(InfeasibleDesignError):
-                procedure(c)
-            continue
-        design, report = procedure(c)
-        _same_rows(report.swept, swept)
-        k, f_bw, worst, binding = chosen
-        assert design == build_design(k, f_bw, method)
-        assert (report.worst_thd, report.binding_hz) == (worst, binding)
+        f_bw_range=(f_bw_lo, f_bw_lo + f_bw_span),
+        k_range=(k_lo, min(4.0, k_lo + k_span)))
+    with pytest.MonkeyPatch.context() as mp:
+        _grid_steps(mp, f_bw_step, k_step)
+        for method, procedure, c, swept, chosen in _cube_procedure(
+                constraints):
+            if chosen is None:
+                with pytest.raises(InfeasibleDesignError):
+                    procedure(c)
+                continue
+            design, report = procedure(c)
+            _same_rows(report.swept, swept)
+            k, f_bw, worst, binding = chosen
+            assert design == build_design(k, f_bw, method)
+            assert (report.worst_thd, report.binding_hz) == (worst, binding)
 
 
 def test_design_search_evaluates_to_first_feasible_only(monkeypatch):
@@ -771,19 +782,19 @@ def test_design_search_evaluates_to_first_feasible_only(monkeypatch):
 
 
 #: The published constraints of both procedures, then the @example rows
-#: of ``test_design_search_equals_whole_cube_argmin`` as (delta_f,
-#: input_thd, uthd_limit, f_bw_range, f_bw_step, k_range, k_step).
-_SLAB_CASES = [DesignConstraints(input_thd=0.05), DesignConstraints()] + [
-    DesignConstraints(delta_f=d, input_thd=h, uthd_limit=u, f_bw_range=fr,
-                      f_bw_step=fs, k_range=kr, k_step=ks)
-    for d, h, u, fr, fs, kr, ks in [
-        (0.08, 0.05, 0.01, (20.0, 120.0), 0.5, (0.1, 4.0), 0.01),
-        (0.08, 0.05, 0.001, (20.0, 55.0), 0.5, (0.1, 4.0), 0.01),
-        (0.08, 0.05, 0.01, (20.0, 55.0), 0.5, (1.28, 1.33), 0.05),
-        (0.0, 0.0625, 0.015625, (48.328125, 48.328125), 0.5, (1.0, 2.0),
-         0.05),
-        (0.0, 0.0625, 0.015625, (48.328125, 48.328125), 0.5, (1.6, 1.6),
-         0.05),
+#: of ``test_design_search_equals_whole_cube_argmin``, each with its k
+#: step (all have the 0.5 Hz bandwidth step), as (delta_f, input_thd,
+#: uthd_limit, f_bw_range, k_range, k_step).
+_SLAB_CASES = [(DesignConstraints(input_thd=0.05), hgi.K_STEP),
+               (DesignConstraints(), hgi.K_STEP)] + [
+    (DesignConstraints(delta_f=d, input_thd=h, uthd_limit=u, f_bw_range=fr,
+                       k_range=kr), ks)
+    for d, h, u, fr, kr, ks in [
+        (0.08, 0.05, 0.01, (20.0, 120.0), (0.1, 4.0), 0.01),
+        (0.08, 0.05, 0.001, (20.0, 55.0), (0.1, 4.0), 0.01),
+        (0.08, 0.05, 0.01, (20.0, 55.0), (1.28, 1.33), 0.05),
+        (0.0, 0.0625, 0.015625, (48.328125, 48.328125), (1.0, 2.0), 0.05),
+        (0.0, 0.0625, 0.015625, (48.328125, 48.328125), (1.6, 1.6), 0.05),
     ]]
 
 
@@ -800,11 +811,14 @@ def _search_bits(procedure, constraints):
             np.array([report.worst_thd, report.binding_hz]).tobytes())
 
 
-@pytest.mark.parametrize("constraints", _SLAB_CASES)
+@pytest.mark.parametrize("constraints,k_step", _SLAB_CASES,
+                         ids=[f"constraints{i}"
+                              for i in range(len(_SLAB_CASES))])
 def test_design_search_does_not_depend_on_the_slab_size(monkeypatch,
-                                                        constraints):
+                                                        constraints, k_step):
     # each slab size cuts the rounds into other kernel calls, and every
     # pick, swept row, worst THD and binding frequency keeps its bits
+    monkeypatch.setattr(design_mod, "K_STEP", k_step)
     clean = dataclasses.replace(constraints, input_thd=0.0)
     results = []
     for points in (2 ** 10, design_mod.THD_SLAB_POINTS, 2 ** 15):

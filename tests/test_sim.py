@@ -91,6 +91,42 @@ def test_dc_offset_contrast(mtsd_like):
     assert lines["basic_sogi"] >= 10 * lines["hgi"]
 
 
+@pytest.mark.parametrize("topology", ["hgi", "basic_sogi"])
+def test_dc_offset_line_equals_single_bin_oracle(mtsd_like, topology):
+    # the f_e tail at a 10 % dc offset holds dc and the 50 Hz line, where
+    # the fit's order 1 and the single bin agree
+    trace = run(GridSignalSpec(dc_offset=0.1), mtsd_like, 1.0,
+                topology=topology)
+    tail = trace.f_e[trace.steady_slice()]
+    assert spectral_line(tail, 50.0, TS) == pytest.approx(
+        oracle.spectral_line(tail, 50.0, TS), rel=1e-8, abs=0)
+
+
+@pytest.mark.parametrize("cycles", [1, 2, 3, 4])
+def test_tail_of_few_cycles_gives_a_line_and_no_thd(mtsd_like, cycles):
+    # a steady tail of 1-4 whole cycles is enough for the line of f_e,
+    # not for the THD
+    duration = sim.STARTUP_EXCLUDE_S + (cycles + 0.5) / 50
+    trace = run(GridSignalSpec(dc_offset=0.1), mtsd_like, duration,
+                topology="basic_sogi")
+    m = transient_metrics(trace, fundamental_hz=50.0)
+    tail = len(trace.f_e[trace.steady_slice()]) * TS
+    assert math.isfinite(m.freq_line) and m.freq_line > 0
+    assert m.freq_line_reason is None
+    assert m.steady_thd is None
+    assert m.steady_thd_reason == (
+        f"leakage window in the {tail:.6g} s steady tail of 50 Hz")
+
+
+def test_empty_steady_tail_gives_no_ripple(mtsd_like):
+    # 0.15 s ends before the 0.2 s start-up exclusion
+    m = transient_metrics(run(GridSignalSpec(), mtsd_like, 0.15))
+    assert m.freq_ripple_peak is None
+    assert m.freq_ripple_peak_reason == "no sample in the steady tail"
+    assert m.to_dict()["freq_ripple_peak_reason"] == (
+        "no sample in the steady tail")
+
+
 def test_phase_jump_settles_within_bound(mtsd_like, hc_like):
     spec = GridSignalSpec(events=(TimedEvent(0.5, "phase_jump", math.pi / 2),))
     for design in (mtsd_like, hc_like):
@@ -116,7 +152,12 @@ def test_metrics_include_thd_and_ripple(mtsd_like):
     trace = run(spec, mtsd_like, 1.0)
     m = transient_metrics(trace, fundamental_hz=46.0)
     assert 1.0 < m.steady_thd < 2.5
-    assert m.freq_ripple_peak < 0.05
+    # the harmonics put a ripple of several Hz on f_e, which the 46 Hz
+    # line barely sees
+    tail = trace.f_e[trace.steady_slice()]
+    assert m.freq_ripple_peak == np.max(np.abs(tail - np.mean(tail))) > 1.0
+    assert m.freq_line < 0.05
+    assert m.freq_line == spectral_line(tail, 46.0, TS)
 
 
 def test_metrics_require_post_event_data(mtsd_like):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracle
 from hgipll import (
@@ -24,6 +24,7 @@ from hgipll import (
 )
 from hgipll.hgi import EULER_GUARD
 from hgipll.signal_model import NOMINAL_OMEGA0
+from hgipll.thd import THD_FIT_ORDER, line_fit
 from conftest import ripple_terms
 
 TS = 50e-6
@@ -287,6 +288,61 @@ def test_measured_thd_errors_match_basis_fit(trace, f, kwargs):
     with pytest.raises(AnalyticsError) as got:
         measured_thd(trace, f, TS, **kwargs)
     assert str(got.value) == str(expected.value)
+
+
+@settings(max_examples=60)
+@given(
+    f=st.floats(40.0, 70.0),
+    ts_frac=st.floats(0.0, 1.0),
+    # a trace of size int(cycles / (f * ts)) holds at least one cycle
+    cycles=st.floats(1.01, 30.0),
+    dc=st.floats(-0.5, 0.5),
+    fundamental=st.floats(0.2, 2.0),
+    harmonics=st.lists(st.floats(0.0, 0.2), min_size=9, max_size=9),
+    phases=st.lists(st.floats(-math.pi, math.pi), min_size=10, max_size=10),
+)
+def test_line_fit_recovers_each_order(f, ts_frac, cycles, dc, fundamental,
+                                      harmonics, phases):
+    # dc plus orders 1-10 at Ts from 50 us to where order 50 is 0.49 cycles
+    # per sample, a cycle not a whole number of samples; each order's
+    # complex amplitude is referred to the window's first sample, n
+    # samples before the end for the n of the largest whole number of
+    # cycles
+    ts = 50e-6 + ts_frac * (0.49 / (50 * f) - 50e-6)
+    assume(not (1 / (f * ts)).is_integer())
+    size = int(cycles / (f * ts))
+    wt = 2 * np.pi * f * ts * np.arange(size)
+    amps = [fundamental, *harmonics]
+    u = dc + sum(a * np.sin(h * wt + phi)
+                 for h, (a, phi) in enumerate(zip(amps, phases), 1))
+    whole = int(size * ts * f)
+    n = min(int(round(whole / (f * ts))), size)
+    start = 2 * np.pi * f * ts * (size - n)
+    want = np.zeros(THD_FIT_ORDER + 1, dtype=complex)
+    want[0] = dc
+    for h, (a, phi) in enumerate(zip(amps, phases), 1):
+        want[h] = a * cmath.exp(1j * (phi + h * start))
+    fit = line_fit(u, f, ts)
+    assert fit.cycles == whole
+    assert np.max(np.abs(fit.lines[0] - want)) < 1e-10
+    # the THD is the norm ratio of those amplitudes, over five cycles
+    mag = np.hypot(fit.lines[0].real, fit.lines[0].imag)
+    if whole < 5:
+        with pytest.raises(AnalyticsError, match="leakage window"):
+            measured_thd(u, f, ts)
+    else:
+        assert measured_thd(u, f, ts) == (
+            100.0 * math.sqrt(np.sum(mag[2:] ** 2)) / mag[1])
+    assert spectral_line(u, f, ts) == mag[1]
+
+
+def test_spectral_line_equals_single_bin_oracle_on_one_line():
+    # dc and one line, with a whole number of samples per cycle, where
+    # the single bin does not leak
+    t = np.arange(0, 0.5, TS)
+    u = 0.3 * np.sin(2 * np.pi * 50 * t + 1.0) + 0.7
+    assert spectral_line(u, 50.0, TS) == pytest.approx(
+        oracle.spectral_line(u, 50.0, TS), rel=1e-8, abs=0)
 
 
 def test_spectral_line_amplitude():
