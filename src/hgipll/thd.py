@@ -278,7 +278,7 @@ def harmonic_breakdown(
             for o, z in sorted(sums.items())]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LineFit:
     """What ``line_fit`` returns: the whole cycles in the fitted window
     and, per row, ``lines[row, h]``, order h's complex amplitude
