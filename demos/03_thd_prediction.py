@@ -14,7 +14,7 @@ from hgipll import (
     build_design,
     harmonic_breakdown,
     harmonic_profile,
-    measured_thd,
+    line_fit,
     predicted_thd,
     run,
 )
@@ -31,7 +31,7 @@ for d in designs:
         spec = GridSignalSpec(fundamental_frequency=f, harmonics=harmonics)
         trace = run(spec, d, 1.0)
         tail = trace.sin_theta[trace.steady_slice()]
-        sim = measured_thd(tail, f, trace.sample_period)
+        sim = line_fit(tail, f, trace.sample_period).thd()
         print(f"{d.method:>15} {f:>7} {analytical:>13.2f} {sim:>12.2f}")
 
 print("\nper-order breakdown, deviation-only design at 46 Hz + 5% THD:")

@@ -60,7 +60,7 @@ from .thd import (
     AnalyticsError,
     Phasor,
     harmonic_breakdown,
-    measured_thd,
+    line_fit,
     sequence_decompose,
     spectral_line,
     total_unit_vector_thd,
@@ -76,8 +76,8 @@ __all__ = [
     "PllDesign", "ScenarioError", "SimTrace", "SimulationError", "SrfPll",
     "TimedEvent", "TransientMetrics", "build_design", "fixed_vs_float_drift",
     "freq_response", "harmonic_breakdown", "harmonic_profile",
-    "hc_mtsd_design", "k_opt_search",
-    "load_design", "load_scenario", "measured_thd", "mtsd_design",
+    "hc_mtsd_design", "k_opt_search", "line_fit",
+    "load_design", "load_scenario", "mtsd_design",
     "pi_from_bandwidth", "predicted_thd", "run", "run_designs", "save_design",
     "save_scenario", "sequence_decompose", "settling_times", "spectral_line",
     "srf_settling_time", "synthesize",

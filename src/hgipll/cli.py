@@ -7,9 +7,9 @@ and metrics.json), ``analyze`` (per-order analytical ripple breakdown),
 (analytical vs simulated THD table for one or both designs).
 
 Exit codes: 0 success, 2 infeasible design, 3 input schema error,
-failed analysis or input too large to allocate, 4 numerical divergence.
-The output directory defaults to the current directory and can be
-overridden by ``--out``.
+failed analysis, input too large to allocate or an output that cannot be
+written, 4 numerical divergence.  The output directory defaults to the
+current directory and can be overridden by ``--out``.
 """
 
 from __future__ import annotations
@@ -32,13 +32,14 @@ from .design import (
     steady_spec,
     steady_thd,
 )
-from .signal_model import ScenarioError, load_scenario, write_json
+from .signal_model import (SCHEMA_VERSION, ScenarioError, load_scenario,
+                           write_json)
 from .sim import (
     ArithmeticMode,
     SimulationError,
     run as run_sim,
     run_designs,
-    tail_thds,
+    steady_thds,
     transient_metrics,
 )
 from .thd import AnalyticsError, harmonic_breakdown, total_unit_vector_thd
@@ -155,7 +156,7 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     trace.write_csv(out / "trace.csv")
     payload = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "scenario": str(args.scenario),
         "topology": args.topology,
         "mode": args.mode,
@@ -208,6 +209,14 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _until_divergence(traces, diverged: list):
+    """``traces`` up to a run that diverges; its error joins ``diverged``."""
+    try:
+        yield from traces
+    except SimulationError as exc:
+        diverged.append(exc)
+
+
 def cmd_compare(args) -> int:
     designs = [_load_file(load_design, path, "design file")
                for path in args.designs]
@@ -220,30 +229,20 @@ def cmd_compare(args) -> int:
                                      args.input_thd)) for d in designs]
     # one frequency at a time, every design on one scenario, so designs
     # that share the HGI gain and sample period share its filter pass;
-    # only sin_theta is read, and the steady tails of the designs that
-    # share a sample period are fitted as one stack
+    # only sin_theta is read
     simulated = [[] for _ in designs]
     for f in freqs:
-        tails, diverged = {}, None       # sample period -> {design: tail}
-        try:
-            for i, trace in enumerate(run_designs(
-                    steady_spec(f, args.input_thd), designs, args.duration,
-                    channels=("sin_theta",))):
-                tails.setdefault(trace.sample_period, {})[i] = (
-                    trace.sin_theta[trace.steady_slice()])
-        except SimulationError as exc:
-            diverged = exc
-        thds = {}
-        for ts, rows in tails.items():
-            thds.update(zip(rows, tail_thds(list(rows.values()), f, ts)))
+        diverged = []
+        traces = _until_divergence(run_designs(
+            steady_spec(f, args.input_thd), designs, args.duration,
+            channels=("sin_theta",)), diverged)
         # the first failure in design order is the one reported
-        for i in sorted(thds):
-            thd, reason = thds[i]
+        for column, (thd, reason) in zip(simulated, steady_thds(traces, f)):
             if thd is None:
                 raise AnalyticsError(reason)
-            simulated[i].append(thd)
-        if diverged is not None:
-            raise diverged
+            column.append(thd)
+        if diverged:
+            raise diverged[0]
     rows = [(d.method or f"k={d.k:g},f_bw={d.f_bw:g}", f, float(a), s)
             for d, column_a, column_s in zip(designs, analytical, simulated)
             for f, a, s in zip(freqs, column_a, column_s)]
@@ -350,6 +349,10 @@ def main(argv=None) -> int:
     except MemoryError:
         # a grid or trace the input sizes beyond what can be allocated
         message, code = "input too large: out of memory", EXIT_SCHEMA
+    except OSError as exc:
+        # an output: inputs leave through _load_file (ENOSPC names no file)
+        message, code = (f"cannot write {exc.filename or args.out}: "
+                         f"{exc.strerror or exc}", EXIT_SCHEMA)
     print(f"error: {message}", file=sys.stderr)
     return code
 

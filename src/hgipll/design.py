@@ -32,12 +32,11 @@ import numpy as np
 from . import hgi as hgi_mod
 from .hgi import (K_RANGE, K_STEP, HgiParams, check_euler,
                   design_settling_times, k_grid, settling_times)
-from .signal_model import (DEFAULT_HARMONIC_ORDERS, NOMINAL_FREQ_HZ, TWO_PI,
-                           GridSignalSpec, harmonic_profile, write_json)
+from .signal_model import (DEFAULT_HARMONIC_ORDERS, NOMINAL_FREQ_HZ,
+                           SCHEMA_VERSION, TWO_PI, GridSignalSpec,
+                           harmonic_profile, write_json)
 from .srf import SAMPLE_PERIOD, PiParams, pi_from_bandwidth, srf_settling_time
 from .thd import unit_vector_thd
-
-SCHEMA_VERSION = 1
 
 #: Spacing (Hz) of the frequency grid over the deviation band.
 BAND_FREQ_STEP_HZ = 2.0

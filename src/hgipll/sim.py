@@ -258,16 +258,25 @@ def _read_tails(tails, fundamental_hz: float, ts: float, reads) -> list:
     return [on_tail(lambda: read(fit)) for read in reads]
 
 
-def tail_thds(tails, fundamental_hz: float, sample_period: float
-              ) -> list[tuple[float | None, str | None]]:
+def steady_thds(traces, fundamental_hz: float) -> list:
     """The unit-vector THD (percent) and None, or None and why (fewer
-    than five whole cycles, no fundamental), for each of ``tails``,
-    equal-length steady tails of ``sin_theta`` at one sample period, from
-    one stacked ``line_fit``: each THD is bit for bit the one the tail's
-    own fit gives."""
-    return _read_tails(tails, fundamental_hz, sample_period,
-                       [lambda fit, row=row: fit.thd(row)
-                        for row in range(len(tails))])
+    than five whole cycles, no fundamental), of the steady ``sin_theta``
+    tail of each of ``traces``, in input order.  The tails of one sample
+    period and length are fitted as one ``line_fit`` stack: each THD and
+    reason is bit for bit the ``steady_thd`` or ``steady_thd_reason`` of
+    ``transient_metrics(trace, fundamental_hz=fundamental_hz)``.  Of each
+    trace only its tail, a view of ``sin_theta``, is kept, so a generator
+    of traces such as ``run_designs`` holds one whole trace at a time."""
+    stacks = {}                          # (sample period, length) -> {i: tail}
+    for i, trace in enumerate(traces):
+        tail = trace.sin_theta[trace.steady_slice()]
+        stacks.setdefault((trace.sample_period, len(tail)), {})[i] = tail
+    thds = {}
+    for (ts, _), tails in stacks.items():
+        thds.update(zip(tails, _read_tails(
+            list(tails.values()), fundamental_hz, ts,
+            [lambda fit, row=row: fit.thd(row) for row in range(len(tails))])))
+    return [thds[i] for i in range(len(thds))]
 
 
 def transient_metrics(
@@ -298,9 +307,9 @@ def transient_metrics(
     i0 = int(round(event_time / ts))
     if len(trace) - i0 < int(0.1 / ts):
         raise AnalyticsError("trace must extend at least 0.1 s past the event")
-    f_e = trace.f_e[i0:]
+    f_e = trace.f_e
     final = f_e[-1]
-    err = np.abs(f_e - final)
+    err = np.abs(f_e[i0:] - final)
     outside = err > freq_band
     if outside[-1]:
         settle, settled = (len(trace) - i0) * ts, False
@@ -312,7 +321,7 @@ def transient_metrics(
     steady = trace.steady_slice() if event_time == 0 else slice(
         i0 + int(round((settle + 0.05) / ts)), None
     )
-    f_steady = trace.f_e[steady]
+    f_steady = f_e[steady]
     ripple, ripple_reason = None, "no sample in the steady tail"
     if len(f_steady):
         ripple = float(np.max(np.abs(f_steady - np.mean(f_steady))))
@@ -329,7 +338,7 @@ def transient_metrics(
     return TransientMetrics(
         settle_time=settle,
         settled=settled,
-        peak_freq_excursion=float(np.max(np.abs(f_e - final))),
+        peak_freq_excursion=float(np.max(err)),
         freq_ripple_peak=ripple,
         steady_thd=thd,
         steady_thd_reason=reason,

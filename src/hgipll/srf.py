@@ -60,8 +60,8 @@ def pi_from_bandwidth(f_bw: float,
 
 def srf_settling_time(omega_bw: float) -> float:
     """Settling time of the phase loop, 4 / bandwidth."""
-    if not omega_bw > 0:
-        raise ValueError("omega_bw must be > 0")
+    if not 0 < omega_bw < math.inf:
+        raise ValueError("loop bandwidth must be finite and > 0")
     return 4.0 / omega_bw
 
 

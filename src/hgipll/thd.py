@@ -27,7 +27,8 @@ grid without the PI gains' axes, so the whole grid takes one product with
 F_n per group, not one per term.  ``total_unit_vector_thd`` and
 ``harmonic_breakdown`` evaluate one scenario through the same code.
 ``line_fit`` measures simulated traces, one trace or a stack that shares
-one fit matrix; ``measured_thd`` and ``spectral_line`` read it.
+one fit matrix: ``LineFit.thd`` reads a row's THD, ``spectral_line`` the
+line at the fundamental.
 """
 
 from __future__ import annotations
@@ -382,20 +383,6 @@ def line_fit(trace: np.ndarray, fundamental_hz: float,
         line.real[1:] = coef[THD_FIT_ORDER + 1:]
         line.imag[1:] = coef[1:THD_FIT_ORDER + 1]
     return LineFit(n_cycles, lines)
-
-
-def measured_thd(
-    trace: np.ndarray,
-    fundamental_hz: float,
-    sample_period: float,
-):
-    """THD of a sampled waveform in percent, ``LineFit.thd`` of its
-    ``line_fit``; for a 2-D stack, an array of each row's, bit for bit
-    that of the row alone.  A stack raises as its first failing row."""
-    fit = line_fit(trace, fundamental_hz, sample_period)
-    if np.ndim(trace) == 1:
-        return fit.thd()
-    return np.array([fit.thd(row) for row in range(len(trace))])
 
 
 def spectral_line(

@@ -12,13 +12,13 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hgipll import build_design, load_design, measured_thd, run, save_design
+from hgipll import build_design, line_fit, load_design, run, save_design
 from hgipll import cli as cli_mod, sim
 from hgipll.design import steady_spec
 from hgipll.signal_model import (GridSignalSpec, TimedEvent, harmonic_profile,
                                  save_scenario)
 from hgipll.cli import main
-from hgipll.sim import SimulationError, tail_thds, transient_metrics
+from hgipll.sim import SimulationError, steady_thds, transient_metrics
 from hgipll.srf import SAMPLE_PERIOD
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -225,13 +225,40 @@ def test_simulate_missing_design_exit_code(tmp_path):
 CLEAN = str(SCENARIOS / "clean_50hz.json")
 
 
+@pytest.mark.parametrize("command", ["design", "simulate", "analyze",
+                                     "sweep", "compare"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_unwritable_out_exit_code(design_dir, tmp_path, capsys, command,
+                                  under):
+    # --out names an existing file, or a directory below one: an output
+    # that cannot be written exits 3 with its path, not a traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub" if under else blocker
+    argv = {
+        "design": ["design", "--method", "mtsd"],
+        "simulate": ["simulate", "--scenario", CLEAN, "--k", "1.56",
+                     "--f-bw", "55", "--duration", "0.3"],
+        "analyze": ["analyze", "--scenario", CLEAN, "--k", "1.56",
+                    "--f-bw", "55"],
+        "sweep": ["sweep", "--k", "1.56", "--f-bw", "55"],
+        "compare": ["compare", "--designs", str(design_dir / "design.json"),
+                    "--frequencies", "50", "--duration", "0.4"],
+    }[command]
+    assert main([*argv, "--out", str(out)]) == 3
+    reason = "Not a directory" if under else "File exists"
+    assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+    assert blocker.read_text() == ""
+
+
 @pytest.fixture(scope="module")
 def input_files(tmp_path_factory):
     """A valid design file, one with a NaN ``kp``, three with an HGI gain
     whose step response never settles (1e305, 1e306 and the subnormal
     1e-320), one sampled at 2 ms (omega0 * Ts = 0.63, past the
-    forward-Euler guard) and one at the subnormal 5e-324 s, a scenario
-    with a NaN fundamental frequency, one at 1e308 Hz
+    forward-Euler guard), one at the subnormal 5e-324 s, two with an
+    ``f_bw_hz`` of Infinity and NaN, a scenario with a NaN fundamental
+    frequency, one at 1e308 Hz
     (2*pi*f overflows) and one at a subnormal 1e-320 Hz, two with a NaN
     event value, one with an infinite event time and two with a frequency
     step to 0 Hz and below.  Malformed ones: a design file holding a
@@ -247,8 +274,8 @@ def input_files(tmp_path_factory):
     files = {name: tmp / f"{name}.json"
              for name in ("design", "nan_design", "k1e305_design",
                           "k1e306_design", "k1e-320_design", "ts2ms_design",
-                          "ts5e-324_design",
-                          "nan_scenario",
+                          "ts5e-324_design", "inf_f_bw_design",
+                          "nan_f_bw_design", "nan_scenario",
                           "huge_frequency_scenario", "tiny_frequency_scenario",
                           "nan_phase_jump",
                           "nan_frequency_step", "inf_event_time",
@@ -268,6 +295,9 @@ def input_files(tmp_path_factory):
     for name, ts in (("ts2ms", 2e-3), ("ts5e-324", 5e-324)):
         files[f"{name}_design"].write_text(
             json.dumps({**design.to_dict(), "sample_period_s": ts}))
+    for name in ("inf", "nan"):
+        files[f"{name}_f_bw_design"].write_text(
+            json.dumps({**design.to_dict(), "f_bw_hz": float(name)}))
     scenario = json.loads((SCENARIOS / "clean_50hz.json").read_text())
     for name, f in (("nan", math.nan), ("huge_frequency", 1e308),
                     ("tiny_frequency", 1e-320)):
@@ -465,6 +495,13 @@ def input_files(tmp_path_factory):
       "46"],
      "invalid design file {ts2ms_design}: sample rate too low for Euler "
      "stability"),
+    # a design file's loop bandwidth is checked on load, as its gains are
+    (["sweep", "--design", "{inf_f_bw_design}"],
+     "invalid design file {inf_f_bw_design}: loop bandwidth must be finite "
+     "and > 0"),
+    (["compare", "--designs", "{design}", "{nan_f_bw_design}"],
+     "invalid design file {nan_f_bw_design}: loop bandwidth must be finite "
+     "and > 0"),
     # a malformed file is refused, not a traceback; a ScenarioError's
     # own message is not wrapped
     (["analyze", "--scenario", "{list_fundamental}", "--k", "1.56",
@@ -579,6 +616,7 @@ def input_files(tmp_path_factory):
         "compare-design-ts-subnormal", "simulate-scenario-frequency-1e308",
         "simulate-scenario-frequency-subnormal", "compare-frequencies-1e308",
         "simulate-design-euler-unstable", "compare-design-euler-unstable",
+        "sweep-design-f-bw-inf", "compare-design-f-bw-nan",
         "analyze-scenario-fundamental-list",
         "analyze-scenario-frequency-string", "analyze-scenario-order-string",
         "analyze-scenario-order-inf", "analyze-scenario-order-fraction",
@@ -791,7 +829,7 @@ def test_compare_simulated_column_equals_a_direct_run(tmp_path):
         for f in freqs:
             trace = run(steady_spec(f, 0.05), d, 0.8)
             tail = trace.sin_theta[trace.steady_slice()]
-            thd = measured_thd(tail, f, trace.sample_period)
+            thd = line_fit(tail, f, trace.sample_period).thd()
             want.append((d.method, f"{f:g}", f"{thd:.4f}"))
     assert [(r.split(",")[0], r.split(",")[1], r.split(",")[3])
             for r in rows] == want
@@ -853,18 +891,20 @@ def test_compare_simulated_values_equal_direct_runs(tmp_path_factory, designs,
     loaded = [load_design(path) for path in paths]
     got = {}
 
-    def spy(tails, f, ts):
-        results = tail_thds(tails, f, ts)
-        # the tails of one sample period arrive in design order
-        rows = [i for i, d in enumerate(loaded) if d.pi.sample_period == ts]
-        got.update(((f, i), r) for i, r in zip(rows, results))
+    def spy(traces, f):
+        traces = list(traces)
+        results = steady_thds(traces, f)
+        # the traces arrive in design order, up to the first that fails
+        assert [t.sample_period for t in traces] == [
+            d.pi.sample_period for d in loaded[:len(traces)]]
+        got.update(((f, i), r) for i, r in enumerate(results))
         return results
 
     err = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, \
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
-        mp.setattr(cli_mod, "tail_thds", spy)
+        mp.setattr(cli_mod, "steady_thds", spy)
         code = main(["compare", "--designs", *paths,
                      "--frequencies", *(f" {f!r}" for f in freqs),
                      f"--input-thd={input_thd!r}", f"--duration={duration!r}",

@@ -160,6 +160,42 @@ def test_metrics_include_thd_and_ripple(mtsd_like):
     assert m.freq_line == spectral_line(tail, 46.0, TS)
 
 
+def test_steady_thds_reads_each_trace_as_transient_metrics(monkeypatch):
+    # traces at 50, 100 and 50 us, then a 50 us one whose tail holds under
+    # five cycles: each result, in input order, is bit for bit that
+    # trace's steady THD or its reason, and the tails of one sample period
+    # and length are fitted as one stack
+    spec = steady_spec(46.0, 0.05)
+    traces = [run(spec, build_design(k, f_bw, sample_period=ts), duration)
+              for k, f_bw, ts, duration in ((1.56, 55.0, 50e-6, 0.6),
+                                            (1.56, 29.5, 1e-4, 0.6),
+                                            (1.0, 40.0, 50e-6, 0.6),
+                                            (1.56, 55.0, 50e-6, 0.3))]
+    stacks, sim_line_fit = [], sim.line_fit
+
+    def line_fit(tails, *args):
+        stacks.append(len(tails))
+        return sim_line_fit(tails, *args)
+
+    monkeypatch.setattr(sim, "line_fit", line_fit)
+    got = sim.steady_thds(iter(traces), 46.0)
+    monkeypatch.undo()
+    assert stacks == [2, 1, 1]
+    want = []
+    for trace in traces:
+        m = transient_metrics(trace, fundamental_hz=46.0)
+        want.append((m.steady_thd, m.steady_thd_reason))
+    assert all(thd is not None for thd, _ in want[:3])
+    assert want[3] == (
+        None, "leakage window in the 0.1 s steady tail of 46 Hz")
+
+    def bits(results):
+        return [(thd if thd is None else thd.hex(), reason)
+                for thd, reason in results]
+
+    assert bits(got) == bits(want)
+
+
 def test_metrics_require_post_event_data(mtsd_like):
     trace = run(GridSignalSpec(), mtsd_like, 0.3)
     with pytest.raises(ValueError):

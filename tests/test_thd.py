@@ -14,7 +14,6 @@ from hgipll import (
     TimedEvent,
     harmonic_breakdown,
     harmonic_profile,
-    measured_thd,
     pi_from_bandwidth,
     run,
     sequence_decompose,
@@ -157,26 +156,26 @@ def test_analytical_matches_simulation(mtsd_like):
 def test_measured_thd_on_synthetic_signal():
     t = np.arange(0, 0.4, TS)
     u = np.sin(2 * np.pi * 50 * t) + 0.03 * np.sin(2 * np.pi * 150 * t + 0.4)
-    assert measured_thd(u, 50.0, TS) == pytest.approx(3.0, abs=0.01)
+    assert line_fit(u, 50.0, TS).thd() == pytest.approx(3.0, abs=0.01)
 
 
 def test_measured_thd_ignores_dc_and_scale():
     t = np.arange(0, 0.4, TS)
     u = 2.0 * np.sin(2 * np.pi * 50 * t) + 0.08 * np.sin(2 * np.pi * 250 * t)
-    assert measured_thd(u + 0.5, 50.0, TS) == pytest.approx(4.0, abs=0.01)
+    assert line_fit(u + 0.5, 50.0, TS).thd() == pytest.approx(4.0, abs=0.01)
 
 
 def test_measured_thd_non_integer_cycle_window():
     # 47 Hz never fits a whole number of 50 us samples per cycle
     t = np.arange(0, 0.5, TS)
     u = np.sin(2 * np.pi * 47 * t) + 0.02 * np.sin(2 * np.pi * 141 * t)
-    assert measured_thd(u, 47.0, TS) == pytest.approx(2.0, abs=0.05)
+    assert line_fit(u, 47.0, TS).thd() == pytest.approx(2.0, abs=0.05)
 
 
 def test_measured_thd_short_trace_rejected():
     t = np.arange(0, 0.05, TS)
     with pytest.raises(AnalyticsError, match="leakage window"):
-        measured_thd(np.sin(2 * np.pi * 50 * t), 50.0, TS)
+        line_fit(np.sin(2 * np.pi * 50 * t), 50.0, TS).thd()
 
 
 @settings(max_examples=60)
@@ -209,7 +208,7 @@ def test_measured_thd_matches_basis_fit(f, ts_frac, cycles, fundamental, dc,
     for order, amp, phase in harmonics:
         u += amp * np.sin(order * wt + phase)
     u += noise * np.random.default_rng(seed).standard_normal(len(wt))
-    assert measured_thd(u, f, ts) == pytest.approx(
+    assert line_fit(u, f, ts).thd() == pytest.approx(
         oracle.measured_thd(u, f, ts), abs=1e-9)
 
 
@@ -235,9 +234,9 @@ def _outcome_or_error(fit):
 )
 def test_stacked_measured_thd_equals_one_trace_calls(f, ts, cycles, rows,
                                                      zero_row):
-    # each row's own call, on an array of its own, against the stack; a
-    # zero row has no fundamental, and the stack raises as its first
-    # failing row does
+    # each row's own fit, on an array of its own, against the row of the
+    # stack's fit: the same THD bit for bit, or the same error; a zero row
+    # has no fundamental
     wt = 2 * np.pi * f * ts * np.arange(int(cycles / (f * ts)))
     traces = []
     for amplitude, phase, harmonics, seed in rows:
@@ -248,19 +247,19 @@ def test_stacked_measured_thd_equals_one_trace_calls(f, ts, cycles, rows,
             len(wt)))
     if zero_row is not None and zero_row < len(traces):
         traces[zero_row] = np.zeros(len(wt))
-    alone = [_outcome_or_error(lambda: measured_thd(u, f, ts))
+    alone = [_outcome_or_error(lambda: line_fit(u, f, ts).thd())
              for u in traces]
-    stacked = _outcome_or_error(lambda: measured_thd(np.stack(traces), f, ts))
-    errors = [a for a in alone if isinstance(a, str)]
-    if errors:
-        assert stacked == errors[0]
-        assert errors[0] in ("leakage window",
-                             "no fundamental component in trace")
-        assert (errors[0] == "leakage window") == (cycles < 5)
-    else:
-        assert isinstance(stacked, np.ndarray) and len(stacked) == len(alone)
-        assert stacked.tobytes() == np.array(alone).tobytes()
-        assert all(type(a) is float for a in alone)
+    fit = line_fit(np.stack(traces), f, ts)
+    stacked = [_outcome_or_error(lambda: fit.thd(row))
+               for row in range(len(traces))]
+    assert [a if isinstance(a, str) else a.hex() for a in stacked] == [
+        a if isinstance(a, str) else a.hex() for a in alone]
+    for a in alone:
+        if isinstance(a, str):
+            assert a in ("leakage window", "no fundamental component in trace")
+            assert (a == "leakage window") == (cycles < 5)
+        else:
+            assert type(a) is float
 
 
 @pytest.mark.parametrize("ts", [200e-6, 250e-6])
@@ -271,7 +270,7 @@ def test_measured_thd_aliased_orders_minimum_norm(ts):
     wt = 2 * np.pi * 50.0 * ts * np.arange(int(0.8 / ts))
     u = np.sin(wt) + 0.03 * np.sin(3 * wt) + 0.02 * np.sin(5 * wt + 0.3)
     expected = oracle.measured_thd(u, 50.0, ts)
-    assert measured_thd(u, 50.0, ts) == pytest.approx(expected, abs=1e-9)
+    assert line_fit(u, 50.0, ts).thd() == pytest.approx(expected, abs=1e-9)
     assert expected == pytest.approx(100 * math.sqrt(0.03**2 + 0.02**2),
                                      abs=1e-9)
 
@@ -286,7 +285,7 @@ def test_measured_thd_errors_match_basis_fit(trace, f, kwargs):
     with pytest.raises(AnalyticsError) as expected:
         oracle.measured_thd(trace, f, TS, **kwargs)
     with pytest.raises(AnalyticsError) as got:
-        measured_thd(trace, f, TS, **kwargs)
+        line_fit(trace, f, TS, **kwargs).thd()
     assert str(got.value) == str(expected.value)
 
 
@@ -329,9 +328,9 @@ def test_line_fit_recovers_each_order(f, ts_frac, cycles, dc, fundamental,
     mag = np.hypot(fit.lines[0].real, fit.lines[0].imag)
     if whole < 5:
         with pytest.raises(AnalyticsError, match="leakage window"):
-            measured_thd(u, f, ts)
+            fit.thd()
     else:
-        assert measured_thd(u, f, ts) == (
+        assert fit.thd() == (
             100.0 * math.sqrt(np.sum(mag[2:] ** 2)) / mag[1])
     assert spectral_line(u, f, ts) == mag[1]
 
@@ -351,13 +350,14 @@ def test_spectral_line_amplitude():
     assert spectral_line(u, 50.0, TS) == pytest.approx(0.3, abs=1e-3)
 
 
-@pytest.mark.parametrize("fn", [measured_thd, spectral_line],
-                         ids=["measured_thd", "spectral_line"])
+@pytest.mark.parametrize("fn", [
+    lambda trace, f, ts: line_fit(trace, f, ts).thd(), spectral_line],
+    ids=["measured_thd", "spectral_line"])
 @pytest.mark.parametrize("f, ts", [(1e308, TS), (math.inf, TS),
                                    (1e307, 50.0)])
 def test_overflowing_fundamental_refused(fn, f, ts):
     # 2*pi*f (1e308 Hz, inf) or 2*pi*f*Ts (1e307 Hz at Ts = 50 s) is not
-    # finite; measured_thd used to end in a LAPACK LinAlgError after
+    # finite; the THD used to end in a LAPACK LinAlgError after
     # RuntimeWarnings, spectral_line to return NaN
     with pytest.raises(AnalyticsError, match="no finite angle per sample"):
         fn(np.sin(0.01 * np.arange(6000)), f, ts)
